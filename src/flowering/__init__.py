@@ -15,7 +15,7 @@ from .cayley import (
 )
 from .commitment import FSState, MerkleTree, verify_open
 from .errors import FloweringError, TooLargeError
-from .field import Felt, FieldMismatchError, NotPrimeError, PrimeField
+from .field import NotPrimeError, PrimeField
 from .folding import BlossomingSequence, blossoming_validate, fold
 from .graph_code import (
     GraphCode,
@@ -42,8 +42,6 @@ from .rim_graph import RIM, FloweringCut, cut_graph, flowering_cut_validate, is_
 
 __all__ = [
     "BlossomingSequence",
-    "Felt",
-    "FieldMismatchError",
     "FloweringCut",
     "FloweringError",
     "FSState",

@@ -38,8 +38,12 @@ def _dump_json(path: str, data: dict) -> None:
 
 
 def _load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        return Instance.from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return Instance.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FloweringError(
+            f"malformed instance file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _caps() -> tuple[int, int]:
@@ -121,11 +125,7 @@ def _verify_transcript_file(instance: Instance, data: dict) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        instance = _load_instance(args.instance)
-    except (OSError, ValueError, KeyError, FloweringError):
-        print("malformed instance file", file=sys.stderr)
-        return 2
+    instance = _load_instance(args.instance)
     try:
         with open(args.proof, "rb") as fh:
             blob = fh.read()

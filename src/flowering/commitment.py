@@ -84,9 +84,12 @@ class MerkleTree:
         return self.values[index], path
 
 
-def verify_open(root: bytes, index: int, value: int, path: list[bytes]) -> bool:
-    """True iff the path authenticates (index, value) under the root."""
-    if index < 0 or index >= (1 << len(path)):
+def verify_open(root: bytes, index: int, value: int, path: list[bytes],
+                num_leaves: int) -> bool:
+    """True iff the path authenticates (index, value) under the root of a
+    tree over num_leaves values.  The path must have exactly that tree's
+    depth: a shorter or longer one could pass an inner node off as a leaf."""
+    if not 0 <= index < num_leaves or len(path) != (num_leaves - 1).bit_length():
         return False
     node = _leaf_hash(index, value)
     pos = index

@@ -5,27 +5,20 @@ the same code runs tiny pedagogical fields (F_5) and experiment-scale fields
 (~2^31).  No structure beyond primality is assumed: in particular no roots of
 unity or smooth multiplicative subgroups are ever needed.
 
-Two surfaces are provided.  ``PrimeField`` exposes arithmetic on plain ints
-in ``[0, p)``; protocol kernels (folding, parity matrices, Monte-Carlo loops)
-use it directly for speed.  ``Felt`` wraps an int together with its field and
-overloads the operators; it is the currency of the public API where mixing
-elements of different fields must be caught.
+Elements are plain ints in ``[0, p)``; callers reduce with ``% p``
+themselves, and ``PrimeField`` supplies only what needs the modulus beyond
+that: validation, inversion and uniform sampling.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import FloweringError
 
 
 class NotPrimeError(FloweringError):
     """The requested modulus failed the primality check."""
-
-
-class FieldMismatchError(FloweringError):
-    """Arithmetic was attempted between elements of different fields."""
 
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3 * 10^24,
@@ -61,10 +54,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field F_p for a verified prime p < 2^64.
-
-    All element-level methods operate on plain ints reduced mod p.
-    """
+    """The field F_p for a verified prime p < 2^64."""
 
     __slots__ = ("p",)
 
@@ -77,47 +67,14 @@ class PrimeField:
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
 
-    # int-level arithmetic -------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
-
     def sample(self, rng: random.Random) -> int:
         """Uniform element of [0, p); deterministic given the rng seed."""
         return rng.randrange(self.p)
-
-    # Felt construction ----------------------------------------------------
-
-    def felt(self, value: int) -> Felt:
-        return Felt(value % self.p, self)
-
-    def zero(self) -> Felt:
-        return Felt(0, self)
-
-    def one(self) -> Felt:
-        return Felt(1 % self.p, self)
-
-    def sample_felt(self, rng: random.Random) -> Felt:
-        return Felt(self.sample(rng), self)
 
     # identity -------------------------------------------------------------
 
@@ -129,53 +86,3 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
-
-
-@dataclass(frozen=True, slots=True)
-class Felt:
-    """An element of a specific PrimeField; value always in [0, p)."""
-
-    value: int
-    field: PrimeField
-
-    def _coerce(self, other: Felt) -> int:
-        if not isinstance(other, Felt):
-            raise TypeError(f"expected Felt, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"mixed fields F_{self.field.p} and F_{other.field.p}"
-            )
-        return other.value
-
-    def __add__(self, other: Felt) -> Felt:
-        return Felt(self.field.add(self.value, self._coerce(other)), self.field)
-
-    def __sub__(self, other: Felt) -> Felt:
-        return Felt(self.field.sub(self.value, self._coerce(other)), self.field)
-
-    def __mul__(self, other: Felt) -> Felt:
-        return Felt(self.field.mul(self.value, self._coerce(other)), self.field)
-
-    def __neg__(self) -> Felt:
-        return Felt(self.field.neg(self.value), self.field)
-
-    def __truediv__(self, other: Felt) -> Felt:
-        return Felt(
-            self.field.mul(self.value, self.field.inv(self._coerce(other))),
-            self.field,
-        )
-
-    def __pow__(self, exponent: int) -> Felt:
-        return Felt(self.field.pow(self.value, exponent), self.field)
-
-    def inverse(self) -> Felt:
-        return Felt(self.field.inv(self.value), self.field)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __repr__(self) -> str:
-        return f"Felt({self.value} mod {self.field.p})"
-
-    def __str__(self) -> str:
-        return str(self.value)

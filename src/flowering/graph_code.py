@@ -170,27 +170,11 @@ class GraphCode:
         )
 
     def invalid_views(self, f: Word) -> int:
-        """Number of vertices whose local view fails the RS parity checks.
-
-        Uses the syndrome route (parity rows) since this backs counting loops;
-        it agrees with the interpolation-based membership test, which the
-        property suite checks.
-        """
+        """Number of vertices whose local view fails the RS membership test."""
         self._check_word(f)
-        rows = self.rs.parity_rows()
-        p = self.field.p
-        cls_of = self.graph.classes.class_of
-        vals = f.values
-        n = self.graph.n
-        bad = 0
-        for v in range(self.graph.num_vertices):
-            base = v * n
-            view = [vals[cls_of[base + l]] for l in range(n)]
-            for row in rows:
-                if sum(map(lambda a, b: a * b, row, view)) % p:
-                    bad += 1
-                    break
-        return bad
+        return sum(
+            not self.rs.is_codeword(f.local_view(v)) for v in range(self.graph.num_vertices)
+        )
 
     def local_view_distance(self, f: Word) -> Fraction:
         """Fraction of vertices with invalid local views; a lower bound on the

@@ -229,7 +229,7 @@ def verifier_query(
         flower_classes = seq.graphs[r].classes
         view = [oracle(r, flower_classes.id_of(0, l)) for l in range(n)]
         counters.oracle_reads += n
-        counters.final_check_field_ops += n * n
+        counters.final_check_field_ops += n * (n - rs.k)
         flower_ok = rs.is_codeword(view)
         if record_openings and records:
             records[-1].openings += [

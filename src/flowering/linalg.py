@@ -1,4 +1,4 @@
-"""Dense linear algebra mod p: rank, RREF, nullspace, inverse.
+"""Dense linear algebra mod p: rank, RREF, nullspace.
 
 Matrices are lists of rows of ints (or numpy arrays for the fast paths).
 Rank of the larger parity-check matrices is computed with vectorized numpy
@@ -87,13 +87,3 @@ def nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
             v[c] = -reduced[i][free] % p
         basis.append(v)
     return basis
-
-
-def invert(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Inverse of a square matrix mod p via Gauss-Jordan on [M | I]."""
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    _, pivots = rref(aug, p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return [row[n:] for row in aug]

@@ -14,7 +14,8 @@ Binary layout (little-endian):
     t u32 | (r+1) roots 32B | per level: count u32, then entries
     class u64 | value u64 | path_len u8 | path_len sibling digests 32B.
 Parsing is strict: any truncation, oversize length, or trailing byte is
-malformed.
+malformed.  The verifier accepts an opening only if its path_len equals the
+depth of that level's tree, so a root cannot be opened at two depths.
 """
 
 from __future__ import annotations
@@ -197,10 +198,11 @@ def verify_noninteractive(
         return False, None
 
     for level, opened in enumerate(proof.openings):
+        num_classes = seq.graphs[level].classes.num_classes
         for cid, (value, path) in opened.items():
             if value >= rs.field.p:
                 return False, None
-            if not verify_open(proof.roots[level], cid, value, path):
+            if not verify_open(proof.roots[level], cid, value, path, num_classes):
                 return False, None
 
     challenges, randomness = derive_noninteractive_randomness(seq, rs, params, proof.roots)

@@ -1,16 +1,19 @@
 """Reed-Solomon codes RS[n, k] evaluated on fixed distinct points.
 
-The membership test interpolates the full word and inspects the degree
-(O(n^2) Lagrange).  n stays small here (local views of a regular graph), and
-the interpolant itself is needed elsewhere, so no syndrome shortcut is taken.
+Membership is one dual (syndrome) check.  The dual of RS[n, k] on points
+x_1..x_n is the generalized RS code with column multipliers
+u_i = 1 / prod_{j != i} (x_i - x_j), so y is a codeword exactly when
+sum_i u_i x_i^j y_i = 0 for every j < n - k (MacWilliams-Sloane ch. 10;
+Roth, Introduction to Coding Theory, ch. 5).  Any field with p > n and any
+distinct points will do.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
-from . import linalg
 from .errors import FloweringError
 from .field import PrimeField
 
@@ -60,35 +63,6 @@ class Poly:
         return acc
 
 
-def lagrange_interpolate(field: PrimeField, xs: list[int], ys: list[int]) -> Poly:
-    """Unique polynomial of degree < len(xs) through the given points."""
-    p = field.p
-    n = len(xs)
-    # master(X) = prod (X - x_i), low-degree first
-    master = [1]
-    for x in xs:
-        master = [0] + master
-        for j in range(len(master) - 1):
-            master[j] = (master[j] - master[j + 1] * x) % p
-    acc = [0] * n
-    for i in range(n):
-        # num_i = master / (X - x_i) by synthetic division
-        num = [0] * n
-        num[n - 1] = 1
-        for j in range(n - 1, 0, -1):
-            num[j - 1] = (master[j] + num[j] * xs[i]) % p
-        denom = 0
-        power = 1
-        for c in num:
-            denom = (denom + c * power) % p
-            power = power * xs[i] % p
-        scale = ys[i] * field.inv(denom) % p
-        if scale:
-            for j in range(n):
-                acc[j] = (acc[j] + num[j] * scale) % p
-    return Poly.make(field, acc)
-
-
 class RSCode:
     """RS[n, k] on pairwise-distinct points x_1..x_n of a field with p > n."""
 
@@ -115,43 +89,51 @@ class RSCode:
     def n(self) -> int:
         return len(self.points)
 
-    def interpolate(self, values: list[int]) -> Poly:
-        """The unique degree < n polynomial with P(x_i) = values[i]."""
-        if len(values) != self.n:
-            raise LengthMismatchError(f"expected {self.n} values, got {len(values)}")
-        return lagrange_interpolate(self.field, list(self.points), list(values))
-
     def evaluate(self, poly: Poly) -> list[int]:
         return [poly.evaluate(x) for x in self.points]
 
     def is_codeword(self, values: list[int]) -> bool:
-        return self.interpolate(values).degree < self.k
+        """True iff every parity row annihilates the word."""
+        if len(values) != self.n:
+            raise LengthMismatchError(f"expected {self.n} values, got {len(values)}")
+        p = self.field.p
+        return all(sum(map(mul, row, values)) % p == 0 for row in self.parity_rows())
 
     def unit_interpolant(self) -> Poly:
         """The degree k-1 polynomial L with L(x_{n-k+1}) = 1 and L(x_l) = 0
-        for l = n-k+2, ..., n.
-
-        L is pinned by k interpolation constraints on the last k points; its
-        k-1 prescribed roots force degree exactly k-1.
+        for l = n-k+2, ..., n, in product form:
+        L(X) = prod_l (X - x_l) / prod_l (x_{n-k+1} - x_l).
         """
-        xs = list(self.points[self.n - self.k:])
-        ys = [1] + [0] * (self.k - 1)
-        poly = lagrange_interpolate(self.field, xs, ys)
-        assert poly.degree == self.k - 1
-        return poly
+        p = self.field.p
+        anchor = self.points[self.n - self.k]
+        coeffs = [1]  # low-degree first
+        denom = 1
+        for x in self.points[self.n - self.k + 1:]:
+            coeffs = [0] + coeffs
+            for j in range(len(coeffs) - 1):
+                coeffs[j] = (coeffs[j] - coeffs[j + 1] * x) % p
+            denom = denom * (anchor - x) % p
+        scale = self.field.inv(denom)
+        return Poly.make(self.field, [c * scale for c in coeffs])
 
     def parity_rows(self) -> list[list[int]]:
-        """(n-k) x n matrix H with H y = 0 iff y is a codeword.
-
-        Rows k..n-1 of the inverse Vandermonde: entry (i, j) of V^{-1} maps
-        values to interpolant coefficient i, so the top coefficients vanish
-        exactly on codewords.
-        """
+        """(n-k) x n matrix H with H y = 0 iff y is a codeword: row j is
+        (u_i x_i^j)_i, the generator of the dual GRS code."""
         if self._parity_rows is None:
             p = self.field.p
-            vand = [[pow(x, j, p) for j in range(self.n)] for x in self.points]
-            vinv = linalg.invert(vand, p)
-            self._parity_rows = vinv[self.k:]
+            xs = self.points
+            row = []
+            for i, xi in enumerate(xs):
+                d = 1
+                for j, xj in enumerate(xs):
+                    if j != i:
+                        d = d * (xi - xj) % p
+                row.append(self.field.inv(d))
+            rows = []
+            for _ in range(self.n - self.k):
+                rows.append(row)
+                row = [u * x % p for u, x in zip(row, xs)]
+            self._parity_rows = rows
         return self._parity_rows
 
     def random_codeword(self, rng: random.Random) -> list[int]:

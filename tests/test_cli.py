@@ -78,6 +78,27 @@ def test_verify_truncated_is_malformed(tmp_path, instance_file):
     assert run("verify", "--instance", instance_file, "--proof", garbage) == 2
 
 
+def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
+    proof = tmp_path / "proof.bin"
+    assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,
+               "--seed", 4, "--out", proof) == 0
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[]")
+    data = json.loads(instance_file.read_text())
+    data["k"] = str(data["k"])
+    string_k = tmp_path / "string_k.json"
+    string_k.write_text(json.dumps(data))
+    capsys.readouterr()
+    for argv in (
+        ("verify", "--instance", not_an_object, "--proof", proof),
+        ("verify", "--instance", string_k, "--proof", proof),
+        ("prove", "--instance", tmp_path / "missing.json", "--out", tmp_path / "p.bin"),
+    ):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed instance file") and err.count("\n") == 1
+
+
 def test_verify_corrupted_rejects(tmp_path, instance_file):
     proof = tmp_path / "proof.bin"
     run("prove", "--instance", instance_file, "--m", 2, "--t", 1, "--seed", 9,

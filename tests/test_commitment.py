@@ -7,6 +7,8 @@ from flowering.commitment import (
     FSState,
     IndexOutOfRangeError,
     MerkleTree,
+    _leaf_hash,
+    _node_hash,
     verify_open,
 )
 from flowering.experiments import gen_instance, random_codeword_word
@@ -37,13 +39,18 @@ def test_merkle_open_verify():
     for i, v in enumerate(values):
         value, path = tree.open(i)
         assert value == v
-        assert verify_open(tree.root, i, value, path)
-        assert not verify_open(tree.root, i, value + 1, path)
+        assert verify_open(tree.root, i, value, path, 13)
+        assert not verify_open(tree.root, i, value + 1, path, 13)
         if path:
             bad = [bytes([path[0][0] ^ 1]) + path[0][1:]] + path[1:]
-            assert not verify_open(tree.root, i, value, bad)
+            assert not verify_open(tree.root, i, value, bad, 13)
         if i:
-            assert not verify_open(tree.root, i - 1, value, path)
+            assert not verify_open(tree.root, i - 1, value, path, 13)
+    # a path authenticates only against the tree shape it came from
+    value, path = tree.open(12)
+    assert verify_open(tree.root, 12, value, path, 16)  # same depth, padding
+    assert not verify_open(tree.root, 12, value, path, 12)  # index out of range
+    assert not verify_open(tree.root, 12, value, path, 17)  # deeper tree
     with pytest.raises(IndexOutOfRangeError):
         tree.open(13)
 
@@ -52,8 +59,24 @@ def test_single_leaf_tree():
     tree = MerkleTree([42])
     value, path = tree.open(0)
     assert path == []
-    assert verify_open(tree.root, 0, 42, [])
-    assert not verify_open(tree.root, 1, 42, [])
+    assert verify_open(tree.root, 0, 42, [], 1)
+    assert not verify_open(tree.root, 1, 42, [], 1)
+
+
+def test_opening_bound_to_tree_depth():
+    # One root, two openings of index 1: to 111 through a depth-1 path and to
+    # 222 through a depth-2 path that passes the inner node0 off as a leaf.
+    node0 = _node_hash(_leaf_hash(0, 5), _leaf_hash(1, 222))
+    root = _node_hash(node0, _leaf_hash(1, 111))
+    shallow = (1, 111, [node0])
+    deep = (1, 222, [_leaf_hash(0, 5), _leaf_hash(1, 111)])
+    assert verify_open(root, *shallow, 2) and not verify_open(root, *deep, 2)
+    for num_leaves in (3, 4):
+        assert verify_open(root, *deep, num_leaves)
+        assert not verify_open(root, *shallow, num_leaves)
+    for num_leaves in (1, 5, 8):
+        assert not verify_open(root, *shallow, num_leaves)
+        assert not verify_open(root, *deep, num_leaves)
 
 
 def test_fs_golden_vector():

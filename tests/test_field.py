@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from flowering.field import Felt, FieldMismatchError, NotPrimeError, PrimeField, is_probable_prime
+from flowering.field import NotPrimeError, PrimeField, is_probable_prime
 
 
 def trial_division_prime(n: int) -> bool:
@@ -53,14 +53,13 @@ def test_probable_prime_spot_checks(n, expected):
 
 def test_basic_arithmetic_f5():
     f = PrimeField(5)
-    assert f.add(3, 4) == 2
-    assert f.sub(1, 3) == 3
-    assert f.mul(3, 4) == 2
     assert f.inv(2) == 3  # 2*3 = 6 = 1 mod 5
     assert f.inv(2) == egcd_inverse(2, 5)
-    assert f.pow(2, 4) == 1
+    assert f.inv(7) == 3  # reduced mod p first
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(10)
 
 
 def test_inverse_matches_egcd_large():
@@ -70,51 +69,18 @@ def test_inverse_matches_egcd_large():
         a = rng.randrange(1, f.p)
         inv = f.inv(a)
         assert inv == egcd_inverse(a, f.p)
-        assert f.mul(a, inv) == 1
+        assert a * inv % f.p == 1
         assert f.inv(inv) == a  # involution on nonzero elements
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms_exhaustive_small(p):
+    # the multiplicative-inverse axiom, the one the field object still owns
     f = PrimeField(p)
-    elems = range(p)
-    for a in elems:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1 % p) == a
-        for b in elems:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            for c in elems:
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-
-
-def test_field_axioms_randomized_large():
-    f = PrimeField(2147483647)
-    rng = random.Random(2)
-    for _ in range(200):
-        a, b, c = (f.sample(rng) for _ in range(3))
-        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-
-
-def test_felt_operators_and_mismatch():
-    f5 = PrimeField(5)
-    f7 = PrimeField(7)
-    a = f5.felt(3)
-    b = f5.felt(4)
-    assert (a + b).value == 2
-    assert (a - b).value == 4
-    assert (a * b).value == 2
-    assert (-a).value == 2
-    assert (a / f5.felt(2)).value == 4  # 3 * inv(2) = 3*3 = 9 = 4
-    assert (a ** 3).value == 2
-    assert a.inverse().value == 2
-    with pytest.raises(FieldMismatchError):
-        _ = a + f7.felt(1)
-    assert f5.felt(8) == Felt(3, f5)
+    for a in range(1, p):
+        assert 0 <= f.inv(a) < p
+        assert a * f.inv(a) % p == 1
+        assert f.inv(f.inv(a)) == a
 
 
 def test_sampling_deterministic_and_uniform():

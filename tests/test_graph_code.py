@@ -80,7 +80,7 @@ def test_local_view_distance(petal_square):
     rs = RSCode.with_default_points(field, 3, 2)
     code = GraphCode(petal_square, rs)
 
-    w = Word.from_index_values(petal_square, field, rs.evaluate(rs.interpolate([1, 2, 3])))
+    w = Word.from_index_values(petal_square, field, [1, 2, 3])  # P(X) = X
     assert code.local_view_distance(w) == 0
 
     # corrupting one petal invalidates exactly its own vertex's view

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from flowering import linalg
 from flowering.field import PrimeField
 from flowering.reed_solomon import (
     DimensionOutOfRangeError,
@@ -12,6 +13,66 @@ from flowering.reed_solomon import (
     Poly,
     RSCode,
 )
+
+
+def lagrange_interpolate(field: PrimeField, xs: list[int], ys: list[int]) -> Poly:
+    """Reference oracle: the unique polynomial of degree < len(xs) through
+    the given points, by O(n^2) Lagrange interpolation."""
+    p = field.p
+    n = len(xs)
+    # master(X) = prod (X - x_i), low-degree first
+    master = [1]
+    for x in xs:
+        master = [0] + master
+        for j in range(len(master) - 1):
+            master[j] = (master[j] - master[j + 1] * x) % p
+    acc = [0] * n
+    for i in range(n):
+        # num_i = master / (X - x_i) by synthetic division
+        num = [0] * n
+        num[n - 1] = 1
+        for j in range(n - 1, 0, -1):
+            num[j - 1] = (master[j] + num[j] * xs[i]) % p
+        denom = 0
+        power = 1
+        for c in num:
+            denom = (denom + c * power) % p
+            power = power * xs[i] % p
+        scale = ys[i] * field.inv(denom) % p
+        if scale:
+            for j in range(n):
+                acc[j] = (acc[j] + num[j] * scale) % p
+    return Poly.make(field, acc)
+
+
+def property_codes() -> list[RSCode]:
+    """RS codes on random distinct (non-default) points: p = n + 1, p = 2^31 - 1
+    and a prime above 2^31, each with k in {1, n // 2, n - 1, n}."""
+    rng = random.Random(11)
+    codes = []
+    for p, n in ((5, 4), (7, 6), (13, 12), (2**31 - 1, 9), (2**31 + 11, 8)):
+        field = PrimeField(p)
+        points = rng.sample(range(p), n)
+        for k in sorted({1, n // 2, n - 1, n}):
+            codes.append(RSCode(field, points, k))
+    return codes
+
+
+def probe_words(code: RSCode, rng: random.Random) -> list[list[int]]:
+    """Codewords, codewords with one bumped entry, evaluations of a degree-k
+    polynomial (a non-codeword when k < n) and uniform words."""
+    p = code.field.p
+    words = []
+    for _ in range(4):
+        c = code.random_codeword(rng)
+        words.append(c)
+        bumped = list(c)
+        bumped[rng.randrange(code.n)] += rng.randrange(1, p)
+        words.append(bumped)
+        coeffs = [code.field.sample(rng) for _ in range(code.k)] + [rng.randrange(1, p)]
+        words.append(code.evaluate(Poly.make(code.field, coeffs)))
+        words.append([code.field.sample(rng) for _ in range(code.n)])
+    return words
 
 
 @pytest.fixture(scope="module")
@@ -34,28 +95,38 @@ def test_rs_new_validation():
 
 
 def test_interpolate_known_cases(rs_t1):
+    field, xs = rs_t1.field, list(rs_t1.points)
     # values (2,4,1) at (1,2,3) over F_5 come from P(X) = 2X
-    poly = rs_t1.interpolate([2, 4, 1])
+    poly = lagrange_interpolate(field, xs, [2, 4, 1])
     assert poly.coeffs == (0, 2)
     assert rs_t1.evaluate(poly) == [2, 4, 1]
 
-    const = rs_t1.interpolate([4, 4, 4])
+    const = lagrange_interpolate(field, xs, [4, 4, 4])
     assert const.coeffs == (4,)
 
     # (1,1,2) needs degree 2: a degree-1 fit through the first two points
     # is the constant 1, which misses the third
-    deg2 = rs_t1.interpolate([1, 1, 2])
+    deg2 = lagrange_interpolate(field, xs, [1, 1, 2])
     assert deg2.degree == 2
     assert rs_t1.evaluate(deg2) == [1, 1, 2]
-
-    with pytest.raises(LengthMismatchError):
-        rs_t1.interpolate([1, 2])
 
 
 def test_is_codeword(rs_t1):
     assert rs_t1.is_codeword([1, 2, 3])  # identity polynomial, degree 1
     assert not rs_t1.is_codeword([1, 1, 2])
     assert rs_t1.is_codeword([0, 0, 0])  # zero polynomial
+    assert rs_t1.is_codeword([6, 7, 8])  # entries are taken mod p
+    with pytest.raises(LengthMismatchError):
+        rs_t1.is_codeword([1, 2])
+
+
+def test_is_codeword_matches_lagrange_oracle():
+    rng = random.Random(12)
+    for code in property_codes():
+        xs = list(code.points)
+        for y in probe_words(code, rng):
+            expected = lagrange_interpolate(code.field, xs, y).degree < code.k
+            assert code.is_codeword(y) == expected, (code, y)
 
 
 def test_is_codeword_against_bruteforce_enumeration(rs_t1):
@@ -69,16 +140,29 @@ def test_is_codeword_against_bruteforce_enumeration(rs_t1):
         v = [rng.randrange(p) for _ in range(3)]
         assert rs_t1.is_codeword(v) == (tuple(v) in codewords)
 
+    # every word of F_5^4 on non-default points that include 0, k in {1, n-1, n}
+    field = PrimeField(5)
+    for k in (1, 3, 4):
+        code = RSCode(field, [3, 0, 4, 1], k)
+        codewords = {
+            tuple(code.evaluate(Poly.make(field, coeffs)))
+            for coeffs in itertools.product(range(5), repeat=k)
+        }
+        assert len(codewords) == 5**k
+        for v in itertools.product(range(5), repeat=4):
+            assert code.is_codeword(list(v)) == (v in codewords)
+
 
 def test_interpolation_round_trips():
     field = PrimeField(101)
     code = RSCode.with_default_points(field, 7, 3)
+    xs = list(code.points)
     rng = random.Random(3)
     for _ in range(25):
         values = [field.sample(rng) for _ in range(7)]
-        assert code.evaluate(code.interpolate(values)) == values
+        assert code.evaluate(lagrange_interpolate(field, xs, values)) == values
         poly = Poly.make(field, [field.sample(rng) for _ in range(7)])
-        assert code.interpolate(code.evaluate(poly)) == poly
+        assert lagrange_interpolate(field, xs, code.evaluate(poly)) == poly
 
 
 def test_linearity_of_code():
@@ -110,6 +194,12 @@ def test_unit_interpolant_edge_dimensions():
     kn = code.unit_interpolant()
     assert kn.degree == 3
     assert [kn.evaluate(x) for x in code.points] == [1, 0, 0, 0]
+    # every dimension on random points, against the Lagrange oracle
+    for code in property_codes():
+        tail = list(code.points[code.n - code.k:])
+        expected = lagrange_interpolate(code.field, tail, [1] + [0] * (code.k - 1))
+        ell = code.unit_interpolant()
+        assert ell == expected and ell.degree == code.k - 1
 
 
 def test_parity_rows_match_membership():
@@ -124,3 +214,19 @@ def test_parity_rows_match_membership():
             sum(c * x for c, x in zip(row, v)) % field.p == 0 for row in rows
         )
         assert syndrome_zero == code.is_codeword(v)
+        assert syndrome_zero == (lagrange_interpolate(field, list(code.points), v).degree < 4)
+
+    # n - k rows of full rank that annihilate every monomial x^j, j < k (a
+    # basis of the code), hence span exactly the dual code
+    for code in property_codes():
+        p = code.field.p
+        rows = code.parity_rows()
+        assert len(rows) == code.n - code.k
+        assert all(len(row) == code.n for row in rows)
+        if rows:
+            assert linalg.rank(rows, p) == code.n - code.k
+        monomials = [[pow(x, j, p) for x in code.points] for j in range(code.k)]
+        words = monomials + [code.random_codeword(rng) for _ in range(5)]
+        for row in rows:
+            for w in words:
+                assert sum(a * b for a, b in zip(row, w)) % p == 0
