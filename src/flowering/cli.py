@@ -2,9 +2,14 @@
 
 Subcommands: gen, prove, verify, soundness-mc, report-complexity,
 check-bounds.  Every command is deterministic given --seed and produces
-byte-identical reports on identical invocations.  verify exits 0 on accept,
-1 on reject, 2 on malformed input.  FLOWERING_CAP overrides the brute-force
-size caps used by check-bounds.
+byte-identical reports on identical invocations.  verify takes
+non-interactive proofs only and exits 0 on accept, 1 on reject, 2 on
+malformed input; ``prove --mode interactive`` writes its transcript as a run
+report, which verify refuses, since a transcript commits to nothing and its
+writer chose the challenges.  Every JSON input file (instance, genset, word,
+config) is read by one loader, so a missing or malformed file exits 2 with a
+one-line error.  FLOWERING_CAP overrides the brute-force size caps used by
+check-bounds.
 """
 
 from __future__ import annotations
@@ -15,18 +20,18 @@ import os
 import sys
 from fractions import Fraction
 
+from .cayley import GenSet, gen_set_from_parity_check
 from .errors import FloweringError
 from .experiments import (
     Instance,
     complexity_report,
     derive_seed,
     gen_instance,
-    honest_run,
     random_codeword_word,
     soundness_mc,
 )
 from .graph_code import DEFAULT_ENUM_CAP, DEFAULT_MATRIX_CAP, Word
-from .iopp import HonestProver, ProtocolParams, replay_transcript, run_protocol
+from .iopp import HonestProver, ProtocolParams, run_protocol
 from .niproof import MalformedProofError, NIProof, prove_noninteractive, verify_noninteractive
 
 TRANSCRIPT_FORMAT = "flowering-transcript-v1"
@@ -37,13 +42,37 @@ def _dump_json(path: str, data: dict) -> None:
         fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _load_instance(path: str) -> Instance:
+def _load(kind: str, path: str, parse):
+    """parse(the JSON in path), with every read or shape error of the file
+    raised as a one-line FloweringError."""
     try:
         with open(path) as fh:
-            return Instance.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
+            FloweringError) as exc:
         raise FloweringError(
-            f"malformed instance file {path}: {type(exc).__name__}: {exc}") from exc
+            f"malformed {kind} file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_instance(path: str) -> Instance:
+    return _load("instance", path, Instance.from_json)
+
+
+def _parse_genset(data: dict, d: int) -> GenSet:
+    if "matrix" in data:
+        return gen_set_from_parity_check(data["matrix"], data.get("d", d))
+    return GenSet.from_json(data)
+
+
+def _parse_mc_config(cfg: dict) -> dict:
+    return {
+        "adversaries": list(cfg.get("adversaries", ["far-word-honest-fold", "lazy-copy"])),
+        "deltas": [Fraction(d) for d in cfg.get("deltas", ["1/2"])],
+        "ms": list(cfg.get("ms", [10])),
+        "ts": list(cfg.get("ts", [2])),
+        "trials": cfg.get("trials", 1000),
+        "workers": cfg.get("workers", 1),
+    }
 
 
 def _caps() -> tuple[int, int]:
@@ -54,7 +83,10 @@ def _caps() -> tuple[int, int]:
 
 
 def cmd_gen(args) -> int:
-    instance = gen_instance(args.r, args.p, args.k, args.genset, args.d)
+    genset = args.genset
+    if genset != "full":
+        genset = _load("genset", genset, lambda data: _parse_genset(data, args.d))
+    instance = gen_instance(args.r, args.p, args.k, genset)
     _dump_json(args.out, instance.to_json())
     print(f"wrote instance: r={instance.r} n={instance.n} k={instance.rs.k} "
           f"p={instance.field.p} -> {args.out}")
@@ -66,8 +98,8 @@ def cmd_prove(args) -> int:
     params = ProtocolParams(args.m, args.t)
     params.check(instance.n)
     if args.word:
-        with open(args.word) as fh:
-            word = Word.from_json(instance.seq.graphs[0], instance.field, json.load(fh))
+        word = _load("word", args.word,
+                     lambda data: Word.from_json(instance.seq.graphs[0], instance.field, data))
     else:
         import random
 
@@ -97,33 +129,6 @@ def cmd_prove(args) -> int:
     return 0 if transcript.accept else 1
 
 
-def _verify_transcript_file(instance: Instance, data: dict) -> int:
-    try:
-        if data.get("p") != str(instance.field.p):
-            return 1
-        if data.get("graph_hash") != instance.seq.graphs[0].hash_hex():
-            return 1
-        params = ProtocolParams(int(data["m"]), int(data["t"]))
-        params.check(instance.n)
-        tr = data["transcript"]
-        challenges = [int(a) for a in tr["challenges"]]
-        if len(tr["queries"]) != params.m:
-            return 1
-        randomness = [(q["v0"], tuple(q["indices"])) for q in tr["queries"]]
-        openings = {}
-        for q in tr["queries"]:
-            for level, cid, value in q["openings"]:
-                openings[(level, cid)] = value
-    except (KeyError, TypeError, ValueError, FloweringError):
-        return 2
-    try:
-        replayed = replay_transcript(instance.seq, instance.rs, params, challenges,
-                                     randomness, openings)
-    except KeyError:
-        return 1
-    return 0 if replayed.accept and tr.get("accept") is True else 1
-
-
 def cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
     try:
@@ -139,10 +144,10 @@ def cmd_verify(args) -> int:
         except (UnicodeDecodeError, json.JSONDecodeError):
             print("malformed proof file", file=sys.stderr)
             return 2
-        if data.get("format") == TRANSCRIPT_FORMAT:
-            code = _verify_transcript_file(instance, data)
-            print("accept" if code == 0 else "reject")
-            return code
+        if isinstance(data, dict) and data.get("format") == TRANSCRIPT_FORMAT:
+            raise FloweringError(
+                "verify takes non-interactive proofs only; an interactive transcript "
+                "is a run report and proves nothing")
         try:
             blob = bytes.fromhex(data["hex"])
         except (KeyError, TypeError, ValueError):
@@ -160,18 +165,8 @@ def cmd_verify(args) -> int:
 
 def cmd_soundness_mc(args) -> int:
     instance = _load_instance(args.instance)
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    report = soundness_mc(
-        instance,
-        adversaries=cfg.get("adversaries", ["far-word-honest-fold", "lazy-copy"]),
-        deltas=[Fraction(d) for d in cfg.get("deltas", ["1/2"])],
-        ms=cfg.get("ms", [10]),
-        ts=cfg.get("ts", [2]),
-        trials=cfg.get("trials", 1000),
-        seed=args.seed,
-        workers=cfg.get("workers", 1),
-    )
+    cfg = _load("config", args.config, _parse_mc_config)
+    report = soundness_mc(instance, seed=args.seed, **cfg)
     _dump_json(args.out, report)
     header = f"{'adversary':24} {'delta':>8} {'m':>3} {'t':>3} {'accept':>8} {'wilson99':>9} {'bound':>9} ok"
     print(header)

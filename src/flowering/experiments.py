@@ -1,6 +1,12 @@
 """Experiment harness: instance construction, Monte-Carlo soundness studies,
 complexity and bound reports.
 
+An instance is a Cayley graph over F_2^r named by its generating set, plus
+an RS base code.  Its file holds only {format, p, k, points, genset}:
+generating an instance and loading its file both build the canonical
+blossoming sequence from the generating set, so a file cannot name a graph
+its generating set does not define.
+
 Everything is deterministic given a master seed: per-trial seeds are derived
 by hashing (seed, index), and trials merge by index whether they ran inline
 or on a worker pool.  Reports are plain dicts ready for sorted-key JSON.
@@ -9,7 +15,6 @@ or on a worker pool.  Reports are plain dicts ready for sorted-key JSON.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import multiprocessing
 import random
@@ -21,7 +26,6 @@ from .adversaries import build_adversary
 from .cayley import (
     GenSet,
     blossoming_cayley,
-    gen_set_from_parity_check,
     gen_set_full,
     min_distance_bounds,
     upper_bound_witness,
@@ -41,7 +45,7 @@ from .reed_solomon import RSCode
 
 WILSON_Z_99 = 2.5758293035489004
 
-INSTANCE_FORMAT = "flowering-instance-v1"
+INSTANCE_FORMAT = "flowering-instance-v2"
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -75,45 +79,28 @@ class Instance:
             "k": self.rs.k,
             "points": [str(x) for x in self.rs.points],
             "genset": self.gens.to_json(),
-            "graph": self.seq.graphs[0].to_json(),
-            "cuts": [cut.to_json() for cut in self.seq.cuts],
-            "graph_hash": self.seq.graphs[0].hash_hex(),
         }
 
     @classmethod
-    def from_json(cls, data: dict, check: bool = True) -> Instance:
+    def from_json(cls, data: dict) -> Instance:
         if data.get("format") != INSTANCE_FORMAT:
             raise FloweringError(f"not a {INSTANCE_FORMAT} file")
         field = PrimeField(int(data["p"]))
-        seq = BlossomingSequence.from_json(
-            {"graph": data["graph"], "cuts": data["cuts"]}, check=check
-        )
-        if check and seq.graphs[0].hash_hex() != data["graph_hash"]:
-            raise FloweringError("graph hash mismatch in instance file")
         rs = RSCode(field, [int(x) for x in data["points"]], data["k"])
-        gens = GenSet.from_json(data["genset"])
-        return cls(field, rs, gens, seq, GraphCode(seq.graphs[0], rs))
+        return _cayley_instance(GenSet.from_json(data["genset"]), rs)
 
 
-def gen_instance(r: int, p: int, k: int, genset: str | GenSet = "full",
-                 d: int = 3) -> Instance:
-    """Blossoming Cayley instance: generators, graph chain, RS base code."""
-    if isinstance(genset, GenSet):
-        gens = genset
-    elif genset == "full":
-        gens = gen_set_full(r)
-    else:
-        with open(genset) as fh:
-            data = json.load(fh)
-        if "matrix" in data:
-            gens = gen_set_from_parity_check(data["matrix"], data.get("d", d))
-        else:
-            gens = GenSet.from_json(data)
-    field = PrimeField(p)
+def _cayley_instance(gens: GenSet, rs: RSCode) -> Instance:
+    """The instance on Cay(F_2^r, gens) with RS base code rs."""
     seq = blossoming_cayley(gens.r, gens)
-    rs = RSCode.with_default_points(field, gens.n, k)
-    code = GraphCode(seq.graphs[0], rs)
-    return Instance(field, rs, gens, seq, code)
+    return Instance(rs.field, rs, gens, seq, GraphCode(seq.graphs[0], rs))
+
+
+def gen_instance(r: int, p: int, k: int, genset: str | GenSet = "full") -> Instance:
+    """Blossoming Cayley instance on the full nonzero generating set of
+    F_2^r, or on an explicit GenSet (whose own r then applies)."""
+    gens = gen_set_full(r) if genset == "full" else genset
+    return _cayley_instance(gens, RSCode.with_default_points(PrimeField(p), gens.n, k))
 
 
 def random_codeword_word(instance: Instance, rng: random.Random) -> Word:
@@ -244,6 +231,12 @@ def soundness_mc(
     seed: int,
     workers: int = 1,
 ) -> dict:
+    for name, values in (("ms", ms), ("ts", ts), ("trials", [trials]),
+                         ("workers", [workers])):
+        if not all(isinstance(v, int) and v >= 1 for v in values):
+            raise FloweringError(f"{name} must be positive integers, got {values!r}")
+    if any(t > instance.n for t in ts):
+        raise FloweringError(f"ts must be at most n={instance.n}, got {ts!r}")
     points = []
     idx = 0
     for adversary in adversaries:

@@ -50,12 +50,13 @@ class BlossomingSequence:
         return len(self.cuts)
 
     @classmethod
-    def from_cut_specs(cls, graph0: RIM, specs, check: bool = True) -> BlossomingSequence:
-        """Build the chain from (v_prime, phi) pairs, cutting successively."""
+    def from_cut_specs(cls, graph0: RIM, specs) -> BlossomingSequence:
+        """Build the chain from (v_prime, phi) pairs, cutting successively;
+        every cut is validated."""
         graphs = [graph0]
         cuts = []
         for v_prime, phi in specs:
-            cut = FloweringCut(graphs[-1], v_prime, phi, check=check)
+            cut = FloweringCut(graphs[-1], v_prime, phi)
             cuts.append(cut)
             graphs.append(cut.child)
         return cls(graphs, cuts)
@@ -66,23 +67,6 @@ class BlossomingSequence:
     def proof_length(self) -> int:
         """Total number of edge classes across the sent levels 1..r."""
         return sum(g.classes.num_classes for g in self.graphs[1:])
-
-    def to_json(self) -> dict:
-        return {
-            "graph": self.graphs[0].to_json(),
-            "cuts": [cut.to_json() for cut in self.cuts],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, check: bool = True) -> BlossomingSequence:
-        graph0 = RIM.from_json(data["graph"])
-        graphs = [graph0]
-        cuts = []
-        for cut_data in data["cuts"]:
-            cut = FloweringCut.from_json(graphs[-1], cut_data, check=check)
-            cuts.append(cut)
-            graphs.append(cut.child)
-        return cls(graphs, cuts)
 
 
 def blossoming_validate(graphs: list[RIM], cuts: list[FloweringCut]) -> str | None:

@@ -289,23 +289,6 @@ def run_protocol(
     return transcript
 
 
-def replay_transcript(
-    seq: BlossomingSequence,
-    rs: RSCode,
-    params: ProtocolParams,
-    challenges: list[int],
-    randomness: list[tuple[int, tuple[int, ...]]],
-    openings: dict[tuple[int, int], int],
-) -> Transcript:
-    """Re-run the query-phase checks of a recorded interactive transcript
-    against its recorded openings.  Raises KeyError on a missing opening."""
-    return verifier_query(
-        seq, rs, params, challenges,
-        lambda level, cid: openings[(level, cid)],
-        randomness, record_openings=False,
-    )
-
-
 def soundness_bound(delta, mu_ratio, r: int, n: int, t: int, m: int,
                     field_size: int) -> float:
     """The acceptance-probability bound
@@ -345,10 +328,6 @@ class CommitSoundnessResult:
     events: int
     samples: int
     exhaustive: bool
-
-    @property
-    def frequency(self) -> float:
-        return self.events / self.samples
 
 
 def commit_soundness_trial(code, cut, word: Word, eps, num_samples: int | None = None,

@@ -10,6 +10,10 @@ fixed once here: classes sorted by (minimum vertex id, index l).
 Cutting a graph to a vertex subset keeps ids dense by remapping; the mapping
 is kept alongside because the proximity protocol must translate query
 vertices across every cut level.
+
+Graphs are never read from disk: an instance file names the generating set
+and the chain is rebuilt from it.  ``RIM.hash_hex`` is the graph's only
+serialized form, bound into every non-interactive proof.
 """
 
 from __future__ import annotations
@@ -126,9 +130,6 @@ class RIM:
             self._classes = EdgeClassIndex(self)
         return self._classes
 
-    def neighbor(self, v: int, l: int) -> int:
-        return self.adj[v][l]
-
     def petal_counts(self) -> list[int]:
         """Number of petals at each vertex."""
         return [sum(1 for l in range(self.n) if row[l] == v) for v, row in enumerate(self.adj)]
@@ -146,20 +147,11 @@ class RIM:
     def __repr__(self) -> str:
         return f"RIM(n={self.n}, vertices={self.num_vertices}, classes={self.classes.num_classes})"
 
-    # serialization --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "num_vertices": self.num_vertices, "adjacency": self.adj}
-
-    @classmethod
-    def from_json(cls, data: dict) -> RIM:
-        rim = cls(data["n"], data["adjacency"])
-        if rim.num_vertices != data["num_vertices"]:
-            raise FloweringError("adjacency table does not match num_vertices")
-        return rim
-
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")).encode()
+        """Sorted-key compact JSON of (n, num_vertices, adjacency): the bytes
+        that hash_hex, and so every proof header, commits to."""
+        data = {"n": self.n, "num_vertices": self.num_vertices, "adjacency": self.adj}
+        return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
     def hash_hex(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -236,11 +228,10 @@ class FloweringCut:
         "from_child", "to_child", "_fold_plan",
     )
 
-    def __init__(self, parent: RIM, v_prime, phi: dict[int, int], check: bool = True):
-        if check:
-            reason = flowering_cut_validate(parent, v_prime, phi)
-            if reason is not None:
-                raise InvalidCutError(reason)
+    def __init__(self, parent: RIM, v_prime, phi: dict[int, int]):
+        reason = flowering_cut_validate(parent, v_prime, phi)
+        if reason is not None:
+            raise InvalidCutError(reason)
         self.parent = parent
         self.v_prime = tuple(sorted(set(v_prime)))
         self.phi = dict(phi)
@@ -256,10 +247,6 @@ class FloweringCut:
             raise UnknownVertexError(f"vertex {v} not in the parent graph")
         return v if v in self.to_child else self.phi_inv[v]
 
-    def project_child(self, v: int) -> int:
-        """pi_phi followed by the dense remap: parent vertex -> child id."""
-        return self.to_child[self.project(v)]
-
     @property
     def fold_plan(self) -> list[tuple[int, int]]:
         """Per child edge class, the pair of parent class ids feeding it:
@@ -273,16 +260,6 @@ class FloweringCut:
                 plan.append((pc.class_of[vp * n + l], pc.class_of[self.phi[vp] * n + l]))
             self._fold_plan = plan
         return self._fold_plan
-
-    def to_json(self) -> dict:
-        return {
-            "v_prime": list(self.v_prime),
-            "phi": sorted([v, w] for v, w in self.phi.items()),
-        }
-
-    @classmethod
-    def from_json(cls, parent: RIM, data: dict, check: bool = True) -> FloweringCut:
-        return cls(parent, data["v_prime"], {v: w for v, w in data["phi"]}, check=check)
 
 
 def mu(rim: RIM) -> Fraction:

@@ -20,7 +20,10 @@ def instance_file(tmp_path_factory):
 
 def test_gen_writes_instance(instance_file):
     data = json.loads(instance_file.read_text())
-    assert data["format"] == "flowering-instance-v1"
+    assert data["format"] == "flowering-instance-v2"
+    # the generating set defines the graph chain; no graph is stored
+    assert set(data) == {"format", "p", "k", "points", "genset"}
+    assert not {"graph", "cuts", "graph_hash"} & set(data)
     assert len(data["genset"]["vectors"]) == 15  # n = 2^4 - 1
     assert data["k"] == 12
 
@@ -52,17 +55,23 @@ def test_prove_verify_ni_json(tmp_path, instance_file):
     assert run("verify", "--instance", instance_file, "--proof", proof) == 0
 
 
-def test_prove_verify_interactive(tmp_path, instance_file):
+def test_prove_verify_interactive(tmp_path, instance_file, capsys):
+    # a transcript commits to nothing and its writer picks the challenges, so
+    # verify refuses it outright: an all-zero forgery must not be accepted
     proof = tmp_path / "transcript.json"
     assert run("prove", "--instance", instance_file, "--m", 3, "--t", 2,
                "--seed", 7, "--mode", "interactive", "--out", proof) == 0
-    assert run("verify", "--instance", instance_file, "--proof", proof) == 0
-
     data = json.loads(proof.read_text())
-    data["transcript"]["queries"][0]["openings"][0][2] += 1
-    tampered = proof.parent / "tampered.json"
-    tampered.write_text(json.dumps(data))
-    assert run("verify", "--instance", instance_file, "--proof", tampered) == 1
+    for query in data["transcript"]["queries"]:
+        for opening in query["openings"]:
+            opening[2] = 0
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(data))
+    capsys.readouterr()
+    for transcript in (proof, forged):
+        assert run("verify", "--instance", instance_file, "--proof", transcript) == 2
+        err = capsys.readouterr().err
+        assert "non-interactive proofs only" in err and err.count("\n") == 1
 
 
 def test_verify_truncated_is_malformed(tmp_path, instance_file):
@@ -82,21 +91,42 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     proof = tmp_path / "proof.bin"
     assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,
                "--seed", 4, "--out", proof) == 0
-    not_an_object = tmp_path / "list.json"
-    not_an_object.write_text("[]")
     data = json.loads(instance_file.read_text())
-    data["k"] = str(data["k"])
-    string_k = tmp_path / "string_k.json"
-    string_k.write_text(json.dumps(data))
+
+    def write(name, content):
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        return path
+
+    not_an_object = write("list.json", [])
+    string_k = write("string_k.json", {**data, "k": str(data["k"])})
+    v1 = write("v1.json", {**data, "format": "flowering-instance-v1"})
+    no_p_word = write("no_p_word.json", {"values": [0] * 120})
+    missing = tmp_path / "missing.json"
+    prove = ("prove", "--instance", instance_file, "--out", tmp_path / "p.bin")
+    mc = ("soundness-mc", "--instance", instance_file, "--out", tmp_path / "mc.json",
+          "--config")
+    gen = ("gen", "--r", 3, "--p", 101, "--k", 6, "--out", tmp_path / "g.json",
+           "--genset")
     capsys.readouterr()
-    for argv in (
-        ("verify", "--instance", not_an_object, "--proof", proof),
-        ("verify", "--instance", string_k, "--proof", proof),
-        ("prove", "--instance", tmp_path / "missing.json", "--out", tmp_path / "p.bin"),
+    for argv, message in (
+        (("verify", "--instance", not_an_object, "--proof", proof), "malformed instance file"),
+        (("verify", "--instance", string_k, "--proof", proof), "malformed instance file"),
+        (("verify", "--instance", v1, "--proof", proof), "not a flowering-instance-v2 file"),
+        (("prove", "--instance", missing, "--out", tmp_path / "p.bin"),
+         "malformed instance file"),
+        (prove + ("--word", missing), "malformed word file"),
+        (prove + ("--word", no_p_word), "malformed word file"),
+        (mc + (missing,), "malformed config file"),
+        (mc + (write("ms.json", {"ms": "5"}),), "ms must be positive integers"),
+        (mc + (write("trials.json", {"trials": 0}),), "trials must be positive integers"),
+        (mc + (write("ts.json", {"ts": [16]}),), "ts must be at most n=15"),
+        (gen + (missing,), "malformed genset file"),
+        (gen + (write("genset.json", {"vectors": [1, 2]}),), "malformed genset file"),
     ):
         assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: malformed instance file") and err.count("\n") == 1
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_verify_corrupted_rejects(tmp_path, instance_file):
@@ -176,6 +206,30 @@ def test_gen_from_parity_check_file(tmp_path):
                "--out", instance) == 0
     data = json.loads(instance.read_text())
     assert len(data["genset"]["vectors"]) == 7
+    proof = tmp_path / "hamming_proof.bin"
+    assert run("prove", "--instance", instance, "--m", 2, "--t", 2, "--seed", 1,
+               "--out", proof) == 0
+    assert run("verify", "--instance", instance, "--proof", proof) == 0
+
+
+def test_genset_defines_the_graph(tmp_path):
+    # an instance file cannot name a graph its generating set does not
+    # define: reversing the vectors makes another graph with another hash
+    original = tmp_path / "original.json"
+    assert run("gen", "--r", 3, "--p", 101, "--k", 6, "--out", original) == 0
+    data = json.loads(original.read_text())
+    data["genset"]["vectors"].reverse()
+    reversed_gens = tmp_path / "reversed.json"
+    reversed_gens.write_text(json.dumps(data))
+    proof = tmp_path / "proof.bin"
+    assert run("prove", "--instance", original, "--m", 2, "--t", 2, "--seed", 1,
+               "--out", proof) == 0
+    assert run("verify", "--instance", original, "--proof", proof) == 0
+    assert run("verify", "--instance", reversed_gens, "--proof", proof) == 1
+    # the upper-bound witness is built from the same generating set
+    out = tmp_path / "bounds.json"
+    assert run("check-bounds", "--instance", reversed_gens, "--out", out) == 0
+    assert json.loads(out.read_text())["violations"] == 0
 
 
 def test_worker_pool_matches_inline(instance_file):

@@ -146,13 +146,3 @@ def test_blossoming_validate(t1):
         [seq.graphs[0], RIM(3, wrong_graph.adj), seq.graphs[2]], seq.cuts
     )
     assert "CutMismatch at level 1" in broken.validate()
-
-
-def test_sequence_json_round_trip(t1):
-    import json
-
-    seq = t1["seq"]
-    data = json.loads(json.dumps(seq.to_json()))
-    again = BlossomingSequence.from_json(data)
-    assert again.validate() is None
-    assert [g.adj for g in again.graphs] == [g.adj for g in seq.graphs]

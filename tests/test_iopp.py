@@ -16,7 +16,6 @@ from flowering.iopp import (
     ProtocolParams,
     commit_soundness_trial,
     prover_commit,
-    replay_transcript,
     run_protocol,
     sample_query_randomness,
     soundness_bound,
@@ -195,21 +194,6 @@ def test_run_protocol_deterministic(t1):
     tr1 = run_protocol(seq, rs, HonestProver(w), ProtocolParams(2, 2), 1234)
     tr2 = run_protocol(seq, rs, HonestProver(w), ProtocolParams(2, 2), 1234)
     assert json.dumps(tr1.to_json()) == json.dumps(tr2.to_json())
-
-
-def test_replay_transcript(t1):
-    seq, rs, field = t1["seq"], t1["rs"], t1["field"]
-    w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
-    params = ProtocolParams(2, 2)
-    tr = run_protocol(seq, rs, HonestProver(w), params, 77)
-    openings = {}
-    randomness = []
-    for q in tr.queries:
-        randomness.append((q.v0, q.indices))
-        for level, cid, value in q.openings:
-            openings[(level, cid)] = value
-    replayed = replay_transcript(seq, rs, params, tr.challenges, randomness, openings)
-    assert replayed.accept == tr.accept
 
 
 def test_soundness_bound_edges():
