@@ -26,8 +26,6 @@ from .graph_code import (
     vertex_distance,
 )
 from .iopp import (
-    HonestProver,
-    LazyCopyProver,
     ProtocolParams,
     Transcript,
     commit_soundness_trial,
@@ -47,8 +45,6 @@ __all__ = [
     "FSState",
     "GenSet",
     "GraphCode",
-    "HonestProver",
-    "LazyCopyProver",
     "MerkleTree",
     "NIProof",
     "NotPrimeError",

@@ -4,9 +4,10 @@ The soundness statements quantify over all provers, so the experiments need
 concrete representative cheaters; the two registered here are documented as
 representative, not exhaustive.
 
-far-word-honest-fold: folds honestly, but starting from a word at a
-prescribed fraction of invalid local views.  lazy-copy: same start, and it
-also skips the fold, sending bare restrictions.
+An adversary is a far word plus a response rule, the prover shape of
+iopp.prover_commit.  far-word-honest-fold: the honest rule, fold, started
+from a word at a prescribed fraction of invalid local views.  lazy-copy:
+same start, but its rule skips the fold and sends bare restrictions.
 
 Far words are built by corrupting whole edge classes of a base codeword:
 corrupting a matching edge invalidates exactly its two endpoint views, which
@@ -22,8 +23,8 @@ import random
 from fractions import Fraction
 
 from .errors import FloweringError
-from .graph_code import GraphCode, Word
-from .iopp import HonestProver, LazyCopyProver
+from .folding import fold
+from .graph_code import GraphCode, Word, cut_word_on
 from .rim_graph import FloweringCut
 
 
@@ -111,13 +112,20 @@ def revivable_word(
 ADVERSARIES = ("far-word-honest-fold", "lazy-copy")
 
 
+def lazy_copy(cut: FloweringCut, f: Word, alpha: int) -> Word:
+    """The lazy-copy response rule: the bare restriction of f to the cut
+    graph, ignoring the challenge; a cheap deviation the query phase should
+    catch."""
+    return cut_word_on(f, cut)
+
+
 def build_adversary(name: str, code: GraphCode, delta, rng: random.Random):
     """Instantiate a registered strategy at the given invalid-view fraction.
 
-    Returns (strategy, achieved fraction)."""
+    Returns (far word, response rule, achieved fraction)."""
     word, achieved = far_word(code, delta, rng)
     if name == "far-word-honest-fold":
-        return HonestProver(word), achieved
+        return word, fold, achieved
     if name == "lazy-copy":
-        return LazyCopyProver(word), achieved
+        return word, lazy_copy, achieved
     raise FloweringError(f"unknown adversary {name!r}; known: {', '.join(ADVERSARIES)}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,9 +100,10 @@ def gen_set_full(r: int) -> GenSet:
 def validate_gen_set(r: int, vectors: list[int], d: int) -> GenSet:
     """Validate span and (d-1)-subset independence of explicit vectors.
 
-    Independence is exhaustive when the number of subsets is at most
-    INDEPENDENCE_CHECK_CAP, otherwise a deterministic randomized spot check
-    runs and the returned GenSet is flagged unverified.
+    For d <= 3 independence is decided exactly by the zero and duplicate
+    checks.  Above that it is exhaustive when the number of subsets is at
+    most INDEPENDENCE_CHECK_CAP, otherwise a deterministic randomized spot
+    check runs and the returned GenSet is flagged unverified.
     """
     vs = tuple(vectors)
     if any(not 0 < v < (1 << r) for v in vs):
@@ -112,8 +114,15 @@ def validate_gen_set(r: int, vectors: list[int], d: int) -> GenSet:
     if size > len(vs):
         raise ParameterConstraintViolatedError(f"d-1={size} exceeds n={len(vs)}")
     verified = True
-    # repeated vectors show up here as dependent pairs whenever d >= 3
-    if math.comb(len(vs), size) <= INDEPENDENCE_CHECK_CAP:
+    if size <= 2:
+        # nonzero vectors are pairwise dependent only when equal, so at d = 3
+        # the first repeated vector is the first dependent pair
+        counts = Counter(vs)
+        repeated = next((v for v in vs if counts[v] > 1), None)
+        if size == 2 and repeated is not None:
+            raise DependentSubsetError((repeated, repeated))
+    elif math.comb(len(vs), size) <= INDEPENDENCE_CHECK_CAP:
+        # repeated vectors show up here as dependent subsets
         for subset in itertools.combinations(vs, size):
             if not _independent(subset):
                 raise DependentSubsetError(subset)

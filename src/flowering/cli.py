@@ -6,10 +6,10 @@ byte-identical reports on identical invocations.  verify takes
 non-interactive proofs only and exits 0 on accept, 1 on reject, 2 on
 malformed input; ``prove --mode interactive`` writes its transcript as a run
 report, which verify refuses, since a transcript commits to nothing and its
-writer chose the challenges.  Every JSON input file (instance, genset, word,
-config) is read by one loader, so a missing or malformed file exits 2 with a
-one-line error.  FLOWERING_CAP overrides the brute-force size caps used by
-check-bounds.
+writer chose the challenges.  Every input file (instance, genset, word,
+config and proof) is read by one loader, so a missing or malformed file
+exits 2 with a one-line error.  FLOWERING_CAP overrides the brute-force
+size caps used by check-bounds.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .experiments import (
     soundness_mc,
 )
 from .graph_code import DEFAULT_ENUM_CAP, DEFAULT_MATRIX_CAP, Word
-from .iopp import HonestProver, ProtocolParams, run_protocol
-from .niproof import MalformedProofError, NIProof, prove_noninteractive, verify_noninteractive
+from .iopp import ProtocolParams, run_protocol
+from .niproof import NIProof, prove_noninteractive, verify_noninteractive
 
 TRANSCRIPT_FORMAT = "flowering-transcript-v1"
 
@@ -42,12 +42,13 @@ def _dump_json(path: str, data: dict) -> None:
         fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _load(kind: str, path: str, parse):
-    """parse(the JSON in path), with every read or shape error of the file
-    raised as a one-line FloweringError."""
+def _load(kind: str, path: str, parse, read=json.load):
+    """parse(read(the file at path)), by default of the JSON in the file,
+    with every read or shape error of the file raised as a one-line
+    FloweringError."""
     try:
-        with open(path) as fh:
-            return parse(json.load(fh))
+        with open(path, "rb") as fh:
+            return parse(read(fh))
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
             FloweringError) as exc:
         raise FloweringError(
@@ -114,8 +115,8 @@ def cmd_prove(args) -> int:
             with open(args.out, "wb") as fh:
                 fh.write(blob)
     else:
-        transcript = run_protocol(instance.seq, instance.rs, HonestProver(word),
-                                  params, derive_seed(args.seed, 2))
+        transcript = run_protocol(instance.seq, instance.rs, word, params,
+                                  derive_seed(args.seed, 2))
         _dump_json(args.out, {
             "format": TRANSCRIPT_FORMAT,
             "p": str(instance.field.p),
@@ -129,35 +130,21 @@ def cmd_prove(args) -> int:
     return 0 if transcript.accept else 1
 
 
-def cmd_verify(args) -> int:
-    instance = _load_instance(args.instance)
-    try:
-        with open(args.proof, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        print(f"cannot read proof: {exc}", file=sys.stderr)
-        return 2
-
-    if blob[:1] in (b"{", b" "):
-        try:
-            data = json.loads(blob.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            print("malformed proof file", file=sys.stderr)
-            return 2
+def _parse_proof(blob: bytes) -> NIProof:
+    """A binary NI proof, or its JSON form {"hex": ...}."""
+    if blob.lstrip()[:1] in (b"{", b"["):
+        data = json.loads(blob)
         if isinstance(data, dict) and data.get("format") == TRANSCRIPT_FORMAT:
             raise FloweringError(
                 "verify takes non-interactive proofs only; an interactive transcript "
                 "is a run report and proves nothing")
-        try:
-            blob = bytes.fromhex(data["hex"])
-        except (KeyError, TypeError, ValueError):
-            print("malformed proof file", file=sys.stderr)
-            return 2
-    try:
-        proof = NIProof.parse(blob)
-    except MalformedProofError as exc:
-        print(f"malformed proof: {exc}", file=sys.stderr)
-        return 2
+        blob = bytes.fromhex(data["hex"])
+    return NIProof.parse(blob)
+
+
+def cmd_verify(args) -> int:
+    instance = _load_instance(args.instance)
+    proof = _load("proof", args.proof, _parse_proof, read=lambda fh: fh.read())
     accept, _ = verify_noninteractive(instance.seq, instance.rs, proof)
     print("accept" if accept else "reject")
     return 0 if accept else 1

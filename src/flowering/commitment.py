@@ -68,10 +68,6 @@ class MerkleTree:
     def root(self) -> bytes:
         return self.layers[-1][0]
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers) - 1
-
     def open(self, index: int) -> tuple[int, list[bytes]]:
         """The committed value at a class index plus its authentication path."""
         if not 0 <= index < len(self.values):

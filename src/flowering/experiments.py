@@ -40,7 +40,7 @@ from .graph_code import (
     Word,
     relative_weight,
 )
-from .iopp import HonestProver, ProtocolParams, Transcript, run_protocol, soundness_bound
+from .iopp import ProtocolParams, Transcript, run_protocol, soundness_bound
 from .reed_solomon import RSCode
 
 WILSON_Z_99 = 2.5758293035489004
@@ -114,8 +114,7 @@ def random_codeword_word(instance: Instance, rng: random.Random) -> Word:
 def honest_run(instance: Instance, params: ProtocolParams, seed: int) -> Transcript:
     """Honest prover on a seed-derived random codeword."""
     word = random_codeword_word(instance, random.Random(derive_seed(seed, 1)))
-    return run_protocol(instance.seq, instance.rs, HonestProver(word), params,
-                        derive_seed(seed, 2))
+    return run_protocol(instance.seq, instance.rs, word, params, derive_seed(seed, 2))
 
 
 # Monte-Carlo soundness ----------------------------------------------------
@@ -125,8 +124,8 @@ _POOL_STATE: dict = {}
 
 def _pool_trial(seed: int) -> bool:
     st = _POOL_STATE
-    tr = run_protocol(st["seq"], st["rs"], st["strategy"], st["params"], seed,
-                      stop_early=True, record_openings=False)
+    tr = run_protocol(st["seq"], st["rs"], st["word"], st["params"], seed,
+                      st["respond"], verdict_only=True)
     return tr.accept
 
 
@@ -193,12 +192,12 @@ def soundness_mc_point(
     theoretical bound evaluated at the target distance."""
     name_tag = int.from_bytes(hashlib.sha256(adversary.encode()).digest()[:4], "little")
     rng = random.Random(derive_seed(seed, name_tag))
-    strategy, achieved = build_adversary(adversary, instance.code, delta, rng)
+    word, respond, achieved = build_adversary(adversary, instance.code, delta, rng)
     seeds = [derive_seed(seed, 3, i) for i in range(trials)]
     global _POOL_STATE
     _POOL_STATE = {
         "seq": instance.seq, "rs": instance.rs,
-        "strategy": strategy, "params": params,
+        "word": word, "respond": respond, "params": params,
     }
     if workers > 1:
         ctx = multiprocessing.get_context("fork")

@@ -2,8 +2,11 @@
 
 A word stores one field value per edge class, so the two slots of a shared
 edge cannot disagree by construction; the (v, l) accessor resolves through
-the graph's canonical class index.  Distances are exact Fractions: the
-bound checks built on them compare exact rationals, never floats.
+the graph's canonical class index.  Restricting a word to a prepared cut
+reads the cut's fold plan, the same class map the fold uses; cut_word
+restricts to an arbitrary vertex set through the (v, l) accessor.
+Distances are exact Fractions: the bound checks built on them compare exact
+rationals, never floats.
 """
 
 from __future__ import annotations
@@ -88,10 +91,10 @@ class Word:
         }
 
     @classmethod
-    def from_json(cls, graph: RIM, field: PrimeField, data: dict, check_hash: bool = True) -> Word:
+    def from_json(cls, graph: RIM, field: PrimeField, data: dict) -> Word:
         if int(data["p"]) != field.p:
             raise FloweringError("word field does not match the file header field")
-        if check_hash and data.get("graph_hash") not in (None, graph.hash_hex()):
+        if data.get("graph_hash") not in (None, graph.hash_hex()):
             raise FloweringError("word graph_hash does not match the graph")
         return cls(graph, field, [int(v) for v in data["values"]])
 
@@ -141,9 +144,11 @@ def cut_word(f: Word, vertices) -> Word:
 
 
 def cut_word_on(f: Word, cut: FloweringCut) -> Word:
-    """Like cut_word but reusing a prepared cut's child graph."""
-    values = [f.at(cut.from_child[vc], l) for vc, l in cut.child.classes.reps]
-    return Word(cut.child, f.field, values)
+    """Like cut_word but on a prepared cut: each child class takes the value
+    of the first class of its fold-plan pair, its kept representative (the
+    fold at alpha = 0)."""
+    vals = f.values
+    return Word(cut.child, f.field, [vals[a] for a, _ in cut.fold_plan])
 
 
 class GraphCode:

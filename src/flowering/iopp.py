@@ -1,17 +1,21 @@
 """The flowering proximity protocol: commit phase, query phase, counters.
 
 Commit phase: for each level the verifier sends a uniform challenge and the
-prover answers with a word on the next cut graph (honestly, the fold of the
-previous word).  Query phase: m repetitions each walk a random start vertex
-down the cut chain checking t indices of the fold relation per level, then
-the single flower view is read in full and RS-tested.
+prover answers with a word on the next cut graph.  A prover is its initial
+word plus a response rule respond(cut, f, alpha) -> word; the honest rule is
+the fold, and prover_commit is the one loop that collects the answers.
+Query phase: m repetitions each walk a random start vertex down the cut
+chain checking t indices of the fold relation per level, then the single
+flower view is read in full and RS-tested.
 
-Query accounting: walk reads are deduplicated against every position already
-opened during the query phase, which reproduces the 2t-then-t shape per
-level (the second read of the projected vertex's class is the previous
-round's opening).  The final flower read is performed once and counted in
-full, n reads.  When the m walks touch pairwise-disjoint positions the
-total is exactly (2r+1)mt + n, and it never exceeds that.
+Query accounting: each walk logs the positions it reads, per level.  The
+transcript's read log is the union of those logs plus the flower view; it is
+exactly what a non-interactive proof opens.  oracle_reads counts the
+distinct walk positions, which reproduces the 2t-then-t shape per level (the
+second read of the projected vertex's class is the previous round's
+opening), plus the flower view in full, n reads.  When the m walks touch
+pairwise-disjoint positions the total is exactly (2r+1)mt + n, and it never
+exceeds that.
 
 The walk projects with the cut that maps level i-1 onto level i; the check
 at level i opens f_{i-1} at (v_i, l) and (phi_i(v_i), l) against f_i(v_i, l).
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import FloweringError
 from .folding import BlossomingSequence, fold
-from .graph_code import Word, cut_word_on
+from .graph_code import Word
 from .reed_solomon import RSCode
 
 
@@ -85,6 +89,9 @@ class Transcript:
     accept: bool
     counters: Counters
     walks_disjoint: bool
+    # per level, the classes the query phase read (walks and flower view);
+    # the positions a non-interactive proof opens
+    reads: list[set[int]]
 
     def to_json(self) -> dict:
         return {
@@ -96,49 +103,24 @@ class Transcript:
         }
 
 
-class HonestProver:
-    """Sends f_i = Fold[f_{i-1}, alpha_{i-1}]; accepted with probability 1
-    whenever the initial word is a codeword."""
-
-    def __init__(self, word: Word):
-        self.word = word
-
-    def initial_word(self, seq: BlossomingSequence) -> Word:
-        if self.word.graph != seq.graphs[0]:
-            raise SequenceMismatchError("initial word does not live on the base graph")
-        return self.word
-
-    def respond(self, seq: BlossomingSequence, i: int, alpha: int,
-                words: list[Word], challenges: list[int]) -> Word:
-        return fold(seq.cuts[i - 1], words[-1], alpha)
-
-
-class LazyCopyProver:
-    """Sends the bare restriction of f_{i-1} instead of its fold, ignoring
-    the challenge; a cheap deviation the query phase should catch."""
-
-    def __init__(self, word: Word):
-        self.word = word
-
-    def initial_word(self, seq: BlossomingSequence) -> Word:
-        if self.word.graph != seq.graphs[0]:
-            raise SequenceMismatchError("initial word does not live on the base graph")
-        return self.word
-
-    def respond(self, seq: BlossomingSequence, i: int, alpha: int,
-                words: list[Word], challenges: list[int]) -> Word:
-        return cut_word_on(words[-1], seq.cuts[i - 1])
-
-
-def prover_commit(seq: BlossomingSequence, f0: Word, challenges: list[int]) -> list[Word]:
-    """Honest commit phase: the folds f_1..f_r for the given challenges."""
+def prover_commit(seq: BlossomingSequence, f0: Word, challenges: list[int],
+                  respond=None) -> list[Word]:
+    """The commit phase: the words f_1..f_r a prover sends for the given
+    challenges.  A prover is its initial word f0 plus a response rule
+    respond(cut, f_{i-1}, alpha_{i-1}) -> f_i.  None means the honest rule,
+    fold, which is accepted with probability 1 whenever f0 is a codeword."""
     if f0.graph != seq.graphs[0]:
         raise SequenceMismatchError("word does not live on the base graph")
     if len(challenges) != seq.r:
         raise SequenceMismatchError(f"expected {seq.r} challenges, got {len(challenges)}")
+    if respond is None:
+        respond = fold
     words = [f0]
-    for i, alpha in enumerate(challenges, start=1):
-        words.append(fold(seq.cuts[i - 1], words[-1], alpha))
+    for i, (cut, alpha) in enumerate(zip(seq.cuts, challenges), start=1):
+        w = respond(cut, words[-1], alpha)
+        if w.graph != seq.graphs[i]:
+            raise SequenceMismatchError(f"prover word at level {i} is on the wrong graph")
+        words.append(w)
     return words[1:]
 
 
@@ -160,14 +142,13 @@ def verifier_query(
     challenges: list[int],
     oracle,
     randomness: list[tuple[int, tuple[int, ...]]],
-    stop_early: bool = False,
-    record_openings: bool = True,
+    verdict_only: bool = False,
 ) -> Transcript:
     """Run the query phase against oracles; oracle(level, class_id) -> value.
 
-    Returns the transcript with the deduplicated read counter.  With
-    stop_early the loop aborts on the first failed check (counters then
-    reflect only the reads performed).
+    Returns the transcript with its read log.  With verdict_only the loop
+    aborts on the first failed check and records no openings (counters and
+    reads then reflect only the reads performed).
     """
     r = seq.r
     n = seq.graphs[0].n
@@ -179,13 +160,12 @@ def verifier_query(
     counters = Counters(rounds=r, proof_length=seq.proof_length(),
                         rand_field_elements=r, rand_vertices=params.m,
                         rand_subsets=params.m)
-    opened: list[set[int]] = [set() for _ in range(r + 1)]
-    rep_positions: list[set[tuple[int, int]]] = []
+    walk_reads: list[list[set[int]]] = []  # per walk, per level: classes read
     records: list[QueryRecord] = []
     accept = True
 
     for v0, indices in randomness:
-        positions: set[tuple[int, int]] = set()
+        positions: list[set[int]] = [set() for _ in range(r + 1)]
         record = QueryRecord(v0=v0, indices=indices, walk=())
         walk = []
         v_cur = v0
@@ -197,89 +177,81 @@ def verifier_query(
             walk.append(vc)
             cls_prev = seq.graphs[i - 1].classes
             cls_cur = seq.graphs[i].classes
+            prev_read, cur_read = positions[i - 1], positions[i]
             alpha = challenges[i - 1]
             for l in indices:
                 ca = cls_prev.id_of(vp, l)
                 cb = cls_prev.id_of(wp, l)
                 cr = cls_cur.id_of(vc, l)
-                for lev, c in ((i - 1, ca), (i - 1, cb), (i, cr)):
-                    if c not in opened[lev]:
-                        opened[lev].add(c)
-                        counters.oracle_reads += 1
-                    positions.add((lev, c))
+                prev_read.add(ca)
+                prev_read.add(cb)
+                cur_read.add(cr)
                 va = oracle(i - 1, ca)
                 vb = oracle(i - 1, cb)
                 vr = oracle(i, cr)
                 counters.verifier_field_ops += 2
-                if record_openings:
+                if not verdict_only:
                     record.openings += [(i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr)]
                 if (va + alpha * vb) % p != vr:
                     accept = False
             v_cur = vc
-            if stop_early and not accept:
+            if verdict_only and not accept:
                 break
         record.walk = tuple(walk)
         records.append(record)
-        rep_positions.append(positions)
-        if stop_early and not accept:
+        walk_reads.append(positions)
+        if verdict_only and not accept:
             break
 
-    flower_ok = True
-    if not (stop_early and not accept):
-        flower_classes = seq.graphs[r].classes
-        view = [oracle(r, flower_classes.id_of(0, l)) for l in range(n)]
+    reads = [set().union(*(positions[level] for positions in walk_reads))
+             for level in range(r + 1)]
+    counters.oracle_reads = sum(len(level) for level in reads)
+    expected = (2 * r + 1) * params.t
+    walk_sizes = [sum(len(level) for level in positions) for positions in walk_reads]
+    disjoint = (all(size == expected for size in walk_sizes)
+                and sum(walk_sizes) == counters.oracle_reads)
+
+    if not (verdict_only and not accept):
+        flower_ids = [seq.graphs[r].classes.id_of(0, l) for l in range(n)]
+        view = [oracle(r, cid) for cid in flower_ids]
+        reads[r].update(flower_ids)
         counters.oracle_reads += n
         counters.final_check_field_ops += n * (n - rs.k)
-        flower_ok = rs.is_codeword(view)
-        if record_openings and records:
-            records[-1].openings += [
-                (r, flower_classes.id_of(0, l), view[l]) for l in range(n)
-            ]
-    accept = accept and flower_ok
+        accept = rs.is_codeword(view) and accept
+        if not verdict_only and records:
+            records[-1].openings += [(r, cid, value) for cid, value in zip(flower_ids, view)]
 
-    expected = (2 * r + 1) * params.t
-    disjoint = all(len(pos) == expected for pos in rep_positions) and (
-        sum(len(pos) for pos in rep_positions)
-        == len(set().union(*rep_positions)) if rep_positions else True
-    )
     return Transcript(
         challenges=list(challenges),
         queries=records,
         accept=accept,
         counters=counters,
         walks_disjoint=disjoint,
+        reads=reads,
     )
 
 
 def run_protocol(
     seq: BlossomingSequence,
     rs: RSCode,
-    strategy,
+    f0: Word,
     params: ProtocolParams,
     seed: int,
-    stop_early: bool = False,
-    record_openings: bool = True,
+    respond=None,
+    verdict_only: bool = False,
 ) -> Transcript:
-    """Full interactive run: sample challenges, collect the prover's words,
-    run the query phase.  Deterministic given the seed."""
+    """Full interactive run: sample the r challenges, collect the words of
+    the prover (f0, respond), run the query phase.  Deterministic given the
+    seed; respond never sees the verifier's rng."""
     rng = random.Random(seed)
-    f0 = strategy.initial_word(seq)
-    words = [f0]
-    challenges: list[int] = []
-    for i in range(1, seq.r + 1):
-        alpha = rs.field.sample(rng)
-        challenges.append(alpha)
-        w = strategy.respond(seq, i, alpha, words, challenges)
-        if w.graph != seq.graphs[i]:
-            raise SequenceMismatchError(f"prover word at level {i} is on the wrong graph")
-        words.append(w)
-
+    challenges = [rs.field.sample(rng) for _ in range(seq.r)]
+    words = [f0] + prover_commit(seq, f0, challenges, respond)
     randomness = sample_query_randomness(rng, seq.graphs[0].num_vertices,
                                          seq.graphs[0].n, params)
     transcript = verifier_query(
         seq, rs, params, challenges,
         lambda level, cid: words[level].values[cid],
-        randomness, stop_early=stop_early, record_openings=record_openings,
+        randomness, verdict_only=verdict_only,
     )
     # fold cost model: two field operations per sent class
     transcript.counters.prover_field_ops = 2 * sum(

@@ -4,7 +4,8 @@ Challenges are derived by absorbing each level's Merkle root into a
 Fiat-Shamir transcript that is first bound to the full instance (field,
 graph hash, RS parameters, protocol parameters), and the query randomness is
 derived after the last root.  The proof carries the per-level roots and the
-authenticated openings of exactly the positions the verifier re-derives.
+authenticated openings of exactly the positions the verifier re-derives:
+the query phase's read log, which the verifier compares with the openings.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
@@ -157,16 +158,10 @@ def prove_noninteractive(
         b"query", seq.graphs[0].num_vertices, seq.graphs[0].n, params.m, params.t
     )
 
-    read: list[set[int]] = [set() for _ in range(seq.r + 1)]
-
-    def oracle(level: int, cid: int) -> int:
-        read[level].add(cid)
-        return words[level].values[cid]
-
-    transcript = verifier_query(seq, rs, params, challenges, oracle, randomness)
-    openings = []
-    for level, cids in enumerate(read):
-        openings.append({cid: trees[level].open(cid) for cid in sorted(cids)})
+    transcript = verifier_query(seq, rs, params, challenges,
+                                lambda level, cid: words[level].values[cid], randomness)
+    openings = [{cid: tree.open(cid) for cid in sorted(cids)}
+                for tree, cids in zip(trees, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,
         graph_hash=bytes.fromhex(seq.graphs[0].hash_hex()),
@@ -189,7 +184,7 @@ def verify_noninteractive(
         return False, None
     if proof.graph_hash != bytes.fromhex(graph0.hash_hex()):
         return False, None
-    if proof.r != seq.r or len(proof.roots) != seq.r + 1:
+    if proof.r != seq.r or not len(proof.roots) == len(proof.openings) == seq.r + 1:
         return False, None
     params = ProtocolParams(proof.m, proof.t)
     try:
@@ -207,18 +202,13 @@ def verify_noninteractive(
 
     challenges, randomness = derive_noninteractive_randomness(seq, rs, params, proof.roots)
 
-    read: list[set[int]] = [set() for _ in range(seq.r + 1)]
-
-    def oracle(level: int, cid: int) -> int:
-        read[level].add(cid)
-        return proof.openings[level][cid][0]
-
     try:
-        transcript = verifier_query(seq, rs, params, challenges, oracle, randomness)
+        transcript = verifier_query(seq, rs, params, challenges,
+                                    lambda level, cid: proof.openings[level][cid][0],
+                                    randomness)
     except KeyError:
         return False, None
     # openings must be exactly the positions read, nothing extra
-    for level, opened in enumerate(proof.openings):
-        if set(opened.keys()) != read[level]:
-            return False, None
+    if any(opened.keys() != cids for opened, cids in zip(proof.openings, transcript.reads)):
+        return False, None
     return transcript.accept, transcript

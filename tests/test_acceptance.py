@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The Monte-Carlo soundness
-study (criterion 5) dominates the runtime; everything else finishes in
-seconds.
+study (criterion 5) dominates the runtime and is marked slow; everything
+else finishes in seconds, and `-m "not slow"` runs only that.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from flowering.experiments import (
 from flowering.field import PrimeField
 from flowering.folding import fold
 from flowering.graph_code import GraphCode, Word, cut_word, hamming_distance, relative_weight, vertex_distance
-from flowering.iopp import HonestProver, ProtocolParams, commit_soundness_trial, run_protocol
+from flowering.iopp import ProtocolParams, commit_soundness_trial
 from flowering.niproof import MalformedProofError, NIProof, prove_noninteractive, verify_noninteractive
 from flowering.reed_solomon import RSCode
 from flowering.rim_graph import cut_graph, mu
@@ -131,6 +131,7 @@ def test_criterion_4_commit_soundness():
     report(4, "commit soundness", nontrivial, detail)
 
 
+@pytest.mark.slow
 def test_criterion_5_soundness_bound(grid):
     start = time.time()
     instance = grid[4]

@@ -173,8 +173,12 @@ def test_gen_set_json_round_trip():
 
 
 def test_gen_set_spot_check_path_flags_unverified():
-    # 2047 vectors: C(n,2) > 10^6, so independence is spot-checked only
     from flowering.cayley import validate_gen_set
 
-    gens = validate_gen_set(11, list(range(1, 1 << 11)), 3)
+    # d = 3 is decided exactly: distinct nonzero vectors are pairwise independent
+    full = validate_gen_set(11, list(range(1, 1 << 11)), 3)
+    assert full.independence_verified and full == gen_set_full(11)
+    # 1024 vectors with the top bit set, d = 4: C(n,3) > 10^6, so independence
+    # is spot-checked only (every triple sums to a vector with the top bit set)
+    gens = validate_gen_set(11, list(range(1 << 10, 1 << 11)), 4)
     assert not gens.independence_verified

@@ -103,6 +103,11 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     v1 = write("v1.json", {**data, "format": "flowering-instance-v1"})
     no_p_word = write("no_p_word.json", {"values": [0] * 120})
     missing = tmp_path / "missing.json"
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{not json")
+    truncated = tmp_path / "truncated.bin"
+    truncated.write_bytes(proof.read_bytes()[:40])
+    verify = ("verify", "--instance", instance_file, "--proof")
     prove = ("prove", "--instance", instance_file, "--out", tmp_path / "p.bin")
     mc = ("soundness-mc", "--instance", instance_file, "--out", tmp_path / "mc.json",
           "--config")
@@ -123,6 +128,14 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (mc + (write("ts.json", {"ts": [16]}),), "ts must be at most n=15"),
         (gen + (missing,), "malformed genset file"),
         (gen + (write("genset.json", {"vectors": [1, 2]}),), "malformed genset file"),
+        (verify + (missing,), "malformed proof file"),
+        (verify + (not_json,), "malformed proof file"),
+        (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),
+         "malformed proof file"),
+        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v1"}),),
+         "malformed proof file"),
+        (verify + (write("bad_hex.json", {"hex": "zz"}),), "malformed proof file"),
+        (verify + (truncated,), "truncated proof"),
     ):
         assert run(*argv) == 2
         err = capsys.readouterr().err

@@ -149,7 +149,7 @@ def test_ni_round_trip(ni_setup):
 
 def test_ni_matches_interactive_given_same_challenges(ni_setup):
     instance, params, word, proof, transcript = ni_setup
-    from flowering.iopp import HonestProver, prover_commit, verifier_query
+    from flowering.iopp import prover_commit, verifier_query
 
     challenges, randomness = derive_noninteractive_randomness(
         instance.seq, instance.rs, params, proof.roots
@@ -211,3 +211,67 @@ def test_ni_out_of_range_value_rejected(ni_setup):
     hacked.openings[level][cid] = (value + 101, path)  # same residue, out of range
     accept, _ = verify_noninteractive(instance.seq, instance.rs, hacked)
     assert not accept
+
+
+def _unread_opening(instance, params, word, proof):
+    # a class no walk reads, opened against the honest tree with a valid path
+    from flowering.iopp import prover_commit
+
+    challenges, _ = derive_noninteractive_randomness(
+        instance.seq, instance.rs, params, proof.roots)
+    words = [word] + prover_commit(instance.seq, word, challenges)
+    level = 1
+    tree = MerkleTree(words[level].values)
+    assert tree.root == proof.roots[level]
+    cid = min(set(range(len(words[level].values))) - set(proof.openings[level]))
+    value, path = tree.open(cid)
+    assert verify_open(proof.roots[level], cid, value, path, len(words[level].values))
+    proof.openings[level][cid] = (value, path)
+
+
+def _first_opening(proof, level=1):
+    cid = min(proof.openings[level])
+    return proof.openings[level], cid
+
+
+def _drop_opening(instance, params, word, proof):
+    opened, cid = _first_opening(proof)
+    del opened[cid]
+
+
+def _move_opening(instance, params, word, proof):
+    opened, cid = _first_opening(proof)
+    target = proof.openings[2]
+    new_cid = min(set(range(instance.seq.graphs[2].classes.num_classes)) - set(target))
+    target[new_cid] = opened.pop(cid)
+
+
+def _resize_path(delta):
+    def mutate(instance, params, word, proof):
+        opened, cid = _first_opening(proof)
+        value, path = opened[cid]
+        opened[cid] = (value, path[:-1] if delta < 0 else path + [path[-1]])
+    return mutate
+
+
+def _cid_out_of_range(instance, params, word, proof):
+    opened, cid = _first_opening(proof)
+    opened[instance.seq.graphs[1].classes.num_classes] = opened.pop(cid)
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_opening, _unread_opening, _move_opening, _resize_path(-1), _resize_path(+1),
+    _cid_out_of_range,
+], ids=["dropped", "unread-class", "moved-level", "path-shorter", "path-longer",
+        "cid-num-classes"])
+def test_ni_structural_mutations_rejected(ni_setup, mutate):
+    # the verifier accepts exactly the openings its query phase reads, each
+    # through a path of its level's tree depth
+    instance, params, word, proof, _ = ni_setup
+    assert instance.r == 3
+    mutated = NIProof.parse(proof.serialize())
+    mutate(instance, params, word, mutated)
+    reparsed = NIProof.parse(mutated.serialize())
+    assert reparsed.serialize() != proof.serialize()
+    accept, transcript = verify_noninteractive(instance.seq, instance.rs, reparsed)
+    assert not accept and transcript is None

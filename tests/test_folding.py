@@ -7,17 +7,23 @@ from conftest import random_word
 from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full
 from flowering.field import PrimeField
 from flowering.folding import BlossomingSequence, CutMismatchError, blossoming_validate, fold
-from flowering.graph_code import GraphCode, Word, cut_word_on
+from flowering.graph_code import GraphCode, Word, cut_word, cut_word_on
 from flowering.reed_solomon import RSCode
 from flowering.rim_graph import RIM, FloweringCut
 
 
 def test_fold_alpha_zero_is_cut(t1):
-    graph = t1["seq"].graphs[0]
-    cut = t1["seq"].cuts[0]
+    # cut_word restricts through the (v, l) accessor, independently of the
+    # fold plan that fold and cut_word_on share
     rng = random.Random(0)
-    w = random_word(rng, graph, t1["field"])
-    assert fold(cut, w, 0).values == cut_word_on(w, cut).values
+    seq = blossoming_cayley(4, gen_set_full(4))
+    for s in (t1["seq"], seq):
+        for cut in s.cuts:
+            for _ in range(3):
+                w = random_word(rng, cut.parent, t1["field"])
+                expected = cut_word(w, cut.v_prime).values
+                assert fold(cut, w, 0).values == expected
+                assert cut_word_on(w, cut).values == expected
 
 
 def test_fold_constant_and_index_words(t1):

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from flowering.adversaries import lazy_copy
 from flowering.cayley import blossoming_cayley, gen_set_full
 from flowering.experiments import gen_instance, random_codeword_word
 from flowering.field import PrimeField
 from flowering.folding import fold
 from flowering.graph_code import GraphCode, Word
 from flowering.iopp import (
-    HonestProver,
-    LazyCopyProver,
     ProtocolParams,
+    SequenceMismatchError,
     commit_soundness_trial,
     prover_commit,
     run_protocol,
@@ -32,7 +32,7 @@ def test_honest_prover_accepts(t1):
     rng = random.Random(0)
     for seed in range(30):
         w = Word.from_index_values(seq.graphs[0], field, rs.random_codeword(rng))
-        tr = run_protocol(seq, rs, HonestProver(w), ProtocolParams(2, 2), seed)
+        tr = run_protocol(seq, rs, w, ProtocolParams(2, 2), seed)
         assert tr.accept
         assert tr.counters.rounds == 2
         assert tr.counters.rand_field_elements == 2
@@ -65,13 +65,50 @@ def test_prover_commit_zero_challenges_are_cuts(t1):
     assert words[-1].local_view(0) == w.local_view(0)
 
 
+def test_prover_commit_checks_words(t1):
+    seq, field = t1["seq"], t1["field"]
+    w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
+    with pytest.raises(SequenceMismatchError):
+        prover_commit(seq, w, [3])
+    with pytest.raises(SequenceMismatchError):
+        prover_commit(seq, Word.constant(seq.graphs[1], field, 1), [3, 4])
+    with pytest.raises(SequenceMismatchError):  # a rule answering off the cut graph
+        prover_commit(seq, w, [3, 4], lambda cut, f, alpha: f)
+
+
+def test_read_log_is_every_oracle_read():
+    # the transcript's per-level reads are exactly the positions the oracle
+    # was asked for, and oracle_reads counts the walk reads plus n
+    instance = gen_instance(3, 101, 5)
+    seq, rs = instance.seq, instance.rs
+    rng = random.Random(3)
+    for _ in range(30):
+        w = random_codeword_word(instance, rng)
+        challenges = [rs.field.sample(rng) for _ in range(seq.r)]
+        words = [w] + prover_commit(seq, w, challenges)
+        params = ProtocolParams(rng.randrange(1, 4), rng.randrange(1, 4))
+        randomness = sample_query_randomness(rng, 8, 7, params)
+        asked = [set() for _ in range(seq.r + 1)]
+
+        def oracle(level, cid):
+            asked[level].add(cid)
+            return words[level].values[cid]
+
+        tr = verifier_query(seq, rs, params, challenges, oracle, randomness)
+        assert tr.accept and tr.reads == asked
+        # the recorded openings end with the n = 7 flower reads
+        openings = [(lev, cid) for q in tr.queries for lev, cid, _ in q.openings]
+        assert tr.counters.oracle_reads == len(set(openings[:-7])) + 7
+        assert "reads" not in tr.to_json()
+
+
 def test_query_count_exact_t1(t1):
     seq, rs, field = t1["seq"], t1["rs"], t1["field"]
     w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
     formula = (2 * 2 + 1) * 1 * 1 + 3
     seen_exact = 0
     for seed in range(100):
-        tr = run_protocol(seq, rs, HonestProver(w), ProtocolParams(1, 1), seed)
+        tr = run_protocol(seq, rs, w, ProtocolParams(1, 1), seed)
         assert tr.accept
         if tr.walks_disjoint:
             assert tr.counters.oracle_reads == formula
@@ -89,46 +126,34 @@ def test_proof_length_t1(t1):
 def test_reject_when_flower_not_codeword(t1):
     seq, rs, field = t1["seq"], t1["rs"], t1["field"]
 
-    class CorruptLast(HonestProver):
-        def respond(self, seq, i, alpha, words, challenges):
-            w = super().respond(seq, i, alpha, words, challenges)
-            if i == seq.r:
-                w = Word(w.graph, w.field, w.values)
-                w.values[0] = (w.values[0] + 1) % field.p
-                while rs.is_codeword(w.local_view(0)):
-                    w.values[1] = (w.values[1] + 1) % field.p
-            return w
+    def corrupt_last(cut, f, alpha):
+        w = fold(cut, f, alpha)
+        if cut is seq.cuts[-1]:
+            w = w.replace(0, w.values[0] + 1)
+            while rs.is_codeword(w.local_view(0)):
+                w = w.replace(1, w.values[1] + 1)
+        return w
 
     w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
     for seed in range(20):
-        tr = run_protocol(seq, rs, CorruptLast(w), ProtocolParams(1, 1), seed)
+        tr = run_protocol(seq, rs, w, ProtocolParams(1, 1), seed, corrupt_last)
         assert not tr.accept
 
 
-class OneClassCorruptor:
-    """Honest chain except one corrupted class in f_1; later words continue
-    from the clean chain, so only the checks reading that class can fail."""
+def one_class_corruptor(seq, class_id, delta=1):
+    """Response rule: the honest chain except class class_id of f_1 shifted
+    by delta.  The next fold undoes the shift first, so later words continue
+    from the clean chain and only the checks reading that class can fail."""
 
-    def __init__(self, word, class_id, delta=1):
-        self.word = word
-        self.class_id = class_id
-        self.delta = delta
-        self.clean = None
+    def respond(cut, f, alpha):
+        if cut is seq.cuts[1]:
+            f = f.replace(class_id, f.values[class_id] - delta)
+        w = fold(cut, f, alpha)
+        if cut is seq.cuts[0]:
+            w = w.replace(class_id, w.values[class_id] + delta)
+        return w
 
-    def initial_word(self, seq):
-        self.clean = [self.word]
-        return self.word
-
-    def respond(self, seq, i, alpha, words, challenges):
-        nxt = fold(seq.cuts[i - 1], self.clean[-1], alpha)
-        self.clean.append(nxt)
-        if i != 1:
-            return nxt
-        corrupted = Word(nxt.graph, nxt.field, nxt.values)
-        corrupted.values[self.class_id] = (
-            corrupted.values[self.class_id] + self.delta
-        ) % nxt.field.p
-        return corrupted
+    return respond
 
 
 def test_corrupted_class_rejection_rate_matches_enumeration():
@@ -145,11 +170,10 @@ def test_corrupted_class_rejection_rate_matches_enumeration():
     params = ProtocolParams(1, 2)
 
     challenges = [11, 22, 33]
-    strategy = OneClassCorruptor(w, class_id)
-    f0 = strategy.initial_word(seq)
-    words = [f0]
-    for i in range(1, 4):
-        words.append(strategy.respond(seq, i, challenges[i - 1], words, challenges))
+    words = [w] + prover_commit(seq, w, challenges, one_class_corruptor(seq, class_id))
+    clean = [w] + prover_commit(seq, w, challenges)
+    assert [sum(a != b for a, b in zip(x.values, y.values))
+            for x, y in zip(words, clean)] == [0, 1, 0, 0]
 
     n = 7
     rejects = 0
@@ -157,7 +181,7 @@ def test_corrupted_class_rejection_rate_matches_enumeration():
     for v0 in range(8):
         for idx in itertools.combinations(range(n), params.t):
             tr = verifier_query(seq, rs, params, challenges, words_oracle(words),
-                                [(v0, idx)], record_openings=False)
+                                [(v0, idx)], verdict_only=True)
             rejects += not tr.accept
             total += 1
     exact_rate = rejects / total
@@ -168,7 +192,7 @@ def test_corrupted_class_rejection_rate_matches_enumeration():
     for _ in range(trials):
         randomness = sample_query_randomness(mc_rng, 8, n, params)
         tr = verifier_query(seq, rs, params, challenges, words_oracle(words),
-                            randomness, record_openings=False)
+                            randomness, verdict_only=True)
         mc_rejects += not tr.accept
     mc_rate = mc_rejects / trials
     sigma = (exact_rate * (1 - exact_rate) / trials) ** 0.5
@@ -183,7 +207,7 @@ def test_lazy_copy_rejected_quickly(t1):
     w = Word.from_index_values(seq.graphs[0], field, rs.random_codeword(rng))
     rejected = 0
     for seed in range(50):
-        tr = run_protocol(seq, rs, LazyCopyProver(w), ProtocolParams(3, 2), seed)
+        tr = run_protocol(seq, rs, w, ProtocolParams(3, 2), seed, lazy_copy)
         rejected += not tr.accept
     assert rejected >= 45  # detection needs alpha != 0 and a nonzero read
 
@@ -191,8 +215,8 @@ def test_lazy_copy_rejected_quickly(t1):
 def test_run_protocol_deterministic(t1):
     seq, rs, field = t1["seq"], t1["rs"], t1["field"]
     w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
-    tr1 = run_protocol(seq, rs, HonestProver(w), ProtocolParams(2, 2), 1234)
-    tr2 = run_protocol(seq, rs, HonestProver(w), ProtocolParams(2, 2), 1234)
+    tr1 = run_protocol(seq, rs, w, ProtocolParams(2, 2), 1234)
+    tr2 = run_protocol(seq, rs, w, ProtocolParams(2, 2), 1234)
     assert json.dumps(tr1.to_json()) == json.dumps(tr2.to_json())
 
 
