@@ -16,7 +16,7 @@ from .cayley import (
 from .commitment import FSState, MerkleTree, verify_open
 from .errors import FloweringError, TooLargeError
 from .field import NotPrimeError, PrimeField
-from .folding import BlossomingSequence, blossoming_validate, fold
+from .folding import BlossomingSequence, fold
 from .graph_code import (
     GraphCode,
     Word,
@@ -36,7 +36,7 @@ from .iopp import (
 )
 from .niproof import NIProof, prove_noninteractive, verify_noninteractive
 from .reed_solomon import Poly, RSCode
-from .rim_graph import RIM, FloweringCut, cut_graph, flowering_cut_validate, is_isomorphism, mu
+from .rim_graph import RIM, FloweringCut, cut_graph, flowering_cut_validate, mu
 
 __all__ = [
     "BlossomingSequence",
@@ -57,7 +57,6 @@ __all__ = [
     "Transcript",
     "Word",
     "blossoming_cayley",
-    "blossoming_validate",
     "cayley_rim",
     "commit_soundness_trial",
     "cut_graph",
@@ -67,7 +66,6 @@ __all__ = [
     "gen_set_from_parity_check",
     "gen_set_full",
     "hamming_distance",
-    "is_isomorphism",
     "min_distance_bounds",
     "mu",
     "prove_noninteractive",

@@ -65,15 +65,14 @@ def revivable_word(
     cut: FloweringCut,
     groups: list[tuple[int, list[int]]],
     rng: random.Random,
-    corrupt_rest: bool = True,
 ) -> Word:
     """A word on the cut's parent that every listed challenge partially heals.
 
     groups maps nonzero challenges to disjoint sets of kept-half vertices;
     each vertex v in a group gets petal corruptions at v and phi(v) tuned so
     Fold[f, alpha](v, .) is a codeword exactly at that group's challenge.
-    With corrupt_rest the remaining kept-half pairs get unmatched petal noise
-    so every local view starts invalid.
+    The remaining kept-half pairs get unmatched petal noise, so every local
+    view starts invalid.
     """
     graph = code.graph
     p = code.field.p
@@ -97,15 +96,14 @@ def revivable_word(
             cw = classes.id_of(w, l0)
             word.values[cv] = (word.values[cv] + eta) % p
             word.values[cw] = (word.values[cw] - eta * code.field.inv(alpha_star)) % p
-    if corrupt_rest:
-        for v in cut.v_prime:
-            if v in touched:
-                continue
-            w = cut.phi[v]
-            cv = classes.id_of(v, l0)
-            cw = classes.id_of(w, l1)
-            word.values[cv] = (word.values[cv] + rng.randrange(1, p)) % p
-            word.values[cw] = (word.values[cw] + rng.randrange(1, p)) % p
+    for v in cut.v_prime:
+        if v in touched:
+            continue
+        w = cut.phi[v]
+        cv = classes.id_of(v, l0)
+        cw = classes.id_of(w, l1)
+        word.values[cv] = (word.values[cv] + rng.randrange(1, p)) % p
+        word.values[cw] = (word.values[cw] + rng.randrange(1, p)) % p
     return word
 
 

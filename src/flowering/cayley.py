@@ -175,7 +175,7 @@ def blossoming_cayley(r: int, gens: GenSet) -> BlossomingSequence:
         v_prime = range(half)
         phi = {v: v | half for v in v_prime}
         specs.append((v_prime, phi))
-    return BlossomingSequence.from_cut_specs(graph0, specs)
+    return BlossomingSequence(graph0, specs)
 
 
 def min_distance_bounds(r: int, n: int, k: int, d: int) -> tuple[Fraction, Fraction]:

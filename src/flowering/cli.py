@@ -8,15 +8,13 @@ malformed input; ``prove --mode interactive`` writes its transcript as a run
 report, which verify refuses, since a transcript commits to nothing and its
 writer chose the challenges.  Every input file (instance, genset, word,
 config and proof) is read by one loader, so a missing or malformed file
-exits 2 with a one-line error.  FLOWERING_CAP overrides the brute-force
-size caps used by check-bounds.
+exits 2 with a one-line error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -30,7 +28,7 @@ from .experiments import (
     random_codeword_word,
     soundness_mc,
 )
-from .graph_code import DEFAULT_ENUM_CAP, DEFAULT_MATRIX_CAP, Word
+from .graph_code import Word
 from .iopp import ProtocolParams, run_protocol
 from .niproof import NIProof, prove_noninteractive, verify_noninteractive
 
@@ -74,13 +72,6 @@ def _parse_mc_config(cfg: dict) -> dict:
         "trials": cfg.get("trials", 1000),
         "workers": cfg.get("workers", 1),
     }
-
-
-def _caps() -> tuple[int, int]:
-    cap = os.environ.get("FLOWERING_CAP")
-    if cap:
-        return int(cap), int(cap)
-    return DEFAULT_ENUM_CAP, DEFAULT_MATRIX_CAP
 
 
 def cmd_gen(args) -> int:
@@ -196,8 +187,7 @@ def cmd_check_bounds(args) -> int:
     from .experiments import bounds_report
 
     instance = _load_instance(args.instance)
-    enum_cap, matrix_cap = _caps()
-    report = bounds_report(instance, enum_cap, matrix_cap)
+    report = bounds_report(instance)
     _dump_json(args.out, report)
     print(f"{'level':>5} {'|V|':>6} {'classes':>8} {'petals':>7} {'dim':>6} {'bound':>6} ok")
     for lv in report["levels"]:

@@ -33,13 +33,7 @@ from .cayley import (
 from .errors import FloweringError, TooLargeError
 from .field import PrimeField
 from .folding import BlossomingSequence
-from .graph_code import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_MATRIX_CAP,
-    GraphCode,
-    Word,
-    relative_weight,
-)
+from .graph_code import GraphCode, Word, relative_weight
 from .iopp import ProtocolParams, Transcript, run_protocol, soundness_bound
 from .reed_solomon import RSCode
 
@@ -305,8 +299,7 @@ def complexity_report(instance: Instance, params: ProtocolParams, seed: int) -> 
     return report
 
 
-def bounds_report(instance: Instance, enum_cap: int = DEFAULT_ENUM_CAP,
-                  matrix_cap: int = DEFAULT_MATRIX_CAP) -> dict:
+def bounds_report(instance: Instance) -> dict:
     """Dimension bound per level, witness weight, brute-force distance."""
     rs = instance.rs
     levels = []
@@ -320,7 +313,7 @@ def bounds_report(instance: Instance, enum_cap: int = DEFAULT_ENUM_CAP,
             "dimension_lower_bound": code.dimension_lower_bound(),
         }
         try:
-            dim = code.dimension(matrix_cap)
+            dim = code.dimension()
             entry["dimension"] = dim
             entry["bound_holds"] = dim >= entry["dimension_lower_bound"]
         except TooLargeError:
@@ -354,7 +347,7 @@ def bounds_report(instance: Instance, enum_cap: int = DEFAULT_ENUM_CAP,
             "corrupted_witness_rejected": not instance.code.is_codeword(corrupted),
         }
         try:
-            brute = instance.code.min_distance_bruteforce(enum_cap)
+            brute = instance.code.min_distance_bruteforce()
             witness_entry["bruteforce_distance"] = str(brute)
             witness_entry["bruteforce_within_bounds"] = lower <= brute <= upper
         except TooLargeError:

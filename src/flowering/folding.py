@@ -4,17 +4,19 @@ Folding collapses a word on a graph onto the kept half of a flowering cut:
 the value on a child class at (v, l) is f(v, l) + alpha * f(phi(v), l).  The
 isomorphism phi makes this well defined per class, so the fold is computed
 straight from the cut's precomputed class-pair plan at two field operations
-per output class.  alpha is always the verifier's challenge; nothing here
-samples randomness.
+per output class; the verifier's fold check reads the same plan.  alpha is
+always the verifier's challenge; nothing here samples randomness.
+
+A blossoming sequence is valid by construction: its constructor cuts each
+graph once, validating every cut on its parent, and refuses a chain that
+does not end in a one-vertex flower.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FloweringError
 from .graph_code import Word
-from .rim_graph import RIM, FloweringCut, flowering_cut_validate
+from .rim_graph import RIM, FloweringCut
 
 NOT_FLOWER = "NotFlower"
 
@@ -37,50 +39,30 @@ def fold(cut: FloweringCut, f: Word, alpha: int) -> Word:
     )
 
 
-@dataclass
 class BlossomingSequence:
     """Chain of graphs linked by flowering cuts, ending in a one-vertex
-    flower; graphs[i] is the child of cuts[i-1]."""
+    flower; graphs[i] is the child of cuts[i-1].
 
-    graphs: list[RIM]
-    cuts: list[FloweringCut]
+    Valid by construction: it is built from a base graph and (v_prime, phi)
+    specs, each cut validated on the graph before it, and a chain that does
+    not end in a flower raises a FloweringError naming NotFlower.
+    """
+
+    def __init__(self, graph0: RIM, specs):
+        self.cuts: list[FloweringCut] = []
+        self.graphs = [graph0]
+        for v_prime, phi in specs:
+            self.cuts.append(FloweringCut(self.graphs[-1], v_prime, phi))
+            self.graphs.append(self.cuts[-1].child)
+        if self.graphs[-1].num_vertices != 1:
+            raise FloweringError(
+                f"{NOT_FLOWER}: the chain ends in a graph of "
+                f"{self.graphs[-1].num_vertices} vertices")
 
     @property
     def r(self) -> int:
         return len(self.cuts)
 
-    @classmethod
-    def from_cut_specs(cls, graph0: RIM, specs) -> BlossomingSequence:
-        """Build the chain from (v_prime, phi) pairs, cutting successively;
-        every cut is validated."""
-        graphs = [graph0]
-        cuts = []
-        for v_prime, phi in specs:
-            cut = FloweringCut(graphs[-1], v_prime, phi)
-            cuts.append(cut)
-            graphs.append(cut.child)
-        return cls(graphs, cuts)
-
-    def validate(self) -> str | None:
-        return blossoming_validate(self.graphs, self.cuts)
-
     def proof_length(self) -> int:
         """Total number of edge classes across the sent levels 1..r."""
         return sum(g.classes.num_classes for g in self.graphs[1:])
-
-
-def blossoming_validate(graphs: list[RIM], cuts: list[FloweringCut]) -> str | None:
-    """None if the chain is blossoming, else a reason naming the failing level."""
-    if len(graphs) != len(cuts) + 1:
-        return f"LengthMismatch: {len(graphs)} graphs for {len(cuts)} cuts"
-    for i, cut in enumerate(cuts, start=1):
-        if cut.parent != graphs[i - 1]:
-            return f"CutMismatch at level {i}: cut parent is not the previous graph"
-        reason = flowering_cut_validate(graphs[i - 1], cut.v_prime, cut.phi)
-        if reason is not None:
-            return f"{reason} at level {i}"
-        if cut.child != graphs[i]:
-            return f"CutMismatch at level {i}: graph is not the cut of its parent"
-    if graphs[-1].num_vertices != 1:
-        return NOT_FLOWER
-    return None

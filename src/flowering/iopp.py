@@ -17,8 +17,12 @@ opening), plus the flower view in full, n reads.  When the m walks touch
 pairwise-disjoint positions the total is exactly (2r+1)mt + n, and it never
 exceeds that.
 
-The walk projects with the cut that maps level i-1 onto level i; the check
-at level i opens f_{i-1} at (v_i, l) and (phi_i(v_i), l) against f_i(v_i, l).
+The walk follows the cuts: at level i it moves to v_i = down_i(v_{i-1}), the
+child id of the projection of v_{i-1}, and for each index l it opens the
+child class of (v_i, l) in f_i and, in f_{i-1}, the two parent classes that
+the cut's fold plan names for it: those of (v, l) and (phi_i(v), l) at the
+parent vertex v of v_i.  So the check is the fold relation as the prover
+computed it, read from the same plan.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .errors import FloweringError
 from .folding import BlossomingSequence, fold
 from .graph_code import Word
 from .reed_solomon import RSCode
+from .rim_graph import UnknownVertexError
 
 
 class SequenceMismatchError(FloweringError):
@@ -152,6 +157,7 @@ def verifier_query(
     """
     r = seq.r
     n = seq.graphs[0].n
+    num_vertices = seq.graphs[0].num_vertices
     p = rs.field.p
     params.check(n)
     if len(challenges) != r:
@@ -168,21 +174,19 @@ def verifier_query(
         positions: list[set[int]] = [set() for _ in range(r + 1)]
         record = QueryRecord(v0=v0, indices=indices, walk=())
         walk = []
+        if not 0 <= v0 < num_vertices:
+            raise UnknownVertexError(f"start vertex {v0} not in the base graph")
         v_cur = v0
-        for i in range(1, r + 1):
-            cut = seq.cuts[i - 1]
-            vp = cut.project(v_cur)
-            wp = cut.phi[vp]
-            vc = cut.to_child[vp]
+        for i, cut in enumerate(seq.cuts, start=1):
+            vc = cut.down[v_cur]
             walk.append(vc)
-            cls_prev = seq.graphs[i - 1].classes
-            cls_cur = seq.graphs[i].classes
+            child_classes = cut.child.classes
+            plan = cut.fold_plan
             prev_read, cur_read = positions[i - 1], positions[i]
             alpha = challenges[i - 1]
             for l in indices:
-                ca = cls_prev.id_of(vp, l)
-                cb = cls_prev.id_of(wp, l)
-                cr = cls_cur.id_of(vc, l)
+                cr = child_classes.id_of(vc, l)
+                ca, cb = plan[cr]
                 prev_read.add(ca)
                 prev_read.add(cb)
                 cur_read.add(cr)

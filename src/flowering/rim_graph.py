@@ -7,13 +7,16 @@ Slots (v, l) and (adj[v][l], l) form one undirected edge class; words and
 Merkle leaves are indexed by classes in a canonical order, so that order is
 fixed once here: classes sorted by (minimum vertex id, index l).
 
-Cutting a graph to a vertex subset keeps ids dense by remapping; the mapping
-is kept alongside because the proximity protocol must translate query
-vertices across every cut level.
+Cutting a graph to a vertex subset keeps ids dense by remapping.  A
+flowering cut is validated on its parent and cut once; it keeps the
+child-to-parent ids, the parent-to-child projection ``down`` that the query
+walk follows, and the fold plan, which names the two parent classes behind
+every child class for the fold and the verifier's fold check alike.
 
 Graphs are never read from disk: an instance file names the generating set
 and the chain is rebuilt from it.  ``RIM.hash_hex`` is the graph's only
-serialized form, bound into every non-interactive proof.
+serialized form, bound into every non-interactive proof; like the class
+index it is computed once per graph and cached.
 """
 
 from __future__ import annotations
@@ -97,13 +100,14 @@ class EdgeClassIndex:
 class RIM:
     """n-regular indexed multigraph on dense vertex ids 0..|V|-1."""
 
-    __slots__ = ("n", "num_vertices", "adj", "_classes")
+    __slots__ = ("n", "num_vertices", "adj", "_classes", "_hash")
 
     def __init__(self, n: int, adjacency: list[list[int]], check: bool = True):
         self.n = n
         self.num_vertices = len(adjacency)
         self.adj = [list(row) for row in adjacency]
         self._classes: EdgeClassIndex | None = None
+        self._hash: str | None = None
         if check:
             bad = self.violations()
             if bad:
@@ -154,7 +158,9 @@ class RIM:
         return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
     def hash_hex(self) -> str:
-        return hashlib.sha256(self.canonical_bytes()).hexdigest()
+        if self._hash is None:
+            self._hash = hashlib.sha256(self.canonical_bytes()).hexdigest()
+        return self._hash
 
 
 def cut_graph(rim: RIM, vertices) -> tuple[RIM, list[int]]:
@@ -179,54 +185,42 @@ def cut_graph(rim: RIM, vertices) -> tuple[RIM, list[int]]:
     return RIM(rim.n, adj, check=False), kept
 
 
-def is_isomorphism(g1: RIM, g2: RIM, phi: dict[int, int]) -> bool:
-    """True iff phi is a bijection V(g1) -> V(g2) commuting with adjacency."""
-    if g1.n != g2.n or g1.num_vertices != g2.num_vertices:
-        return False
-    if len(phi) != g1.num_vertices:
-        return False
-    image = set(phi.values())
-    if len(image) != g2.num_vertices or not all(0 <= u < g2.num_vertices for u in image):
-        return False
-    for v in range(g1.num_vertices):
-        if v not in phi:
-            return False
-        pv = phi[v]
-        for l in range(g1.n):
-            if phi.get(g1.adj[v][l]) != g2.adj[pv][l]:
-                return False
-    return True
-
-
 def flowering_cut_validate(rim: RIM, v_prime, phi: dict[int, int]) -> str | None:
-    """None if (V', phi) is a flowering cut of rim, else the failure reason."""
+    """None if (V', phi) is a flowering cut of rim, else the failure reason.
+
+    phi must be a bijection from V' onto the other half that commutes with
+    the adjacency of the two cut halves.  That is checked on the parent,
+    without building either half: for v in V' and each l, with a = E(v, l)
+    and b = E(phi(v), l), the cut to V' has neighbour a if a is in V' (else
+    the petal v), the cut to the other half has neighbour b if b is not in
+    V' (else the petal phi(v)), and phi must map the first to the second.
+    """
     v_set = set(v_prime)
     all_v = set(range(rim.num_vertices))
     if not v_set or not v_set < all_v:
         return NOT_PARTITION
     if 2 * len(v_set) != rim.num_vertices:
         return UNEQUAL_HALVES
-    comp = all_v - v_set
-    if set(phi.keys()) != v_set or set(phi.values()) != comp:
+    if set(phi.keys()) != v_set or set(phi.values()) != all_v - v_set:
         return NOT_ISOMORPHISM
-    child1, kept1 = cut_graph(rim, v_set)
-    child2, kept2 = cut_graph(rim, comp)
-    to1 = {v: i for i, v in enumerate(kept1)}
-    to2 = {v: i for i, v in enumerate(kept2)}
-    translated = {to1[v]: to2[phi[v]] for v in v_set}
-    if not is_isomorphism(child1, child2, translated):
-        return NOT_ISOMORPHISM
+    adj = rim.adj
+    for v in v_set:
+        pv = phi[v]
+        for a, b in zip(adj[v], adj[pv]):
+            if phi[a if a in v_set else v] != (pv if b in v_set else b):
+                return NOT_ISOMORPHISM
     return None
 
 
 class FloweringCut:
-    """A validated flowering cut (V', phi) of a parent graph, with the cut
-    graph and all id translations cached for the protocol walk."""
+    """A validated flowering cut (V', phi) of a parent graph, with its cut
+    graph and the translations the fold and the protocol walk read.
 
-    __slots__ = (
-        "parent", "v_prime", "phi", "phi_inv", "child",
-        "from_child", "to_child", "_fold_plan",
-    )
+    from_child[vc] is the parent id of child vertex vc; down[v] is the child
+    id of pi_phi(v), the representative in V' of parent vertex v.
+    """
+
+    __slots__ = ("parent", "v_prime", "phi", "child", "from_child", "down", "_fold_plan")
 
     def __init__(self, parent: RIM, v_prime, phi: dict[int, int]):
         reason = flowering_cut_validate(parent, v_prime, phi)
@@ -235,17 +229,11 @@ class FloweringCut:
         self.parent = parent
         self.v_prime = tuple(sorted(set(v_prime)))
         self.phi = dict(phi)
-        self.phi_inv = {w: v for v, w in self.phi.items()}
-        self.child, kept = cut_graph(parent, self.v_prime)
-        self.from_child = kept
-        self.to_child = {v: i for i, v in enumerate(kept)}
+        self.child, self.from_child = cut_graph(parent, self.v_prime)
+        self.down = [0] * parent.num_vertices
+        for vc, v in enumerate(self.from_child):
+            self.down[v] = self.down[self.phi[v]] = vc
         self._fold_plan: list[tuple[int, int]] | None = None
-
-    def project(self, v: int) -> int:
-        """pi_phi: parent vertex -> its representative in V' (parent ids)."""
-        if not 0 <= v < self.parent.num_vertices:
-            raise UnknownVertexError(f"vertex {v} not in the parent graph")
-        return v if v in self.to_child else self.phi_inv[v]
 
     @property
     def fold_plan(self) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from flowering.cayley import (
 from flowering.field import PrimeField
 from flowering.graph_code import GraphCode, relative_weight
 from flowering.reed_solomon import RSCode
-from flowering.rim_graph import mu
+from flowering.rim_graph import flowering_cut_validate, mu
 
 
 def test_cayley_rim_t1():
@@ -77,25 +77,34 @@ def test_gen_set_from_parity_check_hamming():
         gen_set_from_parity_check([[0, 0, 0], [0, 1, 1], [1, 0, 1]], 3)
 
 
+def assert_blossoming(seq):
+    """Re-check the chain: every cut is a flowering cut of the graph before
+    it, its child is the next graph, and the last graph is a flower."""
+    for parent, cut, child in zip(seq.graphs, seq.cuts, seq.graphs[1:]):
+        assert cut.parent is parent and cut.child is child
+        assert flowering_cut_validate(parent, cut.v_prime, cut.phi) is None
+    assert len(seq.graphs) == seq.r + 1
+    assert seq.graphs[-1].num_vertices == 1
+
+
 def test_blossoming_cayley_t1_structure():
     seq = blossoming_cayley(2, gen_set_full(2))
     assert [g.num_vertices for g in seq.graphs] == [4, 2, 1]
     assert [g.classes.num_classes for g in seq.graphs] == [6, 5, 3]
     assert [g.classes.num_petals for g in seq.graphs] == [0, 4, 3]
-    assert seq.validate() is None
+    assert_blossoming(seq)
 
 
 def test_blossoming_cayley_r1():
     seq = blossoming_cayley(1, gen_set_full(1))
     assert seq.r == 1
-    assert seq.graphs[-1].num_vertices == 1
-    assert seq.validate() is None
+    assert_blossoming(seq)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_blossoming_cayley_validates(r):
     seq = blossoming_cayley(r, gen_set_full(r))
-    assert seq.validate() is None
+    assert_blossoming(seq)
     assert seq.r == r
 
 

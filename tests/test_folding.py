@@ -6,10 +6,11 @@ import pytest
 from conftest import random_word
 from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full
 from flowering.field import PrimeField
-from flowering.folding import BlossomingSequence, CutMismatchError, blossoming_validate, fold
+from flowering.errors import FloweringError
+from flowering.folding import BlossomingSequence, CutMismatchError, fold
 from flowering.graph_code import GraphCode, Word, cut_word, cut_word_on
 from flowering.reed_solomon import RSCode
-from flowering.rim_graph import RIM, FloweringCut
+from flowering.rim_graph import InvalidCutError
 
 
 def test_fold_alpha_zero_is_cut(t1):
@@ -138,17 +139,19 @@ def test_at_most_one_reviving_alpha_exhaustive():
 
 
 def test_blossoming_validate(t1):
+    # a chain is valid by construction: its graphs are the children of its
+    # cuts, each cut is validated on the graph before it, and a chain that
+    # stops short of a flower is refused
     seq = t1["seq"]
-    assert seq.validate() is None
     assert seq.r == 2
+    assert seq.graphs[1:] == [cut.child for cut in seq.cuts]
+    specs = [(cut.v_prime, cut.phi) for cut in seq.cuts]
+    assert BlossomingSequence(seq.graphs[0], specs).graphs == seq.graphs
 
-    truncated = BlossomingSequence(seq.graphs[:2], seq.cuts[:1])
-    assert truncated.validate() == "NotFlower"
-
-    wrong_graph = RIM(3, [[0, 1, 0], [1, 0, 1]], check=False)
-    wrong_graph.adj[0][1] = 0
-    wrong_graph.adj[1][1] = 1
-    broken = BlossomingSequence(
-        [seq.graphs[0], RIM(3, wrong_graph.adj), seq.graphs[2]], seq.cuts
-    )
-    assert "CutMismatch at level 1" in broken.validate()
+    with pytest.raises(FloweringError, match="NotFlower"):
+        BlossomingSequence(seq.graphs[0], specs[:1])
+    # the second cut halves graph 1, not graph 0
+    with pytest.raises(InvalidCutError):
+        BlossomingSequence(seq.graphs[0], specs[1:])
+    # a one-vertex graph with no cuts is a chain of length 0
+    assert BlossomingSequence(seq.graphs[2], []).r == 0

@@ -1,0 +1,73 @@
+"""Byte-identity pins: SHA-256 digests of NI proofs, an interactive
+transcript and a Monte-Carlo report on fixed instances and seeds.
+
+A change that is meant to leave proofs and reports as they are must leave
+these digests as they are; a change of format or randomness updates them
+on purpose and says so.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from flowering.experiments import (
+    derive_seed,
+    gen_instance,
+    honest_run,
+    random_codeword_word,
+    soundness_mc,
+)
+from flowering.iopp import ProtocolParams
+from flowering.niproof import prove_noninteractive
+
+P = 2**31 - 1
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def json_bytes(data) -> bytes:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+def instance(r: int):
+    n = (1 << r) - 1
+    return gen_instance(r, P, n - 2)
+
+
+NI_PROOFS = {
+    (3, 1): "dd6a124d03a0ba263f48fb873fcd8ba300464944a9340c2f611820f112aaddac",
+    (3, 2): "94d6fd0b24e15b37ae29c573a272906c2831b2f550369ecd3cb665c8dee86969",
+    (4, 1): "f25f4d9dab2e1e366b0074a30d44a0469610cc0d2dc99fc17f4ad0a70c44f9a8",
+    (4, 2): "3276015977b9e62ae17a1165232fb64ffe8fdd94997db61aa6c8cebe1c1c48e0",
+}
+
+
+@pytest.mark.parametrize("r,seed", sorted(NI_PROOFS))
+def test_ni_proof_bytes(r, seed):
+    inst = instance(r)
+    word = random_codeword_word(inst, random.Random(derive_seed(seed, 1)))
+    proof, transcript = prove_noninteractive(inst.seq, inst.rs, word, ProtocolParams(10, 2))
+    assert transcript.accept
+    assert sha256(proof.serialize()) == NI_PROOFS[(r, seed)]
+
+
+def test_honest_run_transcript_bytes():
+    tr = honest_run(instance(4), ProtocolParams(10, 2), seed=7)
+    assert tr.accept
+    assert sha256(json_bytes(tr.to_json())) == (
+        "2d724277d6df5f784800300190e6b0a5b83243d215453a03375b03bc3bc13fe3")
+
+
+def test_soundness_mc_report_bytes():
+    # a small field, so that both adversaries are accepted in some trials
+    report = soundness_mc(gen_instance(3, 11, 5), ["far-word-honest-fold", "lazy-copy"],
+                          [Fraction(1, 10), Fraction(1, 2)], [1, 5], [1, 2],
+                          trials=40, seed=3)
+    assert 0 < sum(pt["accepts"] for pt in report["points"]) < 16 * 40
+    assert sha256(json_bytes(report)) == (
+        "6710ff1a324cfbe355317bc257c45bfb77add11f24723a58fbea3a4db566cc7a")

@@ -21,6 +21,7 @@ from flowering.iopp import (
     soundness_bound,
     verifier_query,
 )
+from flowering.rim_graph import UnknownVertexError
 
 
 def words_oracle(words):
@@ -100,6 +101,17 @@ def test_read_log_is_every_oracle_read():
         openings = [(lev, cid) for q in tr.queries for lev, cid, _ in q.openings]
         assert tr.counters.oracle_reads == len(set(openings[:-7])) + 7
         assert "reads" not in tr.to_json()
+
+
+def test_walk_start_vertex_must_exist(t1):
+    seq, rs, field = t1["seq"], t1["rs"], t1["field"]
+    w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
+    oracle = words_oracle([w] + prover_commit(seq, w, [3, 4]))
+    for v0 in (-1, 4):
+        with pytest.raises(UnknownVertexError):
+            verifier_query(seq, rs, ProtocolParams(1, 1), [3, 4], oracle, [(v0, (0,))])
+    tr = verifier_query(seq, rs, ProtocolParams(1, 1), [3, 4], oracle, [(3, (0,))])
+    assert tr.accept and tr.queries[0].walk == (1, 0)
 
 
 def test_query_count_exact_t1(t1):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rim
-from flowering.cayley import cayley_rim, gen_set_full
+from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full, validate_gen_set
 from flowering.rim_graph import (
     NOT_ISOMORPHISM,
     NOT_PARTITION,
@@ -15,9 +15,85 @@ from flowering.rim_graph import (
     InvalidCutError,
     cut_graph,
     flowering_cut_validate,
-    is_isomorphism,
     mu,
 )
+
+
+def is_isomorphism(g1: RIM, g2: RIM, phi: dict[int, int]) -> bool:
+    """Reference: phi is a bijection V(g1) -> V(g2) commuting with adjacency."""
+    if g1.n != g2.n or g1.num_vertices != g2.num_vertices:
+        return False
+    if len(phi) != g1.num_vertices:
+        return False
+    image = set(phi.values())
+    if len(image) != g2.num_vertices or not all(0 <= u < g2.num_vertices for u in image):
+        return False
+    for v in range(g1.num_vertices):
+        if v not in phi:
+            return False
+        pv = phi[v]
+        for l in range(g1.n):
+            if phi.get(g1.adj[v][l]) != g2.adj[pv][l]:
+                return False
+    return True
+
+
+def oracle_cut_validate(rim: RIM, v_prime, phi: dict[int, int]) -> str | None:
+    """Reference validator: cut both halves, translate phi to their dense
+    ids and ask is_isomorphism."""
+    v_set = set(v_prime)
+    all_v = set(range(rim.num_vertices))
+    if not v_set or not v_set < all_v:
+        return NOT_PARTITION
+    if 2 * len(v_set) != rim.num_vertices:
+        return UNEQUAL_HALVES
+    comp = all_v - v_set
+    if set(phi.keys()) != v_set or set(phi.values()) != comp:
+        return NOT_ISOMORPHISM
+    child1, kept1 = cut_graph(rim, v_set)
+    child2, kept2 = cut_graph(rim, comp)
+    to1 = {v: i for i, v in enumerate(kept1)}
+    to2 = {v: i for i, v in enumerate(kept2)}
+    translated = {to1[v]: to2[phi[v]] for v in v_set}
+    if not is_isomorphism(child1, child2, translated):
+        return NOT_ISOMORPHISM
+    return None
+
+
+def planted_cut(rng: random.Random, half: int, n: int):
+    """A random graph on 2*half vertices with a flowering cut (V', phi):
+    both halves copy one random RIM through phi, and some of its petals
+    become random edges across the cut."""
+    h = random_rim(rng, half, n)
+    order = list(range(2 * half))
+    rng.shuffle(order)
+    kept, other = order[:half], order[half:]
+    phi = dict(zip(kept, other))
+    adj = [[v] * n for v in range(2 * half)]
+    for l in range(n):
+        crossing = ([], [])
+        for u in range(half):
+            x, y, w = kept[u], other[u], h.adj[u][l]
+            if w == u:
+                crossing[0].append(x)
+                crossing[1].append(y)
+            else:
+                adj[x][l], adj[y][l] = kept[w], other[w]
+        for side in crossing:
+            rng.shuffle(side)
+        for x, y in zip(*crossing):
+            if rng.random() < 0.5:
+                adj[x][l], adj[y][l] = y, x
+    return RIM(n, adj), kept, phi
+
+
+def scrambled(rng: random.Random, phi: dict[int, int]) -> dict[int, int]:
+    """phi with the images of two random vertices swapped."""
+    keys = sorted(phi)
+    a, b = rng.sample(keys, 2)
+    out = dict(phi)
+    out[a], out[b] = phi[b], phi[a]
+    return out
 
 
 def test_validation():
@@ -93,6 +169,7 @@ def test_cayley_translations_are_automorphisms(r):
 
 
 def test_is_isomorphism_negatives():
+    # the reference oracle of the cut validator
     cay = cayley_rim(2, [1, 2, 3])
     assert is_isomorphism(cay, cay, {v: v for v in range(4)})
     assert not is_isomorphism(cay, cay, {v: 0 for v in range(4)})  # not injective
@@ -119,16 +196,90 @@ def test_flowering_cut_validate_and_reasons():
     assert err.value.reason == NOT_ISOMORPHISM
 
 
-def test_project():
+def test_down():
     cay = cayley_rim(2, [1, 2, 3])
     cut = FloweringCut(cay, [0, 1], {0: 2, 1: 3})
-    assert cut.project(0) == 0
-    assert cut.project(2) == 0  # the paper's pi(10) = 00
-    assert cut.project(3) == 1
-    for v in range(4):
-        assert cut.project(cut.project(v)) == cut.project(v)
-    with pytest.raises(Exception):
-        cut.project(9)
+    assert cut.down == [0, 1, 0, 1]  # the paper's pi(10) = 00
+    # down[v] is the child id of the one vertex of V' that is v or maps to v
+    rng = random.Random(4)
+    cuts = [c for r in (2, 3, 4) for c in blossoming_cayley(r, gen_set_full(r)).cuts]
+    cuts += [FloweringCut(*planted_cut(rng, rng.randrange(1, 7), rng.randrange(1, 5)))
+             for _ in range(20)]
+    for cut in cuts:
+        assert len(cut.down) == cut.parent.num_vertices
+        for v in range(cut.parent.num_vertices):
+            u = cut.from_child[cut.down[v]]
+            assert u in cut.v_prime and v in (u, cut.phi[u])
+
+
+def test_direct_validation_matches_oracle():
+    # the validator checks phi on the parent; the oracle cuts both halves
+    # and checks an isomorphism between them
+    rng = random.Random(5)
+    cases = []
+    for _ in range(150):
+        graph, kept, phi = planted_cut(rng, rng.randrange(1, 7), rng.randrange(1, 5))
+        cases.append((graph, kept, phi))
+        if len(phi) > 1:
+            cases.append((graph, kept, scrambled(rng, phi)))
+    for _ in range(150):
+        size = 2 * rng.randrange(1, 6)
+        graph = random_rim(rng, size, rng.randrange(1, 5), petal_prob=rng.random())
+        kept = rng.sample(range(size), size // 2)
+        rest = sorted(set(range(size)) - set(kept))
+        rng.shuffle(rest)
+        cases.append((graph, kept, dict(zip(kept, rest))))
+    for r in (2, 3, 4):
+        cay = cayley_rim(r, list(range(1, 1 << r)))
+        size = 1 << r
+        for _ in range(30):
+            # V' a hyperplane and phi a translation off it: always a cut
+            c = rng.randrange(1, size)
+            kept = [v for v in range(size) if bin(v & c).count("1") % 2 == 0]
+            g = rng.choice([v for v in range(size) if v not in kept])
+            phi = {v: v ^ g for v in kept}
+            cases.append((cay, kept, phi))
+            cases.append((cay, kept, scrambled(rng, phi)))
+            # a random half with a translation mapping it onto the other half
+            g = rng.randrange(1, size)
+            kept = []
+            for v in rng.sample(range(size), size):
+                if v not in kept and v ^ g not in kept:
+                    kept.append(v)
+            cases.append((cay, kept, {v: v ^ g for v in kept}))
+    # bad partitions and bad maps
+    t1 = cayley_rim(2, [1, 2, 3])
+    cases += [
+        (t1, [], {}), (t1, range(4), {}), (t1, [0, 4], {0: 2, 4: 3}),
+        (t1, [-1, 0], {-1: 2, 0: 3}), (t1, [0], {0: 1}), (t1, [0, 1, 2], {}),
+        (t1, [0, 1], {0: 2}), (t1, [0, 1], {0: 2, 1: 2}), (t1, [0, 1], {0: 1, 1: 2}),
+        (t1, [0, 1], {0: 2, 1: 4}), (t1, [0, 1], {0: 2, 2: 3}),
+    ]
+    outcomes = {}
+    for graph, kept, phi in cases:
+        reason = flowering_cut_validate(graph, kept, phi)
+        assert reason == oracle_cut_validate(graph, kept, phi), (graph.adj, kept, phi)
+        outcomes[reason] = outcomes.get(reason, 0) + 1
+    assert set(outcomes) == {None, NOT_PARTITION, UNEQUAL_HALVES, NOT_ISOMORPHISM}
+    assert min(outcomes[None], outcomes[NOT_ISOMORPHISM]) > 150
+
+
+def test_fold_plan_is_the_fold_relation():
+    # child class of (vc, l) <- parent classes of (v, l) and (phi(v), l),
+    # v = from_child[vc], whichever endpoint of the child class vc is
+    rng = random.Random(6)
+    chains = [blossoming_cayley(r, gen_set_full(r)) for r in (1, 2, 3, 4)]
+    chains.append(blossoming_cayley(4, validate_gen_set(4, [8, 4, 2, 1, 15], 3)))
+    cuts = [cut for seq in chains for cut in seq.cuts]
+    cuts += [FloweringCut(*planted_cut(rng, rng.randrange(1, 7), rng.randrange(1, 5)))
+             for _ in range(20)]
+    for cut in cuts:
+        pc, cc = cut.parent.classes, cut.child.classes
+        assert len(cut.fold_plan) == cc.num_classes
+        for vc, v in enumerate(cut.from_child):
+            for l in range(cut.parent.n):
+                assert cut.fold_plan[cc.id_of(vc, l)] == (pc.id_of(v, l),
+                                                          pc.id_of(cut.phi[v], l))
 
 
 def test_mu_values():
@@ -173,4 +324,5 @@ def test_json_round_trip_and_hash():
     assert cay.hash_hex() == (
         "28f919cce1c55eecd3337f0d40c64bd2cc8b02a9862bb4fcfec42979d6b019fe")
     assert RIM(3, cay.adj).hash_hex() == cay.hash_hex()
+    assert cay.hash_hex() is cay.hash_hex()  # encoded and hashed once per graph
     assert cayley_rim(2, [3, 2, 1]).hash_hex() != cay.hash_hex()
