@@ -22,6 +22,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import FloweringError
 from .folding import fold
 from .graph_code import GraphCode, Word, cut_word_on
@@ -36,10 +38,8 @@ def far_word(code: GraphCode, delta, rng: random.Random) -> tuple[Word, Fraction
     n, k = code.rs.n, code.rs.k
     if k >= n:
         raise FloweringError("far words need k < n (full-space codes have no invalid views)")
-    matching = [
-        cid for cid, (v, l) in enumerate(graph.classes.reps)
-        if l == 0 and graph.classes.sizes[cid] == 2
-    ]
+    classes = graph.classes
+    matching = np.flatnonzero((classes.reps[1] == 0) & (classes.sizes == 2)).tolist()
     if 2 * len(matching) != graph.num_vertices:
         raise FloweringError("index 0 is not a perfect matching on this graph")
     target = Fraction(delta)
@@ -54,10 +54,8 @@ def far_word(code: GraphCode, delta, rng: random.Random) -> tuple[Word, Fraction
 
 
 def _common_petal_indices(graph) -> list[int]:
-    return [
-        l for l in range(graph.n)
-        if all(graph.adj[v][l] == v for v in range(graph.num_vertices))
-    ]
+    petal = graph.adj == np.arange(graph.num_vertices)[:, None]
+    return np.flatnonzero(petal.all(axis=0)).tolist()
 
 
 def revivable_word(

@@ -22,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import FloweringError
 from .folding import BlossomingSequence
 from .graph_code import GraphCode, Word
@@ -156,13 +158,12 @@ def cayley_rim(r: int, gens: GenSet | list[int]) -> RIM:
     """The n-RIM on F_2^r with E(v, l) = v XOR s_l; petal-free since every
     generator is nonzero and its own inverse."""
     vectors = gens.vectors if isinstance(gens, GenSet) else tuple(gens)
-    if any(not 0 < s < (1 << r) for s in vectors):
+    if vectors and (min(vectors) <= 0 or max(vectors) >= 1 << r):
         raise ZeroGeneratorError("generators must be nonzero r-bit vectors")
     if len(set(vectors)) != len(vectors):
         raise DuplicateGeneratorError("generators must be distinct")
-    size = 1 << r
-    adj = [[v ^ s for s in vectors] for v in range(size)]
-    return RIM(len(vectors), adj, check=False)
+    vertex = np.arange(1 << r, dtype=np.int64)[:, None]
+    return RIM(len(vectors), vertex ^ np.array(vectors, dtype=np.int64), check=False)
 
 
 def blossoming_cayley(r: int, gens: GenSet) -> BlossomingSequence:
@@ -172,9 +173,7 @@ def blossoming_cayley(r: int, gens: GenSet) -> BlossomingSequence:
     specs = []
     for i in range(1, r + 1):
         half = 1 << (r - i)
-        v_prime = range(half)
-        phi = {v: v | half for v in v_prime}
-        specs.append((v_prime, phi))
+        specs.append((range(half), dict(zip(range(half), range(half, 2 * half)))))
     return BlossomingSequence(graph0, specs)
 
 
@@ -207,10 +206,11 @@ def upper_bound_witness(code: GraphCode, gens: GenSet) -> Word:
         )
     if code.graph.num_vertices != 1 << gens.r or code.graph.n != n:
         raise FloweringError("code graph is not the Cayley graph of this GenSet")
-    span = span_of(gens.vectors[: d - 1])
+    in_span = np.zeros(code.graph.num_vertices, dtype=bool)
+    in_span[sorted(span_of(gens.vectors[: d - 1]))] = True
     ell = code.rs.unit_interpolant()
     lx = [ell.evaluate(x) for x in code.rs.points]
-    values = [
-        lx[l] if v in span else 0 for v, l in code.graph.classes.reps
-    ]
+    vertex, index = code.graph.classes.reps
+    values = [lx[l] if inside else 0
+              for inside, l in zip(in_span[vertex].tolist(), index.tolist())]
     return Word(code.graph, code.field, values)

@@ -1,18 +1,21 @@
 """Words on a RIM and the code of words whose local views are RS codewords.
 
-A word stores one field value per edge class, so the two slots of a shared
-edge cannot disagree by construction; the (v, l) accessor resolves through
-the graph's canonical class index.  Restricting a word to a prepared cut
-reads the cut's fold plan, the same class map the fold uses; cut_word
-restricts to an arbitrary vertex set through the (v, l) accessor.
-Distances are exact Fractions: the bound checks built on them compare exact
-rationals, never floats.
+A word stores one field value per edge class, as a list of Python ints, so
+the two slots of a shared edge cannot disagree by construction; the (v, l)
+accessor resolves through the graph's canonical class index, whose tables
+are int64 arrays.  Restricting a word to a prepared cut reads the cut's fold
+plan, the same class map the fold uses; cut_word restricts to an arbitrary
+vertex set through the class index of the cut graph.  Distances are exact
+Fractions: the bound checks built on them compare exact rationals, never
+floats.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from . import linalg
 from .errors import FloweringError, TooLargeError
@@ -56,19 +59,18 @@ class Word:
         index-only assignment is automatically consistent."""
         if len(y) != graph.n:
             raise FloweringError(f"expected {graph.n} index values, got {len(y)}")
-        return cls(graph, field, [y[l] % field.p for _, l in graph.classes.reps])
+        reduced = [c % field.p for c in y]
+        return cls(graph, field, [reduced[l] for l in graph.classes.reps[1].tolist()])
 
     def at(self, v: int, l: int) -> int:
-        return self.values[self.graph.classes.class_of[v * self.graph.n + l]]
+        return self.values[self.graph.classes.id_of(v, l)]
 
     def local_view(self, v: int) -> list[int]:
         """The incident values (f(v,1), ..., f(v,n)) in index order."""
         if not 0 <= v < self.graph.num_vertices:
             raise FloweringError(f"vertex {v} not in graph")
-        cls_of = self.graph.classes.class_of
-        base = v * self.graph.n
         vals = self.values
-        return [vals[cls_of[base + l]] for l in range(self.graph.n)]
+        return [vals[c] for c in self.graph.classes.class_of[v].tolist()]
 
     def replace(self, class_id: int, value: int) -> Word:
         out = Word(self.graph, self.field, self.values)
@@ -96,7 +98,10 @@ class Word:
             raise FloweringError("word field does not match the file header field")
         if data.get("graph_hash") not in (None, graph.hash_hex()):
             raise FloweringError("word graph_hash does not match the graph")
-        return cls(graph, field, [int(v) for v in data["values"]])
+        values = [int(v) for v in data["values"]]
+        if not all(0 <= v < field.p for v in values):
+            raise FloweringError(f"word values must lie in [0, {field.p})")
+        return cls(graph, field, values)
 
 
 def _same_graph(f: Word, g: Word) -> None:
@@ -108,18 +113,9 @@ def vertex_distance(f: Word, g: Word) -> Fraction:
     """Fraction of vertices whose local views differ."""
     _same_graph(f, g)
     graph = f.graph
-    cls_of = graph.classes.class_of
-    fv, gv = f.values, g.values
-    n = graph.n
-    differing = 0
-    for v in range(graph.num_vertices):
-        base = v * n
-        for l in range(n):
-            c = cls_of[base + l]
-            if fv[c] != gv[c]:
-                differing += 1
-                break
-    return Fraction(differing, graph.num_vertices)
+    differs = np.array([a != b for a, b in zip(f.values, g.values)], dtype=bool)
+    differing = np.count_nonzero(differs[graph.classes.class_of].any(axis=1))
+    return Fraction(int(differing), graph.num_vertices)
 
 
 def hamming_distance(f: Word, g: Word) -> Fraction:
@@ -139,8 +135,10 @@ def cut_word(f: Word, vertices) -> Word:
     """Restriction of a word to a cut graph; cross-edge values survive on the
     petals the cut creates."""
     child, kept = cut_graph(f.graph, vertices)
-    values = [f.at(kept[vc], l) for vc, l in child.classes.reps]
-    return Word(child, f.field, values)
+    vc, l = child.classes.reps
+    vals = f.values
+    cids = f.graph.classes.class_of[kept[vc], l]
+    return Word(child, f.field, [vals[c] for c in cids.tolist()])
 
 
 def cut_word_on(f: Word, cut: FloweringCut) -> Word:
@@ -148,7 +146,7 @@ def cut_word_on(f: Word, cut: FloweringCut) -> Word:
     of the first class of its fold-plan pair, its kept representative (the
     fold at alpha = 0)."""
     vals = f.values
-    return Word(cut.child, f.field, [vals[a] for a, _ in cut.fold_plan])
+    return Word(cut.child, f.field, [vals[a] for a in cut.fold_lists()[0]])
 
 
 class GraphCode:
@@ -193,7 +191,6 @@ class GraphCode:
         rows of every vertex, composed with the slot-to-class projection.
         H f = 0 exactly characterizes membership."""
         classes = self.graph.classes
-        n = self.graph.n
         rows_per_vertex = self.rs.parity_rows()
         num_rows = len(rows_per_vertex) * self.graph.num_vertices
         if num_rows * classes.num_classes > cap:
@@ -202,13 +199,11 @@ class GraphCode:
             )
         p = self.field.p
         out = []
-        for v in range(self.graph.num_vertices):
-            base = v * n
+        for slots in classes.class_of.tolist():
             for prow in rows_per_vertex:
                 row = [0] * classes.num_classes
-                for l in range(n):
-                    c = classes.class_of[base + l]
-                    row[c] = (row[c] + prow[l]) % p
+                for c, h in zip(slots, prow):
+                    row[c] = (row[c] + h) % p
                 out.append(row)
         return out
 

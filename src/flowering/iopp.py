@@ -178,15 +178,16 @@ def verifier_query(
             raise UnknownVertexError(f"start vertex {v0} not in the base graph")
         v_cur = v0
         for i, cut in enumerate(seq.cuts, start=1):
-            vc = cut.down[v_cur]
+            vc = cut.down.item(v_cur)
             walk.append(vc)
-            child_classes = cut.child.classes
+            class_of = cut.child.classes.class_of
             plan = cut.fold_plan
             prev_read, cur_read = positions[i - 1], positions[i]
             alpha = challenges[i - 1]
             for l in indices:
-                cr = child_classes.id_of(vc, l)
-                ca, cb = plan[cr]
+                cr = class_of.item(vc, l)
+                ca = plan.item(0, cr)
+                cb = plan.item(1, cr)
                 prev_read.add(ca)
                 prev_read.add(cb)
                 cur_read.add(cr)
@@ -216,7 +217,7 @@ def verifier_query(
                 and sum(walk_sizes) == counters.oracle_reads)
 
     if not (verdict_only and not accept):
-        flower_ids = [seq.graphs[r].classes.id_of(0, l) for l in range(n)]
+        flower_ids = seq.graphs[r].classes.class_of[0].tolist()
         view = [oracle(r, cid) for cid in flower_ids]
         reads[r].update(flower_ids)
         counters.oracle_reads += n

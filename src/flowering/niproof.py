@@ -113,21 +113,32 @@ def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
     fs.absorb(b"instance", header)
 
 
+def fiat_shamir_schedule(seq: BlossomingSequence, rs: RSCode, params: ProtocolParams):
+    """The one Fiat-Shamir schedule of prover and verifier, as a generator.
+
+    After priming with next(), send it the roots of levels 0..r in order:
+    each of the first r sends returns the challenge of the next level, and
+    the last returns the query randomness.  The prover sends each root as
+    it commits; the verifier sends the proof's roots.
+    """
+    fs = FSState(b"flowering-ni")
+    _bind_instance(fs, seq, rs, params)
+    fs.absorb(b"root", (yield))
+    for _ in range(seq.r):
+        fs.absorb(b"root", (yield fs.challenge_field(b"alpha", rs.field.p)))
+    yield fs.challenge_queries(
+        b"query", seq.graphs[0].num_vertices, seq.graphs[0].n, params.m, params.t
+    )
+
+
 def derive_noninteractive_randomness(
     seq: BlossomingSequence, rs: RSCode, params: ProtocolParams, roots: list[bytes]
 ) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
     """(challenges, query randomness) both prover and verifier compute from
     the instance binding and the committed roots."""
-    fs = FSState(b"flowering-ni")
-    _bind_instance(fs, seq, rs, params)
-    challenges = []
-    fs.absorb(b"root", roots[0])
-    for i in range(1, seq.r + 1):
-        challenges.append(fs.challenge_field(b"alpha", rs.field.p))
-        fs.absorb(b"root", roots[i])
-    randomness = fs.challenge_queries(
-        b"query", seq.graphs[0].num_vertices, seq.graphs[0].n, params.m, params.t
-    )
+    schedule = fiat_shamir_schedule(seq, rs, params)
+    next(schedule)
+    *challenges, randomness = [schedule.send(root) for root in roots]
     return challenges, randomness
 
 
@@ -140,23 +151,15 @@ def prove_noninteractive(
     params.check(seq.graphs[0].n)
     words = [f0]
     trees = [MerkleTree(f0.values)]
-    roots = [trees[0].root]
-
-    fs = FSState(b"flowering-ni")
-    _bind_instance(fs, seq, rs, params)
+    schedule = fiat_shamir_schedule(seq, rs, params)
+    next(schedule)
     challenges = []
-    fs.absorb(b"root", roots[0])
-    for i in range(1, seq.r + 1):
-        alpha = fs.challenge_field(b"alpha", rs.field.p)
-        challenges.append(alpha)
-        w = fold(seq.cuts[i - 1], words[-1], alpha)
-        words.append(w)
-        trees.append(MerkleTree(w.values))
-        roots.append(trees[-1].root)
-        fs.absorb(b"root", roots[-1])
-    randomness = fs.challenge_queries(
-        b"query", seq.graphs[0].num_vertices, seq.graphs[0].n, params.m, params.t
-    )
+    for cut in seq.cuts:
+        challenges.append(schedule.send(trees[-1].root))
+        words.append(fold(cut, words[-1], challenges[-1]))
+        trees.append(MerkleTree(words[-1].values))
+    randomness = schedule.send(trees[-1].root)
+    roots = [tree.root for tree in trees]
 
     transcript = verifier_query(seq, rs, params, challenges,
                                 lambda level, cid: words[level].values[cid], randomness)

@@ -1,11 +1,21 @@
 """Regular indexed multigraphs (RIMs) and flowering cuts.
 
 A RIM assigns every vertex exactly n incident edge slots indexed 1..n, stored
-here 0-based as a dense |V| x n table ``adj`` with the involution property
-``adj[adj[v][l]][l] == v``.  A slot with ``adj[v][l] == v`` is a petal (loop).
-Slots (v, l) and (adj[v][l], l) form one undirected edge class; words and
-Merkle leaves are indexed by classes in a canonical order, so that order is
-fixed once here: classes sorted by (minimum vertex id, index l).
+here 0-based as a |V| x n int64 array ``adj`` with the involution property
+``adj[adj[v, l], l] == v``.  A slot with ``adj[v, l] == v`` is a
+petal (loop).  Slots (v, l) and (adj[v, l], l) form one undirected edge
+class; words and Merkle leaves are indexed by classes in a canonical order,
+so that order is fixed once here: classes sorted by (minimum vertex id,
+index l).
+
+Every table of the graph layer (class index, cut adjacency, projection,
+fold plan) is an int64 array built by whole-array expressions, and a table
+of pairs is two flat arrays, never a list of tuples.  Each table takes a
+handful of array operations whatever its size, since on the small graphs
+of a Monte-Carlo study the cost per operation, not the size, sets the time.
+Code that reads single entries takes Python ints from ``.item()``, and code
+that loops over a whole table reads it once through ``.tolist()``, so no
+numpy scalar reaches a word, a Merkle leaf or a proof.
 
 Cutting a graph to a vertex subset keeps ids dense by remapping.  A
 flowering cut is validated on its parent and cut once; it keeps the
@@ -24,6 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import FloweringError
 
@@ -52,60 +64,68 @@ NOT_ISOMORPHISM = "NotIsomorphism"
 class EdgeClassIndex:
     """Quotient of V x [n] by the shared-edge relation, in canonical order.
 
-    class_of is a flat lookup: class_of[v * n + l] is the class id of slot
-    (v, l).  reps[cid] is the (min vertex, l) representative; sizes[cid] is 1
-    for petals and 2 otherwise.
+    class_of is |V| x n: class_of[v, l] is the class id of slot (v, l).
+    reps is a pair of length-N arrays, the vertices and the indices of the
+    (min vertex, l) representatives in class order.  All are int64 arrays;
+    sizes and petals are derived on access.
     """
 
-    __slots__ = ("n", "num_classes", "class_of", "reps", "sizes", "petals")
+    __slots__ = ("num_classes", "class_of", "reps", "_adj")
 
     def __init__(self, rim: RIM):
-        n = rim.n
-        self.n = n
         adj = rim.adj
-        class_of = [-1] * (rim.num_vertices * n)
-        reps: list[tuple[int, int]] = []
-        sizes: list[int] = []
-        petals: list[int] = []
-        cid = 0
-        for v in range(rim.num_vertices):
-            base = v * n
-            for l in range(n):
-                if class_of[base + l] >= 0:
-                    continue
-                w = adj[v][l]
-                class_of[base + l] = cid
-                if w == v:
-                    sizes.append(1)
-                    petals.append(cid)
-                else:
-                    class_of[w * n + l] = cid
-                    sizes.append(2)
-                reps.append((v, l))
-                cid += 1
-        self.num_classes = cid
-        self.class_of = class_of
-        self.reps = reps
-        self.sizes = sizes
-        self.petals = petals
+        # slot (v, l) represents its class when v is the class's smaller
+        # vertex; row-major order of the representatives is canonical order
+        self.reps = (adj >= np.arange(rim.num_vertices)[:, None]).nonzero()
+        self.num_classes = self.reps[0].size
+        ids = np.arange(self.num_classes)
+        # a class id goes to its representative and to the other end of it
+        self.class_of = np.empty(adj.shape, dtype=np.int64)
+        self.class_of[self.reps] = ids
+        self.class_of[adj[self.reps], self.reps[1]] = ids
+        self._adj = adj
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Per class, 1 for a petal and 2 for an edge."""
+        vertex, index = self.reps
+        return 2 - (self._adj[vertex, index] == vertex)
+
+    @property
+    def petals(self) -> np.ndarray:
+        """The petal class ids, in order."""
+        return np.flatnonzero(self.sizes == 1)
 
     @property
     def num_petals(self) -> int:
-        return len(self.petals)
+        # an edge class covers two slots and a petal one
+        return 2 * self.num_classes - self._adj.size
 
     def id_of(self, v: int, l: int) -> int:
-        return self.class_of[v * self.n + l]
+        return self.class_of.item(v, l)
 
 
 class RIM:
-    """n-regular indexed multigraph on dense vertex ids 0..|V|-1."""
+    """n-regular indexed multigraph on dense vertex ids 0..|V|-1.
+
+    adjacency may be nested lists or an int64 array, which is used as is,
+    not copied.  The class index and the hash are cached from it, so the
+    table must not change after construction.
+    """
 
     __slots__ = ("n", "num_vertices", "adj", "_classes", "_hash")
 
-    def __init__(self, n: int, adjacency: list[list[int]], check: bool = True):
+    def __init__(self, n: int, adjacency, check: bool = True):
+        try:
+            adj = np.asarray(adjacency, dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise FloweringError(f"not a valid RIM adjacency table: {exc}") from exc
+        if adj.ndim != 2 or adj.shape[1] != n:
+            raise FloweringError(
+                f"not a valid RIM, adjacency of shape {adj.shape} for n={n}")
         self.n = n
-        self.num_vertices = len(adjacency)
-        self.adj = [list(row) for row in adjacency]
+        self.num_vertices = adj.shape[0]
+        self.adj = adj
         self._classes: EdgeClassIndex | None = None
         self._hash: str | None = None
         if check:
@@ -115,18 +135,11 @@ class RIM:
 
     def violations(self) -> list[tuple[int, int]]:
         """All slots (v, l) where the involution E(E(v,l),l) = v fails."""
-        out = []
-        V = self.num_vertices
-        for v in range(V):
-            row = self.adj[v]
-            if len(row) != self.n:
-                out.extend((v, l) for l in range(self.n))
-                continue
-            for l in range(self.n):
-                w = row[l]
-                if not 0 <= w < V or self.adj[w][l] != v:
-                    out.append((v, l))
-        return out
+        adj = self.adj
+        inside = (adj >= 0) & (adj < self.num_vertices)
+        back = adj[np.where(inside, adj, 0), np.arange(self.n)]
+        bad = ~inside | (back != np.arange(self.num_vertices)[:, None])
+        return [tuple(slot) for slot in np.argwhere(bad).tolist()]
 
     @property
     def classes(self) -> EdgeClassIndex:
@@ -134,19 +147,23 @@ class RIM:
             self._classes = EdgeClassIndex(self)
         return self._classes
 
-    def petal_counts(self) -> list[int]:
+    def petal_counts(self) -> np.ndarray:
         """Number of petals at each vertex."""
-        return [sum(1 for l in range(self.n) if row[l] == v) for v, row in enumerate(self.adj)]
+        return np.count_nonzero(self.adj == np.arange(self.num_vertices)[:, None], axis=1)
 
     def __eq__(self, other: object) -> bool:
+        # fold and prover_commit compare graphs on every call, mostly a
+        # graph with itself
+        if other is self:
+            return True
         return (
             isinstance(other, RIM)
             and other.n == self.n
-            and other.adj == self.adj
+            and np.array_equal(other.adj, self.adj)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(tuple(r) for r in self.adj)))
+        return hash((self.n, self.num_vertices, self.adj.tobytes()))
 
     def __repr__(self) -> str:
         return f"RIM(n={self.n}, vertices={self.num_vertices}, classes={self.classes.num_classes})"
@@ -154,7 +171,8 @@ class RIM:
     def canonical_bytes(self) -> bytes:
         """Sorted-key compact JSON of (n, num_vertices, adjacency): the bytes
         that hash_hex, and so every proof header, commits to."""
-        data = {"n": self.n, "num_vertices": self.num_vertices, "adjacency": self.adj}
+        data = {"n": self.n, "num_vertices": self.num_vertices,
+                "adjacency": self.adj.tolist()}
         return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
 
     def hash_hex(self) -> str:
@@ -163,53 +181,74 @@ class RIM:
         return self._hash
 
 
-def cut_graph(rim: RIM, vertices) -> tuple[RIM, list[int]]:
+def cut_graph(rim: RIM, vertices) -> tuple[RIM, np.ndarray]:
     """Restrict the graph to a vertex subset; edges leaving it become petals.
 
     Returns the cut graph (vertex ids remapped densely, preserving order) and
-    the child-to-parent id list.
+    the child-to-parent ids as an int64 array.
     """
     kept = sorted(set(vertices))
     if not kept:
         raise EmptyCutError("cut to the empty vertex set")
     if kept[0] < 0 or kept[-1] >= rim.num_vertices:
         raise UnknownVertexError(f"cut set contains ids outside 0..{rim.num_vertices - 1}")
-    to_child = {v: i for i, v in enumerate(kept)}
-    adj = []
-    for v in kept:
-        row = []
-        for l in range(rim.n):
-            w = rim.adj[v][l]
-            row.append(to_child[w] if w in to_child else to_child[v])
-        adj.append(row)
-    return RIM(rim.n, adj, check=False), kept
+    kept = np.array(kept, dtype=np.int64)
+    ids = np.arange(kept.size)
+    to_child = np.full(rim.num_vertices, -1, dtype=np.int64)
+    to_child[kept] = ids
+    rows = to_child.take(rim.adj.take(kept, axis=0))
+    return RIM(rim.n, np.where(rows >= 0, rows, ids[:, None]), check=False), kept
 
 
-def flowering_cut_validate(rim: RIM, v_prime, phi: dict[int, int]) -> str | None:
-    """None if (V', phi) is a flowering cut of rim, else the failure reason.
+def _split(rim: RIM, v_prime, phi: dict[int, int]):
+    """Validate (V', phi) as a flowering cut of rim and cut it once.
+
+    Returns (reason, None) on failure and (None, (ends, down, child_adj))
+    on success, where column vc of ends is (from_child[vc], its phi image).
 
     phi must be a bijection from V' onto the other half that commutes with
-    the adjacency of the two cut halves.  That is checked on the parent,
-    without building either half: for v in V' and each l, with a = E(v, l)
-    and b = E(phi(v), l), the cut to V' has neighbour a if a is in V' (else
-    the petal v), the cut to the other half has neighbour b if b is not in
-    V' (else the petal phi(v)), and phi must map the first to the second.
+    the adjacency of the two cut halves.  Both halves are cut from the
+    parent in one step and read through down, the child id of each vertex's
+    representative in V'.  down is one-to-one on each half and
+    down(phi(v)) = down(v), so phi maps the row of v in the cut to V' onto
+    the row of phi(v) in the other cut exactly when the two rows agree
+    through down; the V' rows through down are the child's adjacency.
     """
     v_set = set(v_prime)
     all_v = set(range(rim.num_vertices))
     if not v_set or not v_set < all_v:
-        return NOT_PARTITION
-    if 2 * len(v_set) != rim.num_vertices:
-        return UNEQUAL_HALVES
-    if set(phi.keys()) != v_set or set(phi.values()) != all_v - v_set:
-        return NOT_ISOMORPHISM
-    adj = rim.adj
-    for v in v_set:
-        pv = phi[v]
-        for a, b in zip(adj[v], adj[pv]):
-            if phi[a if a in v_set else v] != (pv if b in v_set else b):
-                return NOT_ISOMORPHISM
-    return None
+        return NOT_PARTITION, None
+    half = len(v_set)
+    if 2 * half != rim.num_vertices:
+        return UNEQUAL_HALVES, None
+    images = set(phi.values())
+    if (phi.keys() != v_set or len(images) != half or not images <= all_v
+            or not images.isdisjoint(v_set)):
+        return NOT_ISOMORPHISM, None
+    kept = sorted(v_set)
+    ends = np.array([kept, [phi[v] for v in kept]], dtype=np.int64)
+    ids = np.arange(half)
+    down = np.empty(rim.num_vertices, dtype=np.int64)
+    down[ends] = ids
+    side = np.zeros(rim.num_vertices, dtype=bool)
+    side[ends[0]] = True
+    neighbours = rim.adj.take(ends, axis=0)
+    # a V' row keeps its neighbours in V' and a row of the other half those
+    # outside V'; an edge across the cut becomes a petal at the row vertex
+    keep = side.take(neighbours)
+    keep[1] ^= True
+    rows = np.where(keep, down.take(neighbours), ids[:, None])
+    # equal int64 rows of one shape are equal bytes; comparing bytes skips a
+    # reduction, which costs more than the comparison on small graphs
+    if rows[0].tobytes() != rows[1].tobytes():
+        return NOT_ISOMORPHISM, None
+    return None, (ends, down, rows[0])
+
+
+def flowering_cut_validate(rim: RIM, v_prime, phi: dict[int, int]) -> str | None:
+    """None if (V', phi) is a flowering cut of rim, else the failure reason:
+    NotPartition, UnequalHalves or NotIsomorphism, checked in that order."""
+    return _split(rim, v_prime, phi)[0]
 
 
 class FloweringCut:
@@ -217,37 +256,46 @@ class FloweringCut:
     graph and the translations the fold and the protocol walk read.
 
     from_child[vc] is the parent id of child vertex vc; down[v] is the child
-    id of pi_phi(v), the representative in V' of parent vertex v.
+    id of pi_phi(v), the representative in V' of parent vertex v.  Both are
+    int64 arrays.
     """
 
-    __slots__ = ("parent", "v_prime", "phi", "child", "from_child", "down", "_fold_plan")
+    __slots__ = ("parent", "phi", "child", "from_child", "down",
+                 "_ends", "_fold_plan", "_fold_lists")
 
     def __init__(self, parent: RIM, v_prime, phi: dict[int, int]):
-        reason = flowering_cut_validate(parent, v_prime, phi)
+        reason, tables = _split(parent, v_prime, phi)
         if reason is not None:
             raise InvalidCutError(reason)
+        self._ends, self.down, child_adj = tables
+        self.from_child = self._ends[0]
         self.parent = parent
-        self.v_prime = tuple(sorted(set(v_prime)))
         self.phi = dict(phi)
-        self.child, self.from_child = cut_graph(parent, self.v_prime)
-        self.down = [0] * parent.num_vertices
-        for vc, v in enumerate(self.from_child):
-            self.down[v] = self.down[self.phi[v]] = vc
-        self._fold_plan: list[tuple[int, int]] | None = None
+        self.child = RIM(parent.n, child_adj, check=False)
+        self._fold_plan: np.ndarray | None = None
+        self._fold_lists: list[list[int]] | None = None
 
     @property
-    def fold_plan(self) -> list[tuple[int, int]]:
-        """Per child edge class, the pair of parent class ids feeding it:
-        (class of (v, l), class of (phi(v), l)) for a representative (v, l)."""
+    def v_prime(self) -> tuple[int, ...]:
+        """The kept half V', sorted."""
+        return tuple(self.from_child.tolist())
+
+    @property
+    def fold_plan(self) -> np.ndarray:
+        """2 x N' int64: column c holds the two parent class ids feeding
+        child class c, those of (v, l) and (phi(v), l) for its
+        representative (v, l)."""
         if self._fold_plan is None:
-            pc = self.parent.classes
-            n = self.parent.n
-            plan = []
-            for vc, l in self.child.classes.reps:
-                vp = self.from_child[vc]
-                plan.append((pc.class_of[vp * n + l], pc.class_of[self.phi[vp] * n + l]))
-            self._fold_plan = plan
+            vc, l = self.child.classes.reps
+            self._fold_plan = self.parent.classes.class_of[self._ends.take(vc, axis=1), l]
         return self._fold_plan
+
+    def fold_lists(self) -> list[list[int]]:
+        """The fold plan's two rows as lists of Python ints, built once, for
+        the loops that read every child class."""
+        if self._fold_lists is None:
+            self._fold_lists = self.fold_plan.tolist()
+        return self._fold_lists
 
 
 def mu(rim: RIM) -> Fraction:
@@ -257,5 +305,5 @@ def mu(rim: RIM) -> Fraction:
     With q petals at a vertex that sum is (n + q) / 2, so mu depends only on
     the largest per-vertex petal count; it is 1 when petals are spread evenly.
     """
-    worst = max(rim.petal_counts())
+    worst = int(rim.petal_counts().max())
     return Fraction(2 * rim.classes.num_classes, (rim.n + worst) * rim.num_vertices)

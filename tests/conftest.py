@@ -43,6 +43,42 @@ def random_rim(rng: random.Random, num_vertices: int, n: int, petal_prob: float 
     return RIM(n, adj)
 
 
+def planted_cut(rng: random.Random, half: int, n: int):
+    """A random graph on 2*half vertices with a flowering cut (V', phi):
+    both halves copy one random RIM through phi, and some of its petals
+    become random edges across the cut."""
+    h = random_rim(rng, half, n)
+    order = list(range(2 * half))
+    rng.shuffle(order)
+    kept, other = order[:half], order[half:]
+    phi = dict(zip(kept, other))
+    adj = [[v] * n for v in range(2 * half)]
+    for l in range(n):
+        crossing = ([], [])
+        for u in range(half):
+            x, y, w = kept[u], other[u], h.adj[u][l]
+            if w == u:
+                crossing[0].append(x)
+                crossing[1].append(y)
+            else:
+                adj[x][l], adj[y][l] = kept[w], other[w]
+        for side in crossing:
+            rng.shuffle(side)
+        for x, y in zip(*crossing):
+            if rng.random() < 0.5:
+                adj[x][l], adj[y][l] = y, x
+    return RIM(n, adj), kept, phi
+
+
+def scrambled(rng: random.Random, phi: dict[int, int]) -> dict[int, int]:
+    """phi with the images of two random vertices swapped."""
+    keys = sorted(phi)
+    a, b = rng.sample(keys, 2)
+    out = dict(phi)
+    out[a], out[b] = phi[b], phi[a]
+    return out
+
+
 def random_word(rng: random.Random, graph: RIM, field: PrimeField):
     from flowering.graph_code import Word
 

@@ -1,0 +1,87 @@
+"""Reference loops for the array-backed graph tables.
+
+These are the per-slot Python loops the graph layer used before its tables
+became int64 array expressions.  They work on plain nested lists and return
+plain lists, so tests can compare every table entry by entry.
+"""
+
+
+def classes(adj: list[list[int]], n: int):
+    """(class_of, reps, sizes, petals) in canonical order: classes numbered
+    as first seen scanning slots (v, l) in row-major order."""
+    class_of = [-1] * (len(adj) * n)
+    reps, sizes, petals = [], [], []
+    for v in range(len(adj)):
+        for l in range(n):
+            if class_of[v * n + l] >= 0:
+                continue
+            w = adj[v][l]
+            class_of[v * n + l] = len(reps)
+            if w == v:
+                sizes.append(1)
+                petals.append(len(reps))
+            else:
+                class_of[w * n + l] = len(reps)
+                sizes.append(2)
+            reps.append((v, l))
+    return class_of, reps, sizes, petals
+
+
+def violations(adj: list[list[int]], n: int) -> list[tuple[int, int]]:
+    out = []
+    for v, row in enumerate(adj):
+        for l in range(n):
+            w = row[l]
+            if not 0 <= w < len(adj) or adj[w][l] != v:
+                out.append((v, l))
+    return out
+
+
+def petal_counts(adj: list[list[int]]) -> list[int]:
+    return [sum(1 for w in row if w == v) for v, row in enumerate(adj)]
+
+
+def cut_graph(adj: list[list[int]], vertices) -> tuple[list[list[int]], list[int]]:
+    kept = sorted(set(vertices))
+    to_child = {v: i for i, v in enumerate(kept)}
+    child = [[to_child[w] if w in to_child else to_child[v] for w in adj[v]] for v in kept]
+    return child, kept
+
+
+def cut_validate(adj: list[list[int]], v_prime, phi: dict[int, int]) -> str | None:
+    """The direct validator as a loop over V' x [n]."""
+    v_set = set(v_prime)
+    all_v = set(range(len(adj)))
+    if not v_set or not v_set < all_v:
+        return "NotPartition"
+    if 2 * len(v_set) != len(adj):
+        return "UnequalHalves"
+    if set(phi.keys()) != v_set or set(phi.values()) != all_v - v_set:
+        return "NotIsomorphism"
+    for v in v_set:
+        pv = phi[v]
+        for a, b in zip(adj[v], adj[pv]):
+            if phi[a if a in v_set else v] != (pv if b in v_set else b):
+                return "NotIsomorphism"
+    return None
+
+
+def down(num_vertices: int, from_child: list[int], phi: dict[int, int]) -> list[int]:
+    out = [0] * num_vertices
+    for vc, v in enumerate(from_child):
+        out[v] = out[phi[v]] = vc
+    return out
+
+
+def fold_plan(parent_adj, child_adj, n: int, from_child: list[int],
+              phi: dict[int, int]) -> list[tuple[int, int]]:
+    parent_class_of = classes(parent_adj, n)[0]
+    plan = []
+    for vc, l in classes(child_adj, n)[1]:
+        v = from_child[vc]
+        plan.append((parent_class_of[v * n + l], parent_class_of[phi[v] * n + l]))
+    return plan
+
+
+def cayley_adj(r: int, vectors) -> list[list[int]]:
+    return [[v ^ s for s in vectors] for v in range(1 << r)]

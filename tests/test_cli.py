@@ -102,6 +102,10 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     string_k = write("string_k.json", {**data, "k": str(data["k"])})
     v1 = write("v1.json", {**data, "format": "flowering-instance-v1"})
     no_p_word = write("no_p_word.json", {"values": [0] * 120})
+    # word values outside [0, p): a negative one, one past u64 and p itself
+    p = int(data["p"])
+    out_of_field = [write(f"word_{i}.json", {"p": str(p), "values": [str(bad)] + ["0"] * 119})
+                    for i, bad in enumerate((-1, 2**64, p))]
     missing = tmp_path / "missing.json"
     not_json = tmp_path / "not_json.json"
     not_json.write_text("{not json")
@@ -122,6 +126,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
          "malformed instance file"),
         (prove + ("--word", missing), "malformed word file"),
         (prove + ("--word", no_p_word), "malformed word file"),
+        *((prove + ("--word", word), "malformed word file") for word in out_of_field),
         (mc + (missing,), "malformed config file"),
         (mc + (write("ms.json", {"ms": "5"}),), "ms must be positive integers"),
         (mc + (write("trials.json", {"trials": 0}),), "trials must be positive integers"),

@@ -44,6 +44,8 @@ NI_PROOFS = {
     (3, 2): "94d6fd0b24e15b37ae29c573a272906c2831b2f550369ecd3cb665c8dee86969",
     (4, 1): "f25f4d9dab2e1e366b0074a30d44a0469610cc0d2dc99fc17f4ad0a70c44f9a8",
     (4, 2): "3276015977b9e62ae17a1165232fb64ffe8fdd94997db61aa6c8cebe1c1c48e0",
+    (6, 1): "5b19ac8e4e14e8bca22d47d8aff5c7e69b6d70110f7991579eef906fec1efba3",
+    (8, 1): "ecec7152323d56220b7abc7919847606afab76153c0fe8936c66d367be141a21",
 }
 
 

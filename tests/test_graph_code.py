@@ -64,7 +64,7 @@ def test_distances_on_cut_graph(t1):
     assert vertex_distance(f, f) == 0
     assert hamming_distance(f, f) == 0
 
-    petal_cid = next(c for c in g1.classes.petals if g1.classes.reps[c][0] == 0)
+    petal_cid = next(c for c in g1.classes.petals if g1.classes.reps[0][c] == 0)
     g = f.replace(petal_cid, 1)
     assert vertex_distance(f, g) == Fraction(1, 2)
     assert hamming_distance(f, g) == Fraction(1, 5)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rim
+from conftest import planted_cut, random_rim, scrambled
 from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full, validate_gen_set
 from flowering.rim_graph import (
     NOT_ISOMORPHISM,
@@ -60,42 +60,6 @@ def oracle_cut_validate(rim: RIM, v_prime, phi: dict[int, int]) -> str | None:
     return None
 
 
-def planted_cut(rng: random.Random, half: int, n: int):
-    """A random graph on 2*half vertices with a flowering cut (V', phi):
-    both halves copy one random RIM through phi, and some of its petals
-    become random edges across the cut."""
-    h = random_rim(rng, half, n)
-    order = list(range(2 * half))
-    rng.shuffle(order)
-    kept, other = order[:half], order[half:]
-    phi = dict(zip(kept, other))
-    adj = [[v] * n for v in range(2 * half)]
-    for l in range(n):
-        crossing = ([], [])
-        for u in range(half):
-            x, y, w = kept[u], other[u], h.adj[u][l]
-            if w == u:
-                crossing[0].append(x)
-                crossing[1].append(y)
-            else:
-                adj[x][l], adj[y][l] = kept[w], other[w]
-        for side in crossing:
-            rng.shuffle(side)
-        for x, y in zip(*crossing):
-            if rng.random() < 0.5:
-                adj[x][l], adj[y][l] = y, x
-    return RIM(n, adj), kept, phi
-
-
-def scrambled(rng: random.Random, phi: dict[int, int]) -> dict[int, int]:
-    """phi with the images of two random vertices swapped."""
-    keys = sorted(phi)
-    a, b = rng.sample(keys, 2)
-    out = dict(phi)
-    out[a], out[b] = phi[b], phi[a]
-    return out
-
-
 def test_validation():
     cay = cayley_rim(2, [1, 2, 3])
     assert cay.violations() == []
@@ -115,10 +79,10 @@ def test_edge_classes_t1():
     assert cay.classes.num_petals == 0
 
     g1, kept = cut_graph(cay, [0, 1])
-    assert kept == [0, 1]
+    assert kept.tolist() == [0, 1]
     assert g1.classes.num_classes == 5  # one true edge at index 0 plus 4 petals
     assert g1.classes.num_petals == 4
-    assert g1.classes.sizes.count(2) == 1
+    assert g1.classes.sizes.tolist().count(2) == 1
 
     flower = RIM(3, [[0, 0, 0]])
     assert flower.classes.num_classes == 3
@@ -199,7 +163,7 @@ def test_flowering_cut_validate_and_reasons():
 def test_down():
     cay = cayley_rim(2, [1, 2, 3])
     cut = FloweringCut(cay, [0, 1], {0: 2, 1: 3})
-    assert cut.down == [0, 1, 0, 1]  # the paper's pi(10) = 00
+    assert cut.down.tolist() == [0, 1, 0, 1]  # the paper's pi(10) = 00
     # down[v] is the child id of the one vertex of V' that is v or maps to v
     rng = random.Random(4)
     cuts = [c for r in (2, 3, 4) for c in blossoming_cayley(r, gen_set_full(r)).cuts]
@@ -275,11 +239,11 @@ def test_fold_plan_is_the_fold_relation():
              for _ in range(20)]
     for cut in cuts:
         pc, cc = cut.parent.classes, cut.child.classes
-        assert len(cut.fold_plan) == cc.num_classes
-        for vc, v in enumerate(cut.from_child):
+        assert cut.fold_plan.shape == (2, cc.num_classes)
+        for vc, v in enumerate(cut.from_child.tolist()):
             for l in range(cut.parent.n):
-                assert cut.fold_plan[cc.id_of(vc, l)] == (pc.id_of(v, l),
-                                                          pc.id_of(cut.phi[v], l))
+                assert tuple(cut.fold_plan[:, cc.id_of(vc, l)].tolist()) == (
+                    pc.id_of(v, l), pc.id_of(cut.phi[v], l))
 
 
 def test_mu_values():
@@ -294,7 +258,7 @@ def test_mu_values():
 
     # uneven petals: index 1 loops at vertices 0,1 only
     g = RIM(2, [[1, 0], [0, 1], [3, 3], [2, 2]])
-    assert g.petal_counts() == [1, 1, 0, 0]
+    assert g.petal_counts().tolist() == [1, 1, 0, 0]
     assert mu(g) == Fraction(2 * 5, 3 * 4)
 
 
