@@ -208,8 +208,7 @@ def upper_bound_witness(code: GraphCode, gens: GenSet) -> Word:
         raise FloweringError("code graph is not the Cayley graph of this GenSet")
     in_span = np.zeros(code.graph.num_vertices, dtype=bool)
     in_span[sorted(span_of(gens.vectors[: d - 1]))] = True
-    ell = code.rs.unit_interpolant()
-    lx = [ell.evaluate(x) for x in code.rs.points]
+    lx = code.rs.evaluate(code.rs.unit_interpolant())
     vertex, index = code.graph.classes.reps
     values = [lx[l] if inside else 0
               for inside, l in zip(in_span[vertex].tolist(), index.tolist())]

@@ -7,14 +7,21 @@ unity or smooth multiplicative subgroups are ever needed.
 
 Elements are plain ints in ``[0, p)``; callers reduce with ``% p``
 themselves, and ``PrimeField`` supplies only what needs the modulus beyond
-that: validation, inversion and uniform sampling.
+that: validation, inversion, uniform sampling and the numpy dtype of arrays
+of elements.  That dtype is int64 when the product of two elements fits in
+it (p < 2^31) and ``object`` (Python ints) otherwise, so one array
+expression serves every modulus.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .errors import FloweringError
+
+_INT64_MAX_P = 1 << 31  # entries < p, products < p^2 < 2^62 fit in int64
 
 
 class NotPrimeError(FloweringError):
@@ -24,6 +31,12 @@ class NotPrimeError(FloweringError):
 # Witness set making Miller-Rabin deterministic for all n < 3.3 * 10^24,
 # which covers every 64-bit modulus this package accepts.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def array_dtype(p: int):
+    """The numpy dtype of arrays of elements of F_p: int64 when p < 2^31,
+    else object."""
+    return np.int64 if p < _INT64_MAX_P else object
 
 
 def is_probable_prime(n: int) -> bool:
@@ -71,6 +84,11 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    @property
+    def dtype(self):
+        """The numpy dtype of arrays of elements; see array_dtype."""
+        return array_dtype(self.p)
 
     def sample(self, rng: random.Random) -> int:
         """Uniform element of [0, p); deterministic given the rng seed."""

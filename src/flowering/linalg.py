@@ -1,29 +1,22 @@
 """Dense linear algebra mod p: rank, RREF, nullspace.
 
-Matrices are lists of rows of ints (or numpy arrays for the fast paths).
-Rank of the larger parity-check matrices is computed with vectorized numpy
-row elimination when p < 2^31 (so int64 products cannot overflow); everything
-else is plain Gaussian elimination, which is ample at desk scale.
+Matrices are lists of rows of ints.  Rank runs one vectorized numpy row
+elimination at the field's array dtype (int64 when p < 2^31, else Python
+ints in an object array); RREF and the nullspace are plain Gaussian
+elimination, which is ample at desk scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_NUMPY_MAX_P = 1 << 31  # entries < p, products < p^2 < 2^62 fit in int64
+from .field import array_dtype
 
 
 def rank(rows: list[list[int]], p: int) -> int:
     if not rows or not rows[0]:
         return 0
-    if p < _NUMPY_MAX_P:
-        return _rank_numpy(rows, p)
-    reduced, pivots = rref([list(r) for r in rows], p)
-    return len(pivots)
-
-
-def _rank_numpy(rows: list[list[int]], p: int) -> int:
-    m = np.array(rows, dtype=np.int64) % p
+    m = np.array(rows, dtype=array_dtype(p)) % p
     nrows, ncols = m.shape
     r = 0
     for c in range(ncols):

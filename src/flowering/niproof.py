@@ -5,7 +5,8 @@ Fiat-Shamir transcript that is first bound to the full instance (field,
 graph hash, RS parameters, protocol parameters), and the query randomness is
 derived after the last root.  The proof carries the per-level roots and the
 authenticated openings of exactly the positions the verifier re-derives:
-the query phase's read log, which the verifier compares with the openings.
+the query phase's read log, which the verifier compares with the openings
+before it authenticates any of them.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
@@ -92,7 +93,9 @@ class NIProof:
             level: dict[int, tuple[int, list[bytes]]] = {}
             for _ in range(count):
                 cid, value, plen = struct.unpack("<QQB", take(17))
-                path = [take(DIGEST_SIZE) for _ in range(plen)]
+                digests = take(DIGEST_SIZE * plen)
+                path = [digests[i:i + DIGEST_SIZE]
+                        for i in range(0, len(digests), DIGEST_SIZE)]
                 if cid in level:
                     raise MalformedProofError("duplicate opening")
                 level[cid] = (value, path)
@@ -180,8 +183,13 @@ def prove_noninteractive(
 def verify_noninteractive(
     seq: BlossomingSequence, rs: RSCode, proof: NIProof
 ) -> tuple[bool, Transcript | None]:
-    """Recompute challenges and queries from the proof's roots, authenticate
-    the openings, and re-run every check.  (False, None) on any mismatch."""
+    """Recompute challenges and queries from the proof's roots, re-run every
+    check on the opened values, and authenticate the openings.  (False, None)
+    on any mismatch.
+
+    The query phase runs first and the opened classes must equal its read
+    log before any Merkle path is hashed, so the hashing a proof can cause
+    is set by the reads, not by how many openings it carries."""
     graph0 = seq.graphs[0]
     if proof.p != rs.field.p:
         return False, None
@@ -195,14 +203,6 @@ def verify_noninteractive(
     except FloweringError:
         return False, None
 
-    for level, opened in enumerate(proof.openings):
-        num_classes = seq.graphs[level].classes.num_classes
-        for cid, (value, path) in opened.items():
-            if value >= rs.field.p:
-                return False, None
-            if not verify_open(proof.roots[level], cid, value, path, num_classes):
-                return False, None
-
     challenges, randomness = derive_noninteractive_randomness(seq, rs, params, proof.roots)
 
     try:
@@ -214,4 +214,12 @@ def verify_noninteractive(
     # openings must be exactly the positions read, nothing extra
     if any(opened.keys() != cids for opened, cids in zip(proof.openings, transcript.reads)):
         return False, None
+
+    for level, opened in enumerate(proof.openings):
+        num_classes = seq.graphs[level].classes.num_classes
+        for cid, (value, path) in opened.items():
+            if value >= rs.field.p:
+                return False, None
+            if not verify_open(proof.roots[level], cid, value, path, num_classes):
+                return False, None
     return transcript.accept, transcript

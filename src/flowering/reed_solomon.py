@@ -6,6 +6,14 @@ u_i = 1 / prod_{j != i} (x_i - x_j), so y is a codeword exactly when
 sum_i u_i x_i^j y_i = 0 for every j < n - k (MacWilliams-Sloane ch. 10;
 Roth, Introduction to Coding Theory, ch. 5).  Any field with p > n and any
 distinct points will do.
+
+The per-code tables are array expressions at the field's dtype (int64 when
+p < 2^31, else Python ints in an object array), so one expression serves
+every modulus.  The dual rows take the n x n difference table
+(x_i - x_j) mod p, with ones on the diagonal, in fixed blocks of rows,
+reduce each row to prod_{j != i} by pairwise halving products and invert
+once per point; evaluation runs Horner's rule once per coefficient over all
+points.  Results leave as lists of Python ints.
 """
 
 from __future__ import annotations
@@ -14,8 +22,15 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
+
 from .errors import FloweringError
 from .field import PrimeField
+
+
+# rows of the n x n difference table held at once: memory stays O(n) per
+# code, and a table of a few hundred points already spans several blocks
+BLOCK_ROWS = 64
 
 
 class DuplicatePointError(FloweringError):
@@ -56,12 +71,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.field.p
-        return acc
-
 
 class RSCode:
     """RS[n, k] on pairwise-distinct points x_1..x_n of a field with p > n."""
@@ -90,7 +99,13 @@ class RSCode:
         return len(self.points)
 
     def evaluate(self, poly: Poly) -> list[int]:
-        return [poly.evaluate(x) for x in self.points]
+        """poly at every point, by Horner's rule over all points at once."""
+        p = self.field.p
+        xs = np.array(self.points, dtype=self.field.dtype)
+        acc = np.zeros_like(xs)
+        for c in reversed(poly.coeffs):
+            acc = (acc * xs + c) % p
+        return acc.tolist()
 
     def is_codeword(self, values: list[int]) -> bool:
         """True iff every parity row annihilates the word."""
@@ -121,18 +136,17 @@ class RSCode:
         (u_i x_i^j)_i, the generator of the dual GRS code."""
         if self._parity_rows is None:
             p = self.field.p
-            xs = self.points
-            row = []
-            for i, xi in enumerate(xs):
-                d = 1
-                for j, xj in enumerate(xs):
-                    if j != i:
-                        d = d * (xi - xj) % p
-                row.append(self.field.inv(d))
+            xs = np.array(self.points, dtype=self.field.dtype)
+            denoms = []
+            for start in range(0, self.n, BLOCK_ROWS):
+                block = (xs[start:start + BLOCK_ROWS, None] - xs) % p
+                block[np.arange(len(block)), np.arange(start, start + len(block))] = 1
+                denoms += _row_products(block, p).tolist()
+            row = np.array([self.field.inv(d) for d in denoms], dtype=self.field.dtype)
             rows = []
             for _ in range(self.n - self.k):
-                rows.append(row)
-                row = [u * x % p for u, x in zip(row, xs)]
+                rows.append(row.tolist())
+                row = row * xs % p
             self._parity_rows = rows
         return self._parity_rows
 
@@ -142,3 +156,15 @@ class RSCode:
 
     def __repr__(self) -> str:
         return f"RSCode(n={self.n}, k={self.k}, p={self.field.p})"
+
+
+def _row_products(table: np.ndarray, p: int) -> np.ndarray:
+    """The product mod p of each row, by multiplying the two halves of the
+    columns until one column is left; an odd last column joins the first."""
+    while table.shape[1] > 1:
+        half = table.shape[1] // 2
+        folded = table[:, :half] * table[:, half:2 * half] % p
+        if table.shape[1] % 2:
+            folded[:, 0] = folded[:, 0] * table[:, -1] % p
+        table = folded
+    return table[:, 0]

@@ -26,7 +26,11 @@ every child class for the fold and the verifier's fold check alike.
 Graphs are never read from disk: an instance file names the generating set
 and the chain is rebuilt from it.  ``RIM.hash_hex`` is the graph's only
 serialized form, bound into every non-interactive proof; like the class
-index it is computed once per graph and cached.
+index it is computed once per graph and cached.  Its bytes, sorted-key
+compact JSON of the adjacency, are joined row by row from per-vertex
+decimal tokens gathered through the adjacency table, a fixed block of rows
+at a time, so the encoding takes one Python step per row and holds one
+block of tokens at once.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FloweringError
+
+
+# rows of the adjacency encoded at once by canonical_bytes
+BLOCK_ROWS = 64
 
 
 class UnknownVertexError(FloweringError):
@@ -170,10 +178,16 @@ class RIM:
 
     def canonical_bytes(self) -> bytes:
         """Sorted-key compact JSON of (n, num_vertices, adjacency): the bytes
-        that hash_hex, and so every proof header, commits to."""
-        data = {"n": self.n, "num_vertices": self.num_vertices,
-                "adjacency": self.adj.tolist()}
-        return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+        that hash_hex, and so every proof header, commits to.  Each row is
+        joined from per-vertex decimal tokens, a fixed block of rows at a
+        time."""
+        tok = np.array([str(v) for v in range(self.num_vertices)], dtype=object)
+        rows = []
+        for start in range(0, self.num_vertices, BLOCK_ROWS):
+            block = tok.take(self.adj[start:start + BLOCK_ROWS]).tolist()
+            rows.append("],[".join(map(",".join, block)))
+        return (f'{{"adjacency":[[{"],[".join(rows)}]],"n":{self.n},'
+                f'"num_vertices":{self.num_vertices}}}').encode()
 
     def hash_hex(self) -> str:
         if self._hash is None:

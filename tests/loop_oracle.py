@@ -1,9 +1,11 @@
-"""Reference loops for the array-backed graph tables.
+"""Reference loops for the array-backed tables of the graph and RS layers.
 
-These are the per-slot Python loops the graph layer used before its tables
-became int64 array expressions.  They work on plain nested lists and return
-plain lists, so tests can compare every table entry by entry.
+These are the per-slot and per-point Python loops the package used before
+its tables became array expressions.  They work on plain ints and nested
+lists and return plain lists, so tests can compare every entry.
 """
+
+import json
 
 
 def classes(adj: list[list[int]], n: int):
@@ -85,3 +87,32 @@ def fold_plan(parent_adj, child_adj, n: int, from_child: list[int],
 
 def cayley_adj(r: int, vectors) -> list[list[int]]:
     return [[v ^ s for s in vectors] for v in range(1 << r)]
+
+
+def horner(coeffs, x: int, p: int) -> int:
+    """The polynomial with coefficients low-degree first, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def parity_rows(points: list[int], k: int, p: int) -> list[list[int]]:
+    """Rows (u_i x_i^j)_i for j < n - k, u_i = 1 / prod_{j != i} (x_i - x_j)."""
+    row = []
+    for i, xi in enumerate(points):
+        d = 1
+        for j, xj in enumerate(points):
+            if j != i:
+                d = d * (xi - xj) % p
+        row.append(pow(d, p - 2, p))
+    rows = []
+    for _ in range(len(points) - k):
+        rows.append(row)
+        row = [u * x % p for u, x in zip(row, points)]
+    return rows
+
+
+def canonical_bytes(n: int, adj: list[list[int]]) -> bytes:
+    data = {"n": n, "num_vertices": len(adj), "adjacency": adj}
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()

@@ -275,3 +275,38 @@ def test_ni_structural_mutations_rejected(ni_setup, mutate):
     assert reparsed.serialize() != proof.serialize()
     accept, transcript = verify_noninteractive(instance.seq, instance.rs, reparsed)
     assert not accept and transcript is None
+
+
+def test_ni_padded_proof_rejected_before_hashing(monkeypatch):
+    # 1,000 extra level-0 openings, each valid against the honest tree: the
+    # verifier compares the opened classes with its read log first, so it
+    # rejects the proof without authenticating a single path
+    import flowering.niproof as niproof
+
+    instance = gen_instance(6, 2**31 - 1, 61)
+    params = ProtocolParams(3, 2)
+    word = random_codeword_word(instance, random.Random(0))
+    proof, _ = prove_noninteractive(instance.seq, instance.rs, word, params)
+    calls = []
+
+    def counting_verify_open(*args):
+        calls.append(args[1])
+        return verify_open(*args)
+
+    monkeypatch.setattr(niproof, "verify_open", counting_verify_open)
+    assert verify_noninteractive(instance.seq, instance.rs, proof)[0]
+    assert len(calls) == sum(len(level) for level in proof.openings)
+
+    padded = NIProof.parse(proof.serialize())
+    tree = MerkleTree(word.values)
+    extra = sorted(set(range(len(word.values))) - set(padded.openings[0]))[:1000]
+    assert len(extra) == 1000
+    for cid in extra:
+        value, path = tree.open(cid)
+        assert verify_open(proof.roots[0], cid, value, path, len(word.values))
+        padded.openings[0][cid] = (value, path)
+    calls.clear()
+    accept, transcript = verify_noninteractive(instance.seq, instance.rs,
+                                               NIProof.parse(padded.serialize()))
+    assert not accept and transcript is None
+    assert calls == []

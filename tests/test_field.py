@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from flowering import linalg
 from flowering.field import NotPrimeError, PrimeField, is_probable_prime
 
 
@@ -100,3 +102,18 @@ def test_sampling_deterministic_and_uniform():
     sigma = (n * 0.2 * 0.8) ** 0.5
     for c in counts:
         assert abs(c - n / 5) < 5 * sigma
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1, 2**31 + 11, 2**61 - 1])
+def test_rank_matches_rref_pivots_at_the_field_dtype(p):
+    # int64 arrays below 2^31, where products of two elements fit, and
+    # Python ints in object arrays above
+    assert PrimeField(p).dtype is (np.int64 if p < 2**31 else object)
+    rng = random.Random(p)
+    for _ in range(40):
+        rows, cols, inner = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(1, 9)
+        # a product of random factors, so that many matrices lose rank
+        a = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
+        m = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+        assert linalg.rank(m, p) == len(linalg.rref([list(row) for row in m], p)[1])

@@ -1,5 +1,6 @@
 """Byte-identity pins: SHA-256 digests of NI proofs, an interactive
-transcript and a Monte-Carlo report on fixed instances and seeds.
+transcript, a Monte-Carlo report, the graph-0 encoding and the RS dual rows
+on fixed instances and seeds.
 
 A change that is meant to leave proofs and reports as they are must leave
 these digests as they are; a change of format or randomness updates them
@@ -20,8 +21,10 @@ from flowering.experiments import (
     random_codeword_word,
     soundness_mc,
 )
+from flowering.field import PrimeField
 from flowering.iopp import ProtocolParams
 from flowering.niproof import prove_noninteractive
+from flowering.reed_solomon import RSCode
 
 P = 2**31 - 1
 
@@ -73,3 +76,13 @@ def test_soundness_mc_report_bytes():
     assert 0 < sum(pt["accepts"] for pt in report["points"]) < 16 * 40
     assert sha256(json_bytes(report)) == (
         "6710ff1a324cfbe355317bc257c45bfb77add11f24723a58fbea3a4db566cc7a")
+
+
+def test_graph0_hash_and_parity_rows_bytes():
+    # the r = 8 graph 0, whose encoding every proof header binds, and all
+    # n - 1 dual rows on the default points (those of every k are a prefix)
+    assert instance(8).seq.graphs[0].hash_hex() == (
+        "ce6ea192aa27ed737f9a838e52e3fdd49f53754740ca802edf5bd73b61f2cb82")
+    rows = RSCode.with_default_points(PrimeField(P), 255, 1).parity_rows()
+    assert sha256(json_bytes(rows)) == (
+        "d37ea9d3a92a7ec19b5435f5ac6c835afbd2e5be6ed90b0e80b98d1057eabb45")

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import loop_oracle as oracle
 from flowering import linalg
 from flowering.field import PrimeField
 from flowering.reed_solomon import (
+    BLOCK_ROWS,
     DimensionOutOfRangeError,
     DuplicatePointError,
     FieldTooSmallError,
@@ -181,7 +183,7 @@ def test_unit_interpolant_t1(rs_t1):
     # constraints L(2) = 1, L(3) = 0 give L = 3 + 4X, and L(1) = 2
     ell = rs_t1.unit_interpolant()
     assert ell.coeffs == (3, 4)
-    assert [ell.evaluate(x) for x in rs_t1.points] == [2, 1, 0]
+    assert rs_t1.evaluate(ell) == [2, 1, 0]
 
 
 def test_unit_interpolant_edge_dimensions():
@@ -193,7 +195,7 @@ def test_unit_interpolant_edge_dimensions():
     code = RSCode.with_default_points(field, 4, 4)
     kn = code.unit_interpolant()
     assert kn.degree == 3
-    assert [kn.evaluate(x) for x in code.points] == [1, 0, 0, 0]
+    assert code.evaluate(kn) == [1, 0, 0, 0]
     # every dimension on random points, against the Lagrange oracle
     for code in property_codes():
         tail = list(code.points[code.n - code.k:])
@@ -230,3 +232,39 @@ def test_parity_rows_match_membership():
         for row in rows:
             for w in words:
                 assert sum(a * b for a, b in zip(row, w)) % p == 0
+
+
+def oracle_point_sets():
+    """(field, points): random distinct points that include 0 and p - 1, for
+    odd and even n up to 300 (and below p), on both sides of the int64 bound
+    and across several blocks of the difference table."""
+    rng = random.Random(17)
+    for p in (5, 61, 2**31 - 1, 2**31 + 11, 2**61 - 1):
+        for n in sorted({min(n, p - 1) for n in (1, 2, 3, 4, 63, 64, 65, 150, 299, 300)}):
+            points = [0, p - 1][:n] + rng.sample(range(1, p - 1), max(n - 2, 0))
+            rng.shuffle(points)
+            yield PrimeField(p), points
+
+
+ORACLE_POINT_SETS = list(oracle_point_sets())
+
+
+def test_oracle_point_sets_span_several_blocks():
+    assert max(len(points) for _, points in ORACLE_POINT_SETS) >= 3 * BLOCK_ROWS
+
+
+@pytest.mark.parametrize("field,points", ORACLE_POINT_SETS,
+                         ids=lambda v: str(v.p) if isinstance(v, PrimeField) else f"n{len(v)}")
+def test_parity_rows_and_evaluate_match_loops(field, points):
+    p, n = field.p, len(points)
+    rng = random.Random(n)
+    all_rows = oracle.parity_rows(points, 1, p)  # the rows of every k are a prefix
+    for k in sorted({1, n // 2, n - 1, n} - {0}):
+        code = RSCode(field, points, k)
+        rows = code.parity_rows()
+        assert rows == all_rows[:n - k]
+        poly = Poly.make(field, [field.sample(rng) for _ in range(k)])
+        values = code.evaluate(poly)
+        assert values == [oracle.horner(poly.coeffs, x, p) for x in points]
+        assert all(type(v) is int for row in rows for v in row)
+        assert all(type(v) is int for v in values)
