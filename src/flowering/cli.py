@@ -48,7 +48,7 @@ def _load(kind: str, path: str, parse, read=json.load):
         with open(path, "rb") as fh:
             return parse(read(fh))
     except (OSError, ValueError, KeyError, IndexError, TypeError, AttributeError,
-            FloweringError) as exc:
+            ZeroDivisionError, FloweringError) as exc:
         raise FloweringError(
             f"malformed {kind} file {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -101,7 +101,7 @@ def cmd_prove(args) -> int:
         proof, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
         blob = proof.serialize()
         if args.json:
-            _dump_json(args.out, {"format": "flowering-ni-proof-v1", "hex": blob.hex()})
+            _dump_json(args.out, {"format": "flowering-ni-proof-v2", "hex": blob.hex()})
         else:
             with open(args.out, "wb") as fh:
                 fh.write(blob)
@@ -111,7 +111,8 @@ def cmd_prove(args) -> int:
         _dump_json(args.out, {
             "format": TRANSCRIPT_FORMAT,
             "p": str(instance.field.p),
-            "graph_hash": instance.seq.graphs[0].hash_hex(),
+            "graph_hash": instance.seq.graphs[0].digest().hex(),
+            "chain_hash": instance.seq.digest().hex(),
             "m": params.m,
             "t": params.t,
             "transcript": transcript.to_json(),

@@ -230,6 +230,8 @@ def soundness_mc(
             raise FloweringError(f"{name} must be positive integers, got {values!r}")
     if any(t > instance.n for t in ts):
         raise FloweringError(f"ts must be at most n={instance.n}, got {ts!r}")
+    if not all(0 <= delta <= 1 for delta in deltas):
+        raise FloweringError(f"deltas must lie in [0, 1], got {[str(d) for d in deltas]}")
     points = []
     idx = 0
     for adversary in adversaries:

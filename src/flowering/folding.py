@@ -11,10 +11,13 @@ samples randomness.
 
 A blossoming sequence is valid by construction: its constructor cuts each
 graph once, validating every cut on its parent, and refuses a chain that
-does not end in a one-vertex flower.
+does not end in a one-vertex flower.  Its digest names graph 0 and every
+cut, since each cut fixes the fold relation the verifier checks.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from .errors import FloweringError
 from .graph_code import Word
@@ -54,6 +57,7 @@ class BlossomingSequence:
     def __init__(self, graph0: RIM, specs):
         self.cuts: list[FloweringCut] = []
         self.graphs = [graph0]
+        self._digest: bytes | None = None
         for v_prime, phi in specs:
             self.cuts.append(FloweringCut(self.graphs[-1], v_prime, phi))
             self.graphs.append(self.cuts[-1].child)
@@ -69,3 +73,13 @@ class BlossomingSequence:
     def proof_length(self) -> int:
         """Total number of edge classes across the sent levels 1..r."""
         return sum(g.classes.num_classes for g in self.graphs[1:])
+
+    def digest(self) -> bytes:
+        """SHA-256 over graph 0's digest and, per cut, V' and phi(V') as
+        little-endian int64 arrays; every size is fixed by graph 0."""
+        if self._digest is None:
+            h = hashlib.sha256(self.graphs[0].digest())
+            for cut in self.cuts:
+                h.update(cut.ends.astype("<i8", copy=False))
+            self._digest = h.digest()
+        return self._digest

@@ -88,7 +88,7 @@ class Word:
     def to_json(self) -> dict:
         return {
             "p": str(self.field.p),
-            "graph_hash": self.graph.hash_hex(),
+            "graph_hash": self.graph.digest().hex(),
             "values": [str(v) for v in self.values],
         }
 
@@ -96,7 +96,7 @@ class Word:
     def from_json(cls, graph: RIM, field: PrimeField, data: dict) -> Word:
         if int(data["p"]) != field.p:
             raise FloweringError("word field does not match the file header field")
-        if data.get("graph_hash") not in (None, graph.hash_hex()):
+        if data.get("graph_hash") not in (None, graph.digest().hex()):
             raise FloweringError("word graph_hash does not match the graph")
         values = [int(v) for v in data["values"]]
         if not all(0 <= v < field.p for v in values):

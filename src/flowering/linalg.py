@@ -1,9 +1,9 @@
-"""Dense linear algebra mod p: rank, RREF, nullspace.
+"""Dense linear algebra mod p: RREF, rank, nullspace.
 
-Matrices are lists of rows of ints.  Rank runs one vectorized numpy row
+Matrices are lists of rows of ints.  One vectorized numpy Gauss-Jordan
 elimination at the field's array dtype (int64 when p < 2^31, else Python
-ints in an object array); RREF and the nullspace are plain Gaussian
-elimination, which is ample at desk scale.
+ints in an object array) gives the reduced row echelon form, and rank and
+the nullspace read it.
 """
 
 from __future__ import annotations
@@ -13,14 +13,15 @@ import numpy as np
 from .field import array_dtype
 
 
-def rank(rows: list[list[int]], p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    m = np.array(rows, dtype=array_dtype(p)) % p
-    nrows, ncols = m.shape
-    r = 0
+def rref(rows: list[list[int]], p: int) -> tuple[np.ndarray, list[int]]:
+    """(reduced rows, pivot columns): each pivot column is cleared above and
+    below its pivot, so the rows are the reduced row echelon form."""
+    ncols = len(rows[0]) if rows else 0
+    m = np.array(rows, dtype=array_dtype(p)).reshape(len(rows), ncols) % p
+    pivots: list[int] = []
     for c in range(ncols):
-        if r == nrows:
+        r = len(pivots)
+        if r == len(rows):
             break
         nz = np.nonzero(m[r:, c])[0]
         if nz.size == 0:
@@ -34,33 +35,12 @@ def rank(rows: list[list[int]], p: int) -> int:
         hit = np.nonzero(col)[0]
         if hit.size:
             m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
-        r += 1
-    return r
-
-
-def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c] % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
         pivots.append(c)
-        r += 1
-    return rows, pivots
+    return m, pivots
+
+
+def rank(rows: list[list[int]], p: int) -> int:
+    return len(rref(rows, p)[1])
 
 
 def nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -68,7 +48,8 @@ def nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    reduced, pivots = rref([list(r) for r in rows], p)
+    reduced, pivots = rref(rows, p)
+    lead = reduced[:len(pivots)].tolist()
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -76,7 +57,7 @@ def nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
             continue
         v = [0] * ncols
         v[free] = 1
-        for i, c in enumerate(pivots):
-            v[c] = -reduced[i][free] % p
+        for row, c in zip(lead, pivots):
+            v[c] = -row[free] % p
         basis.append(v)
     return basis

@@ -2,22 +2,27 @@
 
 Challenges are derived by absorbing each level's Merkle root into a
 Fiat-Shamir transcript that is first bound to the full instance (field,
-graph hash, RS parameters, protocol parameters), and the query randomness is
-derived after the last root.  The proof carries the per-level roots and the
-authenticated openings of exactly the positions the verifier re-derives:
-the query phase's read log, which the verifier compares with the openings
-before it authenticates any of them.
+the chain digest of graph 0 and every cut, RS parameters, protocol
+parameters), and the query randomness is derived after the last root.  The
+proof carries the per-level roots and the authenticated openings of exactly
+the positions the verifier re-derives: the query phase's read log, which
+the verifier compares with the openings before it authenticates any of
+them.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
 
-Binary layout (little-endian):
-    magic "FLWR" | version u16 | p u64 | graph_hash 32B | r u32 | m u32 |
-    t u32 | (r+1) roots 32B | per level: count u32, then entries
+Binary layout, version 2 (little-endian):
+    magic "FLWR" | version u16 = 2 | p u64 | chain digest 32B | r u32 |
+    m u32 | t u32 | (r+1) roots 32B | per level: count u32, then entries
     class u64 | value u64 | path_len u8 | path_len sibling digests 32B.
-Parsing is strict: any truncation, oversize length, or trailing byte is
-malformed.  The verifier accepts an opening only if its path_len equals the
-depth of that level's tree, so a root cannot be opened at two depths.
+The chain digest is ``BlossomingSequence.digest``; version 1, which bound
+graph 0 alone, is refused.  Parsing is strict: any other version, an r, m
+or t outside 1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS, a
+truncation or a trailing byte is malformed, and the prover refuses to write
+a header the parser would refuse.  The verifier accepts an opening only if
+its path_len equals the depth of that level's tree, so a root cannot be
+opened at two depths.
 """
 
 from __future__ import annotations
@@ -33,7 +38,12 @@ from .iopp import ProtocolParams, Transcript, verifier_query
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
-VERSION = 1
+VERSION = 2
+# header bounds the parser enforces and the prover respects
+MAX_R = 64
+MAX_M = 1 << 14
+MAX_T = 1 << 12
+MAX_OPENINGS = 1 << 24
 
 
 class MalformedProofError(FloweringError):
@@ -43,7 +53,7 @@ class MalformedProofError(FloweringError):
 @dataclass
 class NIProof:
     p: int
-    graph_hash: bytes
+    chain_digest: bytes
     r: int
     m: int
     t: int
@@ -51,7 +61,7 @@ class NIProof:
     openings: list[dict[int, tuple[int, list[bytes]]]]  # per level: class -> (value, path)
 
     def serialize(self) -> bytes:
-        out = [MAGIC, struct.pack("<HQ", VERSION, self.p), self.graph_hash,
+        out = [MAGIC, struct.pack("<HQ", VERSION, self.p), self.chain_digest,
                struct.pack("<III", self.r, self.m, self.t)]
         out.extend(self.roots)
         for level in self.openings:
@@ -80,15 +90,15 @@ class NIProof:
         version, p = struct.unpack("<HQ", take(10))
         if version != VERSION:
             raise MalformedProofError(f"unsupported version {version}")
-        graph_hash = take(DIGEST_SIZE)
+        chain_digest = take(DIGEST_SIZE)
         r, m, t = struct.unpack("<III", take(12))
-        if not (1 <= r <= 64 and 1 <= m <= 1 << 14 and 1 <= t <= 1 << 12):
+        if not (1 <= r <= MAX_R and 1 <= m <= MAX_M and 1 <= t <= MAX_T):
             raise MalformedProofError("implausible protocol parameters")
         roots = [take(DIGEST_SIZE) for _ in range(r + 1)]
         openings = []
         for _ in range(r + 1):
             (count,) = struct.unpack("<I", take(4))
-            if count > 1 << 24:
+            if count > MAX_OPENINGS:
                 raise MalformedProofError("implausible opening count")
             level: dict[int, tuple[int, list[bytes]]] = {}
             for _ in range(count):
@@ -102,15 +112,14 @@ class NIProof:
             openings.append(level)
         if pos != len(view):
             raise MalformedProofError("trailing bytes")
-        return cls(p, graph_hash, r, m, t, roots, openings)
+        return cls(p, chain_digest, r, m, t, roots, openings)
 
 
 def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
                    params: ProtocolParams) -> None:
-    graph0 = seq.graphs[0]
     header = struct.pack(
         "<QIIII", rs.field.p, seq.r, params.m, params.t, rs.k
-    ) + bytes.fromhex(graph0.hash_hex()) + b"".join(
+    ) + seq.digest() + b"".join(
         struct.pack("<Q", x) for x in rs.points
     )
     fs.absorb(b"instance", header)
@@ -152,6 +161,10 @@ def prove_noninteractive(
     every position the verifier will read.  Also returns the transcript of
     the self-run query phase (honest proofs accept)."""
     params.check(seq.graphs[0].n)
+    if params.m > MAX_M or params.t > MAX_T:
+        raise FloweringError(
+            f"a proof header holds m <= {MAX_M} and t <= {MAX_T}, "
+            f"got m={params.m}, t={params.t}")
     words = [f0]
     trees = [MerkleTree(f0.values)]
     schedule = fiat_shamir_schedule(seq, rs, params)
@@ -170,7 +183,7 @@ def prove_noninteractive(
                 for tree, cids in zip(trees, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,
-        graph_hash=bytes.fromhex(seq.graphs[0].hash_hex()),
+        chain_digest=seq.digest(),
         r=seq.r,
         m=params.m,
         t=params.t,
@@ -193,7 +206,7 @@ def verify_noninteractive(
     graph0 = seq.graphs[0]
     if proof.p != rs.field.p:
         return False, None
-    if proof.graph_hash != bytes.fromhex(graph0.hash_hex()):
+    if proof.chain_digest != seq.digest():
         return False, None
     if proof.r != seq.r or not len(proof.roots) == len(proof.openings) == seq.r + 1:
         return False, None

@@ -24,28 +24,23 @@ walk follows, and the fold plan, which names the two parent classes behind
 every child class for the fold and the verifier's fold check alike.
 
 Graphs are never read from disk: an instance file names the generating set
-and the chain is rebuilt from it.  ``RIM.hash_hex`` is the graph's only
-serialized form, bound into every non-interactive proof; like the class
-index it is computed once per graph and cached.  Its bytes, sorted-key
-compact JSON of the adjacency, are joined row by row from per-vertex
-decimal tokens gathered through the adjacency table, a fixed block of rows
-at a time, so the encoding takes one Python step per row and holds one
-block of tokens at once.
+and the chain is rebuilt from it.  A graph is named by ``RIM.digest``, the
+SHA-256 of its raw adjacency buffer under a format tag; like the class
+index it is computed once per graph and cached.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import struct
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import FloweringError
 
-
-# rows of the adjacency encoded at once by canonical_bytes
-BLOCK_ROWS = 64
+# domain tag of RIM.digest
+DIGEST_TAG = b"flowering-rim-v1"
 
 
 class UnknownVertexError(FloweringError):
@@ -117,11 +112,11 @@ class RIM:
     """n-regular indexed multigraph on dense vertex ids 0..|V|-1.
 
     adjacency may be nested lists or an int64 array, which is used as is,
-    not copied.  The class index and the hash are cached from it, so the
+    not copied.  The class index and the digest are cached from it, so the
     table must not change after construction.
     """
 
-    __slots__ = ("n", "num_vertices", "adj", "_classes", "_hash")
+    __slots__ = ("n", "num_vertices", "adj", "_classes", "_digest")
 
     def __init__(self, n: int, adjacency, check: bool = True):
         try:
@@ -135,7 +130,7 @@ class RIM:
         self.num_vertices = adj.shape[0]
         self.adj = adj
         self._classes: EdgeClassIndex | None = None
-        self._hash: str | None = None
+        self._digest: bytes | None = None
         if check:
             bad = self.violations()
             if bad:
@@ -176,23 +171,14 @@ class RIM:
     def __repr__(self) -> str:
         return f"RIM(n={self.n}, vertices={self.num_vertices}, classes={self.classes.num_classes})"
 
-    def canonical_bytes(self) -> bytes:
-        """Sorted-key compact JSON of (n, num_vertices, adjacency): the bytes
-        that hash_hex, and so every proof header, commits to.  Each row is
-        joined from per-vertex decimal tokens, a fixed block of rows at a
-        time."""
-        tok = np.array([str(v) for v in range(self.num_vertices)], dtype=object)
-        rows = []
-        for start in range(0, self.num_vertices, BLOCK_ROWS):
-            block = tok.take(self.adj[start:start + BLOCK_ROWS]).tolist()
-            rows.append("],[".join(map(",".join, block)))
-        return (f'{{"adjacency":[[{"],[".join(rows)}]],"n":{self.n},'
-                f'"num_vertices":{self.num_vertices}}}').encode()
-
-    def hash_hex(self) -> str:
-        if self._hash is None:
-            self._hash = hashlib.sha256(self.canonical_bytes()).hexdigest()
-        return self._hash
+    def digest(self) -> bytes:
+        """SHA-256 over the tag, n and |V| as u64 and the adjacency as
+        row-major little-endian int64, hashed from the table's own buffer."""
+        if self._digest is None:
+            h = hashlib.sha256(DIGEST_TAG + struct.pack("<QQ", self.n, self.num_vertices))
+            h.update(np.ascontiguousarray(self.adj, dtype="<i8"))
+            self._digest = h.digest()
+        return self._digest
 
 
 def cut_graph(rim: RIM, vertices) -> tuple[RIM, np.ndarray]:
@@ -269,20 +255,20 @@ class FloweringCut:
     """A validated flowering cut (V', phi) of a parent graph, with its cut
     graph and the translations the fold and the protocol walk read.
 
-    from_child[vc] is the parent id of child vertex vc; down[v] is the child
-    id of pi_phi(v), the representative in V' of parent vertex v.  Both are
-    int64 arrays.
+    ends is 2 x |V'|: column vc holds from_child[vc], the parent id of child
+    vertex vc, and its phi image; down[v] is the child id of pi_phi(v), the
+    representative in V' of parent vertex v.  All are int64 arrays.
     """
 
-    __slots__ = ("parent", "phi", "child", "from_child", "down",
-                 "_ends", "_fold_plan", "_fold_lists")
+    __slots__ = ("parent", "phi", "child", "ends", "from_child", "down",
+                 "_fold_plan", "_fold_lists")
 
     def __init__(self, parent: RIM, v_prime, phi: dict[int, int]):
         reason, tables = _split(parent, v_prime, phi)
         if reason is not None:
             raise InvalidCutError(reason)
-        self._ends, self.down, child_adj = tables
-        self.from_child = self._ends[0]
+        self.ends, self.down, child_adj = tables
+        self.from_child = self.ends[0]
         self.parent = parent
         self.phi = dict(phi)
         self.child = RIM(parent.n, child_adj, check=False)
@@ -301,7 +287,7 @@ class FloweringCut:
         representative (v, l)."""
         if self._fold_plan is None:
             vc, l = self.child.classes.reps
-            self._fold_plan = self.parent.classes.class_of[self._ends.take(vc, axis=1), l]
+            self._fold_plan = self.parent.classes.class_of[self.ends.take(vc, axis=1), l]
         return self._fold_plan
 
     def fold_lists(self) -> list[list[int]]:

@@ -1,11 +1,10 @@
-"""Reference loops for the array-backed tables of the graph and RS layers.
+"""Reference loops for the array-backed tables of the graph, RS and linear
+algebra layers.
 
 These are the per-slot and per-point Python loops the package used before
 its tables became array expressions.  They work on plain ints and nested
 lists and return plain lists, so tests can compare every entry.
 """
-
-import json
 
 
 def classes(adj: list[list[int]], n: int):
@@ -113,6 +112,26 @@ def parity_rows(points: list[int], k: int, p: int) -> list[list[int]]:
     return rows
 
 
-def canonical_bytes(n: int, adj: list[list[int]]) -> bytes:
-    data = {"n": n, "num_vertices": len(adj), "adjacency": adj}
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form in place; returns (rows, pivot column list)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        lead = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c] % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots

@@ -5,7 +5,6 @@ study (criterion 5) dominates the runtime and is marked slow; everything
 else finishes in seconds, and `-m "not slow"` runs only that.
 """
 
-import itertools
 import math
 import random
 import time
@@ -15,9 +14,8 @@ import pytest
 
 from conftest import random_rim, random_word
 from flowering.adversaries import far_word, revivable_word
-from flowering.cayley import gen_set_full, min_distance_bounds, upper_bound_witness
+from flowering.cayley import min_distance_bounds, upper_bound_witness
 from flowering.experiments import (
-    Instance,
     derive_seed,
     gen_instance,
     honest_run,
@@ -26,10 +24,9 @@ from flowering.experiments import (
 )
 from flowering.field import PrimeField
 from flowering.folding import fold
-from flowering.graph_code import GraphCode, Word, cut_word, hamming_distance, relative_weight, vertex_distance
+from flowering.graph_code import GraphCode, Word, hamming_distance, relative_weight, vertex_distance
 from flowering.iopp import ProtocolParams, commit_soundness_trial
 from flowering.niproof import MalformedProofError, NIProof, prove_noninteractive, verify_noninteractive
-from flowering.reed_solomon import RSCode
 from flowering.rim_graph import cut_graph, mu
 
 P31 = 2147483647

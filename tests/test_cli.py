@@ -4,6 +4,7 @@ import random
 import pytest
 
 from flowering.cli import main
+from flowering.experiments import Instance
 
 
 def run(*argv):
@@ -51,7 +52,7 @@ def test_prove_verify_ni_json(tmp_path, instance_file):
     proof = tmp_path / "proof.json"
     assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,
                "--seed", 6, "--json", "--out", proof) == 0
-    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v1"
+    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v2"
     assert run("verify", "--instance", instance_file, "--proof", proof) == 0
 
 
@@ -62,6 +63,9 @@ def test_prove_verify_interactive(tmp_path, instance_file, capsys):
     assert run("prove", "--instance", instance_file, "--m", 3, "--t", 2,
                "--seed", 7, "--mode", "interactive", "--out", proof) == 0
     data = json.loads(proof.read_text())
+    instance = Instance.from_json(json.loads(instance_file.read_text()))
+    assert data["graph_hash"] == instance.seq.graphs[0].digest().hex()
+    assert data["chain_hash"] == instance.seq.digest().hex()
     for query in data["transcript"]["queries"]:
         for opening in query["openings"]:
             opening[2] = 0
@@ -111,6 +115,13 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     not_json.write_text("{not json")
     truncated = tmp_path / "truncated.bin"
     truncated.write_bytes(proof.read_bytes()[:40])
+    # a version-1 header, and a word file naming graph 0 by the version-1
+    # hash, the SHA-256 of its adjacency as JSON
+    v1_proof = tmp_path / "v1_proof.bin"
+    v1_proof.write_bytes(proof.read_bytes()[:4] + b"\x01\x00" + proof.read_bytes()[6:])
+    v1_word = write("v1_word.json", {
+        "p": str(p), "values": ["0"] * 120,
+        "graph_hash": "fff32483e303ad9426ac740d8ebca6a1e280d17f31fa2cd30e6c5eeb1b3a7d48"})
     verify = ("verify", "--instance", instance_file, "--proof")
     prove = ("prove", "--instance", instance_file, "--out", tmp_path / "p.bin")
     mc = ("soundness-mc", "--instance", instance_file, "--out", tmp_path / "mc.json",
@@ -127,20 +138,25 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (prove + ("--word", missing), "malformed word file"),
         (prove + ("--word", no_p_word), "malformed word file"),
         *((prove + ("--word", word), "malformed word file") for word in out_of_field),
+        (prove + ("--word", v1_word), "malformed word file"),
+        (prove + ("--m", 16385), "a proof header holds m <= 16384"),
         (mc + (missing,), "malformed config file"),
         (mc + (write("ms.json", {"ms": "5"}),), "ms must be positive integers"),
         (mc + (write("trials.json", {"trials": 0}),), "trials must be positive integers"),
         (mc + (write("ts.json", {"ts": [16]}),), "ts must be at most n=15"),
+        (mc + (write("zero_den.json", {"deltas": ["1/0"]}),), "malformed config file"),
+        (mc + (write("negative.json", {"deltas": ["-1/2"]}),), "deltas must lie in [0, 1]"),
         (gen + (missing,), "malformed genset file"),
         (gen + (write("genset.json", {"vectors": [1, 2]}),), "malformed genset file"),
         (verify + (missing,), "malformed proof file"),
         (verify + (not_json,), "malformed proof file"),
         (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),
          "malformed proof file"),
-        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v1"}),),
+        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v2"}),),
          "malformed proof file"),
         (verify + (write("bad_hex.json", {"hex": "zz"}),), "malformed proof file"),
         (verify + (truncated,), "truncated proof"),
+        (verify + (v1_proof,), "unsupported version 1"),
     ):
         assert run(*argv) == 2
         err = capsys.readouterr().err

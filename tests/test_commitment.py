@@ -12,6 +12,7 @@ from flowering.commitment import (
     verify_open,
 )
 from flowering.experiments import gen_instance, random_codeword_word
+from flowering.folding import BlossomingSequence
 from flowering.iopp import ProtocolParams
 from flowering.niproof import (
     MalformedProofError,
@@ -310,3 +311,30 @@ def test_ni_padded_proof_rejected_before_hashing(monkeypatch):
                                                NIProof.parse(padded.serialize()))
     assert not accept and transcript is None
     assert calls == []
+
+
+def test_ni_binds_every_cut():
+    # two chains on the same graph 0 that differ only in the level-1 phi,
+    # v -> v ^ 9 instead of v ^ 8: the same graphs with other fold plans,
+    # so the challenges differ for the same roots and neither chain accepts
+    # the other's proof
+    instance = gen_instance(4, 2**31 - 1, 13)
+    canonical = instance.seq
+    specs = [(cut.v_prime, cut.phi) for cut in canonical.cuts]
+    specs[0] = (specs[0][0], {v: v ^ 9 for v in specs[0][0]})
+    other = BlossomingSequence(canonical.graphs[0], specs)
+    assert other.graphs == canonical.graphs
+    assert other.cuts[0].fold_plan.tolist() != canonical.cuts[0].fold_plan.tolist()
+    assert other.digest() != canonical.digest()
+    assert other.digest() is other.digest()  # hashed once per chain
+
+    params = ProtocolParams(10, 2)
+    word = random_codeword_word(instance, random.Random(0))
+    roots = [bytes([level]) * 32 for level in range(5)]
+    assert (derive_noninteractive_randomness(canonical, instance.rs, params, roots)
+            != derive_noninteractive_randomness(other, instance.rs, params, roots))
+    for prover_seq, verifier_seq in ((canonical, other), (other, canonical)):
+        proof, transcript = prove_noninteractive(prover_seq, instance.rs, word, params)
+        assert transcript.accept
+        assert verify_noninteractive(prover_seq, instance.rs, proof)[0]
+        assert verify_noninteractive(verifier_seq, instance.rs, proof) == (False, None)

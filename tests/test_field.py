@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import loop_oracle as oracle
 from flowering import linalg
 from flowering.field import NotPrimeError, PrimeField, is_probable_prime
 
@@ -104,10 +105,11 @@ def test_sampling_deterministic_and_uniform():
         assert abs(c - n / 5) < 5 * sigma
 
 
-@pytest.mark.parametrize("p", [5, 2**31 - 1, 2**31 + 11, 2**61 - 1])
+@pytest.mark.parametrize("p", [5, 7, 61, 2**31 - 1, 2**31 + 11, 2**61 - 1])
 def test_rank_matches_rref_pivots_at_the_field_dtype(p):
     # int64 arrays below 2^31, where products of two elements fit, and
-    # Python ints in object arrays above
+    # Python ints in object arrays above; the one elimination gives the
+    # reduced rows and pivots of the loop, and the nullspace reads them
     assert PrimeField(p).dtype is (np.int64 if p < 2**31 else object)
     rng = random.Random(p)
     for _ in range(40):
@@ -116,4 +118,12 @@ def test_rank_matches_rref_pivots_at_the_field_dtype(p):
         a = [[rng.randrange(p) for _ in range(inner)] for _ in range(rows)]
         b = [[rng.randrange(p) for _ in range(cols)] for _ in range(inner)]
         m = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
-        assert linalg.rank(m, p) == len(linalg.rref([list(row) for row in m], p)[1])
+        reduced, pivots = linalg.rref(m, p)
+        assert (reduced.tolist(), pivots) == oracle.rref([list(row) for row in m], p)
+        assert linalg.rank(m, p) == len(pivots)
+        basis = linalg.nullspace(m, p)
+        free = [c for c in range(cols) if c not in pivots]
+        assert len(basis) == len(free)
+        for f, v in zip(free, basis):
+            assert [v[c] for c in free] == [int(c == f) for c in free]
+            assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in m)

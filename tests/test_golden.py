@@ -1,5 +1,5 @@
 """Byte-identity pins: SHA-256 digests of NI proofs, an interactive
-transcript, a Monte-Carlo report, the graph-0 encoding and the RS dual rows
+transcript, a Monte-Carlo report, the graph-0 digest and the RS dual rows
 on fixed instances and seeds.
 
 A change that is meant to leave proofs and reports as they are must leave
@@ -43,12 +43,12 @@ def instance(r: int):
 
 
 NI_PROOFS = {
-    (3, 1): "dd6a124d03a0ba263f48fb873fcd8ba300464944a9340c2f611820f112aaddac",
-    (3, 2): "94d6fd0b24e15b37ae29c573a272906c2831b2f550369ecd3cb665c8dee86969",
-    (4, 1): "f25f4d9dab2e1e366b0074a30d44a0469610cc0d2dc99fc17f4ad0a70c44f9a8",
-    (4, 2): "3276015977b9e62ae17a1165232fb64ffe8fdd94997db61aa6c8cebe1c1c48e0",
-    (6, 1): "5b19ac8e4e14e8bca22d47d8aff5c7e69b6d70110f7991579eef906fec1efba3",
-    (8, 1): "ecec7152323d56220b7abc7919847606afab76153c0fe8936c66d367be141a21",
+    (3, 1): "e72c70b8ef1167377654cdff905dbfccd111b6e81b6ccf00a5357093c1ba339d",
+    (3, 2): "243c582128439815ef2bcf506f7ec245e3e647150f043d24e7f661c3f244d680",
+    (4, 1): "8bad6f0c86a86e58922c458ab1f11820d77e89548092157421b4e0c5beceb416",
+    (4, 2): "54f468df10f402537dcc7951cf2447d00c6093668cba224103fc34aa7318532f",
+    (6, 1): "7d332f111bc8c3e1ae3eae951bea65dd102990e1b7137695563a98828ce8f724",
+    (8, 1): "296c20265ad0ea692582401fec05bddd4499222e782205129bd9aa9a737dd4fe",
 }
 
 
@@ -79,10 +79,11 @@ def test_soundness_mc_report_bytes():
 
 
 def test_graph0_hash_and_parity_rows_bytes():
-    # the r = 8 graph 0, whose encoding every proof header binds, and all
-    # n - 1 dual rows on the default points (those of every k are a prefix)
-    assert instance(8).seq.graphs[0].hash_hex() == (
-        "ce6ea192aa27ed737f9a838e52e3fdd49f53754740ca802edf5bd73b61f2cb82")
+    # the digest of the r = 8 graph 0, which every chain digest and so every
+    # proof header binds, and all n - 1 dual rows on the default points
+    # (those of every k are a prefix)
+    assert instance(8).seq.graphs[0].digest().hex() == (
+        "97c260981471d6da8e9176d534297c567febeb04e30edb00583a12aa5edc2115")
     rows = RSCode.with_default_points(PrimeField(P), 255, 1).parity_rows()
     assert sha256(json_bytes(rows)) == (
         "d37ea9d3a92a7ec19b5435f5ac6c835afbd2e5be6ed90b0e80b98d1057eabb45")

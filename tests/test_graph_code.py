@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rim, random_word
-from flowering.cayley import cayley_rim, gen_set_full
+from conftest import random_word
+from flowering.cayley import cayley_rim
 from flowering.errors import TooLargeError
 from flowering.field import PrimeField
 from flowering.graph_code import (
@@ -17,7 +17,7 @@ from flowering.graph_code import (
     vertex_distance,
 )
 from flowering.reed_solomon import RSCode
-from flowering.rim_graph import RIM, cut_graph
+from flowering.rim_graph import RIM
 
 
 @pytest.fixture(scope="module")

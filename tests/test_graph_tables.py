@@ -1,6 +1,6 @@
 """The array-backed graph tables against the reference loops of loop_oracle:
-class index, violations, petal counts, canonical bytes, cut graphs, the cut
-validator, down and fold plans, entry by entry."""
+class index, violations, petal counts, cut graphs, the cut validator, down
+and fold plans, entry by entry."""
 
 import random
 
@@ -10,13 +10,7 @@ import pytest
 import loop_oracle as oracle
 from conftest import planted_cut, random_rim, scrambled
 from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full, validate_gen_set
-from flowering.rim_graph import (
-    BLOCK_ROWS,
-    RIM,
-    FloweringCut,
-    cut_graph,
-    flowering_cut_validate,
-)
+from flowering.rim_graph import RIM, FloweringCut, cut_graph, flowering_cut_validate
 
 
 def assert_graph_tables(graph: RIM) -> None:
@@ -32,7 +26,6 @@ def assert_graph_tables(graph: RIM) -> None:
         assert table.dtype == np.int64
     assert graph.violations() == oracle.violations(adj, graph.n) == []
     assert graph.petal_counts().tolist() == oracle.petal_counts(adj)
-    assert graph.canonical_bytes() == oracle.canonical_bytes(graph.n, adj)
 
 
 def assert_cut_tables(cut: FloweringCut) -> None:
@@ -75,14 +68,6 @@ def test_random_rim_and_planted_cut_tables():
         graph, kept, phi = planted_cut(rng, rng.randrange(1, 7), rng.randrange(1, 5))
         assert_graph_tables(graph)
         assert_cut_tables(FloweringCut(graph, kept, phi))
-    # canonical bytes are joined a block of rows at a time: a last block
-    # that is not full, beside the full ones of the Cayley graphs
-    assert_graph_tables(random_rim(rng, 2 * BLOCK_ROWS + 5, 4))
-
-
-def test_r8_graph_spans_several_blocks():
-    # so that the Cayley chain comparisons above cross block boundaries
-    assert cayley_rim(8, gen_set_full(8).vectors).num_vertices >= 3 * BLOCK_ROWS
 
 
 def test_cut_validate_matches_loop():

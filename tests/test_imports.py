@@ -1,0 +1,46 @@
+"""Every import in the package and its tests is used.
+
+A name an import binds counts as used when the module reads it anywhere
+or lists it in ``__all__``; ``from __future__`` imports bind nothing.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport os.path as osp\nfrom x import a, b as c\nprint(a)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "osp"), (3, "c")]
+    assert unused_imports("from __future__ import annotations\n__all__ = ['y']\n"
+                          "from x import y\n") == []
+
+
+def test_no_unused_imports():
+    assert len(MODULES) > 20
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in MODULES for line, name in unused_imports(path.read_text())]
+    assert found == []

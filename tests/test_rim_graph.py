@@ -1,6 +1,9 @@
+import hashlib
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import planted_cut, random_rim, scrambled
@@ -279,14 +282,20 @@ def test_flowering_cut_petal_balance():
                 assert left == right
 
 
-def test_json_round_trip_and_hash():
-    # canonical_bytes is the adjacency table as sorted-key compact JSON; its
-    # hash is bound into every proof header, so both are pinned
+def test_digest_names_the_table():
+    # SHA-256 of a tag, n and |V| as u64 and the raw adjacency as row-major
+    # little-endian int64; bound into every proof header, so it is pinned
     cay = cayley_rim(2, [1, 2, 3])
-    assert cay.canonical_bytes() == (
-        b'{"adjacency":[[1,2,3],[0,3,2],[3,0,1],[2,1,0]],"n":3,"num_vertices":4}')
-    assert cay.hash_hex() == (
-        "28f919cce1c55eecd3337f0d40c64bd2cc8b02a9862bb4fcfec42979d6b019fe")
-    assert RIM(3, cay.adj).hash_hex() == cay.hash_hex()
-    assert cay.hash_hex() is cay.hash_hex()  # encoded and hashed once per graph
-    assert cayley_rim(2, [3, 2, 1]).hash_hex() != cay.hash_hex()
+    header = b"flowering-rim-v1" + struct.pack("<QQ", 3, 4)
+    assert cay.digest() == hashlib.sha256(
+        header + np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]], dtype="<i8").tobytes()
+    ).digest()
+    assert cay.digest().hex() == (
+        "790d191a40d6286753d987e6a496e17a93503f984ead574a41bec28af7fcdc03")
+    assert cay.digest() is cay.digest()  # hashed once per graph
+    # equal tables give equal digests, whatever the array's memory order
+    assert RIM(3, cay.adj.tolist()).digest() == cay.digest()
+    assert RIM(3, np.asfortranarray(cay.adj)).digest() == cay.digest()
+    assert cayley_rim(2, [3, 2, 1]).digest() != cay.digest()
+    # the same twelve entries read as another shape name another graph
+    assert RIM(6, cay.adj.reshape(2, 6), check=False).digest() != cay.digest()
