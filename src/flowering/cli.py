@@ -33,6 +33,15 @@ from .iopp import ProtocolParams, run_protocol
 from .niproof import NIProof, prove_noninteractive, verify_noninteractive
 
 TRANSCRIPT_FORMAT = "flowering-transcript-v1"
+# the d of a parity-check genset file that names none
+DEFAULT_D = 3
+MC_DEFAULTS = {
+    "adversaries": ["far-word-honest-fold", "lazy-copy"],
+    "deltas": ["1/2"],
+    "ms": [10],
+    "ts": [2],
+    "trials": 1000,
+}
 
 
 def _dump_json(path: str, data: dict) -> None:
@@ -57,27 +66,28 @@ def _load_instance(path: str) -> Instance:
     return _load("instance", path, Instance.from_json)
 
 
-def _parse_genset(data: dict, d: int) -> GenSet:
+def _parse_genset(data: dict) -> GenSet:
     if "matrix" in data:
-        return gen_set_from_parity_check(data["matrix"], data.get("d", d))
+        return gen_set_from_parity_check(data["matrix"], data.get("d", DEFAULT_D))
     return GenSet.from_json(data)
 
 
 def _parse_mc_config(cfg: dict) -> dict:
-    return {
-        "adversaries": list(cfg.get("adversaries", ["far-word-honest-fold", "lazy-copy"])),
-        "deltas": [Fraction(d) for d in cfg.get("deltas", ["1/2"])],
-        "ms": list(cfg.get("ms", [10])),
-        "ts": list(cfg.get("ts", [2])),
-        "trials": cfg.get("trials", 1000),
-        "workers": cfg.get("workers", 1),
-    }
+    """The study's config over its defaults; soundness_mc checks the values."""
+    study = {**MC_DEFAULTS, **cfg}
+    unknown = sorted(set(cfg) - MC_DEFAULTS.keys())
+    if unknown:
+        raise FloweringError(
+            f"unknown config keys {unknown}; a config takes {', '.join(MC_DEFAULTS)}")
+    if isinstance(study["deltas"], list):
+        study["deltas"] = [Fraction(d) for d in study["deltas"]]
+    return study
 
 
 def cmd_gen(args) -> int:
     genset = args.genset
     if genset != "full":
-        genset = _load("genset", genset, lambda data: _parse_genset(data, args.d))
+        genset = _load("genset", genset, _parse_genset)
     instance = gen_instance(args.r, args.p, args.k, genset)
     _dump_json(args.out, instance.to_json())
     print(f"wrote instance: r={instance.r} n={instance.n} k={instance.rs.k} "
@@ -213,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--genset", default="full",
                    help="'full' or a JSON file with a genset or parity-check matrix")
-    p.add_argument("--d", type=int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -8,21 +8,19 @@ blossoming sequence from the generating set, so a file cannot name a graph
 its generating set does not define.
 
 Everything is deterministic given a master seed: per-trial seeds are derived
-by hashing (seed, index), and trials merge by index whether they ran inline
-or on a worker pool.  Reports are plain dicts ready for sorted-key JSON.
+by hashing (seed, index).  Reports are plain dicts ready for sorted-key JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversaries import build_adversary
+from .adversaries import ADVERSARIES, build_adversary
 from .cayley import (
     GenSet,
     blossoming_cayley,
@@ -92,8 +90,10 @@ def _cayley_instance(gens: GenSet, rs: RSCode) -> Instance:
 
 def gen_instance(r: int, p: int, k: int, genset: str | GenSet = "full") -> Instance:
     """Blossoming Cayley instance on the full nonzero generating set of
-    F_2^r, or on an explicit GenSet (whose own r then applies)."""
+    F_2^r, or on an explicit GenSet of F_2^r."""
     gens = gen_set_full(r) if genset == "full" else genset
+    if gens.r != r:
+        raise FloweringError(f"the generating set has r={gens.r}, not r={r}")
     return _cayley_instance(gens, RSCode.with_default_points(PrimeField(p), gens.n, k))
 
 
@@ -113,20 +113,12 @@ def honest_run(instance: Instance, params: ProtocolParams, seed: int) -> Transcr
 
 # Monte-Carlo soundness ----------------------------------------------------
 
-_POOL_STATE: dict = {}
 
-
-def _pool_trial(seed: int) -> bool:
-    st = _POOL_STATE
-    tr = run_protocol(st["seq"], st["rs"], st["word"], st["params"], seed,
-                      st["respond"], verdict_only=True)
-    return tr.accept
-
-
-def wilson_upper(successes: int, trials: int, z: float = WILSON_Z_99) -> float:
-    """Upper end of the Wilson score interval for a binomial rate."""
+def wilson_upper(successes: int, trials: int) -> float:
+    """Upper end of the 99% Wilson score interval for a binomial rate."""
     if trials == 0:
         return 1.0
+    z = WILSON_Z_99
     phat = successes / trials
     denom = 1 + z * z / trials
     center = phat + z * z / (2 * trials)
@@ -180,26 +172,16 @@ def soundness_mc_point(
     params: ProtocolParams,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> SoundnessPoint:
     """Empirical acceptance of one adversary at one distance against the
     theoretical bound evaluated at the target distance."""
     name_tag = int.from_bytes(hashlib.sha256(adversary.encode()).digest()[:4], "little")
     rng = random.Random(derive_seed(seed, name_tag))
     word, respond, achieved = build_adversary(adversary, instance.code, delta, rng)
-    seeds = [derive_seed(seed, 3, i) for i in range(trials)]
-    global _POOL_STATE
-    _POOL_STATE = {
-        "seq": instance.seq, "rs": instance.rs,
-        "word": word, "respond": respond, "params": params,
-    }
-    if workers > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_pool_trial, seeds, chunksize=max(1, trials // (8 * workers)))
-    else:
-        results = [_pool_trial(s) for s in seeds]
-    accepts = sum(results)
+    accepts = sum(
+        run_protocol(instance.seq, instance.rs, word, params, derive_seed(seed, 3, i),
+                     respond, verdict_only=True).accept
+        for i in range(trials))
     bound = soundness_bound(delta, 1, instance.r, instance.n, params.t, params.m,
                             instance.field.p)
     return SoundnessPoint(
@@ -222,16 +204,22 @@ def soundness_mc(
     ts: list[int],
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> dict:
-    for name, values in (("ms", ms), ("ts", ts), ("trials", [trials]),
-                         ("workers", [workers])):
-        if not all(isinstance(v, int) and v >= 1 for v in values):
+    """One soundness point per (adversary, delta, m, t).  The config is
+    checked by type before any trial runs and is not coerced: a string is
+    not a list of names and a bool is not a count."""
+    for name, values in (("ms", ms), ("ts", ts), ("trials", [trials])):
+        if not isinstance(values, list) or not all(type(v) is int and v >= 1 for v in values):
             raise FloweringError(f"{name} must be positive integers, got {values!r}")
     if any(t > instance.n for t in ts):
         raise FloweringError(f"ts must be at most n={instance.n}, got {ts!r}")
+    if not isinstance(deltas, list):
+        raise FloweringError(f"deltas must be a list, got {deltas!r}")
     if not all(0 <= delta <= 1 for delta in deltas):
         raise FloweringError(f"deltas must lie in [0, 1], got {[str(d) for d in deltas]}")
+    if not isinstance(adversaries, list) or not all(a in ADVERSARIES for a in adversaries):
+        raise FloweringError(
+            f"adversaries must be a list of {', '.join(ADVERSARIES)}, got {adversaries!r}")
     points = []
     idx = 0
     for adversary in adversaries:
@@ -240,7 +228,7 @@ def soundness_mc(
                 for t in ts:
                     point = soundness_mc_point(
                         instance, adversary, delta, ProtocolParams(m, t),
-                        trials, derive_seed(seed, 4, idx), workers,
+                        trials, derive_seed(seed, 4, idx),
                     )
                     points.append(point.to_json())
                     idx += 1

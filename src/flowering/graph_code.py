@@ -23,8 +23,8 @@ from .field import PrimeField
 from .reed_solomon import RSCode
 from .rim_graph import RIM, FloweringCut, cut_graph
 
-DEFAULT_ENUM_CAP = 10**6
-DEFAULT_MATRIX_CAP = 10**7  # parity-check entries
+ENUM_CAP = 10**6  # codewords min_distance_bruteforce enumerates
+MATRIX_CAP = 10**7  # parity-check entries
 
 
 class GraphMismatchError(FloweringError):
@@ -186,16 +186,17 @@ class GraphCode:
 
     # linear-algebra view ----------------------------------------------------
 
-    def parity_check_matrix(self, cap: int = DEFAULT_MATRIX_CAP) -> list[list[int]]:
+    def parity_check_matrix(self) -> list[list[int]]:
         """H with (n-k)|V| rows and one column per edge class: the RS parity
         rows of every vertex, composed with the slot-to-class projection.
         H f = 0 exactly characterizes membership."""
         classes = self.graph.classes
         rows_per_vertex = self.rs.parity_rows()
         num_rows = len(rows_per_vertex) * self.graph.num_vertices
-        if num_rows * classes.num_classes > cap:
+        if num_rows * classes.num_classes > MATRIX_CAP:
             raise TooLargeError(
-                f"parity matrix would have {num_rows * classes.num_classes} entries (cap {cap})"
+                f"parity matrix would have {num_rows * classes.num_classes} entries "
+                f"(cap {MATRIX_CAP})"
             )
         p = self.field.p
         out = []
@@ -207,8 +208,8 @@ class GraphCode:
                 out.append(row)
         return out
 
-    def dimension(self, cap: int = DEFAULT_MATRIX_CAP) -> int:
-        h = self.parity_check_matrix(cap)
+    def dimension(self) -> int:
+        h = self.parity_check_matrix()
         return self.graph.classes.num_classes - linalg.rank(h, self.field.p)
 
     def dimension_lower_bound(self) -> int:
@@ -220,25 +221,25 @@ class GraphCode:
             + classes.num_petals
         )
 
-    def codeword_basis(self, cap: int = DEFAULT_MATRIX_CAP) -> list[list[int]]:
+    def codeword_basis(self) -> list[list[int]]:
         """Kernel basis of the parity-check matrix, as class-value vectors."""
-        h = self.parity_check_matrix(cap)
+        h = self.parity_check_matrix()
         num = self.graph.classes.num_classes
         if not h:  # k = n: no parity constraints, the code is the full space
             return [[int(i == j) for j in range(num)] for i in range(num)]
         return linalg.nullspace(h, self.field.p)
 
-    def min_distance_bruteforce(self, cap: int = DEFAULT_ENUM_CAP) -> Fraction:
+    def min_distance_bruteforce(self) -> Fraction:
         """Minimum relative weight over all nonzero codewords, by enumerating
         the kernel of the parity-check matrix.  An oracle for the distance
-        bounds, not a feature: refuses to enumerate more than cap codewords."""
+        bounds, not a feature: refuses to enumerate more than ENUM_CAP codewords."""
         basis = self.codeword_basis()
         dim = len(basis)
         p = self.field.p
         if dim == 0:
             raise FloweringError("code is trivial; no nonzero codewords")
-        if p**dim > cap:
-            raise TooLargeError(f"would enumerate {p**dim} codewords (cap {cap})")
+        if p**dim > ENUM_CAP:
+            raise TooLargeError(f"would enumerate {p**dim} codewords (cap {ENUM_CAP})")
         num_classes = self.graph.classes.num_classes
         best = None
         for coeffs in itertools.product(range(p), repeat=dim):

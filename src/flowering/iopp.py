@@ -307,11 +307,15 @@ class CommitSoundnessResult:
     exhaustive: bool
 
 
-def commit_soundness_trial(code, cut, word: Word, eps, num_samples: int | None = None,
-                           seed: int = 0, exhaustive_cap: int = 10**4) -> CommitSoundnessResult:
+COMMIT_CHALLENGES = 10**4
+COMMIT_SEED = 0
+
+
+def commit_soundness_trial(code, cut, word: Word, eps) -> CommitSoundnessResult:
     """Measure how often folding by a random challenge shrinks the fraction
     of invalid local views by more than eps.  Exhaustive over the whole field
-    when p <= exhaustive_cap and no sample count is forced."""
+    when p <= COMMIT_CHALLENGES, else over COMMIT_CHALLENGES challenges drawn
+    from random.Random(COMMIT_SEED)."""
     from fractions import Fraction
 
     from .graph_code import GraphCode
@@ -322,13 +326,12 @@ def commit_soundness_trial(code, cut, word: Word, eps, num_samples: int | None =
     threshold = base - Fraction(eps)
     num_child = cut.child.num_vertices
 
-    if num_samples is None and p <= exhaustive_cap:
+    exhaustive = p <= COMMIT_CHALLENGES
+    if exhaustive:
         alphas = range(p)
-        exhaustive = True
     else:
-        rng = random.Random(seed)
-        alphas = [rng.randrange(p) for _ in range(num_samples or 10**4)]
-        exhaustive = False
+        rng = random.Random(COMMIT_SEED)
+        alphas = [rng.randrange(p) for _ in range(COMMIT_CHALLENGES)]
 
     events = 0
     total = 0

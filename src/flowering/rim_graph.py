@@ -165,9 +165,6 @@ class RIM:
             and np.array_equal(other.adj, self.adj)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.num_vertices, self.adj.tobytes()))
-
     def __repr__(self) -> str:
         return f"RIM(n={self.n}, vertices={self.num_vertices}, classes={self.classes.num_classes})"
 

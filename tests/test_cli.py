@@ -5,6 +5,7 @@ import pytest
 
 from flowering.cli import main
 from flowering.experiments import Instance
+from flowering.iopp import run_protocol
 
 
 def run(*argv):
@@ -146,8 +147,18 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (mc + (write("ts.json", {"ts": [16]}),), "ts must be at most n=15"),
         (mc + (write("zero_den.json", {"deltas": ["1/0"]}),), "malformed config file"),
         (mc + (write("negative.json", {"deltas": ["-1/2"]}),), "deltas must lie in [0, 1]"),
+        # the config is checked by type, not coerced: a string is not a list
+        # and a bool is not a count
+        (mc + (write("adv_str.json", {"adversaries": "lazy-copy"}),),
+         "adversaries must be a list"),
+        (mc + (write("trials_bool.json", {"trials": True}),), "trials must be positive integers"),
+        (mc + (write("ms_bool.json", {"ms": [True]}),), "ms must be positive integers"),
+        (mc + (write("deltas_str.json", {"deltas": "1/2"}),), "deltas must be a list"),
+        (mc + (write("workers.json", {"workers": 2}),), "unknown config keys ['workers']"),
         (gen + (missing,), "malformed genset file"),
         (gen + (write("genset.json", {"vectors": [1, 2]}),), "malformed genset file"),
+        (gen + (write("genset_r2.json", {"r": 2, "d": 3, "vectors": [1, 2, 3]}),),
+         "the generating set has r=2, not r=3"),
         (verify + (missing,), "malformed proof file"),
         (verify + (not_json,), "malformed proof file"),
         (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),
@@ -266,19 +277,26 @@ def test_genset_defines_the_graph(tmp_path):
     assert json.loads(out.read_text())["violations"] == 0
 
 
-def test_worker_pool_matches_inline(instance_file):
+def test_soundness_point_runs_each_trial_through_run_protocol(instance_file, monkeypatch):
+    # a caller counts or times the study's trials by wrapping
+    # experiments.run_protocol, so each trial is one call through that name
     from fractions import Fraction
 
-    from flowering.experiments import Instance, soundness_mc_point
+    from flowering import experiments
     from flowering.iopp import ProtocolParams
 
     instance = Instance.from_json(json.loads(instance_file.read_text()))
-    kwargs = dict(adversary="lazy-copy", delta=Fraction(1, 2),
-                  params=ProtocolParams(3, 2), trials=60, seed=9)
-    inline = soundness_mc_point(instance, workers=1, **kwargs)
-    pooled = soundness_mc_point(instance, workers=2, **kwargs)
-    assert inline.accepts == pooled.accepts
-    assert inline.to_json() == pooled.to_json()
+    point = (instance, "lazy-copy", Fraction(1, 2), ProtocolParams(3, 2), 60, 9)
+    unpatched = experiments.soundness_mc_point(*point)
+    calls = []
+
+    def counting_run_protocol(*args, **kwargs):
+        calls.append(kwargs)
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_protocol", counting_run_protocol)
+    assert experiments.soundness_mc_point(*point) == unpatched
+    assert calls == [{"verdict_only": True}] * 60
 
 
 def test_prove_verify_across_grid(tmp_path):

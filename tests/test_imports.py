@@ -1,4 +1,5 @@
-"""Every import in the package and its tests is used.
+"""Every import in the package and its tests is used, and no package
+module rebinds a module global.
 
 A name an import binds counts as used when the module reads it anywhere
 or lists it in ``__all__``; ``from __future__`` imports bind nothing.
@@ -8,7 +9,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -43,4 +45,18 @@ def test_no_unused_imports():
     assert len(MODULES) > 20
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in MODULES for line, name in unused_imports(path.read_text())]
+    assert found == []
+
+
+def global_statements(source: str) -> list[tuple[int, str]]:
+    return [(node.lineno, name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Global) for name in node.names]
+
+
+def test_no_module_global_is_rebound():
+    # state a function stores in a module global is shared by every caller in
+    # the process; the package passes its state in objects instead
+    assert global_statements("X = 0\ndef f():\n    global X\n    X = 1\n") == [(3, "X")]
+    found = [f"{path.relative_to(ROOT)}:{line}: global {name}"
+             for path in PACKAGE for line, name in global_statements(path.read_text())]
     assert found == []
