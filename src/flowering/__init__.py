@@ -35,7 +35,7 @@ from .iopp import (
     verifier_query,
 )
 from .niproof import NIProof, prove_noninteractive, verify_noninteractive
-from .reed_solomon import Poly, RSCode
+from .reed_solomon import RSCode
 from .rim_graph import RIM, FloweringCut, cut_graph, flowering_cut_validate, mu
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "MerkleTree",
     "NIProof",
     "NotPrimeError",
-    "Poly",
     "PrimeField",
     "ProtocolParams",
     "RIM",

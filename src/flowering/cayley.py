@@ -166,9 +166,11 @@ def cayley_rim(r: int, gens: GenSet | list[int]) -> RIM:
     return RIM(len(vectors), vertex ^ np.array(vectors, dtype=np.int64), check=False)
 
 
-def blossoming_cayley(r: int, gens: GenSet) -> BlossomingSequence:
-    """The canonical blossoming sequence: at level i keep the half with
-    coordinate i zero and identify across the toggled coordinate."""
+def blossoming_cayley(gens: GenSet) -> BlossomingSequence:
+    """The canonical blossoming sequence on Cay(F_2^r, gens), r = gens.r: at
+    level i keep the half with coordinate i zero and identify across the
+    toggled coordinate."""
+    r = gens.r
     graph0 = cayley_rim(r, gens)
     specs = []
     for i in range(1, r + 1):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from .cayley import GenSet, gen_set_from_parity_check
 from .errors import FloweringError
 from .experiments import (
     Instance,
+    bounds_report,
     complexity_report,
     derive_seed,
     gen_instance,
@@ -73,13 +75,17 @@ def _parse_genset(data: dict) -> GenSet:
 
 
 def _parse_mc_config(cfg: dict) -> dict:
-    """The study's config over its defaults; soundness_mc checks the values."""
+    """The study's config over its defaults; soundness_mc checks the values.
+    A delta is exact: a string such as "1/2" or an int, never a float or bool."""
     study = {**MC_DEFAULTS, **cfg}
     unknown = sorted(set(cfg) - MC_DEFAULTS.keys())
     if unknown:
         raise FloweringError(
             f"unknown config keys {unknown}; a config takes {', '.join(MC_DEFAULTS)}")
     if isinstance(study["deltas"], list):
+        if not all(isinstance(d, str) or type(d) is int for d in study["deltas"]):
+            raise FloweringError(
+                f"deltas must be strings or integers, got {study['deltas']!r}")
         study["deltas"] = [Fraction(d) for d in study["deltas"]]
     return study
 
@@ -103,8 +109,6 @@ def cmd_prove(args) -> int:
         word = _load("word", args.word,
                      lambda data: Word.from_json(instance.seq.graphs[0], instance.field, data))
     else:
-        import random
-
         word = random_codeword_word(instance, random.Random(derive_seed(args.seed, 1)))
 
     if args.mode == "ni":
@@ -195,8 +199,6 @@ def cmd_report_complexity(args) -> int:
 
 
 def cmd_check_bounds(args) -> int:
-    from .experiments import bounds_report
-
     instance = _load_instance(args.instance)
     report = bounds_report(instance)
     _dump_json(args.out, report)

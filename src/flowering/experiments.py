@@ -84,7 +84,7 @@ class Instance:
 
 def _cayley_instance(gens: GenSet, rs: RSCode) -> Instance:
     """The instance on Cay(F_2^r, gens) with RS base code rs."""
-    seq = blossoming_cayley(gens.r, gens)
+    seq = blossoming_cayley(gens)
     return Instance(rs.field, rs, gens, seq, GraphCode(seq.graphs[0], rs))
 
 
@@ -180,9 +180,9 @@ def soundness_mc_point(
     word, respond, achieved = build_adversary(adversary, instance.code, delta, rng)
     accepts = sum(
         run_protocol(instance.seq, instance.rs, word, params, derive_seed(seed, 3, i),
-                     respond, verdict_only=True).accept
+                     respond).accept
         for i in range(trials))
-    bound = soundness_bound(delta, 1, instance.r, instance.n, params.t, params.m,
+    bound = soundness_bound(delta, instance.r, instance.n, params.t, params.m,
                             instance.field.p)
     return SoundnessPoint(
         adversary=adversary,

@@ -167,10 +167,7 @@ class GraphCode:
             raise GraphMismatchError("word does not live on this code's graph/field")
 
     def is_codeword(self, f: Word) -> bool:
-        self._check_word(f)
-        return all(
-            self.rs.is_codeword(f.local_view(v)) for v in range(self.graph.num_vertices)
-        )
+        return self.invalid_views(f) == 0
 
     def invalid_views(self, f: Word) -> int:
         """Number of vertices whose local view fails the RS membership test."""
@@ -191,22 +188,20 @@ class GraphCode:
         rows of every vertex, composed with the slot-to-class projection.
         H f = 0 exactly characterizes membership."""
         classes = self.graph.classes
-        rows_per_vertex = self.rs.parity_rows()
-        num_rows = len(rows_per_vertex) * self.graph.num_vertices
+        num_vertices = self.graph.num_vertices
+        num_rows = (self.rs.n - self.rs.k) * num_vertices
         if num_rows * classes.num_classes > MATRIX_CAP:
             raise TooLargeError(
                 f"parity matrix would have {num_rows * classes.num_classes} entries "
                 f"(cap {MATRIX_CAP})"
             )
-        p = self.field.p
-        out = []
-        for slots in classes.class_of.tolist():
-            for prow in rows_per_vertex:
-                row = [0] * classes.num_classes
-                for c, h in zip(slots, prow):
-                    row[c] = (row[c] + h) % p
-                out.append(row)
-        return out
+        dual = np.array(self.rs.parity_rows(), dtype=self.field.dtype).reshape(-1, self.rs.n)
+        h = np.zeros((num_vertices, len(dual), classes.num_classes), dtype=self.field.dtype)
+        # a vertex's n slots lie in n distinct classes, so no entry is
+        # written twice
+        h[np.arange(num_vertices)[:, None, None], np.arange(len(dual))[:, None],
+          classes.class_of[:, None, :]] = dual
+        return h.reshape(num_rows, classes.num_classes).tolist()
 
     def dimension(self) -> int:
         h = self.parity_check_matrix()

@@ -8,14 +8,16 @@ Query phase: m repetitions each walk a random start vertex down the cut
 chain checking t indices of the fold relation per level, then the single
 flower view is read in full and RS-tested.
 
-Query accounting: each walk logs the positions it reads, per level.  The
-transcript's read log is the union of those logs plus the flower view; it is
-exactly what a non-interactive proof opens.  oracle_reads counts the
-distinct walk positions, which reproduces the 2t-then-t shape per level (the
-second read of the projected vertex's class is the previous round's
-opening), plus the flower view in full, n reads.  When the m walks touch
-pairwise-disjoint positions the total is exactly (2r+1)mt + n, and it never
-exceeds that.
+Query accounting: the phase keeps one read log per level, the positions its
+walks read; the transcript's read log is that union plus the flower view,
+and it is exactly what a non-interactive proof opens.  oracle_reads counts
+the distinct walk positions, which reproduces the 2t-then-t shape per level
+(the second read of the projected vertex's class is the previous round's
+opening), plus the flower view in full, n reads.  A walk reads at most
+(2r+1)t positions, so when the m walks touch pairwise-disjoint positions the
+total is exactly (2r+1)mt + n, and it never exceeds that.  The phase stops
+at the first failed fold check, which is then the last recorded opening,
+and reads the flower view only if every walk passed.
 
 The walk follows the cuts: at level i it moves to v_i = down_i(v_{i-1}), the
 child id of the projection of v_{i-1}, and for each index l it opens the
@@ -29,10 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .errors import FloweringError
 from .folding import BlossomingSequence, fold
-from .graph_code import Word
+from .graph_code import GraphCode, Word
 from .reed_solomon import RSCode
 from .rim_graph import UnknownVertexError
 
@@ -147,14 +150,11 @@ def verifier_query(
     challenges: list[int],
     oracle,
     randomness: list[tuple[int, tuple[int, ...]]],
-    verdict_only: bool = False,
 ) -> Transcript:
     """Run the query phase against oracles; oracle(level, class_id) -> value.
 
-    Returns the transcript with its read log.  With verdict_only the loop
-    aborts on the first failed check and records no openings (counters and
-    reads then reflect only the reads performed).
-    """
+    Returns the transcript with its read log; a failed fold check ends the
+    phase as its last recorded opening triple."""
     r = seq.r
     n = seq.graphs[0].n
     num_vertices = seq.graphs[0].num_vertices
@@ -166,23 +166,23 @@ def verifier_query(
     counters = Counters(rounds=r, proof_length=seq.proof_length(),
                         rand_field_elements=r, rand_vertices=params.m,
                         rand_subsets=params.m)
-    walk_reads: list[list[set[int]]] = []  # per walk, per level: classes read
+    reads: list[set[int]] = [set() for _ in range(r + 1)]
     records: list[QueryRecord] = []
     accept = True
 
     for v0, indices in randomness:
-        positions: list[set[int]] = [set() for _ in range(r + 1)]
-        record = QueryRecord(v0=v0, indices=indices, walk=())
-        walk = []
         if not 0 <= v0 < num_vertices:
             raise UnknownVertexError(f"start vertex {v0} not in the base graph")
+        record = QueryRecord(v0=v0, indices=indices, walk=())
+        records.append(record)
+        walk = []
         v_cur = v0
         for i, cut in enumerate(seq.cuts, start=1):
             vc = cut.down.item(v_cur)
             walk.append(vc)
             class_of = cut.child.classes.class_of
             plan = cut.fold_plan
-            prev_read, cur_read = positions[i - 1], positions[i]
+            prev_read, cur_read = reads[i - 1], reads[i]
             alpha = challenges[i - 1]
             for l in indices:
                 cr = class_of.item(vc, l)
@@ -195,35 +195,33 @@ def verifier_query(
                 vb = oracle(i - 1, cb)
                 vr = oracle(i, cr)
                 counters.verifier_field_ops += 2
-                if not verdict_only:
-                    record.openings += [(i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr)]
+                record.openings += ((i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr))
                 if (va + alpha * vb) % p != vr:
                     accept = False
-            v_cur = vc
-            if verdict_only and not accept:
+                    break
+            if not accept:
                 break
+            v_cur = vc
         record.walk = tuple(walk)
-        records.append(record)
-        walk_reads.append(positions)
-        if verdict_only and not accept:
+        if not accept:
             break
 
-    reads = [set().union(*(positions[level] for positions in walk_reads))
-             for level in range(r + 1)]
     counters.oracle_reads = sum(len(level) for level in reads)
-    expected = (2 * r + 1) * params.t
-    walk_sizes = [sum(len(level) for level in positions) for positions in walk_reads]
-    disjoint = (all(size == expected for size in walk_sizes)
-                and sum(walk_sizes) == counters.oracle_reads)
+    # A walk reads at most (2r+1)t positions: 2t at level 0, at most 2t at
+    # each of levels 1..r-1 (a child read there is one of the next level's
+    # pair) and t at level r.  So the union reaches that bound times the
+    # number of walks only when the walks are pairwise disjoint and each is
+    # full.
+    disjoint = counters.oracle_reads == len(records) * (2 * r + 1) * params.t
 
-    if not (verdict_only and not accept):
+    if accept:
         flower_ids = seq.graphs[r].classes.class_of[0].tolist()
         view = [oracle(r, cid) for cid in flower_ids]
         reads[r].update(flower_ids)
         counters.oracle_reads += n
         counters.final_check_field_ops += n * (n - rs.k)
-        accept = rs.is_codeword(view) and accept
-        if not verdict_only and records:
+        accept = rs.is_codeword(view)
+        if records:
             records[-1].openings += [(r, cid, value) for cid, value in zip(flower_ids, view)]
 
     return Transcript(
@@ -243,7 +241,6 @@ def run_protocol(
     params: ProtocolParams,
     seed: int,
     respond=None,
-    verdict_only: bool = False,
 ) -> Transcript:
     """Full interactive run: sample the r challenges, collect the words of
     the prover (f0, respond), run the query phase.  Deterministic given the
@@ -255,8 +252,7 @@ def run_protocol(
                                          seq.graphs[0].n, params)
     transcript = verifier_query(
         seq, rs, params, challenges,
-        lambda level, cid: words[level].values[cid],
-        randomness, verdict_only=verdict_only,
+        lambda level, cid: words[level].values[cid], randomness,
     )
     # fold cost model: two field operations per sent class
     transcript.counters.prover_field_ops = 2 * sum(
@@ -266,13 +262,13 @@ def run_protocol(
     return transcript
 
 
-def soundness_bound(delta, mu_ratio, r: int, n: int, t: int, m: int,
-                    field_size: int) -> float:
+def soundness_bound(delta, r: int, n: int, t: int, m: int, field_size: int) -> float:
     """The acceptance-probability bound
     min over eps > 0 of r/(eps |F|) + (1 - (t/n)(mu delta - r eps))^m,
     minimized numerically on a log grid over (0, mu delta / r] with local
-    trisection refinement.  Clamped into [0, 1]."""
-    d = float(delta) * float(mu_ratio)
+    trisection refinement.  Clamped into [0, 1].  mu = 1: rim_graph.mu is 1
+    on the petal-free Cayley base graphs the study runs on."""
+    d = float(delta)
     if d <= 0:
         return 1.0
 
@@ -316,10 +312,6 @@ def commit_soundness_trial(code, cut, word: Word, eps) -> CommitSoundnessResult:
     of invalid local views by more than eps.  Exhaustive over the whole field
     when p <= COMMIT_CHALLENGES, else over COMMIT_CHALLENGES challenges drawn
     from random.Random(COMMIT_SEED)."""
-    from fractions import Fraction
-
-    from .graph_code import GraphCode
-
     p = code.field.p
     child_code = GraphCode(cut.child, code.rs)
     base = Fraction(code.invalid_views(word), code.graph.num_vertices)

@@ -19,7 +19,6 @@ points.  Results leave as lists of Python ints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -49,29 +48,6 @@ class LengthMismatchError(FloweringError):
     pass
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Polynomial over a prime field, coefficients low-degree first.
-
-    Canonical form has no trailing zero coefficients; the zero polynomial has
-    an empty coefficient tuple and degree -1 (standing in for -infinity).
-    """
-
-    field: PrimeField
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def make(cls, field: PrimeField, coeffs) -> Poly:
-        cs = [c % field.p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(field, tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 class RSCode:
     """RS[n, k] on pairwise-distinct points x_1..x_n of a field with p > n."""
 
@@ -98,13 +74,14 @@ class RSCode:
     def n(self) -> int:
         return len(self.points)
 
-    def evaluate(self, poly: Poly) -> list[int]:
-        """poly at every point, by Horner's rule over all points at once."""
+    def evaluate(self, coeffs: list[int]) -> list[int]:
+        """The polynomial with these coefficients, low-degree first, at every
+        point, by Horner's rule over all points at once."""
         p = self.field.p
         xs = np.array(self.points, dtype=self.field.dtype)
         acc = np.zeros_like(xs)
-        for c in reversed(poly.coeffs):
-            acc = (acc * xs + c) % p
+        for c in reversed(coeffs):
+            acc = (acc * xs + c % p) % p
         return acc.tolist()
 
     def is_codeword(self, values: list[int]) -> bool:
@@ -114,9 +91,10 @@ class RSCode:
         p = self.field.p
         return all(sum(map(mul, row, values)) % p == 0 for row in self.parity_rows())
 
-    def unit_interpolant(self) -> Poly:
-        """The degree k-1 polynomial L with L(x_{n-k+1}) = 1 and L(x_l) = 0
-        for l = n-k+2, ..., n, in product form:
+    def unit_interpolant(self) -> list[int]:
+        """The k coefficients, low-degree first, of the degree k-1 polynomial
+        L with L(x_{n-k+1}) = 1 and L(x_l) = 0 for l = n-k+2, ..., n, in
+        product form:
         L(X) = prod_l (X - x_l) / prod_l (x_{n-k+1} - x_l).
         """
         p = self.field.p
@@ -129,7 +107,7 @@ class RSCode:
                 coeffs[j] = (coeffs[j] - coeffs[j + 1] * x) % p
             denom = denom * (anchor - x) % p
         scale = self.field.inv(denom)
-        return Poly.make(self.field, [c * scale for c in coeffs])
+        return [c * scale % p for c in coeffs]
 
     def parity_rows(self) -> list[list[int]]:
         """(n-k) x n matrix H with H y = 0 iff y is a codeword: row j is
@@ -151,8 +129,7 @@ class RSCode:
         return self._parity_rows
 
     def random_codeword(self, rng: random.Random) -> list[int]:
-        coeffs = [self.field.sample(rng) for _ in range(self.k)]
-        return self.evaluate(Poly.make(self.field, coeffs))
+        return self.evaluate([self.field.sample(rng) for _ in range(self.k)])
 
     def __repr__(self) -> str:
         return f"RSCode(n={self.n}, k={self.k}, p={self.field.p})"

@@ -14,7 +14,7 @@ def t1():
     """The tiny canonical instance: Cay(F_2^2, {01,10,11}), RS[3,2] over F_5."""
     field = PrimeField(5)
     gens = gen_set_full(2)
-    seq = blossoming_cayley(2, gens)
+    seq = blossoming_cayley(gens)
     rs = RSCode.with_default_points(field, 3, 2)
     return {
         "field": field,

@@ -87,7 +87,7 @@ def assert_blossoming(seq):
 
 
 def test_blossoming_cayley_t1_structure():
-    seq = blossoming_cayley(2, gen_set_full(2))
+    seq = blossoming_cayley(gen_set_full(2))
     assert [g.num_vertices for g in seq.graphs] == [4, 2, 1]
     assert [g.classes.num_classes for g in seq.graphs] == [6, 5, 3]
     assert [g.classes.num_petals for g in seq.graphs] == [0, 4, 3]
@@ -95,21 +95,21 @@ def test_blossoming_cayley_t1_structure():
 
 
 def test_blossoming_cayley_r1():
-    seq = blossoming_cayley(1, gen_set_full(1))
+    seq = blossoming_cayley(gen_set_full(1))
     assert seq.r == 1
     assert_blossoming(seq)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_blossoming_cayley_validates(r):
-    seq = blossoming_cayley(r, gen_set_full(r))
+    seq = blossoming_cayley(gen_set_full(r))
     assert_blossoming(seq)
     assert seq.r == r
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
 def test_mu_is_one_at_every_level(r):
-    seq = blossoming_cayley(r, gen_set_full(r))
+    seq = blossoming_cayley(gen_set_full(r))
     for g in seq.graphs:
         assert mu(g) == 1
 

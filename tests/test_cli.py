@@ -147,13 +147,17 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (mc + (write("ts.json", {"ts": [16]}),), "ts must be at most n=15"),
         (mc + (write("zero_den.json", {"deltas": ["1/0"]}),), "malformed config file"),
         (mc + (write("negative.json", {"deltas": ["-1/2"]}),), "deltas must lie in [0, 1]"),
-        # the config is checked by type, not coerced: a string is not a list
-        # and a bool is not a count
+        # the config is checked by type, not coerced: a string is not a list,
+        # a bool is not a count and a float is not an exact delta
         (mc + (write("adv_str.json", {"adversaries": "lazy-copy"}),),
          "adversaries must be a list"),
         (mc + (write("trials_bool.json", {"trials": True}),), "trials must be positive integers"),
         (mc + (write("ms_bool.json", {"ms": [True]}),), "ms must be positive integers"),
         (mc + (write("deltas_str.json", {"deltas": "1/2"}),), "deltas must be a list"),
+        (mc + (write("deltas_bool.json", {"deltas": [True]}),),
+         "deltas must be strings or integers"),
+        (mc + (write("deltas_float.json", {"deltas": [0.1]}),),
+         "deltas must be strings or integers"),
         (mc + (write("workers.json", {"workers": 2}),), "unknown config keys ['workers']"),
         (gen + (missing,), "malformed genset file"),
         (gen + (write("genset.json", {"vectors": [1, 2]}),), "malformed genset file"),
@@ -296,7 +300,7 @@ def test_soundness_point_runs_each_trial_through_run_protocol(instance_file, mon
 
     monkeypatch.setattr(experiments, "run_protocol", counting_run_protocol)
     assert experiments.soundness_mc_point(*point) == unpatched
-    assert calls == [{"verdict_only": True}] * 60
+    assert calls == [{}] * 60
 
 
 def test_prove_verify_across_grid(tmp_path):

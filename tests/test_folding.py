@@ -16,7 +16,7 @@ def test_fold_alpha_zero_is_cut(t1):
     # cut_word restricts through the (v, l) accessor, independently of the
     # fold plan that fold and cut_word_on share
     rng = random.Random(0)
-    seq = blossoming_cayley(4, gen_set_full(4))
+    seq = blossoming_cayley(gen_set_full(4))
     for s in (t1["seq"], seq):
         for cut in s.cuts:
             for _ in range(3):
@@ -51,7 +51,7 @@ def test_fold_well_defined_on_both_slots():
     # recompute the fold at both slots of every child class and compare
     field = PrimeField(101)
     gens = gen_set_full(3)
-    seq = blossoming_cayley(3, gens)
+    seq = blossoming_cayley(gens)
     cut = seq.cuts[0]
     rng = random.Random(1)
     for _ in range(20):
@@ -70,7 +70,7 @@ def test_fold_well_defined_on_both_slots():
 
 def test_fold_linearity():
     field = PrimeField(101)
-    seq = blossoming_cayley(3, gen_set_full(3))
+    seq = blossoming_cayley(gen_set_full(3))
     cut = seq.cuts[0]
     rng = random.Random(2)
     p = field.p

@@ -162,13 +162,11 @@ def test_flower_code_is_rs():
 def test_flower_min_distance_against_direct_enumeration():
     import itertools
 
-    from flowering.reed_solomon import Poly
-
     field = PrimeField(5)
     flower = RIM(3, [[0, 0, 0]])
     rs = RSCode.with_default_points(field, 3, 2)
     best = min(
-        sum(1 for v in rs.evaluate(Poly.make(field, c)) if v)
+        sum(1 for v in rs.evaluate(c) if v)
         for c in itertools.product(range(5), repeat=2)
         if any(c)
     )

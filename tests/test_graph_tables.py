@@ -46,7 +46,7 @@ GENSETS = [gen_set_full(r) for r in range(1, 9)] + [validate_gen_set(4, [8, 4, 2
 
 @pytest.mark.parametrize("gens", GENSETS, ids=[f"r{g.r}-n{g.n}" for g in GENSETS])
 def test_cayley_chain_tables(gens):
-    seq = blossoming_cayley(gens.r, gens)
+    seq = blossoming_cayley(gens)
     assert seq.graphs[0].adj.tolist() == oracle.cayley_adj(gens.r, gens.vectors)
     assert_graph_tables(seq.graphs[0])
     for cut in seq.cuts:

@@ -1,5 +1,5 @@
-"""Every import in the package and its tests is used, and no package
-module rebinds a module global.
+"""Every import in the package and its tests is used, no package module
+rebinds a module global, and every package import sits at module level.
 
 A name an import binds counts as used when the module reads it anywhere
 or lists it in ``__all__``; ``from __future__`` imports bind nothing.
@@ -59,4 +59,21 @@ def test_no_module_global_is_rebound():
     assert global_statements("X = 0\ndef f():\n    global X\n    X = 1\n") == [(3, "X")]
     found = [f"{path.relative_to(ROOT)}:{line}: global {name}"
              for path in PACKAGE for line, name in global_statements(path.read_text())]
+    assert found == []
+
+
+def function_imports(source: str) -> list[int]:
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_no_import_inside_a_function():
+    # a module's header lists everything it depends on; an import inside a
+    # function hides a dependency there and reruns the import on each call
+    source = "import a\ndef f():\n    import b\n    def g():\n        from c import d\n"
+    assert function_imports(source) == [3, 5]
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in PACKAGE for line in function_imports(path.read_text())]
     assert found == []

@@ -172,7 +172,7 @@ def test_corrupted_class_rejection_rate_matches_enumeration():
     # exact rejection probability by enumerating all (v0, I) pairs, m = 1
     field = PrimeField(101)
     gens = gen_set_full(3)
-    seq = blossoming_cayley(3, gens)
+    seq = blossoming_cayley(gens)
     from flowering.reed_solomon import RSCode
 
     rs = RSCode.with_default_points(field, 7, 5)
@@ -193,7 +193,7 @@ def test_corrupted_class_rejection_rate_matches_enumeration():
     for v0 in range(8):
         for idx in itertools.combinations(range(n), params.t):
             tr = verifier_query(seq, rs, params, challenges, words_oracle(words),
-                                [(v0, idx)], verdict_only=True)
+                                [(v0, idx)])
             rejects += not tr.accept
             total += 1
     exact_rate = rejects / total
@@ -204,7 +204,7 @@ def test_corrupted_class_rejection_rate_matches_enumeration():
     for _ in range(trials):
         randomness = sample_query_randomness(mc_rng, 8, n, params)
         tr = verifier_query(seq, rs, params, challenges, words_oracle(words),
-                            randomness, verdict_only=True)
+                            randomness)
         mc_rejects += not tr.accept
     mc_rate = mc_rejects / trials
     sigma = (exact_rate * (1 - exact_rate) / trials) ** 0.5
@@ -224,6 +224,55 @@ def test_lazy_copy_rejected_quickly(t1):
     assert rejected >= 45  # detection needs alpha != 0 and a nonzero read
 
 
+def test_rejected_run_ends_at_its_failing_check():
+    # lazy copy's flower view is a codeword, so its runs reject only at a fold
+    # check: that check is the last recorded opening triple, every earlier
+    # triple holds, and the flower view is never read
+    instance = gen_instance(3, 101, 5)
+    seq, rs = instance.seq, instance.rs
+    w = random_codeword_word(instance, random.Random(8))
+    rejected = 0
+    for seed in range(40):
+        tr = run_protocol(seq, rs, w, ProtocolParams(3, 2), seed, lazy_copy)
+        if tr.accept:
+            continue
+        rejected += 1
+        openings = [o for q in tr.queries for o in q.openings]
+        assert len(openings) % 3 == 0
+        holds = [(va + tr.challenges[level - 1] * vb) % 101 == vr
+                 for (_, _, va), (_, _, vb), (level, _, vr)
+                 in zip(openings[0::3], openings[1::3], openings[2::3])]
+        assert holds[-1] is False and all(holds[:-1])
+        assert tr.counters.final_check_field_ops == 0
+        assert tr.counters.oracle_reads == sum(len(level) for level in tr.reads)
+    assert rejected >= 30
+
+
+def test_walks_disjoint_matches_per_walk_read_sets():
+    # walks_disjoint is read off the union of the walk reads; rebuilt from
+    # each walk's own openings, the walks are disjoint exactly when each
+    # read (2r+1)t positions and no position was read twice
+    seen = set()
+    for r, p, k in ((2, 17, 2), (3, 101, 5), (4, 2**31 - 1, 12)):
+        instance = gen_instance(r, p, k)
+        rng = random.Random(r)
+        for _ in range(100):
+            for respond in (None, lazy_copy):
+                w = random_codeword_word(instance, rng)
+                params = ProtocolParams(rng.randrange(1, 4), rng.randrange(1, 4))
+                tr = run_protocol(instance.seq, instance.rs, w, params,
+                                  rng.randrange(2**32), respond)
+                openings = [q.openings for q in tr.queries]
+                if tr.accept:  # the flower view closes the last walk's openings
+                    openings[-1] = openings[-1][:-instance.n]
+                walk_reads = [{(level, cid) for level, cid, _ in ops} for ops in openings]
+                per_walk = (all(len(s) == (2 * r + 1) * params.t for s in walk_reads)
+                            and sum(map(len, walk_reads)) == len(set().union(*walk_reads)))
+                assert tr.walks_disjoint == per_walk
+                seen.add((tr.accept, per_walk))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_run_protocol_deterministic(t1):
     seq, rs, field = t1["seq"], t1["rs"], t1["field"]
     w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
@@ -233,18 +282,18 @@ def test_run_protocol_deterministic(t1):
 
 
 def test_soundness_bound_edges():
-    assert soundness_bound(0, 1, 4, 15, 2, 10, 2**31 - 1) == 1.0
+    assert soundness_bound(0, 4, 15, 2, 10, 2**31 - 1) == 1.0
     # enormous field: the epsilon term vanishes
-    b = soundness_bound(Fraction(1, 2), 1, 4, 15, 2, 10, 2**61)
+    b = soundness_bound(Fraction(1, 2), 4, 15, 2, 10, 2**61)
     assert abs(b - (1 - (2 / 15) * 0.5) ** 10) < 1e-6
-    assert 0 <= soundness_bound(1, 1, 2, 3, 3, 50, 5) <= 1
+    assert 0 <= soundness_bound(1, 2, 3, 3, 50, 5) <= 1
 
 
 def test_soundness_bound_against_dense_scan():
     r, n, t, m = 4, 15, 3, 20
     field_size = 2**31 - 1
     delta = 0.5
-    bound = soundness_bound(delta, 1, r, n, t, m, field_size)
+    bound = soundness_bound(delta, r, n, t, m, field_size)
 
     def value(eps):
         base = min(1.0, max(0.0, 1 - (t / n) * (delta - r * eps)))

@@ -169,7 +169,7 @@ def test_down():
     assert cut.down.tolist() == [0, 1, 0, 1]  # the paper's pi(10) = 00
     # down[v] is the child id of the one vertex of V' that is v or maps to v
     rng = random.Random(4)
-    cuts = [c for r in (2, 3, 4) for c in blossoming_cayley(r, gen_set_full(r)).cuts]
+    cuts = [c for r in (2, 3, 4) for c in blossoming_cayley(gen_set_full(r)).cuts]
     cuts += [FloweringCut(*planted_cut(rng, rng.randrange(1, 7), rng.randrange(1, 5)))
              for _ in range(20)]
     for cut in cuts:
@@ -235,8 +235,8 @@ def test_fold_plan_is_the_fold_relation():
     # child class of (vc, l) <- parent classes of (v, l) and (phi(v), l),
     # v = from_child[vc], whichever endpoint of the child class vc is
     rng = random.Random(6)
-    chains = [blossoming_cayley(r, gen_set_full(r)) for r in (1, 2, 3, 4)]
-    chains.append(blossoming_cayley(4, validate_gen_set(4, [8, 4, 2, 1, 15], 3)))
+    chains = [blossoming_cayley(gen_set_full(r)) for r in (1, 2, 3, 4)]
+    chains.append(blossoming_cayley(validate_gen_set(4, [8, 4, 2, 1, 15], 3)))
     cuts = [cut for seq in chains for cut in seq.cuts]
     cuts += [FloweringCut(*planted_cut(rng, rng.randrange(1, 7), rng.randrange(1, 5)))
              for _ in range(20)]
@@ -270,7 +270,7 @@ def test_flowering_cut_petal_balance():
     from flowering.cayley import blossoming_cayley, gen_set_full
 
     for r in (2, 3, 4):
-        seq = blossoming_cayley(r, gen_set_full(r))
+        seq = blossoming_cayley(gen_set_full(r))
         for cut in seq.cuts:
             comp = sorted(set(range(cut.parent.num_vertices)) - set(cut.v_prime))
             other, _ = cut_graph(cut.parent, comp)
