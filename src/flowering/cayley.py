@@ -24,12 +24,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FloweringError
+from .errors import FloweringError, TooLargeError
 from .folding import BlossomingSequence
 from .graph_code import GraphCode, Word
 from .rim_graph import RIM
 
 INDEPENDENCE_CHECK_CAP = 10**6
+# entries 2^r * n of the largest graph-0 table built: the full generating
+# set at r = 12 has 4,096 x 4,095
+MAX_GRAPH_ENTRIES = 1 << 24
 _SPOT_CHECKS = 1000
 
 
@@ -53,6 +56,16 @@ class DependentSubsetError(FloweringError):
 
 class ParameterConstraintViolatedError(FloweringError):
     """These constructions assume n - k + 1 = d - 1."""
+
+
+def _check_graph_size(r: int, n: int | None = None) -> None:
+    """Refuse a table of 2^r * n entries above MAX_GRAPH_ENTRIES, n being
+    2^r - 1, the full set, when None.  r is tested first, so a huge r never
+    builds 2^r."""
+    if (r >= MAX_GRAPH_ENTRIES.bit_length()
+            or ((1 << r) - 1 if n is None else n) << r > MAX_GRAPH_ENTRIES):
+        raise TooLargeError(f"a Cayley graph on F_2^{r} needs more than "
+                            f"MAX_GRAPH_ENTRIES={MAX_GRAPH_ENTRIES} table entries")
 
 
 def _f2_rank(vectors) -> int:
@@ -96,6 +109,7 @@ def gen_set_full(r: int) -> GenSet:
     pairwise independent, so d = 3 holds structurally."""
     if r < 1:
         raise FloweringError("r must be >= 1")
+    _check_graph_size(r)
     return GenSet(r, tuple(range(1, 1 << r)), 3, True)
 
 
@@ -158,6 +172,7 @@ def cayley_rim(r: int, gens: GenSet | list[int]) -> RIM:
     """The n-RIM on F_2^r with E(v, l) = v XOR s_l; petal-free since every
     generator is nonzero and its own inverse."""
     vectors = gens.vectors if isinstance(gens, GenSet) else tuple(gens)
+    _check_graph_size(r, len(vectors))
     if vectors and (min(vectors) <= 0 or max(vectors) >= 1 << r):
         raise ZeroGeneratorError("generators must be nonzero r-bit vectors")
     if len(set(vectors)) != len(vectors):

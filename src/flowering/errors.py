@@ -6,4 +6,4 @@ class FloweringError(Exception):
 
 
 class TooLargeError(FloweringError):
-    """A brute-force routine was asked to exceed its configured size cap."""
+    """A table or brute-force routine was asked to exceed its size cap."""

@@ -77,9 +77,22 @@ class Instance:
     def from_json(cls, data: dict) -> Instance:
         if data.get("format") != INSTANCE_FORMAT:
             raise FloweringError(f"not a {INSTANCE_FORMAT} file")
-        field = PrimeField(int(data["p"]))
-        rs = RSCode(field, [int(x) for x in data["points"]], data["k"])
+        k, points = data["k"], data["points"]
+        if type(k) is not int:
+            raise FloweringError(f"k must be an integer, got {k!r}")
+        if not isinstance(points, list):
+            raise FloweringError("points must be a list")
+        field = PrimeField(_exact_int(data["p"], "p"))
+        rs = RSCode(field, [_exact_int(x, "a point") for x in points], k)
         return _cayley_instance(GenSet.from_json(data["genset"]), rs)
+
+
+def _exact_int(value, name: str) -> int:
+    """A decimal string or a plain int as an int; a bool or a float is
+    refused, not truncated."""
+    if not (isinstance(value, str) or type(value) is int):
+        raise FloweringError(f"{name} must be a decimal string or an integer, got {value!r}")
+    return int(value)
 
 
 def _cayley_instance(gens: GenSet, rs: RSCode) -> Instance:

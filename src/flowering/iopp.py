@@ -1,9 +1,10 @@
 """The flowering proximity protocol: commit phase, query phase, counters.
 
-Commit phase: for each level the verifier sends a uniform challenge and the
-prover answers with a word on the next cut graph.  A prover is its initial
-word plus a response rule respond(cut, f, alpha) -> word; the honest rule is
-the fold, and prover_commit is the one loop that collects the answers.
+Commit phase: for each level the verifier sends a challenge on the word just
+sent and the prover answers with a word on the next cut graph.  A prover is
+its initial word plus a response rule respond(cut, f, alpha) -> word, the
+honest rule being the fold.  prover_commit is the one commit loop of both
+modes: its challenges are uniform draws or, in niproof, Fiat-Shamir.
 Query phase: m repetitions each walk a random start vertex down the cut
 chain checking t indices of the fold relation per level, then the single
 flower view is read in full and RS-tested.
@@ -111,25 +112,26 @@ class Transcript:
         }
 
 
-def prover_commit(seq: BlossomingSequence, f0: Word, challenges: list[int],
-                  respond=None) -> list[Word]:
-    """The commit phase: the words f_1..f_r a prover sends for the given
-    challenges.  A prover is its initial word f0 plus a response rule
-    respond(cut, f_{i-1}, alpha_{i-1}) -> f_i.  None means the honest rule,
+def prover_commit(seq: BlossomingSequence, f0: Word, challenge,
+                  respond=None) -> tuple[list[int], list[Word]]:
+    """The commit phase: the challenges alpha_0..alpha_{r-1} and words
+    f_0..f_r of the prover (f0, respond) against the challenge source
+    challenge(f_{i-1}) -> alpha_{i-1}, called as each word is sent.  The
+    rule respond(cut, f_{i-1}, alpha_{i-1}) -> f_i defaults to the honest
     fold, which is accepted with probability 1 whenever f0 is a codeword."""
     if f0.graph != seq.graphs[0]:
         raise SequenceMismatchError("word does not live on the base graph")
-    if len(challenges) != seq.r:
-        raise SequenceMismatchError(f"expected {seq.r} challenges, got {len(challenges)}")
     if respond is None:
         respond = fold
+    challenges = []
     words = [f0]
-    for i, (cut, alpha) in enumerate(zip(seq.cuts, challenges), start=1):
-        w = respond(cut, words[-1], alpha)
+    for i, cut in enumerate(seq.cuts, start=1):
+        challenges.append(challenge(words[-1]))
+        w = respond(cut, words[-1], challenges[-1])
         if w.graph != seq.graphs[i]:
             raise SequenceMismatchError(f"prover word at level {i} is on the wrong graph")
         words.append(w)
-    return words[1:]
+    return challenges, words
 
 
 def sample_query_randomness(rng: random.Random, num_vertices: int, n: int,
@@ -163,9 +165,10 @@ def verifier_query(
     if len(challenges) != r:
         raise SequenceMismatchError(f"expected {r} challenges, got {len(challenges)}")
 
+    # fold cost model: the prover spends two field operations per sent class
     counters = Counters(rounds=r, proof_length=seq.proof_length(),
                         rand_field_elements=r, rand_vertices=params.m,
-                        rand_subsets=params.m)
+                        rand_subsets=params.m, prover_field_ops=2 * seq.proof_length())
     reads: list[set[int]] = [set() for _ in range(r + 1)]
     records: list[QueryRecord] = []
     accept = True
@@ -242,21 +245,16 @@ def run_protocol(
     seed: int,
     respond=None,
 ) -> Transcript:
-    """Full interactive run: sample the r challenges, collect the words of
-    the prover (f0, respond), run the query phase.  Deterministic given the
-    seed; respond never sees the verifier's rng."""
+    """Full interactive run: prover_commit against uniform challenges, then
+    the query phase.  Deterministic given the seed; respond never sees the
+    verifier's rng."""
     rng = random.Random(seed)
-    challenges = [rs.field.sample(rng) for _ in range(seq.r)]
-    words = [f0] + prover_commit(seq, f0, challenges, respond)
+    challenges, words = prover_commit(seq, f0, lambda f: rs.field.sample(rng), respond)
     randomness = sample_query_randomness(rng, seq.graphs[0].num_vertices,
                                          seq.graphs[0].n, params)
     transcript = verifier_query(
         seq, rs, params, challenges,
         lambda level, cid: words[level].values[cid], randomness,
-    )
-    # fold cost model: two field operations per sent class
-    transcript.counters.prover_field_ops = 2 * sum(
-        len(w.values) for w in words[1:]
     )
     assert transcript.counters.proof_length < seq.graphs[0].n * seq.graphs[0].num_vertices
     return transcript

@@ -1,13 +1,14 @@
 """Non-interactive proofs: binary format, prover, verifier.
 
-Challenges are derived by absorbing each level's Merkle root into a
-Fiat-Shamir transcript that is first bound to the full instance (field,
-the chain digest of graph 0 and every cut, RS parameters, protocol
-parameters), and the query randomness is derived after the last root.  The
-proof carries the per-level roots and the authenticated openings of exactly
-the positions the verifier re-derives: the query phase's read log, which
-the verifier compares with the openings before it authenticates any of
-them.
+The prover is iopp.prover_commit with each verifier message replaced by
+Fiat-Shamir (the compiler of Ben-Sasson, Chiesa and Spooner, TCC 2016):
+each level's Merkle root is absorbed into a transcript first bound to the
+full instance (field, the chain digest of graph 0 and every cut, RS and
+protocol parameters), and the query randomness is derived after the last
+root.  The proof carries the per-level roots and the authenticated
+openings of exactly the positions the verifier re-derives: the query
+phase's read log, which the verifier compares with the openings before it
+authenticates any of them.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 
 from .commitment import DIGEST_SIZE, FSState, MerkleTree, verify_open
 from .errors import FloweringError
-from .folding import BlossomingSequence, fold
+from .folding import BlossomingSequence
 from .graph_code import Word
-from .iopp import ProtocolParams, Transcript, verifier_query
+from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
@@ -157,26 +158,25 @@ def derive_noninteractive_randomness(
 def prove_noninteractive(
     seq: BlossomingSequence, rs: RSCode, f0: Word, params: ProtocolParams
 ) -> tuple[NIProof, Transcript]:
-    """Commit to the honest fold chain, derive challenges and queries, open
-    every position the verifier will read.  Also returns the transcript of
-    the self-run query phase (honest proofs accept)."""
+    """The honest prover_commit against Fiat-Shamir: each word is committed
+    and answered by the challenge its root derives; the last root derives
+    the queries, and every position they read is opened.  Also returns the
+    transcript of the self-run query phase (honest proofs accept)."""
     params.check(seq.graphs[0].n)
     if params.m > MAX_M or params.t > MAX_T:
         raise FloweringError(
             f"a proof header holds m <= {MAX_M} and t <= {MAX_T}, "
             f"got m={params.m}, t={params.t}")
-    words = [f0]
-    trees = [MerkleTree(f0.values)]
+    trees = []
     schedule = fiat_shamir_schedule(seq, rs, params)
     next(schedule)
-    challenges = []
-    for cut in seq.cuts:
-        challenges.append(schedule.send(trees[-1].root))
-        words.append(fold(cut, words[-1], challenges[-1]))
-        trees.append(MerkleTree(words[-1].values))
-    randomness = schedule.send(trees[-1].root)
-    roots = [tree.root for tree in trees]
 
+    def commit(word: Word):
+        trees.append(MerkleTree(word.values))
+        return schedule.send(trees[-1].root)
+
+    challenges, words = prover_commit(seq, f0, commit)
+    randomness = commit(words[-1])
     transcript = verifier_query(seq, rs, params, challenges,
                                 lambda level, cid: words[level].values[cid], randomness)
     openings = [{cid: tree.open(cid) for cid in sorted(cids)}
@@ -187,7 +187,7 @@ def prove_noninteractive(
         r=seq.r,
         m=params.m,
         t=params.t,
-        roots=roots,
+        roots=[tree.root for tree in trees],
         openings=openings,
     )
     return proof, transcript

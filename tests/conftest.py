@@ -4,7 +4,7 @@ import pytest
 
 from flowering.cayley import blossoming_cayley, gen_set_full
 from flowering.field import PrimeField
-from flowering.graph_code import GraphCode
+from flowering.graph_code import GraphCode, Word
 from flowering.reed_solomon import RSCode
 from flowering.rim_graph import RIM
 
@@ -23,6 +23,13 @@ def t1():
         "rs": rs,
         "code": GraphCode(seq.graphs[0], rs),
     }
+
+
+def replay(challenges):
+    """A challenge source for prover_commit that sends the given challenges
+    in order, whatever the words."""
+    sent = iter(challenges)
+    return lambda word: next(sent)
 
 
 def random_rim(rng: random.Random, num_vertices: int, n: int, petal_prob: float = 0.3) -> RIM:
@@ -80,6 +87,4 @@ def scrambled(rng: random.Random, phi: dict[int, int]) -> dict[int, int]:
 
 
 def random_word(rng: random.Random, graph: RIM, field: PrimeField):
-    from flowering.graph_code import Word
-
     return Word(graph, field, [field.sample(rng) for _ in range(graph.classes.num_classes)])

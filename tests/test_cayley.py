@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flowering.cayley import (
+    MAX_GRAPH_ENTRIES,
     DependentSubsetError,
     DuplicateGeneratorError,
     GenSet,
@@ -17,7 +18,9 @@ from flowering.cayley import (
     min_distance_bounds,
     span_of,
     upper_bound_witness,
+    validate_gen_set,
 )
+from flowering.errors import TooLargeError
 from flowering.field import PrimeField
 from flowering.graph_code import GraphCode, relative_weight
 from flowering.reed_solomon import RSCode
@@ -41,6 +44,8 @@ def test_cayley_rim_edges_and_errors():
         cayley_rim(2, [0, 1])
     with pytest.raises(DuplicateGeneratorError):
         cayley_rim(2, [1, 1])
+    with pytest.raises(TooLargeError):  # 2^40 x 40 table entries, refused unbuilt
+        cayley_rim(40, [1 << i for i in range(40)])
 
 
 def test_gen_set_full():
@@ -53,6 +58,12 @@ def test_gen_set_full():
     # d - 1 = 2: all pairs of distinct nonzero vectors are independent
     for a, b in itertools.combinations(g3.vectors, 2):
         assert a ^ b != 0
+
+    # the table cap admits the full set at r = 12, 4,096 x 4,095 entries, and
+    # refuses r = 40 before its vectors are built
+    assert gen_set_full(12).n == 4095 and 4096 * 4095 <= MAX_GRAPH_ENTRIES
+    with pytest.raises(TooLargeError):
+        gen_set_full(40)
 
 
 def test_gen_set_from_parity_check_hamming():
@@ -181,8 +192,6 @@ def test_gen_set_json_round_trip():
 
 
 def test_gen_set_spot_check_path_flags_unverified():
-    from flowering.cayley import validate_gen_set
-
     # d = 3 is decided exactly: distinct nonzero vectors are pairwise independent
     full = validate_gen_set(11, list(range(1, 1 << 11)), 3)
     assert full.independence_verified and full == gen_set_full(11)

@@ -1,11 +1,13 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from flowering import experiments
 from flowering.cli import main
-from flowering.experiments import Instance
-from flowering.iopp import run_protocol
+from flowering.experiments import Instance, random_codeword_word
+from flowering.iopp import ProtocolParams, run_protocol
 
 
 def run(*argv):
@@ -105,6 +107,21 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
 
     not_an_object = write("list.json", [])
     string_k = write("string_k.json", {**data, "k": str(data["k"])})
+    # k a plain int, p and each point a decimal string or a plain int: a
+    # bool or a float is refused, not truncated
+    points = data["points"]
+    mistyped = [(write(f"mistyped_{i}.json", {**data, **change}), message)
+                for i, (change, message) in enumerate((
+                    ({"k": 5.5}, "k must be an integer"),
+                    ({"k": True}, "k must be an integer"),
+                    ({"points": [1.5] + points[1:]}, "a point must be a decimal string"),
+                    ({"points": [True] + points[1:]}, "a point must be a decimal string"),
+                    ({"points": "".join(points)}, "points must be a list"),
+                    ({"p": float(data["p"])}, "p must be a decimal string")))]
+    # a graph-0 table of 2^40 x 40 entries, refused before anything of size
+    # 2^r is built
+    r40 = write("r40.json", {**data, "k": 38, "points": [str(x) for x in range(1, 41)],
+                             "genset": {"r": 40, "d": 3, "vectors": [1 << i for i in range(40)]}})
     v1 = write("v1.json", {**data, "format": "flowering-instance-v1"})
     no_p_word = write("no_p_word.json", {"values": [0] * 120})
     # word values outside [0, p): a negative one, one past u64 and p itself
@@ -133,7 +150,15 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     for argv, message in (
         (("verify", "--instance", not_an_object, "--proof", proof), "malformed instance file"),
         (("verify", "--instance", string_k, "--proof", proof), "malformed instance file"),
+        *((("prove", "--instance", path, "--out", tmp_path / "p.bin"), message)
+          for path, message in mistyped),
+        *((("check-bounds", "--instance", path, "--out", tmp_path / "b.json"), message)
+          for path, message in mistyped),
         (("verify", "--instance", v1, "--proof", proof), "not a flowering-instance-v2 file"),
+        (("prove", "--instance", r40, "--out", tmp_path / "p.bin"), "MAX_GRAPH_ENTRIES"),
+        (("check-bounds", "--instance", r40, "--out", tmp_path / "b.json"), "MAX_GRAPH_ENTRIES"),
+        (("gen", "--r", 40, "--p", p, "--k", 38, "--out", tmp_path / "g.json"),
+         "MAX_GRAPH_ENTRIES"),
         (("prove", "--instance", missing, "--out", tmp_path / "p.bin"),
          "malformed instance file"),
         (prove + ("--word", missing), "malformed word file"),
@@ -225,10 +250,6 @@ def test_report_complexity_cli(tmp_path, instance_file):
 
 
 def test_prove_with_explicit_word(tmp_path, instance_file):
-    import random
-
-    from flowering.experiments import Instance, random_codeword_word
-
     instance = Instance.from_json(json.loads(instance_file.read_text()))
     word = random_codeword_word(instance, random.Random(5))
     word_file = tmp_path / "word.json"
@@ -284,11 +305,6 @@ def test_genset_defines_the_graph(tmp_path):
 def test_soundness_point_runs_each_trial_through_run_protocol(instance_file, monkeypatch):
     # a caller counts or times the study's trials by wrapping
     # experiments.run_protocol, so each trial is one call through that name
-    from fractions import Fraction
-
-    from flowering import experiments
-    from flowering.iopp import ProtocolParams
-
     instance = Instance.from_json(json.loads(instance_file.read_text()))
     point = (instance, "lazy-copy", Fraction(1, 2), ProtocolParams(3, 2), 60, 9)
     unpatched = experiments.soundness_mc_point(*point)

@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+import flowering.niproof as niproof
+from conftest import replay
+from flowering.adversaries import far_word
 from flowering.commitment import (
     EmptyWordError,
     FSState,
@@ -13,7 +17,7 @@ from flowering.commitment import (
 )
 from flowering.experiments import gen_instance, random_codeword_word
 from flowering.folding import BlossomingSequence
-from flowering.iopp import ProtocolParams
+from flowering.iopp import ProtocolParams, prover_commit, verifier_query
 from flowering.niproof import (
     MalformedProofError,
     NIProof,
@@ -149,21 +153,35 @@ def test_ni_round_trip(ni_setup):
 
 
 def test_ni_matches_interactive_given_same_challenges(ni_setup):
-    instance, params, word, proof, transcript = ni_setup
-    from flowering.iopp import prover_commit, verifier_query
-
-    challenges, randomness = derive_noninteractive_randomness(
-        instance.seq, instance.rs, params, proof.roots
-    )
-    assert challenges == transcript.challenges
-    words = [word] + prover_commit(instance.seq, word, challenges)
-    interactive = verifier_query(
-        instance.seq, instance.rs, params, challenges,
-        lambda level, cid: words[level].values[cid], randomness,
-    )
-    _, ni_transcript = verify_noninteractive(instance.seq, instance.rs, proof)
-    assert interactive.accept == ni_transcript.accept
-    assert interactive.counters.oracle_reads == ni_transcript.counters.oracle_reads
+    # the NI prover is prover_commit and verifier_query on the Fiat-Shamir
+    # challenges and randomness; a far word's proof opens only valid paths,
+    # and the verifier rejects it at the flower check
+    instance, params, codeword, codeword_proof, codeword_transcript = ni_setup
+    for delta in (None, Fraction(1, 10), Fraction(1, 2)):
+        if delta is None:
+            word, proof, transcript = codeword, codeword_proof, codeword_transcript
+        else:
+            word, _ = far_word(instance.code, delta, random.Random(1))
+            proof, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
+        challenges, randomness = derive_noninteractive_randomness(
+            instance.seq, instance.rs, params, proof.roots
+        )
+        _, words = prover_commit(instance.seq, word, replay(challenges))
+        interactive = verifier_query(
+            instance.seq, instance.rs, params, challenges,
+            lambda level, cid: words[level].values[cid], randomness,
+        )
+        assert interactive.to_json() == transcript.to_json()
+        assert interactive.reads == transcript.reads
+        accept, verified = verify_noninteractive(instance.seq, instance.rs,
+                                                 NIProof.parse(proof.serialize()))
+        assert accept is transcript.accept is (delta is None)
+        assert verified.to_json() == transcript.to_json() and verified.reads == transcript.reads
+        if delta is not None:
+            # every walk passed and the flower view was read in full
+            assert len(transcript.queries) == params.m
+            assert transcript.counters.final_check_field_ops > 0
+            assert not instance.rs.is_codeword(words[-1].local_view(0))
 
 
 def test_ni_mutations_rejected(ni_setup):
@@ -216,11 +234,9 @@ def test_ni_out_of_range_value_rejected(ni_setup):
 
 def _unread_opening(instance, params, word, proof):
     # a class no walk reads, opened against the honest tree with a valid path
-    from flowering.iopp import prover_commit
-
     challenges, _ = derive_noninteractive_randomness(
         instance.seq, instance.rs, params, proof.roots)
-    words = [word] + prover_commit(instance.seq, word, challenges)
+    _, words = prover_commit(instance.seq, word, replay(challenges))
     level = 1
     tree = MerkleTree(words[level].values)
     assert tree.root == proof.roots[level]
@@ -282,8 +298,6 @@ def test_ni_padded_proof_rejected_before_hashing(monkeypatch):
     # 1,000 extra level-0 openings, each valid against the honest tree: the
     # verifier compares the opened classes with its read log first, so it
     # rejects the proof without authenticating a single path
-    import flowering.niproof as niproof
-
     instance = gen_instance(6, 2**31 - 1, 61)
     params = ProtocolParams(3, 2)
     word = random_codeword_word(instance, random.Random(0))

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -102,8 +104,6 @@ def test_local_view_distance_lower_bounds_vertex_distance(t1):
     rng = random.Random(1)
     p = 5
     words = [random_word(rng, graph, t1["field"]) for _ in range(10)]
-    import itertools
-
     for f in words:
         lv = code.local_view_distance(f)
         best = min(
@@ -160,8 +160,6 @@ def test_flower_code_is_rs():
 
 
 def test_flower_min_distance_against_direct_enumeration():
-    import itertools
-
     field = PrimeField(5)
     flower = RIM(3, [[0, 0, 0]])
     rs = RSCode.with_default_points(field, 3, 2)
@@ -209,8 +207,6 @@ def test_cut_word(t1):
 
 
 def test_word_json_round_trip(t1):
-    import json
-
     graph = t1["seq"].graphs[0]
     w = Word.from_index_values(graph, t1["field"], [1, 2, 3])
     data = json.loads(json.dumps(w.to_json()))

@@ -3,13 +3,25 @@ class index, violations, petal counts, cut graphs, the cut validator, down
 and fold plans, entry by entry."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import loop_oracle as oracle
 from conftest import planted_cut, random_rim, scrambled
-from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full, validate_gen_set
+from flowering.adversaries import far_word, lazy_copy
+from flowering.cayley import (
+    blossoming_cayley,
+    cayley_rim,
+    gen_set_full,
+    upper_bound_witness,
+    validate_gen_set,
+)
+from flowering.experiments import gen_instance, honest_run
+from flowering.folding import fold
+from flowering.graph_code import Word, cut_word
+from flowering.iopp import ProtocolParams
 from flowering.rim_graph import RIM, FloweringCut, cut_graph, flowering_cut_validate
 
 
@@ -109,15 +121,6 @@ def test_cayley_rim_matches_loop():
 def test_words_hold_python_ints():
     # words built from the tables carry plain ints, so no numpy scalar can
     # reach a Merkle leaf, a proof or a transcript
-    from fractions import Fraction
-
-    from flowering.adversaries import far_word, lazy_copy
-    from flowering.cayley import upper_bound_witness
-    from flowering.experiments import gen_instance, honest_run
-    from flowering.folding import fold
-    from flowering.graph_code import Word, cut_word
-    from flowering.iopp import ProtocolParams
-
     inst = gen_instance(3, 101, 6)
     rng = random.Random(14)
     cut = inst.seq.cuts[0]

@@ -1,5 +1,5 @@
 """Every import in the package and its tests is used, no package module
-rebinds a module global, and every package import sits at module level.
+rebinds a module global, and every import sits at module level.
 
 A name an import binds counts as used when the module reads it anywhere
 or lists it in ``__all__``; ``from __future__`` imports bind nothing.
@@ -75,5 +75,5 @@ def test_no_import_inside_a_function():
     source = "import a\ndef f():\n    import b\n    def g():\n        from c import d\n"
     assert function_imports(source) == [3, 5]
     found = [f"{path.relative_to(ROOT)}:{line}"
-             for path in PACKAGE for line in function_imports(path.read_text())]
+             for path in MODULES for line in function_imports(path.read_text())]
     assert found == []

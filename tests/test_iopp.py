@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import replay
 from flowering.adversaries import lazy_copy
 from flowering.cayley import blossoming_cayley, gen_set_full
 from flowering.experiments import gen_instance, random_codeword_word
@@ -21,6 +22,7 @@ from flowering.iopp import (
     soundness_bound,
     verifier_query,
 )
+from flowering.reed_solomon import RSCode
 from flowering.rim_graph import UnknownVertexError
 
 
@@ -43,8 +45,16 @@ def test_honest_prover_accepts(t1):
 def test_prover_commit_codeword_chain(t1):
     seq, rs, field = t1["seq"], t1["rs"], t1["field"]
     w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
-    words = prover_commit(seq, w, [3, 4])
-    for level, word in enumerate(words, start=1):
+    sent = []
+
+    def challenge(word):
+        sent.append(word)
+        return 2 + len(sent)
+
+    challenges, words = prover_commit(seq, w, challenge)
+    # the source is asked once per cut, on the word just sent
+    assert challenges == [3, 4] and sent == words[:2] and words[0] is w
+    for level, word in enumerate(words[1:], start=1):
         assert GraphCode(seq.graphs[level], rs).is_codeword(word)
     assert rs.is_codeword(words[-1].local_view(0))
 
@@ -52,7 +62,7 @@ def test_prover_commit_codeword_chain(t1):
 def test_prover_commit_constant_product(t1):
     seq, field = t1["seq"], t1["field"]
     c = 2
-    words = prover_commit(seq, Word.constant(seq.graphs[0], field, c), [3, 4])
+    _, words = prover_commit(seq, Word.constant(seq.graphs[0], field, c), replay([3, 4]))
     expected = c * (1 + 3) * (1 + 4) % 5
     assert all(v == expected for v in words[-1].values)
 
@@ -61,7 +71,7 @@ def test_prover_commit_zero_challenges_are_cuts(t1):
     seq, field = t1["seq"], t1["field"]
     rng = random.Random(1)
     w = Word(seq.graphs[0], field, [field.sample(rng) for _ in range(6)])
-    words = prover_commit(seq, w, [0, 0])
+    _, words = prover_commit(seq, w, replay([0, 0]))
     # the flower view is the local view of f0 at the surviving vertex 0
     assert words[-1].local_view(0) == w.local_view(0)
 
@@ -70,11 +80,9 @@ def test_prover_commit_checks_words(t1):
     seq, field = t1["seq"], t1["field"]
     w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
     with pytest.raises(SequenceMismatchError):
-        prover_commit(seq, w, [3])
-    with pytest.raises(SequenceMismatchError):
-        prover_commit(seq, Word.constant(seq.graphs[1], field, 1), [3, 4])
+        prover_commit(seq, Word.constant(seq.graphs[1], field, 1), replay([3, 4]))
     with pytest.raises(SequenceMismatchError):  # a rule answering off the cut graph
-        prover_commit(seq, w, [3, 4], lambda cut, f, alpha: f)
+        prover_commit(seq, w, replay([3, 4]), lambda cut, f, alpha: f)
 
 
 def test_read_log_is_every_oracle_read():
@@ -86,7 +94,7 @@ def test_read_log_is_every_oracle_read():
     for _ in range(30):
         w = random_codeword_word(instance, rng)
         challenges = [rs.field.sample(rng) for _ in range(seq.r)]
-        words = [w] + prover_commit(seq, w, challenges)
+        _, words = prover_commit(seq, w, replay(challenges))
         params = ProtocolParams(rng.randrange(1, 4), rng.randrange(1, 4))
         randomness = sample_query_randomness(rng, 8, 7, params)
         asked = [set() for _ in range(seq.r + 1)]
@@ -106,7 +114,7 @@ def test_read_log_is_every_oracle_read():
 def test_walk_start_vertex_must_exist(t1):
     seq, rs, field = t1["seq"], t1["rs"], t1["field"]
     w = Word.from_index_values(seq.graphs[0], field, [1, 2, 3])
-    oracle = words_oracle([w] + prover_commit(seq, w, [3, 4]))
+    oracle = words_oracle(prover_commit(seq, w, replay([3, 4]))[1])
     for v0 in (-1, 4):
         with pytest.raises(UnknownVertexError):
             verifier_query(seq, rs, ProtocolParams(1, 1), [3, 4], oracle, [(v0, (0,))])
@@ -173,8 +181,6 @@ def test_corrupted_class_rejection_rate_matches_enumeration():
     field = PrimeField(101)
     gens = gen_set_full(3)
     seq = blossoming_cayley(gens)
-    from flowering.reed_solomon import RSCode
-
     rs = RSCode.with_default_points(field, 7, 5)
     rng = random.Random(5)
     w = Word.from_index_values(seq.graphs[0], field, rs.random_codeword(rng))
@@ -182,8 +188,8 @@ def test_corrupted_class_rejection_rate_matches_enumeration():
     params = ProtocolParams(1, 2)
 
     challenges = [11, 22, 33]
-    words = [w] + prover_commit(seq, w, challenges, one_class_corruptor(seq, class_id))
-    clean = [w] + prover_commit(seq, w, challenges)
+    _, words = prover_commit(seq, w, replay(challenges), one_class_corruptor(seq, class_id))
+    _, clean = prover_commit(seq, w, replay(challenges))
     assert [sum(a != b for a, b in zip(x.values, y.values))
             for x, y in zip(words, clean)] == [0, 1, 0, 0]
 

@@ -267,8 +267,6 @@ def test_mu_values():
 
 def test_flowering_cut_petal_balance():
     # both halves of a flowering cut carry identical petal counts per index
-    from flowering.cayley import blossoming_cayley, gen_set_full
-
     for r in (2, 3, 4):
         seq = blossoming_cayley(gen_set_full(r))
         for cut in seq.cuts:
