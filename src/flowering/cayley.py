@@ -101,7 +101,14 @@ class GenSet:
 
     @classmethod
     def from_json(cls, data: dict) -> GenSet:
-        return validate_gen_set(data["r"], list(data["vectors"]), data["d"])
+        """r and d must be plain ints and vectors a list of them: a bool or a
+        float is refused, not read as a number."""
+        r, d, vectors = data["r"], data["d"], data["vectors"]
+        if type(r) is not int or type(d) is not int:
+            raise FloweringError(f"r and d must be integers, got r={r!r}, d={d!r}")
+        if not isinstance(vectors, list) or any(type(v) is not int for v in vectors):
+            raise FloweringError("vectors must be a list of integers")
+        return validate_gen_set(r, vectors, d)
 
 
 def gen_set_full(r: int) -> GenSet:

@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .graph_code import Word
 from .iopp import ProtocolParams, run_protocol
-from .niproof import NIProof, prove_noninteractive, verify_noninteractive
+from .niproof import VERSION, NIProof, prove_noninteractive, verify_noninteractive
 
 TRANSCRIPT_FORMAT = "flowering-transcript-v1"
 # the d of a parity-check genset file that names none
@@ -115,7 +115,7 @@ def cmd_prove(args) -> int:
         proof, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
         blob = proof.serialize()
         if args.json:
-            _dump_json(args.out, {"format": "flowering-ni-proof-v2", "hex": blob.hex()})
+            _dump_json(args.out, {"format": f"flowering-ni-proof-v{VERSION}", "hex": blob.hex()})
         else:
             with open(args.out, "wb") as fh:
                 fh.write(blob)

@@ -1,9 +1,15 @@
 """Merkle vector commitments and the Fiat-Shamir transcript state.
 
-Leaves hash the canonical class index together with the field value, and
-leaf/node hashes are domain-separated by a one-byte prefix, so a path commits
-to a position, not just a value.  SHA-256 throughout; the digest function is
-a module-level hook should anyone need to swap it.
+A word is committed in buckets of LEAF_CLASSES consecutive classes, one
+bucket per leaf, as FRI commits one coset per leaf: leaf j hashes the
+bucket index j with the values of classes 8j..8j+7 (the last leaf holds
+only the classes that remain), and leaf/node hashes are domain-separated
+by a one-byte prefix, so a path commits to a position, not just values.
+The leaf layer is zero-padded to a power of two.  Each tree layer is one
+contiguous bytes object of digests, and the preimages of a layer are built
+as one numpy record array and hashed row by row, so the hashing is one
+DIGEST call per leaf and per node and nothing else per class.  SHA-256
+throughout; every hash goes through the module-level DIGEST.
 
 FSState keeps a running 32-byte state.  Every absorb and every challenge is
 framed with a length-prefixed label, and deriving a challenge ratchets the
@@ -16,10 +22,15 @@ from __future__ import annotations
 import hashlib
 import struct
 
+import numpy as np
+
 from .errors import FloweringError
 
 DIGEST = hashlib.sha256
 DIGEST_SIZE = 32
+# classes per Merkle leaf: an opened bucket carries its unread classes as
+# 8-byte values and saves the 32-byte path digests of separate leaves
+LEAF_CLASSES = 8
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -34,8 +45,44 @@ class IndexOutOfRangeError(FloweringError):
     pass
 
 
-def _leaf_hash(index: int, value: int) -> bytes:
-    return DIGEST(_LEAF_PREFIX + struct.pack("<QQ", index, value)).digest()
+def _num_leaves(num_classes: int) -> int:
+    return -(-num_classes // LEAF_CLASSES)
+
+
+def _leaf_preimage(bucket: int, values: list[int]) -> bytes:
+    return _LEAF_PREFIX + struct.pack(f"<Q{len(values)}Q", bucket, *values)
+
+
+def _hash_rows(records: np.ndarray) -> bytes:
+    """The digests of the rows of a 2-D uint8 array, concatenated."""
+    digest = DIGEST
+    width = records.shape[1]
+    view = memoryview(records.tobytes())
+    return b"".join([digest(view[i:i + width]).digest()
+                     for i in range(0, len(view), width)])
+
+
+def _leaf_layer(values: list[int]) -> bytes:
+    """The leaf digests: the preimages of the full buckets (prefix, index
+    u64, LEAF_CLASSES values u64) as the rows of one record array, and the
+    last, shorter bucket on its own."""
+    full = len(values) // LEAF_CLASSES
+    records = np.empty((full, 1 + 8 + 8 * LEAF_CLASSES), dtype=np.uint8)
+    records[:, 0] = _LEAF_PREFIX[0]
+    records[:, 1:9] = np.arange(full, dtype="<u8").view(np.uint8).reshape(full, 8)
+    records[:, 9:] = np.array(values[:full * LEAF_CLASSES], dtype="<u8").view(
+        np.uint8).reshape(full, 8 * LEAF_CLASSES)
+    layer = _hash_rows(records)
+    if full * LEAF_CLASSES < len(values):
+        layer += DIGEST(_leaf_preimage(full, values[full * LEAF_CLASSES:])).digest()
+    return layer
+
+
+def _node_layer(layer: bytes) -> bytes:
+    records = np.empty((len(layer) // (2 * DIGEST_SIZE), 1 + 2 * DIGEST_SIZE), dtype=np.uint8)
+    records[:, 0] = _NODE_PREFIX[0]
+    records[:, 1:] = np.frombuffer(layer, dtype=np.uint8).reshape(-1, 2 * DIGEST_SIZE)
+    return _hash_rows(records)
 
 
 def _node_hash(left: bytes, right: bytes) -> bytes:
@@ -43,52 +90,57 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
 
 
 class MerkleTree:
-    """Commitment to a list of field values in canonical class order.
+    """Commitment to a list of field values in canonical class order, one
+    leaf per bucket of LEAF_CLASSES classes.
 
-    The leaf layer is zero-padded to a power of two; openings are
-    (value, sibling path) pairs authenticated against the root.
+    layers[0] is the zero-padded leaf layer and layers[-1] the root, each
+    one bytes object of 32-byte digests; openings are (bucket values,
+    sibling path) pairs authenticated against the root.
     """
 
     def __init__(self, values: list[int]):
         if not values:
             raise EmptyWordError("cannot commit to an empty word")
         self.values = list(values)
-        leaves = [_leaf_hash(i, v) for i, v in enumerate(values)]
-        width = 1
-        while width < len(leaves):
-            width *= 2
-        leaves += [_ZERO_DIGEST] * (width - len(leaves))
-        layers = [leaves]
-        while len(layers[-1]) > 1:
-            prev = layers[-1]
-            layers.append([_node_hash(prev[i], prev[i + 1]) for i in range(0, len(prev), 2)])
+        leaves = _num_leaves(len(values))
+        layers = [_leaf_layer(self.values)
+                  + _ZERO_DIGEST * ((1 << (leaves - 1).bit_length()) - leaves)]
+        while len(layers[-1]) > DIGEST_SIZE:
+            layers.append(_node_layer(layers[-1]))
         self.layers = layers
 
     @property
     def root(self) -> bytes:
-        return self.layers[-1][0]
+        return self.layers[-1]
 
-    def open(self, index: int) -> tuple[int, list[bytes]]:
-        """The committed value at a class index plus its authentication path."""
-        if not 0 <= index < len(self.values):
-            raise IndexOutOfRangeError(f"index {index} out of range")
+    def open(self, bucket: int) -> tuple[list[int], list[bytes]]:
+        """The committed values of a bucket plus its authentication path."""
+        if not 0 <= bucket < _num_leaves(len(self.values)):
+            raise IndexOutOfRangeError(f"bucket {bucket} out of range")
         path = []
-        pos = index
+        pos = bucket
         for layer in self.layers[:-1]:
-            path.append(layer[pos ^ 1])
+            sibling = (pos ^ 1) * DIGEST_SIZE
+            path.append(layer[sibling:sibling + DIGEST_SIZE])
             pos >>= 1
-        return self.values[index], path
+        first = bucket * LEAF_CLASSES
+        return self.values[first:first + LEAF_CLASSES], path
 
 
-def verify_open(root: bytes, index: int, value: int, path: list[bytes],
-                num_leaves: int) -> bool:
-    """True iff the path authenticates (index, value) under the root of a
-    tree over num_leaves values.  The path must have exactly that tree's
-    depth: a shorter or longer one could pass an inner node off as a leaf."""
-    if not 0 <= index < num_leaves or len(path) != (num_leaves - 1).bit_length():
+def verify_open(root: bytes, bucket: int, values: list[int], path: list[bytes],
+                num_classes: int) -> bool:
+    """True iff the path authenticates the values of a bucket under the root
+    of a tree over num_classes values.  The bucket must hold exactly its
+    classes, min(LEAF_CLASSES, N - LEAF_CLASSES * bucket) values, and the
+    path must have exactly that tree's depth: a shorter or longer one could
+    pass an inner node off as a leaf."""
+    leaves = _num_leaves(num_classes)
+    if (not 0 <= bucket < leaves
+            or len(values) != min(LEAF_CLASSES, num_classes - LEAF_CLASSES * bucket)
+            or len(path) != (leaves - 1).bit_length()):
         return False
-    node = _leaf_hash(index, value)
-    pos = index
+    node = DIGEST(_leaf_preimage(bucket, values)).digest()
+    pos = bucket
     for sibling in path:
         if pos & 1:
             node = _node_hash(sibling, node)

@@ -6,24 +6,29 @@ each level's Merkle root is absorbed into a transcript first bound to the
 full instance (field, the chain digest of graph 0 and every cut, RS and
 protocol parameters), and the query randomness is derived after the last
 root.  The proof carries the per-level roots and the authenticated
-openings of exactly the positions the verifier re-derives: the query
-phase's read log, which the verifier compares with the openings before it
-authenticates any of them.
+openings of exactly the buckets holding the positions the verifier
+re-derives: the query phase's read log, whose buckets the verifier
+compares with the openings before it authenticates any of them.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
 
-Binary layout, version 2 (little-endian):
-    magic "FLWR" | version u16 = 2 | p u64 | chain digest 32B | r u32 |
-    m u32 | t u32 | (r+1) roots 32B | per level: count u32, then entries
-    class u64 | value u64 | path_len u8 | path_len sibling digests 32B.
-The chain digest is ``BlossomingSequence.digest``; version 1, which bound
-graph 0 alone, is refused.  Parsing is strict: any other version, an r, m
-or t outside 1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS, a
-truncation or a trailing byte is malformed, and the prover refuses to write
-a header the parser would refuse.  The verifier accepts an opening only if
-its path_len equals the depth of that level's tree, so a root cannot be
-opened at two depths.
+Binary layout, version 3 (little-endian):
+    magic "FLWR" | version u16 = 3 | p u64 | chain digest 32B | r u32 |
+    m u32 | t u32 | (r+1) roots 32B | per level: count u32, then records
+    first class u64 | n u8 | n values u64 | path_len u8 |
+    path_len sibling digests 32B.
+A record opens the n consecutive classes first..first+n-1 of one Merkle
+bucket (commitment.LEAF_CLASSES classes per leaf) under one path; an honest
+proof writes one record per opened bucket.  The chain digest is
+``BlossomingSequence.digest``.  Parsing is strict: any other version (1
+bound graph 0 alone, 2 had one leaf per class), an r, m or t outside
+1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS, a record of no
+class or of classes of two buckets, a class opened twice, a truncation or
+a trailing byte is malformed, and the prover refuses to write a header the
+parser would refuse.  The verifier accepts a bucket only if all its
+classes are opened under one path whose length equals the depth of that
+level's tree, so a root cannot be opened at two depths.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .commitment import DIGEST_SIZE, FSState, MerkleTree, verify_open
+from .commitment import DIGEST_SIZE, LEAF_CLASSES, FSState, MerkleTree, verify_open
 from .errors import FloweringError
 from .folding import BlossomingSequence
 from .graph_code import Word
@@ -39,7 +44,7 @@ from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
-VERSION = 2
+VERSION = 3
 # header bounds the parser enforces and the prover respects
 MAX_R = 64
 MAX_M = 1 << 14
@@ -66,10 +71,11 @@ class NIProof:
                struct.pack("<III", self.r, self.m, self.t)]
         out.extend(self.roots)
         for level in self.openings:
-            out.append(struct.pack("<I", len(level)))
-            for cid in sorted(level):
-                value, path = level[cid]
-                out.append(struct.pack("<QQB", cid, value, len(path)))
+            records = _records(level)
+            out.append(struct.pack("<I", len(records)))
+            for first, values, path in records:
+                out.append(struct.pack(f"<QB{len(values)}QB", first, len(values),
+                                       *values, len(path)))
                 out.extend(path)
         return b"".join(out)
 
@@ -103,17 +109,39 @@ class NIProof:
                 raise MalformedProofError("implausible opening count")
             level: dict[int, tuple[int, list[bytes]]] = {}
             for _ in range(count):
-                cid, value, plen = struct.unpack("<QQB", take(17))
+                first, n = struct.unpack("<QB", take(9))
+                if n == 0 or first // LEAF_CLASSES != (first + n - 1) // LEAF_CLASSES:
+                    raise MalformedProofError(
+                        f"a record of {n} classes from class {first} is not inside one bucket")
+                values = struct.unpack(f"<{n}Q", take(8 * n))
+                (plen,) = take(1)
                 digests = take(DIGEST_SIZE * plen)
                 path = [digests[i:i + DIGEST_SIZE]
                         for i in range(0, len(digests), DIGEST_SIZE)]
-                if cid in level:
-                    raise MalformedProofError("duplicate opening")
-                level[cid] = (value, path)
+                for cid, value in enumerate(values, first):
+                    if cid in level:
+                        raise MalformedProofError("duplicate opening")
+                    level[cid] = (value, path)
             openings.append(level)
         if pos != len(view):
             raise MalformedProofError("trailing bytes")
         return cls(p, chain_digest, r, m, t, roots, openings)
+
+
+def _records(level: dict[int, tuple[int, list[bytes]]]):
+    """The level's openings as (first class, values, path) records, one per
+    maximal run of consecutive classes in one bucket under one path."""
+    records = []
+    for cid in sorted(level):
+        value, path = level[cid]
+        if records:
+            first, values, last_path = records[-1]
+            if (cid == first + len(values) and cid // LEAF_CLASSES == first // LEAF_CLASSES
+                    and path == last_path):
+                values.append(value)
+                continue
+        records.append((cid, [value], path))
+    return records
 
 
 def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
@@ -160,7 +188,8 @@ def prove_noninteractive(
 ) -> tuple[NIProof, Transcript]:
     """The honest prover_commit against Fiat-Shamir: each word is committed
     and answered by the challenge its root derives; the last root derives
-    the queries, and every position they read is opened.  Also returns the
+    the queries, and every bucket holding a position they read is opened,
+    each of its classes under the bucket's path.  Also returns the
     transcript of the self-run query phase (honest proofs accept)."""
     params.check(seq.graphs[0].n)
     if params.m > MAX_M or params.t > MAX_T:
@@ -179,8 +208,7 @@ def prove_noninteractive(
     randomness = commit(words[-1])
     transcript = verifier_query(seq, rs, params, challenges,
                                 lambda level, cid: words[level].values[cid], randomness)
-    openings = [{cid: tree.open(cid) for cid in sorted(cids)}
-                for tree, cids in zip(trees, transcript.reads)]
+    openings = [_open_buckets(tree, cids) for tree, cids in zip(trees, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,
         chain_digest=seq.digest(),
@@ -193,6 +221,25 @@ def prove_noninteractive(
     return proof, transcript
 
 
+def _buckets(cids) -> list[int]:
+    return sorted({cid // LEAF_CLASSES for cid in cids})
+
+
+def _bucket_classes(bucket: int, num_classes: int) -> range:
+    """The classes of a bucket, the last bucket clipped to num_classes."""
+    first = bucket * LEAF_CLASSES
+    return range(first, min(first + LEAF_CLASSES, num_classes))
+
+
+def _open_buckets(tree: MerkleTree, cids) -> dict[int, tuple[int, list[bytes]]]:
+    opened = {}
+    for bucket in _buckets(cids):
+        values, path = tree.open(bucket)
+        for cid, value in enumerate(values, bucket * LEAF_CLASSES):
+            opened[cid] = (value, path)
+    return opened
+
+
 def verify_noninteractive(
     seq: BlossomingSequence, rs: RSCode, proof: NIProof
 ) -> tuple[bool, Transcript | None]:
@@ -200,9 +247,11 @@ def verify_noninteractive(
     check on the opened values, and authenticate the openings.  (False, None)
     on any mismatch.
 
-    The query phase runs first and the opened classes must equal its read
-    log before any Merkle path is hashed, so the hashing a proof can cause
-    is set by the reads, not by how many openings it carries."""
+    The query phase runs first, and the opened classes must be exactly the
+    classes of the buckets its reads touch before any Merkle path is hashed,
+    so the hashing a proof can cause is set by the reads, not by how many
+    openings it carries.  Each bucket is authenticated once, under the one
+    path all its classes carry."""
     graph0 = seq.graphs[0]
     if proof.p != rs.field.p:
         return False, None
@@ -224,15 +273,17 @@ def verify_noninteractive(
                                     randomness)
     except KeyError:
         return False, None
-    # openings must be exactly the positions read, nothing extra
-    if any(opened.keys() != cids for opened, cids in zip(proof.openings, transcript.reads)):
+    # openings must be exactly the buckets read, nothing extra
+    buckets = [_buckets(cids) for cids in transcript.reads]
+    sizes = [graph.classes.num_classes for graph in seq.graphs]
+    if any(opened.keys() != {cid for bucket in level for cid in _bucket_classes(bucket, n)}
+           for opened, level, n in zip(proof.openings, buckets, sizes)):
         return False, None
 
-    for level, opened in enumerate(proof.openings):
-        num_classes = seq.graphs[level].classes.num_classes
-        for cid, (value, path) in opened.items():
-            if value >= rs.field.p:
-                return False, None
-            if not verify_open(proof.roots[level], cid, value, path, num_classes):
+    for root, opened, level, n in zip(proof.roots, proof.openings, buckets, sizes):
+        for bucket in level:
+            values, paths = zip(*(opened[cid] for cid in _bucket_classes(bucket, n)))
+            if (any(path != paths[0] for path in paths) or max(values) >= rs.field.p
+                    or not verify_open(root, bucket, list(values), paths[0], n)):
                 return False, None
     return transcript.accept, transcript

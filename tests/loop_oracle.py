@@ -1,10 +1,13 @@
-"""Reference loops for the array-backed tables of the graph, RS and linear
-algebra layers.
+"""Reference loops for the array-backed tables of the graph, RS, linear
+algebra and Merkle layers.
 
-These are the per-slot and per-point Python loops the package used before
-its tables became array expressions.  They work on plain ints and nested
-lists and return plain lists, so tests can compare every entry.
+These are the per-slot, per-point and per-leaf Python loops the package used
+before its tables became array expressions.  They work on plain ints and
+nested lists and return plain lists, so tests can compare every entry.
 """
+
+import hashlib
+import struct
 
 
 def classes(adj: list[list[int]], n: int):
@@ -135,3 +138,27 @@ def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def merkle_leaf(bucket: int, values) -> bytes:
+    return hashlib.sha256(b"\x00" + struct.pack(f"<Q{len(values)}Q", bucket, *values)).digest()
+
+
+def merkle_node(left: bytes, right: bytes) -> bytes:
+    return hashlib.sha256(b"\x01" + left + right).digest()
+
+
+def merkle_layers(values: list[int], width: int) -> list[list[bytes]]:
+    """Every layer of the Merkle tree over values with `width` classes per
+    leaf, leaves first: leaf j hashes j and values[width*j : width*(j+1)],
+    the leaf layer is padded with zero digests to a power of two."""
+    leaves = [merkle_leaf(j, values[i:i + width])
+              for j, i in enumerate(range(0, len(values), width))]
+    size = 1
+    while size < len(leaves):
+        size *= 2
+    layers = [leaves + [bytes(32)] * (size - len(leaves))]
+    while len(layers[-1]) > 1:
+        prev = layers[-1]
+        layers.append([merkle_node(prev[i], prev[i + 1]) for i in range(0, len(prev), 2)])
+    return layers

@@ -55,7 +55,7 @@ def test_prove_verify_ni_json(tmp_path, instance_file):
     proof = tmp_path / "proof.json"
     assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,
                "--seed", 6, "--json", "--out", proof) == 0
-    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v2"
+    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v3"
     assert run("verify", "--instance", instance_file, "--proof", proof) == 0
 
 
@@ -109,7 +109,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     string_k = write("string_k.json", {**data, "k": str(data["k"])})
     # k a plain int, p and each point a decimal string or a plain int: a
     # bool or a float is refused, not truncated
-    points = data["points"]
+    points, vectors = data["points"], data["genset"]["vectors"]
     mistyped = [(write(f"mistyped_{i}.json", {**data, **change}), message)
                 for i, (change, message) in enumerate((
                     ({"k": 5.5}, "k must be an integer"),
@@ -117,7 +117,11 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
                     ({"points": [1.5] + points[1:]}, "a point must be a decimal string"),
                     ({"points": [True] + points[1:]}, "a point must be a decimal string"),
                     ({"points": "".join(points)}, "points must be a list"),
-                    ({"p": float(data["p"])}, "p must be a decimal string")))]
+                    ({"p": float(data["p"])}, "p must be a decimal string"),
+                    # the genset's r and d plain ints, its vectors a list of them
+                    ({"genset": {**data["genset"], "d": True}}, "r and d must be integers"),
+                    ({"genset": {**data["genset"], "vectors": [True] + vectors[1:]}},
+                     "vectors must be a list of integers")))]
     # a graph-0 table of 2^40 x 40 entries, refused before anything of size
     # 2^r is built
     r40 = write("r40.json", {**data, "k": 38, "points": [str(x) for x in range(1, 41)],
@@ -137,6 +141,9 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     # hash, the SHA-256 of its adjacency as JSON
     v1_proof = tmp_path / "v1_proof.bin"
     v1_proof.write_bytes(proof.read_bytes()[:4] + b"\x01\x00" + proof.read_bytes()[6:])
+    # a version-2 header, the format of one Merkle leaf per class
+    v2_proof = tmp_path / "v2_proof.bin"
+    v2_proof.write_bytes(proof.read_bytes()[:4] + b"\x02\x00" + proof.read_bytes()[6:])
     v1_word = write("v1_word.json", {
         "p": str(p), "values": ["0"] * 120,
         "graph_hash": "fff32483e303ad9426ac740d8ebca6a1e280d17f31fa2cd30e6c5eeb1b3a7d48"})
@@ -192,11 +199,12 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (verify + (not_json,), "malformed proof file"),
         (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),
          "malformed proof file"),
-        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v2"}),),
+        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v3"}),),
          "malformed proof file"),
         (verify + (write("bad_hex.json", {"hex": "zz"}),), "malformed proof file"),
         (verify + (truncated,), "truncated proof"),
         (verify + (v1_proof,), "unsupported version 1"),
+        (verify + (v2_proof,), "unsupported version 2"),
     ):
         assert run(*argv) == 2
         err = capsys.readouterr().err

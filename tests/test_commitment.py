@@ -1,22 +1,26 @@
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 
 import flowering.niproof as niproof
+import loop_oracle as oracle
 from conftest import replay
 from flowering.adversaries import far_word
 from flowering.commitment import (
+    DIGEST_SIZE,
+    LEAF_CLASSES,
     EmptyWordError,
     FSState,
     IndexOutOfRangeError,
     MerkleTree,
-    _leaf_hash,
     _node_hash,
     verify_open,
 )
 from flowering.experiments import gen_instance, random_codeword_word
 from flowering.folding import BlossomingSequence
+from flowering.graph_code import Word
 from flowering.iopp import ProtocolParams, prover_commit, verifier_query
 from flowering.niproof import (
     MalformedProofError,
@@ -32,56 +36,112 @@ def test_merkle_deterministic_roots():
     assert MerkleTree([1, 2, 3]).root != MerkleTree([1, 2, 4]).root
     # golden vector pinning the wire format
     assert MerkleTree([5, 6, 7]).root.hex() == (
+        "589474e4484420f0be5071126b7a015825b259c1282f167e5e03cab7d7511a80"
+    )
+    # at one class per leaf the oracle is the one-leaf-per-class tree of
+    # format v2, whose pin this was
+    assert oracle.merkle_layers([5, 6, 7], 1)[-1][0].hex() == (
         "2cffb61627d2e61de4aa5825ef2348a2bf329f72222352223539c8d5888468c7"
     )
     with pytest.raises(EmptyWordError):
         MerkleTree([])
 
 
+def _refused_openings(tree, bucket, values, path):
+    """Openings of the bucket a verifier must refuse, each by name."""
+    n = len(tree.values)
+    changed = list(values)
+    changed[bucket % len(values)] += 1
+    out = {"changed value": (tree.root, bucket, changed, path, n),
+           "one value short": (tree.root, bucket, values[:-1], path, n),
+           "one value long": (tree.root, bucket, values + [0], path, n),
+           "wrong bucket": (tree.root, bucket + 1, values, path, n),
+           "deeper path": (tree.root, bucket, values, path + [bytes(DIGEST_SIZE)], n),
+           # a tree of one more level, ceil(N / 8) > 2^depth leaves
+           "wrong num_classes": (tree.root, bucket, values, path,
+                                 LEAF_CLASSES * (1 << len(path)) + 1)}
+    if bucket:
+        out["wrong bucket below"] = (tree.root, bucket - 1, values, path, n)
+    if path:
+        out["shallower path"] = (tree.root, bucket, values, path[:-1], n)
+    for depth, digest in enumerate(path):
+        flipped = list(path)
+        flipped[depth] = bytes([digest[0] ^ 1]) + digest[1:]
+        out[f"sibling bit flipped at depth {depth}"] = (tree.root, bucket, values, flipped, n)
+    if (bucket + 1) * LEAF_CLASSES >= n:
+        # the last bucket: one class fewer leaves it one value too many
+        out["one class fewer"] = (tree.root, bucket, values, path, n - 1)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1, 2**61 - 1])
+def test_bucket_tree_matches_loop_oracle(p):
+    # the array-built tree equals the per-leaf loop in every layer, every
+    # bucket opens and verifies, and every altered opening is refused
+    rng = random.Random(p)
+    for n in (1, 2, 7, 8, 9, 15, 16, 17, 120, 1000, 4097):
+        for values in ([0] * n, [p - 1] * n, [rng.randrange(p) for _ in range(n)]):
+            tree = MerkleTree(values)
+            layers = oracle.merkle_layers(values, LEAF_CLASSES)
+            assert tree.layers == [b"".join(layer) for layer in layers]
+            assert tree.root == layers[-1][0]
+            buckets = -(-n // LEAF_CLASSES)
+            for bucket in range(buckets):
+                opened, path = tree.open(bucket)
+                assert opened == values[bucket * LEAF_CLASSES:(bucket + 1) * LEAF_CLASSES]
+                assert verify_open(tree.root, bucket, opened, path, n)
+                for name, args in _refused_openings(tree, bucket, opened, path).items():
+                    assert not verify_open(*args), (n, bucket, name)
+            with pytest.raises(IndexOutOfRangeError):
+                tree.open(buckets)
+
+
 def test_merkle_open_verify():
+    # 13 classes in two buckets, of 8 and 5 classes
     values = list(range(100, 113))
     tree = MerkleTree(values)
-    for i, v in enumerate(values):
-        value, path = tree.open(i)
-        assert value == v
-        assert verify_open(tree.root, i, value, path, 13)
-        assert not verify_open(tree.root, i, value + 1, path, 13)
-        if path:
-            bad = [bytes([path[0][0] ^ 1]) + path[0][1:]] + path[1:]
-            assert not verify_open(tree.root, i, value, bad, 13)
-        if i:
-            assert not verify_open(tree.root, i - 1, value, path, 13)
+    assert tree.open(0) == (values[:8], [tree.layers[0][32:]])
+    assert tree.open(1) == (values[8:], [tree.layers[0][:32]])
     # a path authenticates only against the tree shape it came from
-    value, path = tree.open(12)
-    assert verify_open(tree.root, 12, value, path, 16)  # same depth, padding
-    assert not verify_open(tree.root, 12, value, path, 12)  # index out of range
-    assert not verify_open(tree.root, 12, value, path, 17)  # deeper tree
+    first, path = tree.open(0)
+    assert verify_open(tree.root, 0, first, path, 16)  # same depth, full buckets
+    last, path = tree.open(1)
+    assert verify_open(tree.root, 1, last, path, 13)
+    assert not verify_open(tree.root, 1, last, path, 12)  # last bucket of 4
+    assert not verify_open(tree.root, 1, last, path, 16)  # last bucket of 8
+    assert not verify_open(tree.root, 1, last, path, 8)  # bucket out of range
+    assert not verify_open(tree.root, 1, last, path, 17)  # deeper tree
     with pytest.raises(IndexOutOfRangeError):
-        tree.open(13)
+        tree.open(2)
+    with pytest.raises(IndexOutOfRangeError):
+        tree.open(-1)
 
 
 def test_single_leaf_tree():
     tree = MerkleTree([42])
-    value, path = tree.open(0)
-    assert path == []
-    assert verify_open(tree.root, 0, 42, [], 1)
-    assert not verify_open(tree.root, 1, 42, [], 1)
+    values, path = tree.open(0)
+    assert values == [42] and path == []
+    assert verify_open(tree.root, 0, [42], [], 1)
+    assert not verify_open(tree.root, 1, [42], [], 1)
+    assert not verify_open(tree.root, 0, [42], [], 2)  # a bucket of 2
 
 
 def test_opening_bound_to_tree_depth():
-    # One root, two openings of index 1: to 111 through a depth-1 path and to
-    # 222 through a depth-2 path that passes the inner node0 off as a leaf.
-    node0 = _node_hash(_leaf_hash(0, 5), _leaf_hash(1, 222))
-    root = _node_hash(node0, _leaf_hash(1, 111))
-    shallow = (1, 111, [node0])
-    deep = (1, 222, [_leaf_hash(0, 5), _leaf_hash(1, 111)])
-    assert verify_open(root, *shallow, 2) and not verify_open(root, *deep, 2)
-    for num_leaves in (3, 4):
-        assert verify_open(root, *deep, num_leaves)
-        assert not verify_open(root, *shallow, num_leaves)
-    for num_leaves in (1, 5, 8):
-        assert not verify_open(root, *shallow, num_leaves)
-        assert not verify_open(root, *deep, num_leaves)
+    # One root, two openings of bucket 1: to c through a depth-1 path and to
+    # b through a depth-2 path that passes the inner node0 off as a leaf.
+    a, b, c = ([base + i for i in range(LEAF_CLASSES)] for base in (0, 100, 200))
+    node0 = _node_hash(oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, b))
+    root = _node_hash(node0, oracle.merkle_leaf(1, c))
+    shallow = (1, c, [node0])
+    deep = (1, b, [oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, c)])
+    two_leaves, four_leaves = 2 * LEAF_CLASSES, 4 * LEAF_CLASSES
+    assert verify_open(root, *shallow, two_leaves) and not verify_open(root, *deep, two_leaves)
+    for num_classes in (two_leaves + 1, 3 * LEAF_CLASSES, four_leaves):
+        assert verify_open(root, *deep, num_classes)
+        assert not verify_open(root, *shallow, num_classes)
+    for num_classes in (LEAF_CLASSES, two_leaves - 1, four_leaves + 1, 8 * LEAF_CLASSES):
+        assert not verify_open(root, *shallow, num_classes)
+        assert not verify_open(root, *deep, num_classes)
 
 
 def test_fs_golden_vector():
@@ -230,20 +290,51 @@ def test_ni_out_of_range_value_rejected(ni_setup):
     hacked.openings[level][cid] = (value + 101, path)  # same residue, out of range
     accept, _ = verify_noninteractive(instance.seq, instance.rs, hacked)
     assert not accept
+    # a proof of the word with every value v written as v + p: every walk's
+    # checks hold mod p and every path is valid, so only the range check
+    # refuses it
+    lifted = Word(word.graph, word.field, [v + 101 for v in word.values])
+    proof, transcript = prove_noninteractive(instance.seq, instance.rs, lifted, params)
+    assert transcript.accept
+    assert verify_noninteractive(instance.seq, instance.rs, proof) == (False, None)
 
 
-def _unread_opening(instance, params, word, proof):
-    # a class no walk reads, opened against the honest tree with a valid path
+@pytest.fixture(scope="module")
+def ni_setup_r5():
+    # r = 5, so that levels 0..2 have buckets no walk reads
+    instance = gen_instance(5, 2**31 - 1, 29)
+    params = ProtocolParams(3, 2)
+    word = random_codeword_word(instance, random.Random(0))
+    proof, _ = prove_noninteractive(instance.seq, instance.rs, word, params)
+    return instance, params, word, proof
+
+
+def _unread_bucket(instance, params, word, proof, level=1):
+    """(bucket, values, path): a bucket no walk reads, opened against the
+    honest tree with a valid path."""
     challenges, _ = derive_noninteractive_randomness(
         instance.seq, instance.rs, params, proof.roots)
     _, words = prover_commit(instance.seq, word, replay(challenges))
-    level = 1
     tree = MerkleTree(words[level].values)
     assert tree.root == proof.roots[level]
-    cid = min(set(range(len(words[level].values))) - set(proof.openings[level]))
-    value, path = tree.open(cid)
-    assert verify_open(proof.roots[level], cid, value, path, len(words[level].values))
-    proof.openings[level][cid] = (value, path)
+    read = {cid // LEAF_CLASSES for cid in proof.openings[level]}
+    bucket = min(set(range(-(-len(tree.values) // LEAF_CLASSES))) - read)
+    values, path = tree.open(bucket)
+    assert verify_open(proof.roots[level], bucket, values, path, len(tree.values))
+    return bucket, values, path
+
+
+def _unread_opening(instance, params, word, proof):
+    # one class outside every read bucket, under its bucket's valid path
+    bucket, values, path = _unread_bucket(instance, params, word, proof)
+    proof.openings[1][bucket * LEAF_CLASSES] = (values[0], path)
+
+
+def _unread_bucket_opening(instance, params, word, proof):
+    # every class of a bucket no walk reads, under its valid path
+    bucket, values, path = _unread_bucket(instance, params, word, proof)
+    for cid, value in enumerate(values, bucket * LEAF_CLASSES):
+        proof.openings[1][cid] = (value, path)
 
 
 def _first_opening(proof, level=1):
@@ -256,6 +347,22 @@ def _drop_opening(instance, params, word, proof):
     del opened[cid]
 
 
+def _drop_middle_class(instance, params, word, proof):
+    # the bucket's record splits in two around the gap
+    opened, cid = _first_opening(proof)
+    records = len(niproof._records(opened))
+    del opened[cid + LEAF_CLASSES // 2]
+    assert len(niproof._records(opened)) == records + 1
+
+
+def _two_paths(instance, params, word, proof):
+    # the second class of a bucket under a path of the right length that is
+    # not the bucket's; the first class still carries the bucket's path
+    opened, cid = _first_opening(proof)
+    value, path = opened[cid + 1]
+    opened[cid + 1] = (value, path[:-1] + [bytes([path[-1][0] ^ 1]) + path[-1][1:]])
+
+
 def _move_opening(instance, params, word, proof):
     opened, cid = _first_opening(proof)
     target = proof.openings[2]
@@ -265,9 +372,13 @@ def _move_opening(instance, params, word, proof):
 
 def _resize_path(delta):
     def mutate(instance, params, word, proof):
+        # the whole first bucket under its path made one digest shorter or
+        # longer, so every class still shares one path
         opened, cid = _first_opening(proof)
-        value, path = opened[cid]
-        opened[cid] = (value, path[:-1] if delta < 0 else path + [path[-1]])
+        path = opened[cid][1]
+        path = path[:-1] if delta < 0 else path + [path[-1]]
+        for other in range(cid, cid + LEAF_CLASSES):
+            opened[other] = (opened[other][0], path)
     return mutate
 
 
@@ -278,14 +389,14 @@ def _cid_out_of_range(instance, params, word, proof):
 
 @pytest.mark.parametrize("mutate", [
     _drop_opening, _unread_opening, _move_opening, _resize_path(-1), _resize_path(+1),
-    _cid_out_of_range,
+    _cid_out_of_range, _drop_middle_class, _two_paths, _unread_bucket_opening,
 ], ids=["dropped", "unread-class", "moved-level", "path-shorter", "path-longer",
-        "cid-num-classes"])
-def test_ni_structural_mutations_rejected(ni_setup, mutate):
-    # the verifier accepts exactly the openings its query phase reads, each
-    # through a path of its level's tree depth
-    instance, params, word, proof, _ = ni_setup
-    assert instance.r == 3
+        "cid-num-classes", "dropped-middle", "two-paths", "unread-bucket"])
+def test_ni_structural_mutations_rejected(ni_setup_r5, mutate):
+    # the verifier accepts exactly the buckets its query phase reads, each
+    # with all its classes under one path of its level's tree depth
+    instance, params, word, proof = ni_setup_r5
+    assert instance.r == 5
     mutated = NIProof.parse(proof.serialize())
     mutate(instance, params, word, mutated)
     reparsed = NIProof.parse(mutated.serialize())
@@ -294,10 +405,38 @@ def test_ni_structural_mutations_rejected(ni_setup, mutate):
     assert not accept and transcript is None
 
 
+def test_ni_malformed_records_refused(ni_setup):
+    # records parse only whole and inside one bucket, each class once
+    _, _, _, proof, _ = ni_setup
+    head = proof.serialize()[:4 + 10 + 32 + 12 + 32 * (proof.r + 1)]
+    empty_levels = struct.pack("<I", 0) * proof.r
+
+    def level0(*records):
+        return head + struct.pack("<I", len(records)) + b"".join(records) + empty_levels
+
+    def record(first, values):
+        return struct.pack(f"<QB{len(values)}QB", first, len(values), *values, 0)
+
+    honest = level0(record(0, [1] * LEAF_CLASSES), record(LEAF_CLASSES + 1, [2, 3]))
+    assert NIProof.parse(honest).openings[0].keys() == {*range(LEAF_CLASSES),
+                                                         LEAF_CLASSES + 1, LEAF_CLASSES + 2}
+    for blob, message in (
+        (level0(record(LEAF_CLASSES - 1, [1, 2])), "not inside one bucket"),
+        (level0(record(1, [1] * LEAF_CLASSES)), "not inside one bucket"),
+        (level0(record(0, [])), "a record of 0 classes"),
+        (level0(record(3, [])), "a record of 0 classes"),
+        (level0(record(0, [1] * (LEAF_CLASSES + 1))), f"a record of {LEAF_CLASSES + 1}"),
+        (level0(record(0, [1, 2]), record(1, [3])), "duplicate opening"),
+    ):
+        with pytest.raises(MalformedProofError, match=message):
+            NIProof.parse(blob)
+
+
 def test_ni_padded_proof_rejected_before_hashing(monkeypatch):
-    # 1,000 extra level-0 openings, each valid against the honest tree: the
-    # verifier compares the opened classes with its read log first, so it
-    # rejects the proof without authenticating a single path
+    # 1,000 extra level-0 classes from buckets no walk reads, each bucket
+    # valid against the honest tree: the verifier compares the opened
+    # classes with its read buckets first, so it rejects the proof without
+    # authenticating a single path
     instance = gen_instance(6, 2**31 - 1, 61)
     params = ProtocolParams(3, 2)
     word = random_codeword_word(instance, random.Random(0))
@@ -310,16 +449,20 @@ def test_ni_padded_proof_rejected_before_hashing(monkeypatch):
 
     monkeypatch.setattr(niproof, "verify_open", counting_verify_open)
     assert verify_noninteractive(instance.seq, instance.rs, proof)[0]
-    assert len(calls) == sum(len(level) for level in proof.openings)
+    # one authentication per opened bucket
+    assert len(calls) == sum(len({cid // LEAF_CLASSES for cid in level})
+                             for level in proof.openings)
 
     padded = NIProof.parse(proof.serialize())
     tree = MerkleTree(word.values)
-    extra = sorted(set(range(len(word.values))) - set(padded.openings[0]))[:1000]
-    assert len(extra) == 1000
-    for cid in extra:
-        value, path = tree.open(cid)
-        assert verify_open(proof.roots[0], cid, value, path, len(word.values))
-        padded.openings[0][cid] = (value, path)
+    read = {cid // LEAF_CLASSES for cid in padded.openings[0]}
+    unread = sorted(set(range(len(word.values) // LEAF_CLASSES)) - read)[:1000 // LEAF_CLASSES]
+    for bucket in unread:
+        values, path = tree.open(bucket)
+        assert verify_open(proof.roots[0], bucket, values, path, len(word.values))
+        for cid, value in enumerate(values, bucket * LEAF_CLASSES):
+            padded.openings[0][cid] = (value, path)
+    assert sum(map(len, padded.openings)) == sum(map(len, proof.openings)) + 1000
     calls.clear()
     accept, transcript = verify_noninteractive(instance.seq, instance.rs,
                                                NIProof.parse(padded.serialize()))

@@ -43,12 +43,12 @@ def instance(r: int):
 
 
 NI_PROOFS = {
-    (3, 1): "e72c70b8ef1167377654cdff905dbfccd111b6e81b6ccf00a5357093c1ba339d",
-    (3, 2): "243c582128439815ef2bcf506f7ec245e3e647150f043d24e7f661c3f244d680",
-    (4, 1): "8bad6f0c86a86e58922c458ab1f11820d77e89548092157421b4e0c5beceb416",
-    (4, 2): "54f468df10f402537dcc7951cf2447d00c6093668cba224103fc34aa7318532f",
-    (6, 1): "7d332f111bc8c3e1ae3eae951bea65dd102990e1b7137695563a98828ce8f724",
-    (8, 1): "296c20265ad0ea692582401fec05bddd4499222e782205129bd9aa9a737dd4fe",
+    (3, 1): "da2571fb87a3d8b945ebc6987e32ee0d326ffa4ccd97ce74741d5045b3620a96",
+    (3, 2): "4fc57811a4f93a0ae6b590f33981a192a502b295b7329814f4ef35327d6c2557",
+    (4, 1): "9c650fec9d0f2bcde6ebe42fdf12868a2995a11864d80640271ecd70a8f6fb66",
+    (4, 2): "6210a335af36da647999d90604641be0a9f443a07de1df6c6aef355702e0ac4b",
+    (6, 1): "1b6cf7e7a3b72f016bad232004034d8a8987e335984835b7221e785f956c8350",
+    (8, 1): "b98e6d71eadd9dcc98d15852df9cd84395280bb5bbea198a6528ec9793c8c053",
 }
 
 
