@@ -48,8 +48,9 @@ def far_word(code: GraphCode, delta, rng: random.Random) -> tuple[Word, Fraction
         raise FloweringError(f"cannot reach invalid-view fraction {delta}")
     base = Word.from_index_values(graph, code.field, code.rs.random_codeword(rng))
     p = code.field.p
+    values = base.values
     for cid in rng.sample(matching, pairs):
-        base.values[cid] = (base.values[cid] + rng.randrange(1, p)) % p
+        values[cid] = (values.item(cid) + rng.randrange(1, p)) % p
     return base, Fraction(2 * pairs, graph.num_vertices)
 
 
@@ -79,6 +80,7 @@ def revivable_word(
         raise FloweringError("need at least two shared petal indices")
     l0, l1 = petal_idx[0], petal_idx[1]
     word = Word.from_index_values(graph, code.field, code.rs.random_codeword(rng))
+    values = word.values
     classes = graph.classes
     touched: set[int] = set()
     for alpha_star, members in groups:
@@ -92,16 +94,16 @@ def revivable_word(
             eta = rng.randrange(1, p)
             cv = classes.id_of(v, l0)
             cw = classes.id_of(w, l0)
-            word.values[cv] = (word.values[cv] + eta) % p
-            word.values[cw] = (word.values[cw] - eta * code.field.inv(alpha_star)) % p
+            values[cv] = (values.item(cv) + eta) % p
+            values[cw] = (values.item(cw) - eta * code.field.inv(alpha_star)) % p
     for v in cut.v_prime:
         if v in touched:
             continue
         w = cut.phi[v]
         cv = classes.id_of(v, l0)
         cw = classes.id_of(w, l1)
-        word.values[cv] = (word.values[cv] + rng.randrange(1, p)) % p
-        word.values[cw] = (word.values[cw] + rng.randrange(1, p)) % p
+        values[cv] = (values.item(cv) + rng.randrange(1, p)) % p
+        values[cw] = (values.item(cw) + rng.randrange(1, p)) % p
     return word
 
 

@@ -7,9 +7,10 @@ only the classes that remain), and leaf/node hashes are domain-separated
 by a one-byte prefix, so a path commits to a position, not just values.
 The leaf layer is zero-padded to a power of two.  Each tree layer is one
 contiguous bytes object of digests, and the preimages of a layer are built
-as one numpy record array and hashed row by row, so the hashing is one
-DIGEST call per leaf and per node and nothing else per class.  SHA-256
-throughout; every hash goes through the module-level DIGEST.
+as one numpy record array (the leaves straight from the word's array) and
+hashed row by row, so the hashing is one DIGEST call per leaf and per node
+and nothing else per class.  SHA-256 throughout; every hash goes through
+the module-level DIGEST.
 
 FSState keeps a running 32-byte state.  Every absorb and every challenge is
 framed with a length-prefixed label, and deriving a challenge ratchets the
@@ -62,7 +63,7 @@ def _hash_rows(records: np.ndarray) -> bytes:
                      for i in range(0, len(view), width)])
 
 
-def _leaf_layer(values: list[int]) -> bytes:
+def _leaf_layer(values: np.ndarray) -> bytes:
     """The leaf digests: the preimages of the full buckets (prefix, index
     u64, LEAF_CLASSES values u64) as the rows of one record array, and the
     last, shorter bucket on its own."""
@@ -70,11 +71,11 @@ def _leaf_layer(values: list[int]) -> bytes:
     records = np.empty((full, 1 + 8 + 8 * LEAF_CLASSES), dtype=np.uint8)
     records[:, 0] = _LEAF_PREFIX[0]
     records[:, 1:9] = np.arange(full, dtype="<u8").view(np.uint8).reshape(full, 8)
-    records[:, 9:] = np.array(values[:full * LEAF_CLASSES], dtype="<u8").view(
+    records[:, 9:] = values[:full * LEAF_CLASSES].astype("<u8").view(
         np.uint8).reshape(full, 8 * LEAF_CLASSES)
     layer = _hash_rows(records)
     if full * LEAF_CLASSES < len(values):
-        layer += DIGEST(_leaf_preimage(full, values[full * LEAF_CLASSES:])).digest()
+        layer += DIGEST(_leaf_preimage(full, values[full * LEAF_CLASSES:].tolist())).digest()
     return layer
 
 
@@ -90,20 +91,21 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
 
 
 class MerkleTree:
-    """Commitment to a list of field values in canonical class order, one
-    leaf per bucket of LEAF_CLASSES classes.
+    """Commitment to an array of field values (a word's values, used as is)
+    in canonical class order, one leaf per bucket of LEAF_CLASSES classes.
 
     layers[0] is the zero-padded leaf layer and layers[-1] the root, each
-    one bytes object of 32-byte digests; openings are (bucket values,
-    sibling path) pairs authenticated against the root.
+    one bytes object of 32-byte digests; openings are (bucket values as
+    Python ints, sibling path) pairs authenticated against the root.
     """
 
-    def __init__(self, values: list[int]):
-        if not values:
+    def __init__(self, values):
+        values = np.asarray(values)
+        if not values.size:
             raise EmptyWordError("cannot commit to an empty word")
-        self.values = list(values)
+        self.values = values
         leaves = _num_leaves(len(values))
-        layers = [_leaf_layer(self.values)
+        layers = [_leaf_layer(values)
                   + _ZERO_DIGEST * ((1 << (leaves - 1).bit_length()) - leaves)]
         while len(layers[-1]) > DIGEST_SIZE:
             layers.append(_node_layer(layers[-1]))
@@ -124,7 +126,7 @@ class MerkleTree:
             path.append(layer[sibling:sibling + DIGEST_SIZE])
             pos >>= 1
         first = bucket * LEAF_CLASSES
-        return self.values[first:first + LEAF_CLASSES], path
+        return self.values[first:first + LEAF_CLASSES].tolist(), path
 
 
 def verify_open(root: bytes, bucket: int, values: list[int], path: list[bytes],

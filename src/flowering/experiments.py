@@ -29,7 +29,7 @@ from .cayley import (
     upper_bound_witness,
 )
 from .errors import FloweringError, TooLargeError
-from .field import PrimeField
+from .field import PrimeField, exact_int
 from .folding import BlossomingSequence
 from .graph_code import GraphCode, Word, relative_weight
 from .iopp import ProtocolParams, Transcript, run_protocol, soundness_bound
@@ -82,17 +82,9 @@ class Instance:
             raise FloweringError(f"k must be an integer, got {k!r}")
         if not isinstance(points, list):
             raise FloweringError("points must be a list")
-        field = PrimeField(_exact_int(data["p"], "p"))
-        rs = RSCode(field, [_exact_int(x, "a point") for x in points], k)
+        field = PrimeField(exact_int(data["p"], "p"))
+        rs = RSCode(field, [exact_int(x, "a point") for x in points], k)
         return _cayley_instance(GenSet.from_json(data["genset"]), rs)
-
-
-def _exact_int(value, name: str) -> int:
-    """A decimal string or a plain int as an int; a bool or a float is
-    refused, not truncated."""
-    if not (isinstance(value, str) or type(value) is int):
-        raise FloweringError(f"{name} must be a decimal string or an integer, got {value!r}")
-    return int(value)
 
 
 def _cayley_instance(gens: GenSet, rs: RSCode) -> Instance:

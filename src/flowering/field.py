@@ -8,13 +8,15 @@ unity or smooth multiplicative subgroups are ever needed.
 Elements are plain ints in ``[0, p)``; callers reduce with ``% p``
 themselves, and ``PrimeField`` supplies only what needs the modulus beyond
 that: validation, inversion, uniform sampling and the numpy dtype of arrays
-of elements.  That dtype is int64 when the product of two elements fits in
-it (p < 2^31) and ``object`` (Python ints) otherwise, so one array
-expression serves every modulus.
+of elements, with the bound below which such an array folds exactly.  That
+dtype is int64 when the product of two elements fits in it (p < 2^31) and
+``object`` (Python ints) otherwise, so one array expression serves every
+modulus.  exact_int reads an integer from JSON without coercion.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -37,6 +39,14 @@ def array_dtype(p: int):
     """The numpy dtype of arrays of elements of F_p: int64 when p < 2^31,
     else object."""
     return np.int64 if p < _INT64_MAX_P else object
+
+
+def exact_int(value, name: str) -> int:
+    """A decimal string or a plain int as an int; a bool or a float is
+    refused, not truncated."""
+    if not (isinstance(value, str) or type(value) is int):
+        raise FloweringError(f"{name} must be a decimal string or an integer, got {value!r}")
+    return int(value)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -89,6 +99,13 @@ class PrimeField:
     def dtype(self):
         """The numpy dtype of arrays of elements; see array_dtype."""
         return array_dtype(self.p)
+
+    @property
+    def value_bound(self):
+        """The exclusive bound on the values an array at dtype folds exactly:
+        2^31 under int64, where a + alpha b < 2^31 + 2^62 for alpha < p, and
+        none (inf) for Python ints."""
+        return _INT64_MAX_P if self.dtype is np.int64 else math.inf
 
     def sample(self, rng: random.Random) -> int:
         """Uniform element of [0, p); deterministic given the rng seed."""

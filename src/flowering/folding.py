@@ -2,11 +2,11 @@
 
 Folding collapses a word on a graph onto the kept half of a flowering cut:
 the value on a child class at (v, l) is f(v, l) + alpha * f(phi(v), l).  The
-isomorphism phi makes this well defined per class, so the fold is computed
-straight from the cut's precomputed class-pair plan, a 2 x N' int64 array
-whose rows the fold reads as lists, built once per cut, at two field
-operations per output class; the verifier's fold check reads single columns
-of the same plan.  alpha is always the verifier's challenge; nothing here
+isomorphism phi makes this well defined per class, so the fold is one
+gather-multiply-add over the cut's precomputed class-pair plan, a 2 x N'
+int64 array built once per cut, at two field operations per output class
+on the word's array; the verifier's fold check reads single columns of the
+same plan.  alpha is always the verifier's challenge; nothing here
 samples randomness.
 
 A blossoming sequence is valid by construction: its constructor cuts each
@@ -37,12 +37,8 @@ def fold(cut: FloweringCut, f: Word, alpha: int) -> Word:
     p = f.field.p
     alpha %= p
     vals = f.values
-    first, second = cut.fold_lists()
-    return Word(
-        cut.child,
-        f.field,
-        [(vals[a] + alpha * vals[b]) % p for a, b in zip(first, second)],
-    )
+    plan = cut.fold_plan
+    return Word._of(cut.child, f.field, (vals[plan[0]] + alpha * vals[plan[1]]) % p)
 
 
 class BlossomingSequence:

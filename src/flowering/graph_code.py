@@ -1,13 +1,14 @@
 """Words on a RIM and the code of words whose local views are RS codewords.
 
-A word stores one field value per edge class, as a list of Python ints, so
-the two slots of a shared edge cannot disagree by construction; the (v, l)
-accessor resolves through the graph's canonical class index, whose tables
-are int64 arrays.  Restricting a word to a prepared cut reads the cut's fold
-plan, the same class map the fold uses; cut_word restricts to an arbitrary
-vertex set through the class index of the cut graph.  Distances are exact
-Fractions: the bound checks built on them compare exact rationals, never
-floats.
+A word stores one field value per edge class, as one array at the field's
+dtype, so the two slots of a shared edge cannot disagree by construction;
+the (v, l) accessor resolves through the graph's canonical class index,
+whose tables are int64 arrays.  Restricting a word to a prepared cut is one
+gather through the cut's fold plan, the same class map the fold uses;
+cut_word restricts to an arbitrary vertex set through the class index of
+the cut graph.  A value that leaves a word (at, local_view, to_json) is a
+plain Python int.  Distances are exact Fractions: the bound checks built on
+them compare exact rationals, never floats.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import FloweringError, TooLargeError
-from .field import PrimeField
+from .field import PrimeField, exact_int
 from .reed_solomon import RSCode
 from .rim_graph import RIM, FloweringCut, cut_graph
 
@@ -32,22 +33,44 @@ class GraphMismatchError(FloweringError):
 
 
 class Word:
-    """A function from the edge classes of a RIM to a prime field."""
+    """A function from the edge classes of a RIM to a prime field.
+
+    values is an array at field.dtype; an array of that dtype is used as is,
+    not copied.  Every value lies in [0, field.value_bound), so a fold at
+    that dtype is exact; values need not be reduced mod p.
+    """
 
     __slots__ = ("graph", "field", "values")
 
-    def __init__(self, graph: RIM, field: PrimeField, values: list[int]):
-        if len(values) != graph.classes.num_classes:
+    def __init__(self, graph: RIM, field: PrimeField, values):
+        try:
+            values = np.asarray(values, dtype=field.dtype)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise FloweringError(f"word values are not integers of F_{field.p}: {exc}") from exc
+        if values.shape != (graph.classes.num_classes,):
             raise FloweringError(
-                f"expected {graph.classes.num_classes} class values, got {len(values)}"
+                f"expected {graph.classes.num_classes} class values, got {values.size}"
             )
+        if values.size and (values.min() < 0 or values.max() >= field.value_bound):
+            raise FloweringError(
+                f"word values must lie in [0, {field.value_bound}) to fold exactly "
+                f"over F_{field.p}")
         self.graph = graph
         self.field = field
-        self.values = list(values)
+        self.values = values
+
+    @classmethod
+    def _of(cls, graph: RIM, field: PrimeField, values: np.ndarray) -> Word:
+        """The word of an array at field.dtype that is in range by
+        construction, a fold or a gather of a word's values; unchecked, as
+        on small words the check costs as much as the fold."""
+        word = cls.__new__(cls)
+        word.graph, word.field, word.values = graph, field, values
+        return word
 
     @classmethod
     def constant(cls, graph: RIM, field: PrimeField, c: int) -> Word:
-        return cls(graph, field, [c % field.p] * graph.classes.num_classes)
+        return cls(graph, field, np.full(graph.classes.num_classes, c % field.p, field.dtype))
 
     @classmethod
     def zero(cls, graph: RIM, field: PrimeField) -> Word:
@@ -59,46 +82,50 @@ class Word:
         index-only assignment is automatically consistent."""
         if len(y) != graph.n:
             raise FloweringError(f"expected {graph.n} index values, got {len(y)}")
-        reduced = [c % field.p for c in y]
-        return cls(graph, field, [reduced[l] for l in graph.classes.reps[1].tolist()])
+        reduced = np.array([c % field.p for c in y], dtype=field.dtype)
+        return cls(graph, field, reduced[graph.classes.reps[1]])
 
     def at(self, v: int, l: int) -> int:
-        return self.values[self.graph.classes.id_of(v, l)]
+        return self.values.item(self.graph.classes.id_of(v, l))
 
     def local_view(self, v: int) -> list[int]:
         """The incident values (f(v,1), ..., f(v,n)) in index order."""
         if not 0 <= v < self.graph.num_vertices:
             raise FloweringError(f"vertex {v} not in graph")
-        vals = self.values
-        return [vals[c] for c in self.graph.classes.class_of[v].tolist()]
+        return self.values[self.graph.classes.class_of[v]].tolist()
 
     def replace(self, class_id: int, value: int) -> Word:
-        out = Word(self.graph, self.field, self.values)
-        out.values[class_id] = value % self.field.p
-        return out
+        values = self.values.copy()
+        values[class_id] = value % self.field.p
+        return Word(self.graph, self.field, values)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Word)
             and other.graph == self.graph
             and other.field == self.field
-            and other.values == self.values
+            and np.array_equal(other.values, self.values)
         )
 
     def to_json(self) -> dict:
         return {
             "p": str(self.field.p),
             "graph_hash": self.graph.digest().hex(),
-            "values": [str(v) for v in self.values],
+            "values": [str(v) for v in self.values.tolist()],
         }
 
     @classmethod
     def from_json(cls, graph: RIM, field: PrimeField, data: dict) -> Word:
-        if int(data["p"]) != field.p:
+        """The word of a JSON object; p and each value a decimal string or a
+        plain int, as in an instance file: a bool or a float is refused, not
+        truncated."""
+        if exact_int(data["p"], "p") != field.p:
             raise FloweringError("word field does not match the file header field")
         if data.get("graph_hash") not in (None, graph.digest().hex()):
             raise FloweringError("word graph_hash does not match the graph")
-        values = [int(v) for v in data["values"]]
+        if not isinstance(data["values"], list):
+            raise FloweringError("values must be a list")
+        values = [exact_int(v, "a word value") for v in data["values"]]
         if not all(0 <= v < field.p for v in values):
             raise FloweringError(f"word values must lie in [0, {field.p})")
         return cls(graph, field, values)
@@ -113,7 +140,7 @@ def vertex_distance(f: Word, g: Word) -> Fraction:
     """Fraction of vertices whose local views differ."""
     _same_graph(f, g)
     graph = f.graph
-    differs = np.array([a != b for a, b in zip(f.values, g.values)], dtype=bool)
+    differs = f.values != g.values
     differing = np.count_nonzero(differs[graph.classes.class_of].any(axis=1))
     return Fraction(int(differing), graph.num_vertices)
 
@@ -121,14 +148,12 @@ def vertex_distance(f: Word, g: Word) -> Fraction:
 def hamming_distance(f: Word, g: Word) -> Fraction:
     """Fraction of edge classes on which the words differ."""
     _same_graph(f, g)
-    diff = sum(1 for a, b in zip(f.values, g.values) if a != b)
-    return Fraction(diff, f.graph.classes.num_classes)
+    diff = np.count_nonzero(f.values != g.values)
+    return Fraction(int(diff), f.graph.classes.num_classes)
 
 
 def relative_weight(f: Word) -> Fraction:
-    return Fraction(
-        sum(1 for v in f.values if v), f.graph.classes.num_classes
-    )
+    return Fraction(int(np.count_nonzero(f.values)), f.graph.classes.num_classes)
 
 
 def cut_word(f: Word, vertices) -> Word:
@@ -136,17 +161,14 @@ def cut_word(f: Word, vertices) -> Word:
     petals the cut creates."""
     child, kept = cut_graph(f.graph, vertices)
     vc, l = child.classes.reps
-    vals = f.values
-    cids = f.graph.classes.class_of[kept[vc], l]
-    return Word(child, f.field, [vals[c] for c in cids.tolist()])
+    return Word._of(child, f.field, f.values[f.graph.classes.class_of[kept[vc], l]])
 
 
 def cut_word_on(f: Word, cut: FloweringCut) -> Word:
     """Like cut_word but on a prepared cut: each child class takes the value
     of the first class of its fold-plan pair, its kept representative (the
     fold at alpha = 0)."""
-    vals = f.values
-    return Word(cut.child, f.field, [vals[a] for a in cut.fold_lists()[0]])
+    return Word._of(cut.child, f.field, f.values[cut.fold_plan[0]])
 
 
 class GraphCode:

@@ -134,6 +134,14 @@ def prover_commit(seq: BlossomingSequence, f0: Word, challenge,
     return challenges, words
 
 
+def word_oracle(words: list[Word]):
+    """The oracle of verifier_query over the prover's words f_0..f_r.  It
+    answers in Python ints, each word read once through tolist, so the fold
+    checks and the RS check are exact at any modulus."""
+    views = [w.values.tolist() for w in words]
+    return lambda level, cid: views[level][cid]
+
+
 def sample_query_randomness(rng: random.Random, num_vertices: int, n: int,
                             params: ProtocolParams) -> list[tuple[int, tuple[int, ...]]]:
     """m pairs (start vertex, sorted t-subset of indices)."""
@@ -252,10 +260,7 @@ def run_protocol(
     challenges, words = prover_commit(seq, f0, lambda f: rs.field.sample(rng), respond)
     randomness = sample_query_randomness(rng, seq.graphs[0].num_vertices,
                                          seq.graphs[0].n, params)
-    transcript = verifier_query(
-        seq, rs, params, challenges,
-        lambda level, cid: words[level].values[cid], randomness,
-    )
+    transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
     assert transcript.counters.proof_length < seq.graphs[0].n * seq.graphs[0].num_vertices
     return transcript
 

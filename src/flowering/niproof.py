@@ -40,7 +40,7 @@ from .commitment import DIGEST_SIZE, LEAF_CLASSES, FSState, MerkleTree, verify_o
 from .errors import FloweringError
 from .folding import BlossomingSequence
 from .graph_code import Word
-from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query
+from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, word_oracle
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
@@ -206,8 +206,7 @@ def prove_noninteractive(
 
     challenges, words = prover_commit(seq, f0, commit)
     randomness = commit(words[-1])
-    transcript = verifier_query(seq, rs, params, challenges,
-                                lambda level, cid: words[level].values[cid], randomness)
+    transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
     openings = [_open_buckets(tree, cids) for tree, cids in zip(trees, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,

@@ -13,9 +13,9 @@ fold plan) is an int64 array built by whole-array expressions, and a table
 of pairs is two flat arrays, never a list of tuples.  Each table takes a
 handful of array operations whatever its size, since on the small graphs
 of a Monte-Carlo study the cost per operation, not the size, sets the time.
-Code that reads single entries takes Python ints from ``.item()``, and code
-that loops over a whole table reads it once through ``.tolist()``, so no
-numpy scalar reaches a word, a Merkle leaf or a proof.
+Code that reads single entries takes Python ints from ``.item()``, and a
+word is gathered through a table in one step (``values[plan[0]]``), so no
+numpy scalar reaches a transcript, a Merkle opening or a proof.
 
 Cutting a graph to a vertex subset keeps ids dense by remapping.  A
 flowering cut is validated on its parent and cut once; it keeps the
@@ -257,8 +257,7 @@ class FloweringCut:
     representative in V' of parent vertex v.  All are int64 arrays.
     """
 
-    __slots__ = ("parent", "phi", "child", "ends", "from_child", "down",
-                 "_fold_plan", "_fold_lists")
+    __slots__ = ("parent", "phi", "child", "ends", "from_child", "down", "_fold_plan")
 
     def __init__(self, parent: RIM, v_prime, phi: dict[int, int]):
         reason, tables = _split(parent, v_prime, phi)
@@ -270,7 +269,6 @@ class FloweringCut:
         self.phi = dict(phi)
         self.child = RIM(parent.n, child_adj, check=False)
         self._fold_plan: np.ndarray | None = None
-        self._fold_lists: list[list[int]] | None = None
 
     @property
     def v_prime(self) -> tuple[int, ...]:
@@ -286,13 +284,6 @@ class FloweringCut:
             vc, l = self.child.classes.reps
             self._fold_plan = self.parent.classes.class_of[self.ends.take(vc, axis=1), l]
         return self._fold_plan
-
-    def fold_lists(self) -> list[list[int]]:
-        """The fold plan's two rows as lists of Python ints, built once, for
-        the loops that read every child class."""
-        if self._fold_lists is None:
-            self._fold_lists = self.fold_plan.tolist()
-        return self._fold_lists
 
 
 def mu(rim: RIM) -> Fraction:

@@ -1,8 +1,8 @@
-"""Reference loops for the array-backed tables of the graph, RS, linear
-algebra and Merkle layers.
+"""Reference loops for the array-backed tables of the graph, word, RS,
+linear algebra and Merkle layers.
 
-These are the per-slot, per-point and per-leaf Python loops the package used
-before its tables became array expressions.  They work on plain ints and
+These are the per-slot, per-class, per-point and per-leaf Python loops the
+package used before its tables and words became array expressions.  They work on plain ints and
 nested lists and return plain lists, so tests can compare every entry.
 """
 
@@ -85,6 +85,31 @@ def fold_plan(parent_adj, child_adj, n: int, from_child: list[int],
         v = from_child[vc]
         plan.append((parent_class_of[v * n + l], parent_class_of[phi[v] * n + l]))
     return plan
+
+
+def fold(plan: list[tuple[int, int]], values: list[int], alpha: int, p: int) -> list[int]:
+    """The list fold: child class c takes values[a] + alpha * values[b] mod p
+    for the parent pair (a, b) = plan[c]."""
+    return [(values[a] + alpha * values[b]) % p for a, b in plan]
+
+
+def cut_word_on(plan: list[tuple[int, int]], values: list[int]) -> list[int]:
+    """The restriction to a prepared cut: each child class takes the value
+    of the first class of its pair."""
+    return [values[a] for a, _ in plan]
+
+
+def cut_word(adj: list[list[int]], n: int, values: list[int], vertices) -> list[int]:
+    """The restriction to a vertex set: each child class takes the value of
+    the parent class of its representative slot."""
+    child, kept = cut_graph(adj, vertices)
+    parent_class_of = classes(adj, n)[0]
+    return [values[parent_class_of[kept[vc] * n + l]] for vc, l in classes(child, n)[1]]
+
+
+def index_word(adj: list[list[int]], n: int, y: list[int], p: int) -> list[int]:
+    """The word f(v, l) = y[l] mod p, class by class."""
+    return [y[l] % p for _, l in classes(adj, n)[1]]
 
 
 def cayley_adj(r: int, vectors) -> list[list[int]]:

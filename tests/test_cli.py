@@ -132,6 +132,14 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     p = int(data["p"])
     out_of_field = [write(f"word_{i}.json", {"p": str(p), "values": [str(bad)] + ["0"] * 119})
                     for i, bad in enumerate((-1, 2**64, p))]
+    # word p and values as in an instance file: a float or a bool is refused,
+    # not truncated, and a string of digits is not a list of values
+    mistyped_words = [(write(f"mistyped_word_{i}.json", {"p": str(p), **change}), message)
+                      for i, (change, message) in enumerate((
+                          ({"values": [37.5] + ["0"] * 119}, "a word value must be a decimal"),
+                          ({"values": [True] + ["0"] * 119}, "a word value must be a decimal"),
+                          ({"p": float(p), "values": ["0"] * 120}, "p must be a decimal string"),
+                          ({"values": "0" * 120}, "values must be a list")))]
     missing = tmp_path / "missing.json"
     not_json = tmp_path / "not_json.json"
     not_json.write_text("{not json")
@@ -171,6 +179,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (prove + ("--word", missing), "malformed word file"),
         (prove + ("--word", no_p_word), "malformed word file"),
         *((prove + ("--word", word), "malformed word file") for word in out_of_field),
+        *((prove + ("--word", word), message) for word, message in mistyped_words),
         (prove + ("--word", v1_word), "malformed word file"),
         (prove + ("--m", 16385), "a proof header holds m <= 16384"),
         (mc + (missing,), "malformed config file"),

@@ -21,9 +21,9 @@ def test_fold_alpha_zero_is_cut(t1):
         for cut in s.cuts:
             for _ in range(3):
                 w = random_word(rng, cut.parent, t1["field"])
-                expected = cut_word(w, cut.v_prime).values
-                assert fold(cut, w, 0).values == expected
-                assert cut_word_on(w, cut).values == expected
+                expected = cut_word(w, cut.v_prime).values.tolist()
+                assert fold(cut, w, 0).values.tolist() == expected
+                assert cut_word_on(w, cut).values.tolist() == expected
 
 
 def test_fold_constant_and_index_words(t1):
@@ -80,8 +80,8 @@ def test_fold_linearity():
         a, b, alpha = (field.sample(rng) for _ in range(3))
         combo = Word(seq.graphs[0], field,
                      [(a * x + b * y) % p for x, y in zip(f.values, g.values)])
-        lhs = fold(cut, combo, alpha).values
-        ff, fg = fold(cut, f, alpha).values, fold(cut, g, alpha).values
+        lhs = fold(cut, combo, alpha).values.tolist()
+        ff, fg = fold(cut, f, alpha).values.tolist(), fold(cut, g, alpha).values.tolist()
         assert lhs == [(a * x + b * y) % p for x, y in zip(ff, fg)]
 
 

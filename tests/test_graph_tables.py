@@ -1,7 +1,8 @@
-"""The array-backed graph tables against the reference loops of loop_oracle:
-class index, violations, petal counts, cut graphs, the cut validator, down
-and fold plans, entry by entry."""
+"""The array-backed graph tables and words against the reference loops of
+loop_oracle: class index, violations, petal counts, cut graphs, the cut
+validator, down, fold plans, folds and restrictions, entry by entry."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -18,10 +19,14 @@ from flowering.cayley import (
     upper_bound_witness,
     validate_gen_set,
 )
-from flowering.experiments import gen_instance, honest_run
+from flowering.commitment import MerkleTree
+from flowering.errors import FloweringError
+from flowering.experiments import gen_instance, honest_run, random_codeword_word
+from flowering.field import PrimeField
 from flowering.folding import fold
-from flowering.graph_code import Word, cut_word
+from flowering.graph_code import Word, cut_word, cut_word_on
 from flowering.iopp import ProtocolParams
+from flowering.niproof import prove_noninteractive
 from flowering.rim_graph import RIM, FloweringCut, cut_graph, flowering_cut_validate
 
 
@@ -48,7 +53,10 @@ def assert_cut_tables(cut: FloweringCut) -> None:
     assert cut.down.tolist() == oracle.down(cut.parent.num_vertices, kept, cut.phi)
     plan = oracle.fold_plan(parent_adj, child_adj, cut.parent.n, kept, cut.phi)
     assert list(zip(*cut.fold_plan.tolist())) == plan
-    assert cut.fold_lists() == [list(column) for column in zip(*plan)]
+    # the array fold reads the plan as the list fold does
+    values = [(31 * c + 7) % 101 for c in range(cut.parent.classes.num_classes)]
+    word = Word(cut.parent, PrimeField(101), values)
+    assert fold(cut, word, 5).values.tolist() == oracle.fold(plan, values, 5, 101)
     assert_graph_tables(cut.child)
 
 
@@ -118,20 +126,91 @@ def test_cayley_rim_matches_loop():
         assert cayley_rim(r, vectors).adj.tolist() == oracle.cayley_adj(r, vectors)
 
 
-def test_words_hold_python_ints():
-    # words built from the tables carry plain ints, so no numpy scalar can
-    # reach a Merkle leaf, a proof or a transcript
-    inst = gen_instance(3, 101, 6)
-    rng = random.Random(14)
-    cut = inst.seq.cuts[0]
-    word, _ = far_word(inst.code, Fraction(1, 2), rng)
-    words = [word, fold(cut, word, 7), lazy_copy(cut, word, 7), cut_word(word, [0, 3, 5]),
-             Word.from_index_values(cut.parent, inst.field, list(range(7))),
-             upper_bound_witness(inst.code, inst.gens)]
-    for w in words:
-        assert all(type(x) is int for x in w.values)
-    assert all(type(x) is int for x in word.local_view(1) + [word.at(2, 3)])
-    transcript = honest_run(inst, ProtocolParams(4, 2), seed=3)
-    for query in transcript.queries:
-        assert all(type(x) is int for x in query.walk)
-        assert all(type(x) is int for opening in query.openings for x in opening)
+# int64 below 2^31 and Python ints above
+WORD_PRIMES = [5, 2**31 - 1, 2**31 + 11, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES)
+def test_word_arrays_match_loop(p):
+    # fold, cut_word_on, cut_word and from_index_values against the list
+    # loops on every cut of the full gensets r <= 6 and of [8, 4, 2, 1, 15],
+    # with words holding 0 and p - 1 and alpha in {0, 1, p - 1, random}
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for gens in (g for g in GENSETS if g.r <= 6):
+        for cut in blossoming_cayley(gens).cuts:
+            parent, n = cut.parent, cut.parent.n
+            adj = parent.adj.tolist()
+            plan = list(zip(*cut.fold_plan.tolist()))
+            size = parent.classes.num_classes
+            some = ([0, p - 1] + [rng.randrange(p) for _ in range(size)])[:size]
+            subset = rng.sample(range(parent.num_vertices),
+                                rng.randrange(1, parent.num_vertices + 1))
+            for values in ([p - 1] * size, some):
+                word = Word(parent, field, values)
+                assert word.values.dtype == field.dtype
+                for alpha in (0, 1, p - 1, rng.randrange(p)):
+                    folded = fold(cut, word, alpha)
+                    assert folded.values.dtype == field.dtype
+                    assert folded.values.tolist() == oracle.fold(plan, values, alpha, p)
+                assert cut_word_on(word, cut).values.tolist() == oracle.cut_word_on(plan, values)
+                for vertices in (cut.v_prime, subset):
+                    assert (cut_word(word, vertices).values.tolist()
+                            == oracle.cut_word(adj, n, values, vertices))
+            # index values outside [0, p) are reduced
+            y = ([0, p - 1, p, -1, 2**64 + 3] + [rng.randrange(p) for _ in range(n)])[:n]
+            index_word = Word.from_index_values(parent, field, y)
+            assert index_word.values.dtype == field.dtype
+            assert index_word.values.tolist() == oracle.index_word(adj, n, y, p)
+
+
+def test_word_refuses_values_it_cannot_fold_exactly():
+    # under int64 a value >= 2^31 times a challenge could wrap; such a word
+    # is refused at construction and never folded
+    field = PrimeField(2**31 - 1)
+    seq = blossoming_cayley(gen_set_full(3))
+    size = seq.graphs[0].classes.num_classes
+    for bad in (2**40, 2**31, -1, 2**64):
+        with pytest.raises(FloweringError):
+            Word(seq.graphs[0], field, [bad] + [0] * (size - 1))
+    # the largest value that folds exactly is accepted, unreduced
+    word = Word(seq.graphs[0], field, [2**31 - 1] * size)
+    assert fold(seq.cuts[0], word, 2**31 - 2).values.tolist() == [
+        (2**31 - 1) * (2**31 - 1) % field.p] * seq.graphs[1].classes.num_classes
+    # Python ints fold exactly at any size
+    wide = PrimeField(2**61 - 1)
+    assert Word(seq.graphs[0], wide, [2**40] * size).values.dtype == object
+    with pytest.raises(FloweringError):
+        Word(seq.graphs[0], wide, [-1] * size)
+
+
+def test_word_values_leave_as_python_ints():
+    # words hold arrays at the field's dtype; every value that leaves one
+    # is a plain int, so no numpy scalar reaches a transcript, a proof, an
+    # RS check or JSON
+    for p in (101, 2**61 - 1):
+        inst = gen_instance(3, p, 6)
+        rng = random.Random(14)
+        cut = inst.seq.cuts[0]
+        word, _ = far_word(inst.code, Fraction(1, 2), rng)
+        words = [word, fold(cut, word, 7), lazy_copy(cut, word, 7), cut_word(word, [0, 3, 5]),
+                 Word.from_index_values(cut.parent, inst.field, list(range(7))),
+                 upper_bound_witness(inst.code, inst.gens)]
+        for w in words:
+            assert isinstance(w.values, np.ndarray) and w.values.dtype == inst.field.dtype
+            assert all(type(x) is int for x in w.local_view(0) + [w.at(0, 1), w.at(1, 6)])
+            assert Word.from_json(w.graph, w.field, json.loads(json.dumps(w.to_json()))) == w
+            values, _ = MerkleTree(w.values).open(0)
+            assert values and all(type(x) is int for x in values)
+        params = ProtocolParams(4, 2)
+        transcript = honest_run(inst, params, seed=3)
+        for query in transcript.queries:
+            assert all(type(x) is int for x in query.walk)
+            assert all(type(x) is int for opening in query.openings for x in opening)
+        # json.dumps refuses numpy integers
+        json.dumps(transcript.to_json())
+        proof, ni_transcript = prove_noninteractive(
+            inst.seq, inst.rs, random_codeword_word(inst, rng), params)
+        assert all(type(value) is int for level in proof.openings for value, _ in level.values())
+        assert all(type(x) is int for query in ni_transcript.queries
+                   for opening in query.openings for x in opening)
