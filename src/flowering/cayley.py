@@ -129,6 +129,8 @@ def validate_gen_set(r: int, vectors: list[int], d: int) -> GenSet:
     check runs and the returned GenSet is flagged unverified.
     """
     vs = tuple(vectors)
+    if type(d) is not int or d < 1:
+        raise FloweringError(f"d must be an integer >= 1, got d={d!r}")
     if any(not 0 < v < (1 << r) for v in vs):
         raise ZeroGeneratorError("generators must be nonzero r-bit vectors")
     if _f2_rank(vs) != r:
@@ -163,22 +165,30 @@ def validate_gen_set(r: int, vectors: list[int], d: int) -> GenSet:
 
 def gen_set_from_parity_check(matrix: list[list[int]], d: int) -> GenSet:
     """Generators from the columns of an r x n binary parity-check matrix
-    (row 0 is the most significant coordinate)."""
-    r = len(matrix)
-    n = len(matrix[0])
-    cols = []
-    for j in range(n):
-        v = 0
-        for i in range(r):
-            v = (v << 1) | (matrix[i][j] & 1)
-        cols.append(v)
-    return validate_gen_set(r, cols, d)
+    (row 0 is the most significant coordinate).  The matrix must be a
+    non-empty list of equal-length rows of plain-int 0/1 entries: a bool is
+    refused, not read as a bit."""
+    if (not isinstance(matrix, list) or not matrix
+            or any(not isinstance(row, list) or len(row) != len(matrix[0])
+                   or any(type(b) is not int or b not in (0, 1) for b in row)
+                   for row in matrix)):
+        raise FloweringError(
+            "matrix must be a non-empty list of equal-length rows of 0/1 integers")
+    cols = [0] * len(matrix[0])
+    for row in matrix:
+        cols = [(v << 1) | b for v, b in zip(cols, row)]
+    return validate_gen_set(len(matrix), cols, d)
 
 
 def cayley_rim(r: int, gens: GenSet | list[int]) -> RIM:
     """The n-RIM on F_2^r with E(v, l) = v XOR s_l; petal-free since every
-    generator is nonzero and its own inverse."""
-    vectors = gens.vectors if isinstance(gens, GenSet) else tuple(gens)
+    generator is nonzero and its own inverse.  A GenSet must be one of
+    F_2^r."""
+    if isinstance(gens, GenSet):
+        if gens.r != r:
+            raise FloweringError(f"a generating set of F_2^{gens.r} does not generate F_2^{r}")
+        gens = gens.vectors
+    vectors = tuple(gens)
     _check_graph_size(r, len(vectors))
     if vectors and (min(vectors) <= 0 or max(vectors) >= 1 << r):
         raise ZeroGeneratorError("generators must be nonzero r-bit vectors")

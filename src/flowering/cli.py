@@ -7,8 +7,9 @@ non-interactive proofs only and exits 0 on accept, 1 on reject, 2 on
 malformed input; ``prove --mode interactive`` writes its transcript as a run
 report, which verify refuses, since a transcript commits to nothing and its
 writer chose the challenges.  Every input file (instance, genset, word,
-config and proof) is read by one loader, so a missing or malformed file
-exits 2 with a one-line error.
+config and proof) is read by one loader and every output file (instance,
+proof, transcript, report and CSV) written by one writer, so a missing or
+malformed input or an unwritable output exits 2 with a one-line error.
 """
 
 from __future__ import annotations
@@ -46,9 +47,19 @@ MC_DEFAULTS = {
 }
 
 
-def _dump_json(path: str, data: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+def _write(path: str, data) -> None:
+    """Write data to the file at path: bytes as they are, a str as its
+    bytes and a dict as indented JSON with sorted keys, with any write
+    error raised as a one-line FloweringError."""
+    if isinstance(data, dict):
+        data = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    if isinstance(data, str):
+        data = data.encode()
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise FloweringError(f"cannot write {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load(kind: str, path: str, parse, read=json.load):
@@ -95,7 +106,7 @@ def cmd_gen(args) -> int:
     if genset != "full":
         genset = _load("genset", genset, _parse_genset)
     instance = gen_instance(args.r, args.p, args.k, genset)
-    _dump_json(args.out, instance.to_json())
+    _write(args.out, instance.to_json())
     print(f"wrote instance: r={instance.r} n={instance.n} k={instance.rs.k} "
           f"p={instance.field.p} -> {args.out}")
     return 0
@@ -115,14 +126,12 @@ def cmd_prove(args) -> int:
         proof, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
         blob = proof.serialize()
         if args.json:
-            _dump_json(args.out, {"format": f"flowering-ni-proof-v{VERSION}", "hex": blob.hex()})
-        else:
-            with open(args.out, "wb") as fh:
-                fh.write(blob)
+            blob = {"format": f"flowering-ni-proof-v{VERSION}", "hex": blob.hex()}
+        _write(args.out, blob)
     else:
         transcript = run_protocol(instance.seq, instance.rs, word, params,
                                   derive_seed(args.seed, 2))
-        _dump_json(args.out, {
+        _write(args.out, {
             "format": TRANSCRIPT_FORMAT,
             "p": str(instance.field.p),
             "graph_hash": instance.seq.graphs[0].digest().hex(),
@@ -160,7 +169,7 @@ def cmd_soundness_mc(args) -> int:
     instance = _load_instance(args.instance)
     cfg = _load("config", args.config, _parse_mc_config)
     report = soundness_mc(instance, seed=args.seed, **cfg)
-    _dump_json(args.out, report)
+    _write(args.out, report)
     header = f"{'adversary':24} {'delta':>8} {'m':>3} {'t':>3} {'accept':>8} {'wilson99':>9} {'bound':>9} ok"
     print(header)
     for pt in report["points"]:
@@ -173,8 +182,7 @@ def cmd_soundness_mc(args) -> int:
                 "acceptance_rate", "wilson_upper_99", "soundness_bound", "within_bound"]
         lines = [",".join(cols)]
         lines += [",".join(str(pt[c]) for c in cols) for pt in report["points"]]
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -182,7 +190,7 @@ def cmd_report_complexity(args) -> int:
     instance = _load_instance(args.instance)
     params = ProtocolParams(args.m, args.t)
     report = complexity_report(instance, params, args.seed)
-    _dump_json(args.out, report)
+    _write(args.out, report)
     print(f"{'counter':28} {'measured':>12} {'bound':>14}")
     meas, bounds = report["measured"], report["bounds"]
     rows = [
@@ -201,7 +209,7 @@ def cmd_report_complexity(args) -> int:
 def cmd_check_bounds(args) -> int:
     instance = _load_instance(args.instance)
     report = bounds_report(instance)
-    _dump_json(args.out, report)
+    _write(args.out, report)
     print(f"{'level':>5} {'|V|':>6} {'classes':>8} {'petals':>7} {'dim':>6} {'bound':>6} ok")
     for lv in report["levels"]:
         dim = lv["dimension"] if lv["dimension"] is not None else "-"

@@ -9,7 +9,8 @@ Query phase: m repetitions each walk a random start vertex down the cut
 chain checking t indices of the fold relation per level, then the single
 flower view is read in full and RS-tested.
 
-Query accounting: the phase keeps one read log per level, the positions its
+Query accounting: the walks only record opening triples, and after them the
+phase derives from those triples one read log per level, the positions its
 walks read; the transcript's read log is that union plus the flower view,
 and it is exactly what a non-interactive proof opens.  oracle_reads counts
 the distinct walk positions, which reproduces the 2t-then-t shape per level
@@ -177,7 +178,6 @@ def verifier_query(
     counters = Counters(rounds=r, proof_length=seq.proof_length(),
                         rand_field_elements=r, rand_vertices=params.m,
                         rand_subsets=params.m, prover_field_ops=2 * seq.proof_length())
-    reads: list[set[int]] = [set() for _ in range(r + 1)]
     records: list[QueryRecord] = []
     accept = True
 
@@ -193,19 +193,14 @@ def verifier_query(
             walk.append(vc)
             class_of = cut.child.classes.class_of
             plan = cut.fold_plan
-            prev_read, cur_read = reads[i - 1], reads[i]
             alpha = challenges[i - 1]
             for l in indices:
                 cr = class_of.item(vc, l)
                 ca = plan.item(0, cr)
                 cb = plan.item(1, cr)
-                prev_read.add(ca)
-                prev_read.add(cb)
-                cur_read.add(cr)
                 va = oracle(i - 1, ca)
                 vb = oracle(i - 1, cb)
                 vr = oracle(i, cr)
-                counters.verifier_field_ops += 2
                 record.openings += ((i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr))
                 if (va + alpha * vb) % p != vr:
                     accept = False
@@ -217,6 +212,12 @@ def verifier_query(
         if not accept:
             break
 
+    # a fold check is three opening triples and two field operations
+    reads: list[set[int]] = [set() for _ in range(r + 1)]
+    for record in records:
+        for level, cid, _ in record.openings:
+            reads[level].add(cid)
+    counters.verifier_field_ops = sum(len(record.openings) for record in records) // 3 * 2
     counters.oracle_reads = sum(len(level) for level in reads)
     # A walk reads at most (2r+1)t positions: 2t at level 0, at most 2t at
     # each of levels 1..r-1 (a child read there is one of the next level's

@@ -7,8 +7,17 @@ full instance (field, the chain digest of graph 0 and every cut, RS and
 protocol parameters), and the query randomness is derived after the last
 root.  The proof carries the per-level roots and the authenticated
 openings of exactly the buckets holding the positions the verifier
-re-derives: the query phase's read log, whose buckets the verifier
-compares with the openings before it authenticates any of them.
+re-derives, the query phase's read log.
+
+The record rule: a proof opens exactly the records that were read, and each
+record is authenticated once.  A record is the classes of one bucket under
+one path; NIProof.openings holds them per class, and _records (serialize,
+the verifier) and _classes (parse, the prover) are the only conversions.
+The verifier requires each level's records to start exactly at the first
+classes of the buckets its reads touch, at every level before it hashes any
+path; then each record needs every value below p and one verify_open, which
+refuses a wrong length or path depth.  So a proof causes at most one
+authentication per read bucket, however many openings it carries.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
@@ -26,9 +35,7 @@ bound graph 0 alone, 2 had one leaf per class), an r, m or t outside
 1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS, a record of no
 class or of classes of two buckets, a class opened twice, a truncation or
 a trailing byte is malformed, and the prover refuses to write a header the
-parser would refuse.  The verifier accepts a bucket only if all its
-classes are opened under one path whose length equals the depth of that
-level's tree, so a root cannot be opened at two depths.
+parser would refuse.
 """
 
 from __future__ import annotations
@@ -107,7 +114,7 @@ class NIProof:
             (count,) = struct.unpack("<I", take(4))
             if count > MAX_OPENINGS:
                 raise MalformedProofError("implausible opening count")
-            level: dict[int, tuple[int, list[bytes]]] = {}
+            records = []
             for _ in range(count):
                 first, n = struct.unpack("<QB", take(9))
                 if n == 0 or first // LEAF_CLASSES != (first + n - 1) // LEAF_CLASSES:
@@ -116,13 +123,9 @@ class NIProof:
                 values = struct.unpack(f"<{n}Q", take(8 * n))
                 (plen,) = take(1)
                 digests = take(DIGEST_SIZE * plen)
-                path = [digests[i:i + DIGEST_SIZE]
-                        for i in range(0, len(digests), DIGEST_SIZE)]
-                for cid, value in enumerate(values, first):
-                    if cid in level:
-                        raise MalformedProofError("duplicate opening")
-                    level[cid] = (value, path)
-            openings.append(level)
+                records.append((first, values, [digests[i:i + DIGEST_SIZE]
+                                                for i in range(0, len(digests), DIGEST_SIZE)]))
+            openings.append(_classes(records))
         if pos != len(view):
             raise MalformedProofError("trailing bytes")
         return cls(p, chain_digest, r, m, t, roots, openings)
@@ -142,6 +145,23 @@ def _records(level: dict[int, tuple[int, list[bytes]]]):
                 continue
         records.append((cid, [value], path))
     return records
+
+
+def _bucket_starts(cids) -> list[int]:
+    """The first class of each bucket holding one of cids, in order."""
+    return sorted({cid - cid % LEAF_CLASSES for cid in cids})
+
+
+def _classes(records) -> dict[int, tuple[int, list[bytes]]]:
+    """The level's openings from its (first class, values, path) records:
+    each class of a record under the record's path, each class once."""
+    level = {}
+    for first, values, path in records:
+        for cid, value in enumerate(values, first):
+            if cid in level:
+                raise MalformedProofError("duplicate opening")
+            level[cid] = (value, path)
+    return level
 
 
 def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
@@ -207,7 +227,9 @@ def prove_noninteractive(
     challenges, words = prover_commit(seq, f0, commit)
     randomness = commit(words[-1])
     transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
-    openings = [_open_buckets(tree, cids) for tree, cids in zip(trees, transcript.reads)]
+    openings = [_classes([(first, *tree.open(first // LEAF_CLASSES))
+                          for first in _bucket_starts(cids)])
+                for tree, cids in zip(trees, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,
         chain_digest=seq.digest(),
@@ -220,37 +242,12 @@ def prove_noninteractive(
     return proof, transcript
 
 
-def _buckets(cids) -> list[int]:
-    return sorted({cid // LEAF_CLASSES for cid in cids})
-
-
-def _bucket_classes(bucket: int, num_classes: int) -> range:
-    """The classes of a bucket, the last bucket clipped to num_classes."""
-    first = bucket * LEAF_CLASSES
-    return range(first, min(first + LEAF_CLASSES, num_classes))
-
-
-def _open_buckets(tree: MerkleTree, cids) -> dict[int, tuple[int, list[bytes]]]:
-    opened = {}
-    for bucket in _buckets(cids):
-        values, path = tree.open(bucket)
-        for cid, value in enumerate(values, bucket * LEAF_CLASSES):
-            opened[cid] = (value, path)
-    return opened
-
-
 def verify_noninteractive(
     seq: BlossomingSequence, rs: RSCode, proof: NIProof
 ) -> tuple[bool, Transcript | None]:
     """Recompute challenges and queries from the proof's roots, re-run every
-    check on the opened values, and authenticate the openings.  (False, None)
-    on any mismatch.
-
-    The query phase runs first, and the opened classes must be exactly the
-    classes of the buckets its reads touch before any Merkle path is hashed,
-    so the hashing a proof can cause is set by the reads, not by how many
-    openings it carries.  Each bucket is authenticated once, under the one
-    path all its classes carry."""
+    check on the opened values, and authenticate the openings under the
+    record rule of the module docstring.  (False, None) on any mismatch."""
     graph0 = seq.graphs[0]
     if proof.p != rs.field.p:
         return False, None
@@ -272,17 +269,15 @@ def verify_noninteractive(
                                     randomness)
     except KeyError:
         return False, None
-    # openings must be exactly the buckets read, nothing extra
-    buckets = [_buckets(cids) for cids in transcript.reads]
-    sizes = [graph.classes.num_classes for graph in seq.graphs]
-    if any(opened.keys() != {cid for bucket in level for cid in _bucket_classes(bucket, n)}
-           for opened, level, n in zip(proof.openings, buckets, sizes)):
+    # one record per read bucket, starting at its first class, at every
+    # level before any path is hashed
+    records = [_records(opened) for opened in proof.openings]
+    if any([first for first, _, _ in level] != _bucket_starts(cids)
+           for level, cids in zip(records, transcript.reads)):
         return False, None
-
-    for root, opened, level, n in zip(proof.roots, proof.openings, buckets, sizes):
-        for bucket in level:
-            values, paths = zip(*(opened[cid] for cid in _bucket_classes(bucket, n)))
-            if (any(path != paths[0] for path in paths) or max(values) >= rs.field.p
-                    or not verify_open(root, bucket, list(values), paths[0], n)):
+    for root, level, graph in zip(proof.roots, records, seq.graphs):
+        for first, values, path in level:
+            if max(values) >= rs.field.p or not verify_open(
+                    root, first // LEAF_CLASSES, values, path, graph.classes.num_classes):
                 return False, None
     return transcript.accept, transcript

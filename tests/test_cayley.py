@@ -20,7 +20,7 @@ from flowering.cayley import (
     upper_bound_witness,
     validate_gen_set,
 )
-from flowering.errors import TooLargeError
+from flowering.errors import FloweringError, TooLargeError
 from flowering.field import PrimeField
 from flowering.graph_code import GraphCode, relative_weight
 from flowering.reed_solomon import RSCode
@@ -46,6 +46,13 @@ def test_cayley_rim_edges_and_errors():
         cayley_rim(2, [1, 1])
     with pytest.raises(TooLargeError):  # 2^40 x 40 table entries, refused unbuilt
         cayley_rim(40, [1 << i for i in range(40)])
+
+
+def test_cayley_rim_refuses_genset_of_other_r():
+    # gen_set_full(4) spans only half of F_2^5: two disconnected copies
+    with pytest.raises(FloweringError, match="of F_2\\^4 does not generate F_2\\^5"):
+        cayley_rim(5, gen_set_full(4))
+    assert cayley_rim(4, gen_set_full(4)).num_vertices == 16
 
 
 def test_gen_set_full():

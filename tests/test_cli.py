@@ -161,6 +161,21 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
           "--config")
     gen = ("gen", "--r", 3, "--p", 101, "--k", 6, "--out", tmp_path / "g.json",
            "--genset")
+    gen2 = ("gen", "--r", 2, "--p", 101, "--k", 1, "--out", tmp_path / "g.json",
+            "--genset")
+    hamming2 = [[1, 0, 1], [0, 1, 1]]
+    # a parity-check genset takes the explicit form's rule: a non-empty list
+    # of equal-length rows of plain-int 0/1, d a plain int
+    bad_matrices = [(write(f"matrix_{i}.json", content), message)
+                    for i, (content, message) in enumerate((
+                        ({"matrix": hamming2, "d": 2.5}, "d must be an integer"),
+                        ({"matrix": hamming2, "d": True}, "d must be an integer"),
+                        ({"matrix": [[1, 0], [0, 1, 1]], "d": 2}, "equal-length rows"),
+                        ({"matrix": [[True, False, True], [0, 1, 1]], "d": 2},
+                         "equal-length rows of 0/1 integers"),
+                        ({"matrix": [], "d": 2}, "a non-empty list"),
+                        ({"matrix": [[1, 0, 2], [0, 1, 1]], "d": 2}, "0/1 integers")))]
+    negative_d = write("negative_d.json", {**data, "genset": {**data["genset"], "d": -5}})
     capsys.readouterr()
     for argv, message in (
         (("verify", "--instance", not_an_object, "--proof", proof), "malformed instance file"),
@@ -201,6 +216,11 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
          "deltas must be strings or integers"),
         (mc + (write("workers.json", {"workers": 2}),), "unknown config keys ['workers']"),
         (gen + (missing,), "malformed genset file"),
+        *((gen2 + (path,), message) for path, message in bad_matrices),
+        (gen + (write("genset_d.json", {**data["genset"], "d": -5}),),
+         "d must be an integer >= 1"),
+        (("prove", "--instance", negative_d, "--out", tmp_path / "p.bin"),
+         "d must be an integer >= 1"),
         (gen + (write("genset.json", {"vectors": [1, 2]}),), "malformed genset file"),
         (gen + (write("genset_r2.json", {"r": 2, "d": 3, "vectors": [1, 2, 3]}),),
          "the generating set has r=2, not r=3"),
@@ -218,6 +238,32 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_2(tmp_path, instance_file, capsys):
+    # every output a command writes goes through one writer: a path in a
+    # missing directory is one error line and exit 2, never a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ms": [2], "ts": [1], "trials": 5}))
+    bad = tmp_path / "missing" / "out"
+    good = tmp_path / "out"
+    mc = ("soundness-mc", "--instance", instance_file, "--config", cfg)
+    capsys.readouterr()
+    for argv in (
+        ("gen", "--r", 3, "--p", 101, "--k", 6, "--out", bad),
+        ("prove", "--instance", instance_file, "--m", 2, "--t", 1, "--out", bad),
+        ("prove", "--instance", instance_file, "--m", 2, "--t", 1, "--json", "--out", bad),
+        ("prove", "--instance", instance_file, "--m", 2, "--t", 1, "--mode", "interactive",
+         "--out", bad),
+        ("check-bounds", "--instance", instance_file, "--out", bad),
+        ("report-complexity", "--instance", instance_file, "--m", 2, "--t", 1, "--out", bad),
+        mc + ("--out", bad),
+        mc + ("--out", good, "--csv", bad),
+    ):
+        assert run(*argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {bad}: FileNotFoundError")
+        assert captured.err.count("\n") == 1 and "error:" not in captured.out
 
 
 def test_verify_corrupted_rejects(tmp_path, instance_file):

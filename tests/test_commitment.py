@@ -387,22 +387,65 @@ def _cid_out_of_range(instance, params, word, proof):
     opened[instance.seq.graphs[1].classes.num_classes] = opened.pop(cid)
 
 
+def _drop_last_class(instance, params, word, proof):
+    # an unread last class of a full read bucket: one short record, which
+    # starts where it should, so verify_open (its length check) refuses it
+    reads = verify_noninteractive(instance.seq, instance.rs, proof)[1].reads
+    level, last = next((level, cid) for level, opened in enumerate(proof.openings)
+                       for cid in sorted(opened)
+                       if cid % LEAF_CLASSES == LEAF_CLASSES - 1 and cid not in reads[level])
+    del proof.openings[level][last]
+
+
+def _extra_flower_class(instance, params, word, proof):
+    # class N of the flower level under its last bucket's path: the flower
+    # view reads every class, and the last bucket holds fewer than
+    # LEAF_CLASSES, so the record grows one class past it
+    opened = proof.openings[instance.r]
+    num_classes = instance.seq.graphs[instance.r].classes.num_classes
+    assert num_classes % LEAF_CLASSES and opened.keys() == set(range(num_classes))
+    opened[num_classes] = (0, opened[num_classes - 1][1])
+
+
+@pytest.fixture
+def verify_open_calls(monkeypatch):
+    """The buckets niproof authenticates, one entry per verify_open call."""
+    calls = []
+
+    def counting_verify_open(*args):
+        calls.append(args[1])
+        return verify_open(*args)
+
+    monkeypatch.setattr(niproof, "verify_open", counting_verify_open)
+    return calls
+
+
+def _read_buckets(proof) -> int:
+    # an honest proof opens exactly the buckets its query phase reads
+    return sum(len({cid // LEAF_CLASSES for cid in level}) for level in proof.openings)
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_opening, _unread_opening, _move_opening, _resize_path(-1), _resize_path(+1),
     _cid_out_of_range, _drop_middle_class, _two_paths, _unread_bucket_opening,
+    _drop_last_class, _extra_flower_class,
 ], ids=["dropped", "unread-class", "moved-level", "path-shorter", "path-longer",
-        "cid-num-classes", "dropped-middle", "two-paths", "unread-bucket"])
-def test_ni_structural_mutations_rejected(ni_setup_r5, mutate):
+        "cid-num-classes", "dropped-middle", "two-paths", "unread-bucket",
+        "dropped-last", "extra-flower-class"])
+def test_ni_structural_mutations_rejected(ni_setup_r5, mutate, verify_open_calls):
     # the verifier accepts exactly the buckets its query phase reads, each
-    # with all its classes under one path of its level's tree depth
+    # with all its classes under one path of its level's tree depth, and
+    # authenticates at most once per read bucket
     instance, params, word, proof = ni_setup_r5
     assert instance.r == 5
     mutated = NIProof.parse(proof.serialize())
     mutate(instance, params, word, mutated)
     reparsed = NIProof.parse(mutated.serialize())
     assert reparsed.serialize() != proof.serialize()
+    verify_open_calls.clear()
     accept, transcript = verify_noninteractive(instance.seq, instance.rs, reparsed)
     assert not accept and transcript is None
+    assert len(verify_open_calls) <= _read_buckets(proof)
 
 
 def test_ni_malformed_records_refused(ni_setup):
@@ -432,26 +475,19 @@ def test_ni_malformed_records_refused(ni_setup):
             NIProof.parse(blob)
 
 
-def test_ni_padded_proof_rejected_before_hashing(monkeypatch):
+def test_ni_padded_proof_rejected_before_hashing(verify_open_calls):
     # 1,000 extra level-0 classes from buckets no walk reads, each bucket
-    # valid against the honest tree: the verifier compares the opened
-    # classes with its read buckets first, so it rejects the proof without
+    # valid against the honest tree: the verifier compares the records with
+    # its read buckets first, so it rejects the proof without
     # authenticating a single path
     instance = gen_instance(6, 2**31 - 1, 61)
     params = ProtocolParams(3, 2)
     word = random_codeword_word(instance, random.Random(0))
     proof, _ = prove_noninteractive(instance.seq, instance.rs, word, params)
-    calls = []
-
-    def counting_verify_open(*args):
-        calls.append(args[1])
-        return verify_open(*args)
-
-    monkeypatch.setattr(niproof, "verify_open", counting_verify_open)
+    calls = verify_open_calls
     assert verify_noninteractive(instance.seq, instance.rs, proof)[0]
     # one authentication per opened bucket
-    assert len(calls) == sum(len({cid // LEAF_CLASSES for cid in level})
-                             for level in proof.openings)
+    assert len(calls) == _read_buckets(proof)
 
     padded = NIProof.parse(proof.serialize())
     tree = MerkleTree(word.values)
