@@ -9,13 +9,17 @@ report, which verify refuses, since a transcript commits to nothing and its
 writer chose the challenges.  Every input file (instance, genset, word,
 config and proof) is read by one loader and every output file (instance,
 proof, transcript, report and CSV) written by one writer, so a missing or
-malformed input or an unwritable output exits 2 with a one-line error.
+malformed input or an unwritable output exits 2 with a one-line error.  The
+directory of every output is checked before the command runs, so an output
+in a missing directory costs no work and leaves no other output behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -59,7 +63,25 @@ def _write(path: str, data) -> None:
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as exc:
-        raise FloweringError(f"cannot write {path}: {type(exc).__name__}: {exc}") from exc
+        raise _cannot_write(path, exc) from exc
+
+
+def _check_writable(path: str) -> None:
+    """Raise the error _write would raise on a path whose directory is
+    missing or not writable, without creating the file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(parent):
+        if os.access(parent, os.W_OK | os.X_OK):
+            return
+        code = errno.EACCES
+    else:
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    # OSError picks the subclass of the errno, as open() does
+    raise _cannot_write(path, OSError(code, os.strerror(code), path))
+
+
+def _cannot_write(path: str, exc: OSError) -> FloweringError:
+    return FloweringError(f"cannot write {path}: {type(exc).__name__}: {exc}")
 
 
 def _load(kind: str, path: str, parse, read=json.load):
@@ -279,6 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in (getattr(args, "out", None), getattr(args, "csv", None)):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except FloweringError as exc:
         print(f"error: {exc}", file=sys.stderr)

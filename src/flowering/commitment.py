@@ -21,6 +21,7 @@ collide.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -156,34 +157,6 @@ def _frame(data: bytes) -> bytes:
     return struct.pack("<Q", len(data)) + data
 
 
-class _DigestStream:
-    """Counter-mode SHA-256 stream exposing rejection-sampled uniform ints."""
-
-    def __init__(self, seed: bytes):
-        self.seed = seed
-        self.counter = 0
-        self.buffer = b""
-
-    def _refill(self) -> None:
-        self.buffer += DIGEST(self.seed + struct.pack("<Q", self.counter)).digest()
-        self.counter += 1
-
-    def chunk64(self) -> int:
-        while len(self.buffer) < 8:
-            self._refill()
-        out = int.from_bytes(self.buffer[:8], "big")
-        self.buffer = self.buffer[8:]
-        return out
-
-    def uniform(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection on 64-bit chunks."""
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            x = self.chunk64()
-            if x < limit:
-                return x % bound
-
-
 class FSState:
     """Fiat-Shamir transcript: absorb commitments, squeeze challenges."""
 
@@ -206,13 +179,24 @@ class FSState:
     def challenge_queries(self, label: bytes, num_vertices: int, n: int,
                           m: int, t: int) -> list[tuple[int, tuple[int, ...]]]:
         """Query-phase randomness: m pairs of start vertex and sorted
-        t-subset of [n], rejection-sampled from the digest stream."""
-        stream = _DigestStream(self._squeeze(label))
+        t-subset of [n].  Each is drawn uniformly by rejection from the
+        stream of 64-bit big-endian chunks of DIGEST(seed || counter), the
+        counter a u64 from 0."""
+        seed = self._squeeze(label)
+        blocks = (DIGEST(seed + struct.pack("<Q", c)).digest() for c in itertools.count())
+        chunks = (x for block in blocks for (x,) in struct.iter_unpack(">Q", block))
+
+        def uniform(bound: int) -> int:
+            limit = (1 << 64) - ((1 << 64) % bound)
+            for x in chunks:
+                if x < limit:
+                    return x % bound
+
         out = []
         for _ in range(m):
-            v0 = stream.uniform(num_vertices)
+            v0 = uniform(num_vertices)
             picked: set[int] = set()
             while len(picked) < t:
-                picked.add(stream.uniform(n))
+                picked.add(uniform(n))
             out.append((v0, tuple(sorted(picked))))
         return out

@@ -205,10 +205,10 @@ class GraphCode:
 
     # linear-algebra view ----------------------------------------------------
 
-    def parity_check_matrix(self) -> list[list[int]]:
-        """H with (n-k)|V| rows and one column per edge class: the RS parity
-        rows of every vertex, composed with the slot-to-class projection.
-        H f = 0 exactly characterizes membership."""
+    def parity_check_matrix(self) -> np.ndarray:
+        """H, a (n-k)|V| x |classes| array at the field's dtype: the RS
+        parity rows of every vertex, composed with the slot-to-class
+        projection.  H f = 0 exactly characterizes membership."""
         classes = self.graph.classes
         num_vertices = self.graph.num_vertices
         num_rows = (self.rs.n - self.rs.k) * num_vertices
@@ -223,7 +223,7 @@ class GraphCode:
         # written twice
         h[np.arange(num_vertices)[:, None, None], np.arange(len(dual))[:, None],
           classes.class_of[:, None, :]] = dual
-        return h.reshape(num_rows, classes.num_classes).tolist()
+        return h.reshape(num_rows, classes.num_classes)
 
     def dimension(self) -> int:
         h = self.parity_check_matrix()
@@ -240,11 +240,7 @@ class GraphCode:
 
     def codeword_basis(self) -> list[list[int]]:
         """Kernel basis of the parity-check matrix, as class-value vectors."""
-        h = self.parity_check_matrix()
-        num = self.graph.classes.num_classes
-        if not h:  # k = n: no parity constraints, the code is the full space
-            return [[int(i == j) for j in range(num)] for i in range(num)]
-        return linalg.nullspace(h, self.field.p)
+        return linalg.nullspace(self.parity_check_matrix(), self.field.p)
 
     def min_distance_bruteforce(self) -> Fraction:
         """Minimum relative weight over all nonzero codewords, by enumerating

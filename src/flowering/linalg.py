@@ -1,9 +1,10 @@
 """Dense linear algebra mod p: RREF, rank, nullspace.
 
-Matrices are lists of rows of ints.  One vectorized numpy Gauss-Jordan
-elimination at the field's array dtype (int64 when p < 2^31, else Python
-ints in an object array) gives the reduced row echelon form, and rank and
-the nullspace read it.
+A matrix is a 2-D array, or a list of equal-length rows of ints; its width
+is read from its shape, so a matrix with no rows still has one.  One
+vectorized numpy Gauss-Jordan elimination at the field's array dtype (int64
+when p < 2^31, else Python ints in an object array) gives the reduced row
+echelon form, and rank and the nullspace read it.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ import numpy as np
 from .field import array_dtype
 
 
-def rref(rows: list[list[int]], p: int) -> tuple[np.ndarray, list[int]]:
+def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
     """(reduced rows, pivot columns): each pivot column is cleared above and
     below its pivot, so the rows are the reduced row echelon form."""
-    ncols = len(rows[0]) if rows else 0
-    m = np.array(rows, dtype=array_dtype(p)).reshape(len(rows), ncols) % p
+    m = np.array(matrix, dtype=array_dtype(p)) % p
+    nrows, ncols = m.shape
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        if r == len(rows):
+        if r == nrows:
             break
         nz = np.nonzero(m[r:, c])[0]
         if nz.size == 0:
@@ -39,16 +40,14 @@ def rref(rows: list[list[int]], p: int) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def rank(rows: list[list[int]], p: int) -> int:
-    return len(rref(rows, p)[1])
+def rank(matrix, p: int) -> int:
+    return len(rref(matrix, p)[1])
 
 
-def nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
+def nullspace(matrix, p: int) -> list[list[int]]:
     """Basis of the right kernel {v : M v = 0 mod p}, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows, p)
+    reduced, pivots = rref(matrix, p)
+    ncols = reduced.shape[1]
     lead = reduced[:len(pivots)].tolist()
     pivot_set = set(pivots)
     basis = []

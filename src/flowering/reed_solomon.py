@@ -2,34 +2,31 @@
 
 Membership is one dual (syndrome) check.  The dual of RS[n, k] on points
 x_1..x_n is the generalized RS code with column multipliers
-u_i = 1 / prod_{j != i} (x_i - x_j), so y is a codeword exactly when
-sum_i u_i x_i^j y_i = 0 for every j < n - k (MacWilliams-Sloane ch. 10;
-Roth, Introduction to Coding Theory, ch. 5).  Any field with p > n and any
-distinct points will do.
+u_i = 1 / M'(x_i), where M = prod_j (X - x_j), so y is a codeword exactly
+when sum_i u_i x_i^j y_i = 0 for every j < n - k (MacWilliams-Sloane
+ch. 10; Roth, Introduction to Coding Theory, ch. 5).  Any field with p > n
+and any distinct points will do.
 
-The per-code tables are array expressions at the field's dtype (int64 when
-p < 2^31, else Python ints in an object array), so one expression serves
-every modulus.  The dual rows take the n x n difference table
-(x_i - x_j) mod p, with ones on the diagonal, in fixed blocks of rows,
-reduce each row to prod_{j != i} by pairwise halving products and invert
-once per point; evaluation runs Horner's rule once per coefficient over all
-points.  Results leave as lists of Python ints.
+The code's algebra rests on two primitives: the coefficients of a product
+prod (X - x) over a list of points, and evaluation, which runs Horner's rule
+once per coefficient over all points as one array expression at the field's
+dtype (int64 when p < 2^31, else Python ints in an object array).  The dual
+multipliers are M' evaluated at every point, inverted together with one
+modular inversion (Montgomery's trick); the unit interpolant is a product
+over the last k - 1 points, scaled to 1 at x_{n-k+1}.  Results leave as
+lists of Python ints.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
 
 from .errors import FloweringError
-from .field import PrimeField
-
-
-# rows of the n x n difference table held at once: memory stays O(n) per
-# code, and a table of a few hundred points already spans several blocks
-BLOCK_ROWS = 64
+from .field import PrimeField, array_dtype
 
 
 class DuplicatePointError(FloweringError):
@@ -94,33 +91,30 @@ class RSCode:
     def unit_interpolant(self) -> list[int]:
         """The k coefficients, low-degree first, of the degree k-1 polynomial
         L with L(x_{n-k+1}) = 1 and L(x_l) = 0 for l = n-k+2, ..., n, in
-        product form:
-        L(X) = prod_l (X - x_l) / prod_l (x_{n-k+1} - x_l).
+        product form: L = M_S / M_S(x_{n-k+1}), M_S = prod_l (X - x_l).
         """
         p = self.field.p
-        anchor = self.points[self.n - self.k]
-        coeffs = [1]  # low-degree first
-        denom = 1
-        for x in self.points[self.n - self.k + 1:]:
-            coeffs = [0] + coeffs
-            for j in range(len(coeffs) - 1):
-                coeffs[j] = (coeffs[j] - coeffs[j + 1] * x) % p
-            denom = denom * (anchor - x) % p
-        scale = self.field.inv(denom)
+        coeffs = _product_of_roots(self.points[self.n - self.k + 1:], p)
+        scale = self.field.inv(self.evaluate(coeffs)[self.n - self.k])
         return [c * scale % p for c in coeffs]
 
     def parity_rows(self) -> list[list[int]]:
         """(n-k) x n matrix H with H y = 0 iff y is a codeword: row j is
-        (u_i x_i^j)_i, the generator of the dual GRS code."""
+        (u_i x_i^j)_i, the generator of the dual GRS code, u_i = 1/M'(x_i)."""
         if self._parity_rows is None:
             p = self.field.p
+            coeffs = _product_of_roots(self.points, p)
+            derivs = self.evaluate([j * c % p for j, c in enumerate(coeffs)][1:])
+            # one inversion for all n: invert the running product, then peel
+            # each factor back off it
+            prefix = [1, *accumulate(derivs, lambda a, b: a * b % p)]
+            inv = self.field.inv(prefix[-1])
+            u = [0] * self.n
+            for i in reversed(range(self.n)):
+                u[i] = inv * prefix[i] % p
+                inv = inv * derivs[i] % p
             xs = np.array(self.points, dtype=self.field.dtype)
-            denoms = []
-            for start in range(0, self.n, BLOCK_ROWS):
-                block = (xs[start:start + BLOCK_ROWS, None] - xs) % p
-                block[np.arange(len(block)), np.arange(start, start + len(block))] = 1
-                denoms += _row_products(block, p).tolist()
-            row = np.array([self.field.inv(d) for d in denoms], dtype=self.field.dtype)
+            row = np.array(u, dtype=self.field.dtype)
             rows = []
             for _ in range(self.n - self.k):
                 rows.append(row.tolist())
@@ -135,13 +129,9 @@ class RSCode:
         return f"RSCode(n={self.n}, k={self.k}, p={self.field.p})"
 
 
-def _row_products(table: np.ndarray, p: int) -> np.ndarray:
-    """The product mod p of each row, by multiplying the two halves of the
-    columns until one column is left; an odd last column joins the first."""
-    while table.shape[1] > 1:
-        half = table.shape[1] // 2
-        folded = table[:, :half] * table[:, half:2 * half] % p
-        if table.shape[1] % 2:
-            folded[:, 0] = folded[:, 0] * table[:, -1] % p
-        table = folded
-    return table[:, 0]
+def _product_of_roots(points, p: int) -> list[int]:
+    """The coefficients, low-degree first, of prod (X - x) over the points."""
+    coeffs = np.ones(1, dtype=array_dtype(p))
+    for x in points:
+        coeffs = (np.append(0, coeffs) - x * np.append(coeffs, 0)) % p
+    return coeffs.tolist()

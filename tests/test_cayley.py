@@ -206,3 +206,20 @@ def test_gen_set_spot_check_path_flags_unverified():
     # is spot-checked only (every triple sums to a vector with the top bit set)
     gens = validate_gen_set(11, list(range(1 << 10, 1 << 11)), 4)
     assert not gens.independence_verified
+
+
+def test_validate_gen_set_exhaustive_check_and_refusals():
+    # d = 4 with C(4, 3) subsets: every 3-subset is checked, so the first
+    # dependent one (1 + 2 = 3) is the one reported
+    with pytest.raises(DependentSubsetError) as exc:
+        validate_gen_set(3, [1, 2, 3, 4], 4)
+    assert exc.value.subset == (1, 2, 3)
+    gens = validate_gen_set(3, [1, 2, 4, 7], 4)
+    assert gens.independence_verified and gens.vectors == (1, 2, 4, 7)
+    for vectors in ([0, 1, 2], [1, 2, 4]):  # zero, and r + 1 bits at r = 2
+        with pytest.raises(ZeroGeneratorError):
+            validate_gen_set(2, vectors, 3)
+    with pytest.raises(ParameterConstraintViolatedError):  # d - 1 = 4 > n = 3
+        validate_gen_set(2, [1, 2, 3], 5)
+    with pytest.raises(DuplicateGeneratorError):  # d = 2 checks no subset
+        validate_gen_set(2, [1, 2, 2], 2)

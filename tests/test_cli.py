@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowering import experiments
+from flowering import experiments, graph_code
 from flowering.cli import main
 from flowering.experiments import Instance, random_codeword_word
 from flowering.iopp import ProtocolParams, run_protocol
@@ -240,9 +240,10 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
-def test_unwritable_output_exits_2(tmp_path, instance_file, capsys):
+def test_unwritable_output_exits_2(tmp_path, instance_file, capsys, monkeypatch):
     # every output a command writes goes through one writer: a path in a
-    # missing directory is one error line and exit 2, never a traceback
+    # missing directory is one error line and exit 2, never a traceback;
+    # it is refused before the command runs, so no other output is written
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ms": [2], "ts": [1], "trials": 5}))
     bad = tmp_path / "missing" / "out"
@@ -264,6 +265,14 @@ def test_unwritable_output_exits_2(tmp_path, instance_file, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {bad}: FileNotFoundError")
         assert captured.err.count("\n") == 1 and "error:" not in captured.out
+    assert not good.exists()
+
+    def no_proving(*args, **kwargs):
+        raise AssertionError("proved before checking the output")
+
+    monkeypatch.setattr("flowering.cli.prove_noninteractive", no_proving)
+    assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1, "--out", bad) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: FileNotFoundError")
 
 
 def test_verify_corrupted_rejects(tmp_path, instance_file):
@@ -405,3 +414,16 @@ def test_check_bounds_cli(tmp_path):
     assert report["levels"][0]["dimension"] == 2
     assert report["distance"]["bruteforce_distance"] == "2/3"
     assert report["distance"]["witness_weight"] == 4
+
+
+def test_check_bounds_skips_a_level_over_the_matrix_cap(tmp_path, monkeypatch, capsys):
+    # r = 3, k = 5: level 0 has a 16 x 28 parity-check matrix; under a cap
+    # of 100 entries its dimension is reported as unknown, not as a failure
+    instance = tmp_path / "r3.json"
+    assert run("gen", "--r", 3, "--p", 17, "--k", 5, "--out", instance) == 0
+    monkeypatch.setattr(graph_code, "MATRIX_CAP", 100)
+    out = tmp_path / "bounds.json"
+    assert run("check-bounds", "--instance", instance, "--out", out) == 0
+    level0 = json.loads(out.read_text())["levels"][0]
+    assert level0["dimension"] is None and level0["bound_holds"] is None
+    assert "    0      8       28       0      -     12 skip" in capsys.readouterr().out

@@ -531,3 +531,13 @@ def test_ni_binds_every_cut():
         assert transcript.accept
         assert verify_noninteractive(prover_seq, instance.rs, proof)[0]
         assert verify_noninteractive(verifier_seq, instance.rs, proof) == (False, None)
+
+
+def test_ni_header_t_above_n_rejected(ni_setup):
+    # t = n + 1 parses, and the verifier refuses it before any walk
+    instance, params, word, proof, _ = ni_setup
+    hacked = NIProof.parse(proof.serialize())
+    hacked.t = instance.n + 1
+    parsed = NIProof.parse(hacked.serialize())
+    assert parsed.t == instance.n + 1
+    assert verify_noninteractive(instance.seq, instance.rs, parsed) == (False, None)

@@ -120,6 +120,8 @@ def test_walk_start_vertex_must_exist(t1):
             verifier_query(seq, rs, ProtocolParams(1, 1), [3, 4], oracle, [(v0, (0,))])
     tr = verifier_query(seq, rs, ProtocolParams(1, 1), [3, 4], oracle, [(3, (0,))])
     assert tr.accept and tr.queries[0].walk == (1, 0)
+    with pytest.raises(SequenceMismatchError, match="expected 2 challenges, got 1"):
+        verifier_query(seq, rs, ProtocolParams(1, 1), [3], oracle, [(3, (0,))])
 
 
 def test_query_count_exact_t1(t1):
@@ -335,6 +337,18 @@ def test_commit_soundness_t1_exhaustive_raw_count(t1):
     res = commit_soundness_trial(code, seq.cuts[0], word, Fraction(1, 10))
     assert res.exhaustive and res.samples == 5
     assert 0 <= res.events <= 5
+
+
+def test_commit_soundness_samples_a_large_field():
+    # p > COMMIT_CHALLENGES: a fixed sample of challenges, the same each call
+    instance = gen_instance(3, 10007, 5)
+    graph, field = instance.seq.graphs[0], instance.field
+    rng = random.Random(3)
+    word = Word(graph, field, [field.sample(rng) for _ in range(graph.classes.num_classes)])
+    res = commit_soundness_trial(instance.code, instance.seq.cuts[0], word, Fraction(1, 10))
+    assert res.samples == 10**4 and res.exhaustive is False
+    assert commit_soundness_trial(instance.code, instance.seq.cuts[0], word,
+                                  Fraction(1, 10)) == res
 
 
 def test_params_validation(t1):

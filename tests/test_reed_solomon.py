@@ -7,7 +7,6 @@ import loop_oracle as oracle
 from flowering import linalg
 from flowering.field import PrimeField
 from flowering.reed_solomon import (
-    BLOCK_ROWS,
     DimensionOutOfRangeError,
     DuplicatePointError,
     FieldTooSmallError,
@@ -249,8 +248,8 @@ def test_parity_rows_match_membership():
 
 def oracle_point_sets():
     """(field, points): random distinct points that include 0 and p - 1, for
-    odd and even n up to 300 (and below p), on both sides of the int64 bound
-    and across several blocks of the difference table."""
+    odd and even n up to 300 (and below p), on both sides of the int64
+    bound."""
     rng = random.Random(17)
     for p in (5, 61, 2**31 - 1, 2**31 + 11, 2**61 - 1):
         for n in sorted({min(n, p - 1) for n in (1, 2, 3, 4, 63, 64, 65, 150, 299, 300)}):
@@ -260,10 +259,6 @@ def oracle_point_sets():
 
 
 ORACLE_POINT_SETS = list(oracle_point_sets())
-
-
-def test_oracle_point_sets_span_several_blocks():
-    assert max(len(points) for _, points in ORACLE_POINT_SETS) >= 3 * BLOCK_ROWS
 
 
 @pytest.mark.parametrize("field,points", ORACLE_POINT_SETS,
