@@ -4,9 +4,11 @@ Subcommands: gen, prove, verify, soundness-mc, report-complexity,
 check-bounds.  Every command is deterministic given --seed and produces
 byte-identical reports on identical invocations.  verify takes
 non-interactive proofs only and exits 0 on accept, 1 on reject, 2 on
-malformed input; ``prove --mode interactive`` writes its transcript as a run
-report, which verify refuses, since a transcript commits to nothing and its
-writer chose the challenges.  Every input file (instance, genset, word,
+malformed input; it checks a proof at its own --m and --t (prove's
+defaults unless given), so a proof made with other values is rejected.
+``prove --mode interactive`` writes its transcript as a run report, which
+verify refuses, since a transcript commits to nothing and its writer chose
+the challenges.  Every input file (instance, genset, word,
 config and proof) is read by one loader and every output file (instance,
 proof, transcript, report and CSV) written by one writer, so a missing or
 malformed input or an unwritable output exits 2 with a one-line error.  The
@@ -36,7 +38,7 @@ from .experiments import (
     soundness_mc,
 )
 from .graph_code import Word
-from .iopp import ProtocolParams, run_protocol
+from .iopp import DEFAULT_PARAMS, ProtocolParams, run_protocol
 from .niproof import VERSION, NIProof, prove_noninteractive, verify_noninteractive
 
 TRANSCRIPT_FORMAT = "flowering-transcript-v1"
@@ -182,7 +184,8 @@ def _parse_proof(blob: bytes) -> NIProof:
 def cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
     proof = _load("proof", args.proof, _parse_proof, read=lambda fh: fh.read())
-    accept, _ = verify_noninteractive(instance.seq, instance.rs, proof)
+    accept, _ = verify_noninteractive(instance.seq, instance.rs, proof,
+                                      ProtocolParams(args.m, args.t))
     print("accept" if accept else "reject")
     return 0 if accept else 1
 
@@ -244,6 +247,11 @@ def cmd_check_bounds(args) -> int:
     return 0 if report["violations"] == 0 else 1
 
 
+def _add_params(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m", type=int, default=DEFAULT_PARAMS.m)
+    parser.add_argument("--t", type=int, default=DEFAULT_PARAMS.t)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flowering",
                                      description="Proximity testing for codes on graphs")
@@ -260,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="run the prover and write a proof")
     p.add_argument("--instance", required=True)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--t", type=int, default=2)
+    _add_params(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--word", help="word JSON to prove; default: seed-derived codeword")
     p.add_argument("--mode", choices=["ni", "interactive"], default="ni")
@@ -272,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a proof (exit 0/1/2)")
     p.add_argument("--instance", required=True)
     p.add_argument("--proof", required=True)
+    _add_params(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("soundness-mc", help="Monte-Carlo soundness study")
@@ -284,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report-complexity", help="counters vs bound expressions")
     p.add_argument("--instance", required=True)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--t", type=int, default=2)
+    _add_params(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report_complexity)

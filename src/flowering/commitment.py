@@ -12,6 +12,11 @@ hashed row by row, so the hashing is one DIGEST call per leaf and per node
 and nothing else per class.  SHA-256 throughout; every hash goes through
 the module-level DIGEST.
 
+Buckets are opened together, as a multi-opening: at each layer the
+sibling of an opened bucket's ancestor is sent once, and not at all where
+it is itself such an ancestor, since the verifier computes it (the batched
+decommitment of StarkWare's "ethSTARK Documentation", ePrint 2021/582).
+
 FSState keeps a running 32-byte state.  Every absorb and every challenge is
 framed with a length-prefixed label, and deriving a challenge ratchets the
 state, so challenge streams under different labels or histories never
@@ -96,8 +101,8 @@ class MerkleTree:
     in canonical class order, one leaf per bucket of LEAF_CLASSES classes.
 
     layers[0] is the zero-padded leaf layer and layers[-1] the root, each
-    one bytes object of 32-byte digests; openings are (bucket values as
-    Python ints, sibling path) pairs authenticated against the root.
+    one bytes object of 32-byte digests; a level's read buckets are opened
+    together and authenticated against the root by verify_open.
     """
 
     def __init__(self, values):
@@ -116,41 +121,77 @@ class MerkleTree:
     def root(self) -> bytes:
         return self.layers[-1]
 
-    def open(self, bucket: int) -> tuple[list[int], list[bytes]]:
-        """The committed values of a bucket plus its authentication path."""
-        if not 0 <= bucket < _num_leaves(len(self.values)):
-            raise IndexOutOfRangeError(f"bucket {bucket} out of range")
-        path = []
-        pos = bucket
-        for layer in self.layers[:-1]:
-            sibling = (pos ^ 1) * DIGEST_SIZE
-            path.append(layer[sibling:sibling + DIGEST_SIZE])
-            pos >>= 1
-        first = bucket * LEAF_CLASSES
-        return self.values[first:first + LEAF_CLASSES].tolist(), path
+    def open(self, buckets: list[int]) -> list[tuple[int, list[int], list[bytes]]]:
+        """The multi-opening of the sorted, distinct buckets: one record
+        (first class, values as Python ints, path) per bucket, whose path
+        holds b"" at each layer where the sibling is itself an ancestor of
+        an opened bucket, since the verifier computes it."""
+        leaves = _num_leaves(len(self.values))
+        for bucket in buckets:
+            if not 0 <= bucket < leaves:
+                raise IndexOutOfRangeError(f"bucket {bucket} out of range")
+        above = [{b >> d for b in buckets} for d in range(len(self.layers) - 1)]
+        records = []
+        for bucket in buckets:
+            path = []
+            for d, layer in enumerate(self.layers[:-1]):
+                sibling = (bucket >> d) ^ 1
+                path.append(b"" if sibling in above[d]
+                            else layer[sibling * DIGEST_SIZE:(sibling + 1) * DIGEST_SIZE])
+            first = bucket * LEAF_CLASSES
+            records.append((first, self.values[first:first + LEAF_CLASSES].tolist(), path))
+        return records
 
 
-def verify_open(root: bytes, bucket: int, values: list[int], path: list[bytes],
-                num_classes: int) -> bool:
-    """True iff the path authenticates the values of a bucket under the root
-    of a tree over num_classes values.  The bucket must hold exactly its
-    classes, min(LEAF_CLASSES, N - LEAF_CLASSES * bucket) values, and the
-    path must have exactly that tree's depth: a shorter or longer one could
-    pass an inner node off as a leaf."""
+def sent_siblings(buckets: list[int], depth: int) -> list[tuple[int, int]]:
+    """(layer, bucket) for each sibling digest a multi-opening of the
+    sorted, distinct buckets carries, in order of layer and then position:
+    at layer d the sibling of each ancestor b >> d, once, unless it is an
+    ancestor itself.  bucket is the first whose path holds the digest."""
+    out = []
+    firsts = dict(zip(buckets, buckets))  # the layer's ancestors -> first bucket below
+    for d in range(depth):
+        parents = {}
+        for node, first in firsts.items():
+            if node ^ 1 not in firsts:
+                out.append((d, first))
+            parents.setdefault(node >> 1, first)
+        firsts = parents
+    return out
+
+
+def verify_open(root: bytes, records, num_classes: int) -> bool:
+    """True iff the (first class, values, path) records, sorted by bucket
+    and one per bucket, open a tree over num_classes values with this root.
+    Each record must hold exactly its bucket's classes, min(LEAF_CLASSES,
+    N - first) values, under a path of exactly that tree's depth: a shorter
+    or longer one could pass an inner node off as a leaf.  Each leaf and
+    each distinct ancestor is hashed once, from the computed sibling where
+    one exists and from the first record's path below the node otherwise.
+    No records open nothing and are accepted."""
     leaves = _num_leaves(num_classes)
-    if (not 0 <= bucket < leaves
-            or len(values) != min(LEAF_CLASSES, num_classes - LEAF_CLASSES * bucket)
-            or len(path) != (leaves - 1).bit_length()):
-        return False
-    node = DIGEST(_leaf_preimage(bucket, values)).digest()
-    pos = bucket
-    for sibling in path:
-        if pos & 1:
-            node = _node_hash(sibling, node)
-        else:
-            node = _node_hash(node, sibling)
-        pos >>= 1
-    return node == root
+    depth = (leaves - 1).bit_length()
+    nodes = {}  # position -> (digest, path of the first record below it)
+    last = -1
+    for first, values, path in records:
+        bucket, offset = divmod(first, LEAF_CLASSES)
+        if (offset or not last < bucket < leaves or len(path) != depth
+                or len(values) != min(LEAF_CLASSES, num_classes - first)):
+            return False
+        nodes[bucket] = (DIGEST(_leaf_preimage(bucket, values)).digest(), path)
+        last = bucket
+    for d in range(depth):
+        parents = {}
+        for pos, (node, path) in nodes.items():
+            if pos >> 1 in parents:
+                continue
+            sibling = nodes.get(pos ^ 1, (path[d],))[0]
+            if len(sibling) != DIGEST_SIZE:
+                return False
+            parents[pos >> 1] = (_node_hash(sibling, node) if pos & 1
+                                 else _node_hash(node, sibling), path)
+        nodes = parents
+    return not nodes or nodes[0][0] == root
 
 
 def _frame(data: bytes) -> bytes:

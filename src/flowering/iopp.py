@@ -60,6 +60,10 @@ class ProtocolParams:
             raise FloweringError(f"need 1 <= t <= {n}, got t={self.t}")
 
 
+# the m and t of the CLI's prove, verify and report-complexity
+DEFAULT_PARAMS = ProtocolParams(10, 2)
+
+
 @dataclass
 class QueryRecord:
     v0: int

@@ -10,31 +10,42 @@ openings of exactly the buckets holding the positions the verifier
 re-derives, the query phase's read log.
 
 The record rule: a proof opens exactly the records that were read, and each
-record is authenticated once.  A record is the classes of one bucket under
-one path; NIProof.openings holds them per class, and _records (serialize,
-the verifier) and _classes (parse, the prover) are the only conversions.
-The verifier requires each level's records to start exactly at the first
-classes of the buckets its reads touch, at every level before it hashes any
-path; then each record needs every value below p and one verify_open, which
-refuses a wrong length or path depth.  So a proof causes at most one
-authentication per read bucket, however many openings it carries.
+level's records are authenticated together, once.  A record is the classes
+of one bucket under one path; NIProof.openings holds them per class, and
+_records (serialize, the verifier) and _classes (parse, the prover) are the
+only conversions.  The verifier requires each level's records to start
+exactly at the first classes of the buckets its reads touch, at every level
+before it hashes anything; then each record needs every value below p, and
+each level one verify_open, which refuses a wrong length or path depth and
+hashes each opened leaf and each distinct ancestor once.  So a proof causes
+at most one authentication per level, however many openings it carries.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
 
-Binary layout, version 3 (little-endian):
-    magic "FLWR" | version u16 = 3 | p u64 | chain digest 32B | r u32 |
-    m u32 | t u32 | (r+1) roots 32B | per level: count u32, then records
-    first class u64 | n u8 | n values u64 | path_len u8 |
-    path_len sibling digests 32B.
+Binary layout, version 4 (little-endian):
+    magic "FLWR" | version u16 = 4 | p u64 | chain digest 32B | r u32 |
+    m u32 | t u32 | (r+1) roots 32B | per level: count u32 | depth u8 |
+    count records (first class u64 | n u8 | n values u64) |
+    the level's sibling digests 32B.
 A record opens the n consecutive classes first..first+n-1 of one Merkle
-bucket (commitment.LEAF_CLASSES classes per leaf) under one path; an honest
-proof writes one record per opened bucket.  The chain digest is
+bucket (commitment.LEAF_CLASSES classes per leaf); an honest proof writes
+one record per opened bucket.  The sibling digests are the pruned
+multi-opening of the level's buckets (commitment.sent_siblings): for each
+layer d < depth, in increasing position, the node at (b >> d) ^ 1 for each
+record bucket b, once, skipped where it is itself an ancestor b' >> d of a
+record bucket.  Each record's path holds its siblings, b"" where pruned, so
+a proof and its parse carry the same paths.  The depth is written once per
+level, since the parser has no instance to derive it from; the verifier
+requires it to equal the level tree's depth.  The chain digest is
 ``BlossomingSequence.digest``.  Parsing is strict: any other version (1
-bound graph 0 alone, 2 had one leaf per class), an r, m or t outside
-1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS, a record of no
-class or of classes of two buckets, a class opened twice, a truncation or
-a trailing byte is malformed, and the prover refuses to write a header the
+bound graph 0 alone, 2 had one leaf per class, 3 sent a full path per
+record), an r, m or t outside 1..MAX_R, 1..MAX_M or 1..MAX_T, a count
+above MAX_OPENINGS or a depth above MAX_DEPTH, a record of no class or of
+classes of two buckets, a record in a bucket not after the previous
+record's, a bucket outside a tree of the level's depth, a depth on a level
+of no records, a truncation or a trailing byte is malformed, so a missing
+or extra digest is too; and the prover refuses to write a header the
 parser would refuse.
 """
 
@@ -43,7 +54,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .commitment import DIGEST_SIZE, LEAF_CLASSES, FSState, MerkleTree, verify_open
+from .commitment import (
+    DIGEST_SIZE,
+    LEAF_CLASSES,
+    FSState,
+    MerkleTree,
+    sent_siblings,
+    verify_open,
+)
 from .errors import FloweringError
 from .folding import BlossomingSequence
 from .graph_code import Word
@@ -51,12 +69,14 @@ from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, wor
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
-VERSION = 3
+VERSION = 4
 # header bounds the parser enforces and the prover respects
 MAX_R = 64
 MAX_M = 1 << 14
 MAX_T = 1 << 12
 MAX_OPENINGS = 1 << 24
+# a u64 class index lies in one of at most 2^61 buckets
+MAX_DEPTH = 61
 
 
 class MalformedProofError(FloweringError):
@@ -79,11 +99,15 @@ class NIProof:
         out.extend(self.roots)
         for level in self.openings:
             records = _records(level)
-            out.append(struct.pack("<I", len(records)))
+            depth = len(records[0][2]) if records else 0
+            if any(len(path) != depth for _, _, path in records):
+                raise FloweringError("the records of a level need paths of one depth")
+            out.append(struct.pack("<IB", len(records), depth))
+            paths = {}
             for first, values, path in records:
-                out.append(struct.pack(f"<QB{len(values)}QB", first, len(values),
-                                       *values, len(path)))
-                out.extend(path)
+                out.append(struct.pack(f"<QB{len(values)}Q", first, len(values), *values))
+                paths.setdefault(first // LEAF_CLASSES, path)
+            out.extend(paths[bucket][d] for d, bucket in sent_siblings(list(paths), depth))
         return b"".join(out)
 
     @classmethod
@@ -111,21 +135,36 @@ class NIProof:
         roots = [take(DIGEST_SIZE) for _ in range(r + 1)]
         openings = []
         for _ in range(r + 1):
-            (count,) = struct.unpack("<I", take(4))
-            if count > MAX_OPENINGS:
-                raise MalformedProofError("implausible opening count")
+            count, depth = struct.unpack("<IB", take(5))
+            if count > MAX_OPENINGS or depth > MAX_DEPTH:
+                raise MalformedProofError("implausible opening count or depth")
             records = []
+            buckets = []
             for _ in range(count):
                 first, n = struct.unpack("<QB", take(9))
-                if n == 0 or first // LEAF_CLASSES != (first + n - 1) // LEAF_CLASSES:
+                bucket = first // LEAF_CLASSES
+                if n == 0 or bucket != (first + n - 1) // LEAF_CLASSES:
                     raise MalformedProofError(
                         f"a record of {n} classes from class {first} is not inside one bucket")
-                values = struct.unpack(f"<{n}Q", take(8 * n))
-                (plen,) = take(1)
-                digests = take(DIGEST_SIZE * plen)
-                records.append((first, values, [digests[i:i + DIGEST_SIZE]
-                                                for i in range(0, len(digests), DIGEST_SIZE)]))
-            openings.append(_classes(records))
+                if buckets and bucket <= buckets[-1]:
+                    raise MalformedProofError(
+                        f"a record in bucket {bucket} follows one in bucket {buckets[-1]}")
+                records.append((first, struct.unpack(f"<{n}Q", take(8 * n))))
+                buckets.append(bucket)
+            if buckets and buckets[-1] >> depth:
+                raise MalformedProofError(
+                    f"bucket {buckets[-1]} is outside a tree of depth {depth}")
+            if not buckets and depth:
+                raise MalformedProofError(f"a level of no records has depth {depth}, not 0")
+            sent = sent_siblings(buckets, depth)
+            digests = take(DIGEST_SIZE * len(sent))
+            siblings = [{} for _ in range(depth)]  # per layer: ancestor -> its sibling
+            for i, (d, bucket) in enumerate(sent):
+                siblings[d][bucket >> d] = digests[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE]
+            paths = {bucket: [layer.get(bucket >> d, b"") for d, layer in enumerate(siblings)]
+                     for bucket in buckets}
+            openings.append(_classes([(first, values, paths[bucket])
+                                      for (first, values), bucket in zip(records, buckets)]))
         if pos != len(view):
             raise MalformedProofError("trailing bytes")
         return cls(p, chain_digest, r, m, t, roots, openings)
@@ -139,8 +178,10 @@ def _records(level: dict[int, tuple[int, list[bytes]]]):
         value, path = level[cid]
         if records:
             first, values, last_path = records[-1]
+            # the classes of a bucket share one path object, so compare
+            # lists only when they differ
             if (cid == first + len(values) and cid // LEAF_CLASSES == first // LEAF_CLASSES
-                    and path == last_path):
+                    and (path is last_path or path == last_path)):
                 values.append(value)
                 continue
         records.append((cid, [value], path))
@@ -153,15 +194,10 @@ def _bucket_starts(cids) -> list[int]:
 
 
 def _classes(records) -> dict[int, tuple[int, list[bytes]]]:
-    """The level's openings from its (first class, values, path) records:
-    each class of a record under the record's path, each class once."""
-    level = {}
-    for first, values, path in records:
-        for cid, value in enumerate(values, first):
-            if cid in level:
-                raise MalformedProofError("duplicate opening")
-            level[cid] = (value, path)
-    return level
+    """The level's openings from its (first class, values, path) records,
+    which lie in distinct buckets: each class under its record's path."""
+    return {cid: (value, path) for first, values, path in records
+            for cid, value in enumerate(values, first)}
 
 
 def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
@@ -208,9 +244,10 @@ def prove_noninteractive(
 ) -> tuple[NIProof, Transcript]:
     """The honest prover_commit against Fiat-Shamir: each word is committed
     and answered by the challenge its root derives; the last root derives
-    the queries, and every bucket holding a position they read is opened,
-    each of its classes under the bucket's path.  Also returns the
-    transcript of the self-run query phase (honest proofs accept)."""
+    the queries, and the buckets holding a position they read are opened
+    together, level by level, each class under its bucket's pruned path.
+    Also returns the transcript of the self-run query phase (honest proofs
+    accept)."""
     params.check(seq.graphs[0].n)
     if params.m > MAX_M or params.t > MAX_T:
         raise FloweringError(
@@ -227,8 +264,7 @@ def prove_noninteractive(
     challenges, words = prover_commit(seq, f0, commit)
     randomness = commit(words[-1])
     transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
-    openings = [_classes([(first, *tree.open(first // LEAF_CLASSES))
-                          for first in _bucket_starts(cids)])
+    openings = [_classes(tree.open(sorted({cid // LEAF_CLASSES for cid in cids})))
                 for tree, cids in zip(trees, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,
@@ -243,11 +279,13 @@ def prove_noninteractive(
 
 
 def verify_noninteractive(
-    seq: BlossomingSequence, rs: RSCode, proof: NIProof
+    seq: BlossomingSequence, rs: RSCode, proof: NIProof, params: ProtocolParams | None = None
 ) -> tuple[bool, Transcript | None]:
     """Recompute challenges and queries from the proof's roots, re-run every
     check on the opened values, and authenticate the openings under the
-    record rule of the module docstring.  (False, None) on any mismatch."""
+    record rule of the module docstring.  params are the verifier's m and
+    t, and a proof whose header names others is rejected; None takes the
+    header's.  (False, None) on any mismatch."""
     graph0 = seq.graphs[0]
     if proof.p != rs.field.p:
         return False, None
@@ -255,7 +293,10 @@ def verify_noninteractive(
         return False, None
     if proof.r != seq.r or not len(proof.roots) == len(proof.openings) == seq.r + 1:
         return False, None
-    params = ProtocolParams(proof.m, proof.t)
+    header = ProtocolParams(proof.m, proof.t)
+    params = params or header
+    if params != header:
+        return False, None
     try:
         params.check(graph0.n)
     except FloweringError:
@@ -270,14 +311,13 @@ def verify_noninteractive(
     except KeyError:
         return False, None
     # one record per read bucket, starting at its first class, at every
-    # level before any path is hashed
+    # level before anything is hashed
     records = [_records(opened) for opened in proof.openings]
     if any([first for first, _, _ in level] != _bucket_starts(cids)
            for level, cids in zip(records, transcript.reads)):
         return False, None
     for root, level, graph in zip(proof.roots, records, seq.graphs):
-        for first, values, path in level:
-            if max(values) >= rs.field.p or not verify_open(
-                    root, first // LEAF_CLASSES, values, path, graph.classes.num_classes):
-                return False, None
+        if (any(max(values) >= rs.field.p for _, values, _ in level)
+                or not verify_open(root, level, graph.classes.num_classes)):
+            return False, None
     return transcript.accept, transcript

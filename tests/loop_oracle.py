@@ -1,5 +1,6 @@
 """Reference loops for the array-backed tables of the graph, word, RS,
-linear algebra and Merkle layers.
+linear algebra and Merkle layers, and the per-path Merkle check that the
+level multi-opening replaced.
 
 These are the per-slot, per-class, per-point and per-leaf Python loops the
 package used before its tables and words became array expressions.  They work on plain ints and
@@ -187,3 +188,23 @@ def merkle_layers(values: list[int], width: int) -> list[list[bytes]]:
         prev = layers[-1]
         layers.append([merkle_node(prev[i], prev[i + 1]) for i in range(0, len(prev), 2)])
     return layers
+
+
+def verify_open(root: bytes, bucket: int, values, path: list[bytes], num_classes: int,
+                width: int) -> bool:
+    """The per-path check: the full sibling path authenticates the values of
+    one bucket under the root of a tree over num_classes values with
+    `width` classes per leaf.  The bucket must hold exactly its classes and
+    the path must have exactly that tree's depth."""
+    leaves = -(-num_classes // width)
+    depth = 0
+    while 1 << depth < leaves:
+        depth += 1
+    if (not 0 <= bucket < leaves
+            or len(values) != min(width, num_classes - width * bucket)
+            or len(path) != depth):
+        return False
+    node = merkle_leaf(bucket, values)
+    for d, sibling in enumerate(path):
+        node = merkle_node(sibling, node) if bucket >> d & 1 else merkle_node(node, sibling)
+    return node == root

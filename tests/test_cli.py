@@ -42,7 +42,7 @@ def test_prove_verify_ni(tmp_path, instance_file):
     proof = tmp_path / "proof.bin"
     assert run("prove", "--instance", instance_file, "--m", 4, "--t", 2,
                "--seed", 5, "--out", proof) == 0
-    assert run("verify", "--instance", instance_file, "--proof", proof) == 0
+    assert run("verify", "--instance", instance_file, "--proof", proof, "--m", 4) == 0
 
     # byte-identical on repeat invocations
     proof2 = tmp_path / "proof2.bin"
@@ -55,8 +55,27 @@ def test_prove_verify_ni_json(tmp_path, instance_file):
     proof = tmp_path / "proof.json"
     assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,
                "--seed", 6, "--json", "--out", proof) == 0
-    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v3"
-    assert run("verify", "--instance", instance_file, "--proof", proof) == 0
+    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v4"
+    assert run("verify", "--instance", instance_file, "--proof", proof,
+               "--m", 2, "--t", 1) == 0
+
+
+def test_verifier_chooses_m_and_t(tmp_path, instance_file):
+    # a proof made with fewer walks or indices than the verifier's is
+    # rejected, as is one made with more
+    proof = tmp_path / "proof.bin"
+    assert run("prove", "--instance", instance_file, "--m", 1, "--t", 1,
+               "--seed", 3, "--out", proof) == 0
+    assert run("verify", "--instance", instance_file, "--proof", proof) == 1
+    assert run("verify", "--instance", instance_file, "--proof", proof,
+               "--m", 1, "--t", 1) == 0
+    assert run("verify", "--instance", instance_file, "--proof", proof, "--m", 1) == 1
+    assert run("verify", "--instance", instance_file, "--proof", proof, "--t", 1) == 1
+    strong = tmp_path / "strong.bin"
+    assert run("prove", "--instance", instance_file, "--seed", 3, "--out", strong) == 0
+    assert run("verify", "--instance", instance_file, "--proof", strong) == 0
+    assert run("verify", "--instance", instance_file, "--proof", strong,
+               "--m", 1, "--t", 1) == 1
 
 
 def test_prove_verify_interactive(tmp_path, instance_file, capsys):
@@ -152,6 +171,9 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     # a version-2 header, the format of one Merkle leaf per class
     v2_proof = tmp_path / "v2_proof.bin"
     v2_proof.write_bytes(proof.read_bytes()[:4] + b"\x02\x00" + proof.read_bytes()[6:])
+    # a version-3 header, the format of a full sibling path per record
+    v3_proof = tmp_path / "v3_proof.bin"
+    v3_proof.write_bytes(proof.read_bytes()[:4] + b"\x03\x00" + proof.read_bytes()[6:])
     v1_word = write("v1_word.json", {
         "p": str(p), "values": ["0"] * 120,
         "graph_hash": "fff32483e303ad9426ac740d8ebca6a1e280d17f31fa2cd30e6c5eeb1b3a7d48"})
@@ -228,12 +250,13 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (verify + (not_json,), "malformed proof file"),
         (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),
          "malformed proof file"),
-        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v3"}),),
+        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v4"}),),
          "malformed proof file"),
         (verify + (write("bad_hex.json", {"hex": "zz"}),), "malformed proof file"),
         (verify + (truncated,), "truncated proof"),
         (verify + (v1_proof,), "unsupported version 1"),
         (verify + (v2_proof,), "unsupported version 2"),
+        (verify + (v3_proof,), "unsupported version 3"),
     ):
         assert run(*argv) == 2
         err = capsys.readouterr().err
@@ -283,7 +306,8 @@ def test_verify_corrupted_rejects(tmp_path, instance_file):
     blob[60] ^= 0xFF  # inside the level-0 root
     corrupted = tmp_path / "corrupted.bin"
     corrupted.write_bytes(bytes(blob))
-    assert run("verify", "--instance", instance_file, "--proof", corrupted) in (1, 2)
+    assert run("verify", "--instance", instance_file, "--proof", corrupted,
+               "--m", 2, "--t", 1) in (1, 2)
 
 
 def test_soundness_mc_cli(tmp_path, instance_file):
@@ -329,7 +353,7 @@ def test_prove_with_explicit_word(tmp_path, instance_file):
     proof = tmp_path / "proof.bin"
     assert run("prove", "--instance", instance_file, "--word", word_file,
                "--m", 2, "--t", 1, "--out", proof) == 0
-    assert run("verify", "--instance", instance_file, "--proof", proof) == 0
+    assert run("verify", "--instance", instance_file, "--proof", proof, "--m", 2, "--t", 1) == 0
 
 
 def test_gen_from_parity_check_file(tmp_path):
@@ -351,7 +375,7 @@ def test_gen_from_parity_check_file(tmp_path):
     proof = tmp_path / "hamming_proof.bin"
     assert run("prove", "--instance", instance, "--m", 2, "--t", 2, "--seed", 1,
                "--out", proof) == 0
-    assert run("verify", "--instance", instance, "--proof", proof) == 0
+    assert run("verify", "--instance", instance, "--proof", proof, "--m", 2) == 0
 
 
 def test_genset_defines_the_graph(tmp_path):
@@ -366,8 +390,8 @@ def test_genset_defines_the_graph(tmp_path):
     proof = tmp_path / "proof.bin"
     assert run("prove", "--instance", original, "--m", 2, "--t", 2, "--seed", 1,
                "--out", proof) == 0
-    assert run("verify", "--instance", original, "--proof", proof) == 0
-    assert run("verify", "--instance", reversed_gens, "--proof", proof) == 1
+    assert run("verify", "--instance", original, "--proof", proof, "--m", 2) == 0
+    assert run("verify", "--instance", reversed_gens, "--proof", proof, "--m", 2) == 1
     # the upper-bound witness is built from the same generating set
     out = tmp_path / "bounds.json"
     assert run("check-bounds", "--instance", reversed_gens, "--out", out) == 0
@@ -401,7 +425,7 @@ def test_prove_verify_across_grid(tmp_path):
         proof = tmp_path / f"proof_r{r}.bin"
         assert run("prove", "--instance", instance, "--m", 2, "--t", 2,
                    "--seed", r, "--out", proof) == 0
-        assert run("verify", "--instance", instance, "--proof", proof) == 0
+        assert run("verify", "--instance", instance, "--proof", proof, "--m", 2) == 0
 
 
 def test_check_bounds_cli(tmp_path):

@@ -1,9 +1,11 @@
+import hashlib
 import random
 import struct
 from fractions import Fraction
 
 import pytest
 
+import flowering.commitment as commitment
 import flowering.niproof as niproof
 import loop_oracle as oracle
 from conftest import replay
@@ -16,9 +18,10 @@ from flowering.commitment import (
     IndexOutOfRangeError,
     MerkleTree,
     _node_hash,
+    sent_siblings,
     verify_open,
 )
-from flowering.experiments import gen_instance, random_codeword_word
+from flowering.experiments import derive_seed, gen_instance, random_codeword_word
 from flowering.folding import BlossomingSequence
 from flowering.graph_code import Word
 from flowering.iopp import ProtocolParams, prover_commit, verifier_query
@@ -45,6 +48,15 @@ def test_merkle_deterministic_roots():
     )
     with pytest.raises(EmptyWordError):
         MerkleTree([])
+
+
+def verify_path(root, bucket, values, path, num_classes):
+    return oracle.verify_open(root, bucket, values, path, num_classes, LEAF_CLASSES)
+
+
+def verify_record(root, bucket, values, path, num_classes):
+    # the level check on a one-bucket opening
+    return verify_open(root, [(bucket * LEAF_CLASSES, values, path)], num_classes)
 
 
 def _refused_openings(tree, bucket, values, path):
@@ -77,7 +89,8 @@ def _refused_openings(tree, bucket, values, path):
 @pytest.mark.parametrize("p", [5, 2**31 - 1, 2**61 - 1])
 def test_bucket_tree_matches_loop_oracle(p):
     # the array-built tree equals the per-leaf loop in every layer, every
-    # bucket opens and verifies, and every altered opening is refused
+    # bucket opens alone under its full path, and the level check and the
+    # per-path oracle accept it and refuse every altered opening
     rng = random.Random(p)
     for n in (1, 2, 7, 8, 9, 15, 16, 17, 120, 1000, 4097):
         for values in ([0] * n, [p - 1] * n, [rng.randrange(p) for _ in range(n)]):
@@ -87,43 +100,135 @@ def test_bucket_tree_matches_loop_oracle(p):
             assert tree.root == layers[-1][0]
             buckets = -(-n // LEAF_CLASSES)
             for bucket in range(buckets):
-                opened, path = tree.open(bucket)
-                assert opened == values[bucket * LEAF_CLASSES:(bucket + 1) * LEAF_CLASSES]
-                assert verify_open(tree.root, bucket, opened, path, n)
+                [(first, opened, path)] = tree.open([bucket])
+                assert first == bucket * LEAF_CLASSES
+                assert opened == values[first:first + LEAF_CLASSES]
+                assert path == [layer[(bucket >> d) ^ 1] for d, layer in enumerate(layers[:-1])]
+                assert verify_path(tree.root, bucket, opened, path, n)
+                assert verify_record(tree.root, bucket, opened, path, n)
                 for name, args in _refused_openings(tree, bucket, opened, path).items():
-                    assert not verify_open(*args), (n, bucket, name)
+                    assert not verify_path(*args), (n, bucket, name)
+                    assert not verify_record(*args), (n, bucket, name)
             with pytest.raises(IndexOutOfRangeError):
-                tree.open(buckets)
+                tree.open([buckets])
+
+
+def _flip(digest: bytes) -> bytes:
+    return bytes([digest[0] ^ 1]) + digest[1:]
+
+
+def _hashed_preimages(fn, *args) -> list[bytes]:
+    """The preimages commitment hashes while fn(*args) runs."""
+    preimages = []
+
+    def digest(data):
+        preimages.append(bytes(data))
+        return hashlib.sha256(data)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(commitment, "DIGEST", digest)
+        fn(*args)
+    return preimages
+
+
+def test_level_check_matches_per_path_oracle():
+    # for every leaf count from 1 to 70, padded trees included, and random
+    # sets of buckets (all of them and a single one among them): the level
+    # check agrees with the conjunction of the per-path oracle checks on the
+    # honest multi-opening and after one value, one sent digest or the root
+    # is flipped, and a pruned path holds b"" exactly where the sibling is
+    # an ancestor of an opened bucket
+    rng = random.Random(70)
+    p = 2**31 - 1
+    for leaves in range(1, 71):
+        n = LEAF_CLASSES * (leaves - 1) + rng.randrange(1, LEAF_CLASSES + 1)
+        values = [rng.randrange(p) for _ in range(n)]
+        tree = MerkleTree(values)
+        layers = oracle.merkle_layers(values, LEAF_CLASSES)
+        depth = len(layers) - 1
+        subsets = [list(range(leaves)), [rng.randrange(leaves)]]
+        subsets += [sorted(rng.sample(range(leaves), rng.randrange(1, leaves + 1)))
+                    for _ in range(6)]
+        for buckets in subsets:
+            records = tree.open(buckets)
+            full = {b: [layer[(b >> d) ^ 1] for d, layer in enumerate(layers[:-1])]
+                    for b in buckets}
+            sent = list(sent_siblings(buckets, depth))
+            assert len(sent) == len({(d, (b >> d) ^ 1) for b in buckets for d in range(depth)}
+                                    - {(d, b >> d) for b in buckets for d in range(depth)})
+            for (first, opened, path), b in zip(records, buckets):
+                assert first == b * LEAF_CLASSES and opened == values[first:first + LEAF_CLASSES]
+                assert path == [b"" if any(c >> d == (b >> d) ^ 1 for c in buckets) else digest
+                                for d, digest in enumerate(full[b])]
+
+            def agree(root, records, full):
+                expected = all(verify_path(root, first // LEAF_CLASSES, opened,
+                                           full[first // LEAF_CLASSES], n)
+                               for first, opened, _ in records)
+                assert verify_open(root, records, n) == expected
+                return expected
+
+            assert agree(tree.root, records, full)
+            assert not agree(_flip(tree.root), records, full)
+            # each opened leaf and each distinct ancestor hashed once
+            hashed = _hashed_preimages(verify_open, tree.root, records, n)
+            assert len(hashed) == len(set(hashed)) == sum(
+                len({b >> d for b in buckets}) for d in range(depth + 1))
+            i = rng.randrange(len(records))
+            first, opened, path = records[i]
+            changed = list(opened)
+            changed[rng.randrange(len(opened))] ^= 1
+            assert not agree(tree.root, records[:i] + [(first, changed, path)] + records[i + 1:],
+                             full)
+            if sent:
+                d, b = rng.choice(sent)
+
+                def flip_sent(bucket, path):
+                    # every path below the sent digest's sibling carries it
+                    return [_flip(x) if k == d and bucket >> d == b >> d else x
+                            for k, x in enumerate(path)]
+
+                flipped = [(f, v, flip_sent(f // LEAF_CLASSES, path)) for f, v, path in records]
+                flipped_full = {c: flip_sent(c, path) for c, path in full.items()}
+                assert not agree(tree.root, flipped, flipped_full)
 
 
 def test_merkle_open_verify():
     # 13 classes in two buckets, of 8 and 5 classes
     values = list(range(100, 113))
     tree = MerkleTree(values)
-    assert tree.open(0) == (values[:8], [tree.layers[0][32:]])
-    assert tree.open(1) == (values[8:], [tree.layers[0][:32]])
+    assert tree.open([0]) == [(0, values[:8], [tree.layers[0][32:]])]
+    assert tree.open([1]) == [(8, values[8:], [tree.layers[0][:32]])]
+    # both buckets: each is the other's sibling, so neither path sends it
+    both = tree.open([0, 1])
+    assert both == [(0, values[:8], [b""]), (8, values[8:], [b""])]
+    assert verify_open(tree.root, both, 13)
+    assert not verify_open(tree.root, both[::-1], 13)  # buckets out of order
+    assert not verify_open(tree.root, both[:1] * 2, 13)  # one bucket twice
     # a path authenticates only against the tree shape it came from
-    first, path = tree.open(0)
-    assert verify_open(tree.root, 0, first, path, 16)  # same depth, full buckets
-    last, path = tree.open(1)
-    assert verify_open(tree.root, 1, last, path, 13)
-    assert not verify_open(tree.root, 1, last, path, 12)  # last bucket of 4
-    assert not verify_open(tree.root, 1, last, path, 16)  # last bucket of 8
-    assert not verify_open(tree.root, 1, last, path, 8)  # bucket out of range
-    assert not verify_open(tree.root, 1, last, path, 17)  # deeper tree
+    [first] = tree.open([0])
+    assert verify_open(tree.root, [first], 16)  # same depth, full buckets
+    [last] = tree.open([1])
+    assert verify_open(tree.root, [last], 13)
+    assert not verify_open(tree.root, [last], 12)  # last bucket of 4
+    assert not verify_open(tree.root, [last], 16)  # last bucket of 8
+    assert not verify_open(tree.root, [last], 8)  # bucket out of range
+    assert not verify_open(tree.root, [last], 17)  # deeper tree
+    assert not verify_open(tree.root, [(9, *last[1:])], 13)  # not a bucket's first class
+    # a pruned entry is only valid where the verifier computes the sibling
+    assert not verify_open(tree.root, [(0, values[:8], [b""])], 13)
     with pytest.raises(IndexOutOfRangeError):
-        tree.open(2)
+        tree.open([2])
     with pytest.raises(IndexOutOfRangeError):
-        tree.open(-1)
+        tree.open([-1])
 
 
 def test_single_leaf_tree():
     tree = MerkleTree([42])
-    values, path = tree.open(0)
-    assert values == [42] and path == []
-    assert verify_open(tree.root, 0, [42], [], 1)
-    assert not verify_open(tree.root, 1, [42], [], 1)
-    assert not verify_open(tree.root, 0, [42], [], 2)  # a bucket of 2
+    assert tree.open([0]) == [(0, [42], [])]
+    assert verify_open(tree.root, [(0, [42], [])], 1)
+    assert not verify_open(tree.root, [(LEAF_CLASSES, [42], [])], 1)
+    assert not verify_open(tree.root, [(0, [42], [])], 2)  # a bucket of 2
 
 
 def test_opening_bound_to_tree_depth():
@@ -132,16 +237,16 @@ def test_opening_bound_to_tree_depth():
     a, b, c = ([base + i for i in range(LEAF_CLASSES)] for base in (0, 100, 200))
     node0 = _node_hash(oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, b))
     root = _node_hash(node0, oracle.merkle_leaf(1, c))
-    shallow = (1, c, [node0])
-    deep = (1, b, [oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, c)])
+    shallow = [(LEAF_CLASSES, c, [node0])]
+    deep = [(LEAF_CLASSES, b, [oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, c)])]
     two_leaves, four_leaves = 2 * LEAF_CLASSES, 4 * LEAF_CLASSES
-    assert verify_open(root, *shallow, two_leaves) and not verify_open(root, *deep, two_leaves)
+    assert verify_open(root, shallow, two_leaves) and not verify_open(root, deep, two_leaves)
     for num_classes in (two_leaves + 1, 3 * LEAF_CLASSES, four_leaves):
-        assert verify_open(root, *deep, num_classes)
-        assert not verify_open(root, *shallow, num_classes)
+        assert verify_open(root, deep, num_classes)
+        assert not verify_open(root, shallow, num_classes)
     for num_classes in (LEAF_CLASSES, two_leaves - 1, four_leaves + 1, 8 * LEAF_CLASSES):
-        assert not verify_open(root, *shallow, num_classes)
-        assert not verify_open(root, *deep, num_classes)
+        assert not verify_open(root, shallow, num_classes)
+        assert not verify_open(root, deep, num_classes)
 
 
 def test_fs_golden_vector():
@@ -207,7 +312,7 @@ def test_ni_round_trip(ni_setup):
     assert transcript.accept
     blob = proof.serialize()
     parsed = NIProof.parse(blob)
-    accept, verified_tr = verify_noninteractive(instance.seq, instance.rs, parsed)
+    accept, verified_tr = verify_noninteractive(instance.seq, instance.rs, parsed, params)
     assert accept
     assert parsed.serialize() == blob
 
@@ -234,7 +339,7 @@ def test_ni_matches_interactive_given_same_challenges(ni_setup):
         assert interactive.to_json() == transcript.to_json()
         assert interactive.reads == transcript.reads
         accept, verified = verify_noninteractive(instance.seq, instance.rs,
-                                                 NIProof.parse(proof.serialize()))
+                                                 NIProof.parse(proof.serialize()), params)
         assert accept is transcript.accept is (delta is None)
         assert verified.to_json() == transcript.to_json() and verified.reads == transcript.reads
         if delta is not None:
@@ -256,7 +361,7 @@ def test_ni_mutations_rejected(ni_setup):
             parsed = NIProof.parse(bytes(mutated))
         except MalformedProofError:
             continue
-        accept, _ = verify_noninteractive(instance.seq, instance.rs, parsed)
+        accept, _ = verify_noninteractive(instance.seq, instance.rs, parsed, params)
         assert not accept
 
 
@@ -273,11 +378,11 @@ def test_ni_truncation_malformed(ni_setup):
 def test_ni_wrong_instance_rejected(ni_setup):
     instance, params, word, proof, _ = ni_setup
     other = gen_instance(3, 101, 6)  # same graph, different k
-    accept, _ = verify_noninteractive(other.seq, other.rs, proof)
+    accept, _ = verify_noninteractive(other.seq, other.rs, proof, params)
     assert not accept
 
     other_graph = gen_instance(2, 101, 2)
-    accept, _ = verify_noninteractive(other_graph.seq, other_graph.rs, proof)
+    accept, _ = verify_noninteractive(other_graph.seq, other_graph.rs, proof, params)
     assert not accept
 
 
@@ -288,7 +393,7 @@ def test_ni_out_of_range_value_rejected(ni_setup):
     cid = next(iter(hacked.openings[level]))
     value, path = hacked.openings[level][cid]
     hacked.openings[level][cid] = (value + 101, path)  # same residue, out of range
-    accept, _ = verify_noninteractive(instance.seq, instance.rs, hacked)
+    accept, _ = verify_noninteractive(instance.seq, instance.rs, hacked, params)
     assert not accept
     # a proof of the word with every value v written as v + p: every walk's
     # checks hold mod p and every path is valid, so only the range check
@@ -296,7 +401,7 @@ def test_ni_out_of_range_value_rejected(ni_setup):
     lifted = Word(word.graph, word.field, [v + 101 for v in word.values])
     proof, transcript = prove_noninteractive(instance.seq, instance.rs, lifted, params)
     assert transcript.accept
-    assert verify_noninteractive(instance.seq, instance.rs, proof) == (False, None)
+    assert verify_noninteractive(instance.seq, instance.rs, proof, params) == (False, None)
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +424,8 @@ def _unread_bucket(instance, params, word, proof, level=1):
     assert tree.root == proof.roots[level]
     read = {cid // LEAF_CLASSES for cid in proof.openings[level]}
     bucket = min(set(range(-(-len(tree.values) // LEAF_CLASSES))) - read)
-    values, path = tree.open(bucket)
-    assert verify_open(proof.roots[level], bucket, values, path, len(tree.values))
+    [(_, values, path)] = tree.open([bucket])
+    assert verify_path(proof.roots[level], bucket, values, path, len(tree.values))
     return bucket, values, path
 
 
@@ -357,28 +462,29 @@ def _drop_middle_class(instance, params, word, proof):
 
 def _two_paths(instance, params, word, proof):
     # the second class of a bucket under a path of the right length that is
-    # not the bucket's; the first class still carries the bucket's path
+    # not the bucket's; the first class still carries the bucket's path, so
+    # the bucket is written as three records
     opened, cid = _first_opening(proof)
     value, path = opened[cid + 1]
-    opened[cid + 1] = (value, path[:-1] + [bytes([path[-1][0] ^ 1]) + path[-1][1:]])
+    opened[cid + 1] = (value, path[:-1] + [b"\x01" * DIGEST_SIZE])
 
 
 def _move_opening(instance, params, word, proof):
+    # under a path of the depth of its new level's tree
     opened, cid = _first_opening(proof)
     target = proof.openings[2]
     new_cid = min(set(range(instance.seq.graphs[2].classes.num_classes)) - set(target))
-    target[new_cid] = opened.pop(cid)
+    value, path = opened.pop(cid)
+    target[new_cid] = (value, path[:len(target[min(target)][1])])
 
 
 def _resize_path(delta):
     def mutate(instance, params, word, proof):
-        # the whole first bucket under its path made one digest shorter or
-        # longer, so every class still shares one path
-        opened, cid = _first_opening(proof)
-        path = opened[cid][1]
-        path = path[:-1] if delta < 0 else path + [path[-1]]
-        for other in range(cid, cid + LEAF_CLASSES):
-            opened[other] = (opened[other][0], path)
+        # every path of the level made one digest shorter or longer, so the
+        # level's depth byte is off by one
+        opened, _ = _first_opening(proof)
+        for cid, (value, path) in opened.items():
+            opened[cid] = (value, path[:-1] if delta < 0 else path + [bytes(DIGEST_SIZE)])
     return mutate
 
 
@@ -390,7 +496,7 @@ def _cid_out_of_range(instance, params, word, proof):
 def _drop_last_class(instance, params, word, proof):
     # an unread last class of a full read bucket: one short record, which
     # starts where it should, so verify_open (its length check) refuses it
-    reads = verify_noninteractive(instance.seq, instance.rs, proof)[1].reads
+    reads = verify_noninteractive(instance.seq, instance.rs, proof, params)[1].reads
     level, last = next((level, cid) for level, opened in enumerate(proof.openings)
                        for cid in sorted(opened)
                        if cid % LEAF_CLASSES == LEAF_CLASSES - 1 and cid not in reads[level])
@@ -407,14 +513,53 @@ def _extra_flower_class(instance, params, word, proof):
     opened[num_classes] = (0, opened[num_classes - 1][1])
 
 
+def _digest_lists(proof) -> list[tuple[int, int]]:
+    """(start, end) in the proof's bytes of each level's sibling digests."""
+    pos = 4 + 10 + 32 + 12 + 32 * (proof.r + 1)
+    spans = []
+    for level in proof.openings:
+        records = niproof._records(level)
+        pos += 5 + sum(9 + 8 * len(values) for _, values, _ in records)
+        depth = len(records[0][2]) if records else 0
+        sent = len(list(sent_siblings([first // LEAF_CLASSES for first, _, _ in records], depth)))
+        spans.append((pos, pos + DIGEST_SIZE * sent))
+        pos += DIGEST_SIZE * sent
+    return spans
+
+
+def _drop_sibling(instance, params, word, proof):
+    # level 0's list of sibling digests one short
+    blob = proof.serialize()
+    start, end = _digest_lists(proof)[0]
+    assert end > start
+    return blob[:start] + blob[start + DIGEST_SIZE:]
+
+
+def _duplicate_sibling(instance, params, word, proof):
+    # level 0's first sibling digest sent twice
+    blob = proof.serialize()
+    start, _ = _digest_lists(proof)[0]
+    return blob[:start + DIGEST_SIZE] + blob[start:]
+
+
+def _swap_sibling(instance, params, word, proof):
+    # the first sibling digests of levels 0 and 1 trade places
+    blob = bytearray(proof.serialize())
+    (a, _), (b, _) = _digest_lists(proof)[:2]
+    blob[a:a + DIGEST_SIZE], blob[b:b + DIGEST_SIZE] = (blob[b:b + DIGEST_SIZE],
+                                                        blob[a:a + DIGEST_SIZE])
+    return bytes(blob)
+
+
 @pytest.fixture
 def verify_open_calls(monkeypatch):
-    """The buckets niproof authenticates, one entry per verify_open call."""
+    """The buckets niproof authenticates, one entry per verify_open call,
+    that is per level."""
     calls = []
 
-    def counting_verify_open(*args):
-        calls.append(args[1])
-        return verify_open(*args)
+    def counting_verify_open(root, records, num_classes):
+        calls.append([first // LEAF_CLASSES for first, _, _ in records])
+        return verify_open(root, records, num_classes)
 
     monkeypatch.setattr(niproof, "verify_open", counting_verify_open)
     return calls
@@ -425,51 +570,82 @@ def _read_buckets(proof) -> int:
     return sum(len({cid // LEAF_CLASSES for cid in level}) for level in proof.openings)
 
 
+# cases the parser refuses: a bucket written as several records, a depth
+# too small for the level's last bucket, and a sibling digest too few or
+# too many, which misaligns the rest of the proof
+REFUSED_BY_PARSE = {"path-shorter", "dropped-middle", "two-paths", "dropped-sibling",
+                    "duplicated-sibling"}
+
+
 @pytest.mark.parametrize("mutate", [
     _drop_opening, _unread_opening, _move_opening, _resize_path(-1), _resize_path(+1),
     _cid_out_of_range, _drop_middle_class, _two_paths, _unread_bucket_opening,
-    _drop_last_class, _extra_flower_class,
+    _drop_last_class, _extra_flower_class, _drop_sibling, _duplicate_sibling, _swap_sibling,
 ], ids=["dropped", "unread-class", "moved-level", "path-shorter", "path-longer",
         "cid-num-classes", "dropped-middle", "two-paths", "unread-bucket",
-        "dropped-last", "extra-flower-class"])
-def test_ni_structural_mutations_rejected(ni_setup_r5, mutate, verify_open_calls):
+        "dropped-last", "extra-flower-class", "dropped-sibling", "duplicated-sibling",
+        "swapped-sibling"])
+def test_ni_structural_mutations_rejected(ni_setup_r5, mutate, verify_open_calls, request):
     # the verifier accepts exactly the buckets its query phase reads, each
-    # with all its classes under one path of its level's tree depth, and
-    # authenticates at most once per read bucket
+    # with all its classes under the level's one pruned multi-opening of
+    # its tree's depth, and authenticates at most once per level.  A case
+    # returns the proof's bytes where it changes them directly, and changes
+    # the parsed proof otherwise.
     instance, params, word, proof = ni_setup_r5
     assert instance.r == 5
     mutated = NIProof.parse(proof.serialize())
-    mutate(instance, params, word, mutated)
-    reparsed = NIProof.parse(mutated.serialize())
-    assert reparsed.serialize() != proof.serialize()
+    blob = mutate(instance, params, word, mutated) or mutated.serialize()
+    assert blob != proof.serialize()
+    if request.node.callspec.id in REFUSED_BY_PARSE:
+        with pytest.raises(MalformedProofError):
+            NIProof.parse(blob)
+        return
+    reparsed = NIProof.parse(blob)
     verify_open_calls.clear()
-    accept, transcript = verify_noninteractive(instance.seq, instance.rs, reparsed)
+    accept, transcript = verify_noninteractive(instance.seq, instance.rs, reparsed, params)
     assert not accept and transcript is None
-    assert len(verify_open_calls) <= _read_buckets(proof)
+    assert len(verify_open_calls) <= instance.r + 1
 
 
 def test_ni_malformed_records_refused(ni_setup):
-    # records parse only whole and inside one bucket, each class once
+    # records parse only whole, inside one bucket, one per bucket in
+    # increasing order and inside the tree of the level's depth, with
+    # exactly the sibling digests their buckets and depth call for
     _, _, _, proof, _ = ni_setup
     head = proof.serialize()[:4 + 10 + 32 + 12 + 32 * (proof.r + 1)]
-    empty_levels = struct.pack("<I", 0) * proof.r
+    empty_levels = struct.pack("<IB", 0, 0) * proof.r
+    digest = bytes(range(DIGEST_SIZE))
 
-    def level0(*records):
-        return head + struct.pack("<I", len(records)) + b"".join(records) + empty_levels
+    def level0(*records, depth=1, digests=b"", tail=empty_levels):
+        return (head + struct.pack("<IB", len(records), depth) + b"".join(records)
+                + digests + tail)
 
     def record(first, values):
-        return struct.pack(f"<QB{len(values)}QB", first, len(values), *values, 0)
+        return struct.pack(f"<QB{len(values)}Q", first, len(values), *values)
 
-    honest = level0(record(0, [1] * LEAF_CLASSES), record(LEAF_CLASSES + 1, [2, 3]))
-    assert NIProof.parse(honest).openings[0].keys() == {*range(LEAF_CLASSES),
-                                                         LEAF_CLASSES + 1, LEAF_CLASSES + 2}
+    # buckets 0 and 1: siblings, so at depth 1 nothing is sent and at
+    # depth 2 the one sibling of their parent is
+    pair = (record(0, [1] * LEAF_CLASSES), record(LEAF_CLASSES + 1, [2, 3]))
+    shallow = NIProof.parse(level0(*pair)).openings[0]
+    assert shallow.keys() == {*range(LEAF_CLASSES), LEAF_CLASSES + 1, LEAF_CLASSES + 2}
+    assert all(path == [b""] for _, path in shallow.values())
+    deep = NIProof.parse(level0(*pair, depth=2, digests=digest)).openings[0]
+    assert all(path == [b"", digest] for _, path in deep.values())
     for blob, message in (
         (level0(record(LEAF_CLASSES - 1, [1, 2])), "not inside one bucket"),
         (level0(record(1, [1] * LEAF_CLASSES)), "not inside one bucket"),
         (level0(record(0, [])), "a record of 0 classes"),
         (level0(record(3, [])), "a record of 0 classes"),
         (level0(record(0, [1] * (LEAF_CLASSES + 1))), f"a record of {LEAF_CLASSES + 1}"),
-        (level0(record(0, [1, 2]), record(1, [3])), "duplicate opening"),
+        (level0(record(0, [1, 2]), record(2, [3])), "bucket 0 follows one in bucket 0"),
+        (level0(*pair[::-1]), "bucket 0 follows one in bucket 1"),
+        # the depth byte one too large or too small
+        (level0(*pair, depth=3, digests=digest), "truncated proof"),
+        (level0(*pair, depth=0), "bucket 1 is outside a tree of depth 0"),
+        (level0(depth=1), "a level of no records has depth 1"),
+        (level0(*pair, depth=niproof.MAX_DEPTH + 1), "implausible opening count or depth"),
+        # a level cut short inside its digest list
+        (level0(*pair, depth=2, digests=digest[:DIGEST_SIZE // 2], tail=b""), "truncated proof"),
     ):
         with pytest.raises(MalformedProofError, match=message):
             NIProof.parse(blob)
@@ -478,30 +654,30 @@ def test_ni_malformed_records_refused(ni_setup):
 def test_ni_padded_proof_rejected_before_hashing(verify_open_calls):
     # 1,000 extra level-0 classes from buckets no walk reads, each bucket
     # valid against the honest tree: the verifier compares the records with
-    # its read buckets first, so it rejects the proof without
-    # authenticating a single path
+    # its read buckets first, so it rejects the proof without hashing
+    # anything
     instance = gen_instance(6, 2**31 - 1, 61)
     params = ProtocolParams(3, 2)
     word = random_codeword_word(instance, random.Random(0))
     proof, _ = prove_noninteractive(instance.seq, instance.rs, word, params)
     calls = verify_open_calls
-    assert verify_noninteractive(instance.seq, instance.rs, proof)[0]
-    # one authentication per opened bucket
-    assert len(calls) == _read_buckets(proof)
+    assert verify_noninteractive(instance.seq, instance.rs, proof, params)[0]
+    # one authentication per level, of every opened bucket
+    assert len(calls) == instance.r + 1 and sum(map(len, calls)) == _read_buckets(proof)
 
     padded = NIProof.parse(proof.serialize())
     tree = MerkleTree(word.values)
     read = {cid // LEAF_CLASSES for cid in padded.openings[0]}
     unread = sorted(set(range(len(word.values) // LEAF_CLASSES)) - read)[:1000 // LEAF_CLASSES]
     for bucket in unread:
-        values, path = tree.open(bucket)
-        assert verify_open(proof.roots[0], bucket, values, path, len(word.values))
+        [(_, values, path)] = tree.open([bucket])
+        assert verify_path(proof.roots[0], bucket, values, path, len(word.values))
         for cid, value in enumerate(values, bucket * LEAF_CLASSES):
             padded.openings[0][cid] = (value, path)
     assert sum(map(len, padded.openings)) == sum(map(len, proof.openings)) + 1000
     calls.clear()
     accept, transcript = verify_noninteractive(instance.seq, instance.rs,
-                                               NIProof.parse(padded.serialize()))
+                                               NIProof.parse(padded.serialize()), params)
     assert not accept and transcript is None
     assert calls == []
 
@@ -529,15 +705,59 @@ def test_ni_binds_every_cut():
     for prover_seq, verifier_seq in ((canonical, other), (other, canonical)):
         proof, transcript = prove_noninteractive(prover_seq, instance.rs, word, params)
         assert transcript.accept
-        assert verify_noninteractive(prover_seq, instance.rs, proof)[0]
-        assert verify_noninteractive(verifier_seq, instance.rs, proof) == (False, None)
+        assert verify_noninteractive(prover_seq, instance.rs, proof, params)[0]
+        assert verify_noninteractive(verifier_seq, instance.rs, proof, params) == (False, None)
+
+
+def test_ni_verifier_params_must_match_header(ni_setup, monkeypatch):
+    # the verifier's m and t decide: a proof whose header names others is
+    # rejected before any walk, and without params the header's are taken
+    instance, params, word, proof, _ = ni_setup
+    assert verify_noninteractive(instance.seq, instance.rs, proof)[0]
+
+    def no_query(*args):
+        raise AssertionError("walked a proof of other parameters")
+
+    monkeypatch.setattr(niproof, "verifier_query", no_query)
+    for other in (ProtocolParams(params.m - 1, params.t), ProtocolParams(params.m, params.t - 1),
+                  ProtocolParams(params.m + 1, params.t), ProtocolParams(10, 2)):
+        assert verify_noninteractive(instance.seq, instance.rs, proof, other) == (False, None)
 
 
 def test_ni_header_t_above_n_rejected(ni_setup):
-    # t = n + 1 parses, and the verifier refuses it before any walk
+    # t = n + 1 parses, and a verifier at t = n + 1 refuses it before any walk
     instance, params, word, proof, _ = ni_setup
     hacked = NIProof.parse(proof.serialize())
     hacked.t = instance.n + 1
     parsed = NIProof.parse(hacked.serialize())
     assert parsed.t == instance.n + 1
-    assert verify_noninteractive(instance.seq, instance.rs, parsed) == (False, None)
+    assert verify_noninteractive(instance.seq, instance.rs, parsed,
+                                 ProtocolParams(params.m, instance.n + 1)) == (False, None)
+
+
+@pytest.mark.parametrize("r,max_bytes", [(8, 60_000), (4, 3_500)])
+def test_ni_proof_size(r, max_bytes):
+    # the r = 8 and r = 4 proofs of word seed 1 at m = 10, t = 2 stay within
+    # their size budgets, and each level sends exactly the sibling digests a
+    # multi-opening of its read buckets cannot compute: at each layer the
+    # distinct siblings of the buckets' ancestors that are not ancestors
+    n = (1 << r) - 1
+    instance = gen_instance(r, 2**31 - 1, n - 2)
+    word = random_codeword_word(instance, random.Random(derive_seed(1, 1)))
+    proof, transcript = prove_noninteractive(instance.seq, instance.rs, word,
+                                             ProtocolParams(10, 2))
+    blob = proof.serialize()
+    assert transcript.accept and len(blob) <= max_bytes
+    pos = 4 + 10 + 32 + 12 + 32 * (r + 1)
+    for graph, cids in zip(instance.seq.graphs, transcript.reads):
+        buckets = {cid // LEAF_CLASSES for cid in cids}
+        depth = (-(-graph.classes.num_classes // LEAF_CLASSES) - 1).bit_length()
+        above = [{b >> d for b in buckets} for d in range(depth)]
+        digests = sum(len({a ^ 1 for a in layer} - layer) for layer in above)
+        count, depth_byte = struct.unpack_from("<IB", blob, pos)
+        assert (count, depth_byte) == (len(buckets), depth)
+        pos += 5
+        for _ in range(count):
+            pos += 9 + 8 * blob[pos + 8]
+        pos += DIGEST_SIZE * digests
+    assert pos == len(blob)

@@ -43,12 +43,12 @@ def instance(r: int):
 
 
 NI_PROOFS = {
-    (3, 1): "da2571fb87a3d8b945ebc6987e32ee0d326ffa4ccd97ce74741d5045b3620a96",
-    (3, 2): "4fc57811a4f93a0ae6b590f33981a192a502b295b7329814f4ef35327d6c2557",
-    (4, 1): "9c650fec9d0f2bcde6ebe42fdf12868a2995a11864d80640271ecd70a8f6fb66",
-    (4, 2): "6210a335af36da647999d90604641be0a9f443a07de1df6c6aef355702e0ac4b",
-    (6, 1): "1b6cf7e7a3b72f016bad232004034d8a8987e335984835b7221e785f956c8350",
-    (8, 1): "b98e6d71eadd9dcc98d15852df9cd84395280bb5bbea198a6528ec9793c8c053",
+    (3, 1): "6d90d632014c04a35ed89f13c9e5b0872fd0ba5d17c7f13ec1090cce66e52ee2",
+    (3, 2): "abd4684b0384293ab2aa8a3e805e5d30cc110ae370e13d4935cc59ed5d7439ac",
+    (4, 1): "3494c079bfa0a6d722841f5c82d81d47b2c85575ef5e7ca86b0895ac601e7415",
+    (4, 2): "ff69c275e075f16ad466a99d823e8bd83674e6249dc0c3bee287963b7b2d5bbb",
+    (6, 1): "978f3f0d386106fae18d57b171f06651167617a855a38ea46f0f6bee2c7ffa56",
+    (8, 1): "f57b697b41445dfec431ce9b0f00355fd95cef326d10b3c6381b160b56b9a8b5",
 }
 
 

@@ -200,7 +200,7 @@ def test_word_values_leave_as_python_ints():
             assert isinstance(w.values, np.ndarray) and w.values.dtype == inst.field.dtype
             assert all(type(x) is int for x in w.local_view(0) + [w.at(0, 1), w.at(1, 6)])
             assert Word.from_json(w.graph, w.field, json.loads(json.dumps(w.to_json()))) == w
-            values, _ = MerkleTree(w.values).open(0)
+            [(_, values, _)] = MerkleTree(w.values).open([0])
             assert values and all(type(x) is int for x in values)
         params = ProtocolParams(4, 2)
         transcript = honest_run(inst, params, seed=3)
