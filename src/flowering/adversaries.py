@@ -46,11 +46,11 @@ def far_word(code: GraphCode, delta, rng: random.Random) -> tuple[Word, Fraction
     pairs = -(-(target.numerator * graph.num_vertices) // (target.denominator * 2))
     if pairs > len(matching):
         raise FloweringError(f"cannot reach invalid-view fraction {delta}")
-    base = Word.from_index_values(graph, code.field, code.rs.random_codeword(rng))
-    p = code.field.p
+    field = code.field
+    base = Word.from_index_values(graph, field, code.rs.random_codeword(rng))
     values = base.values
     for cid in rng.sample(matching, pairs):
-        values[cid] = (values.item(cid) + rng.randrange(1, p)) % p
+        values[cid] = field.add(values.item(cid), rng.randrange(1, field.p))
     return base, Fraction(2 * pairs, graph.num_vertices)
 
 
@@ -74,36 +74,36 @@ def revivable_word(
     view starts invalid.
     """
     graph = code.graph
-    p = code.field.p
+    field = code.field
     petal_idx = _common_petal_indices(graph)
     if len(petal_idx) < 2:
         raise FloweringError("need at least two shared petal indices")
     l0, l1 = petal_idx[0], petal_idx[1]
-    word = Word.from_index_values(graph, code.field, code.rs.random_codeword(rng))
+    word = Word.from_index_values(graph, field, code.rs.random_codeword(rng))
     values = word.values
     classes = graph.classes
     touched: set[int] = set()
     for alpha_star, members in groups:
-        if alpha_star % p == 0:
+        if field.reduce(alpha_star) == 0:
             raise FloweringError("revival challenges must be nonzero")
         for v in members:
             if v in touched:
                 raise FloweringError("groups must be vertex-disjoint")
             touched.add(v)
             w = cut.phi[v]
-            eta = rng.randrange(1, p)
+            eta = rng.randrange(1, field.p)
             cv = classes.id_of(v, l0)
             cw = classes.id_of(w, l0)
-            values[cv] = (values.item(cv) + eta) % p
-            values[cw] = (values.item(cw) - eta * code.field.inv(alpha_star)) % p
+            values[cv] = field.add(values.item(cv), eta)
+            values[cw] = field.sub(values.item(cw), eta * field.inv(alpha_star))
     for v in cut.v_prime:
         if v in touched:
             continue
         w = cut.phi[v]
         cv = classes.id_of(v, l0)
         cw = classes.id_of(w, l1)
-        values[cv] = (values.item(cv) + rng.randrange(1, p)) % p
-        values[cw] = (values.item(cw) + rng.randrange(1, p)) % p
+        values[cv] = field.add(values.item(cv), rng.randrange(1, field.p))
+        values[cw] = field.add(values.item(cw), rng.randrange(1, field.p))
     return word
 
 

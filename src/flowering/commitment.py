@@ -32,6 +32,7 @@ import struct
 import numpy as np
 
 from .errors import FloweringError
+from .field import PrimeField
 
 DIGEST = hashlib.sha256
 DIGEST_SIZE = 32
@@ -212,10 +213,10 @@ class FSState:
         self.state = DIGEST(self.state + b"\x30" + _frame(label)).digest()
         return out
 
-    def challenge_field(self, label: bytes, p: int) -> int:
+    def challenge_field(self, label: bytes, field: PrimeField) -> int:
         """A field element: 256-bit digest reduced mod p (bias < 2^-190 for
         any 64-bit modulus)."""
-        return int.from_bytes(self._squeeze(label), "big") % p
+        return field.reduce(int.from_bytes(self._squeeze(label), "big"))
 
     def challenge_queries(self, label: bytes, num_vertices: int, n: int,
                           m: int, t: int) -> list[tuple[int, tuple[int, ...]]]:

@@ -329,7 +329,7 @@ def bounds_report(instance: Instance) -> dict:
         weight = relative_weight(witness)
         abs_weight = sum(1 for v in witness.values if v)
         expected_abs = (n - k + 1) * (1 << (d - 2))
-        corrupted = witness.replace(0, (witness.values[0] + 1) % instance.field.p)
+        corrupted = witness.replace(0, witness.values.item(0) + 1)
         witness_entry = {
             "distance_lower_bound": str(lower),
             "distance_upper_bound": str(upper),

@@ -5,25 +5,30 @@ the same code runs tiny pedagogical fields (F_5) and experiment-scale fields
 (~2^31).  No structure beyond primality is assumed: in particular no roots of
 unity or smooth multiplicative subgroups are ever needed.
 
-Elements are plain ints in ``[0, p)``; callers reduce with ``% p``
-themselves, and ``PrimeField`` supplies only what needs the modulus beyond
-that: validation, inversion, uniform sampling and the numpy dtype of arrays
-of elements, with the bound below which such an array folds exactly.  That
-dtype is int64 when the product of two elements fits in it (p < 2^31) and
-``object`` (Python ints) otherwise, so one array expression serves every
-modulus.  exact_int reads an integer from JSON without coercion.
+Elements are ints in ``[0, p)``, and ``PrimeField`` owns every reduction mod
+p.  reduce, add, sub, mul and mul_add take Python ints or numpy arrays of
+elements alike; dot, inv and inv_all take Python ints; and ``array`` makes
+the one representation of many elements, a checked array at the field's
+dtype.  That dtype is int64 when the product of two elements fits in it
+(p < 2^31) and ``object`` (Python ints) otherwise, so one array expression
+serves every modulus.  The operands of an array operation are reduced
+elements, or for sub a product of two of them, so no intermediate leaves
+int64.  exact_int reads an integer from JSON without coercion.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import random
+import re
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import FloweringError
 
 _INT64_MAX_P = 1 << 31  # entries < p, products < p^2 < 2^62 fit in int64
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class NotPrimeError(FloweringError):
@@ -35,18 +40,24 @@ class NotPrimeError(FloweringError):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def array_dtype(p: int):
-    """The numpy dtype of arrays of elements of F_p: int64 when p < 2^31,
-    else object."""
-    return np.int64 if p < _INT64_MAX_P else object
-
-
 def exact_int(value, name: str) -> int:
-    """A decimal string or a plain int as an int; a bool or a float is
-    refused, not truncated."""
-    if not (isinstance(value, str) or type(value) is int):
+    """A plain int, or its one decimal spelling as a string (ASCII digits, a
+    leading minus, no leading zero, no "-0"), as an int.  A bool or a float
+    is refused, not truncated, and so is every other string int() would
+    read (spaces, underscores, a plus sign, non-ASCII digits, "007")."""
+    if type(value) is int:
+        return value
+    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
         raise FloweringError(f"{name} must be a decimal string or an integer, got {value!r}")
     return int(value)
+
+
+def _python_int(value, p: int) -> int:
+    """An int or NumPy integer as a Python int; anything else, a bool
+    included, is refused."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise FloweringError(f"values are not integers of F_{p}: got {value!r}")
 
 
 def is_probable_prime(n: int) -> bool:
@@ -79,7 +90,7 @@ def is_probable_prime(n: int) -> bool:
 class PrimeField:
     """The field F_p for a verified prime p < 2^64."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "dtype")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
@@ -89,23 +100,68 @@ class PrimeField:
         if not is_probable_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
+        # the numpy dtype of arrays of elements
+        self.dtype = np.int64 if p < _INT64_MAX_P else object
+
+    def reduce(self, a):
+        """a mod p, for any integer a."""
+        return a % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def mul_add(self, a, alpha, b):
+        """a + alpha b: the fold relation, so the prover's fold and the
+        verifier's check are one expression."""
+        return (a + alpha * b) % self.p
+
+    def dot(self, a, b) -> int:
+        """sum_i a_i b_i over two sequences of Python ints, exact at any
+        length and modulus."""
+        return sum(map(operator.mul, a, b)) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    @property
-    def dtype(self):
-        """The numpy dtype of arrays of elements; see array_dtype."""
-        return array_dtype(self.p)
+    def inv_all(self, values: list[int]) -> list[int]:
+        """The inverses of the values, with one modular inversion
+        (Montgomery's trick): invert the running product, then peel each
+        factor back off it.  A zero raises ZeroDivisionError, as inv does."""
+        p = self.p
+        prefix = [1, *accumulate(values, lambda a, b: a * b % p)]
+        inv = self.inv(prefix[-1])
+        out = [0] * len(values)
+        for i in reversed(range(len(values))):
+            out[i] = inv * prefix[i] % p
+            inv = inv * values[i] % p
+        return out
 
-    @property
-    def value_bound(self):
-        """The exclusive bound on the values an array at dtype folds exactly:
-        2^31 under int64, where a + alpha b < 2^31 + 2^62 for alpha < p, and
-        none (inf) for Python ints."""
-        return _INT64_MAX_P if self.dtype is np.int64 else math.inf
+    def array(self, values) -> np.ndarray:
+        """values as an array at dtype, of any shape; an array at dtype is
+        used as is, not copied.  Refuses a value that is not an integer in
+        [0, p), so every array it returns holds reduced elements."""
+        try:
+            given = np.asarray(values)
+        except ValueError as exc:  # a ragged nesting
+            raise FloweringError(f"values are not an array of F_{self.p}: {exc}") from exc
+        if given.dtype.kind not in "iu":
+            # ints past int64, ints that NumPy merges to float64 (some below
+            # 2^63, some above), or no ints at all: read entry by entry
+            given = np.asarray(values, dtype=object)
+            if not all(type(v) is int for v in given.flat):
+                given = np.array([_python_int(v, self.p) for v in given.flat],
+                                 dtype=object).reshape(given.shape)
+        if given.size and not (0 <= given.min() and given.max() < self.p):
+            raise FloweringError(f"values of F_{self.p} must lie in [0, {self.p})")
+        return given.astype(self.dtype, copy=False)
 
     def sample(self, rng: random.Random) -> int:
         """Uniform element of [0, p); deterministic given the rng seed."""

@@ -3,11 +3,11 @@
 Folding collapses a word on a graph onto the kept half of a flowering cut:
 the value on a child class at (v, l) is f(v, l) + alpha * f(phi(v), l).  The
 isomorphism phi makes this well defined per class, so the fold is one
-gather-multiply-add over the cut's precomputed class-pair plan, a 2 x N'
-int64 array built once per cut, at two field operations per output class
-on the word's array; the verifier's fold check reads single columns of the
-same plan.  alpha is always the verifier's challenge; nothing here
-samples randomness.
+gather and one field mul_add over the cut's precomputed class-pair plan, a
+2 x N' int64 array built once per cut, at two field operations per output
+class on the word's array; the verifier's fold check reads single columns
+of the same plan and checks the same mul_add.  alpha is always the
+verifier's challenge; nothing here samples randomness.
 
 A blossoming sequence is valid by construction: its constructor cuts each
 graph once, validating every cut on its parent, and refuses a chain that
@@ -34,11 +34,11 @@ def fold(cut: FloweringCut, f: Word, alpha: int) -> Word:
     """Fold f along the cut with challenge alpha; a word on the cut graph."""
     if f.graph != cut.parent:
         raise CutMismatchError("word does not live on the cut's parent graph")
-    p = f.field.p
-    alpha %= p
+    field = f.field
     vals = f.values
     plan = cut.fold_plan
-    return Word._of(cut.child, f.field, (vals[plan[0]] + alpha * vals[plan[1]]) % p)
+    return Word._of(cut.child, field,
+                    field.mul_add(vals[plan[0]], field.reduce(alpha), vals[plan[1]]))
 
 
 class BlossomingSequence:

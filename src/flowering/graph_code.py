@@ -1,7 +1,7 @@
 """Words on a RIM and the code of words whose local views are RS codewords.
 
-A word stores one field value per edge class, as one array at the field's
-dtype, so the two slots of a shared edge cannot disagree by construction;
+A word stores one field value per edge class, as one element array of its
+field, so the two slots of a shared edge cannot disagree by construction;
 the (v, l) accessor resolves through the graph's canonical class index,
 whose tables are int64 arrays.  Restricting a word to a prepared cut is one
 gather through the cut's fold plan, the same class map the fold uses;
@@ -35,42 +35,35 @@ class GraphMismatchError(FloweringError):
 class Word:
     """A function from the edge classes of a RIM to a prime field.
 
-    values is an array at field.dtype; an array of that dtype is used as is,
-    not copied.  Every value lies in [0, field.value_bound), so a fold at
-    that dtype is exact; values need not be reduced mod p.
+    values is field.array(values): reduced elements, each in [0, p), so a
+    word has one representation; an array at field.dtype is used as is, not
+    copied.
     """
 
     __slots__ = ("graph", "field", "values")
 
     def __init__(self, graph: RIM, field: PrimeField, values):
-        try:
-            values = np.asarray(values, dtype=field.dtype)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise FloweringError(f"word values are not integers of F_{field.p}: {exc}") from exc
+        values = field.array(values)
         if values.shape != (graph.classes.num_classes,):
             raise FloweringError(
                 f"expected {graph.classes.num_classes} class values, got {values.size}"
             )
-        if values.size and (values.min() < 0 or values.max() >= field.value_bound):
-            raise FloweringError(
-                f"word values must lie in [0, {field.value_bound}) to fold exactly "
-                f"over F_{field.p}")
         self.graph = graph
         self.field = field
         self.values = values
 
     @classmethod
     def _of(cls, graph: RIM, field: PrimeField, values: np.ndarray) -> Word:
-        """The word of an array at field.dtype that is in range by
-        construction, a fold or a gather of a word's values; unchecked, as
-        on small words the check costs as much as the fold."""
+        """The word of an element array that is reduced by construction, a
+        fold or a gather of a word's values; unchecked, as on small words
+        the check costs as much as the fold."""
         word = cls.__new__(cls)
         word.graph, word.field, word.values = graph, field, values
         return word
 
     @classmethod
     def constant(cls, graph: RIM, field: PrimeField, c: int) -> Word:
-        return cls(graph, field, np.full(graph.classes.num_classes, c % field.p, field.dtype))
+        return cls(graph, field, np.full(graph.classes.num_classes, field.reduce(c), field.dtype))
 
     @classmethod
     def zero(cls, graph: RIM, field: PrimeField) -> Word:
@@ -82,10 +75,12 @@ class Word:
         index-only assignment is automatically consistent."""
         if len(y) != graph.n:
             raise FloweringError(f"expected {graph.n} index values, got {len(y)}")
-        reduced = np.array([c % field.p for c in y], dtype=field.dtype)
+        reduced = field.array([field.reduce(c) for c in y])
         return cls(graph, field, reduced[graph.classes.reps[1]])
 
     def at(self, v: int, l: int) -> int:
+        if not (0 <= v < self.graph.num_vertices and 0 <= l < self.graph.n):
+            raise FloweringError(f"slot ({v}, {l}) not in graph")
         return self.values.item(self.graph.classes.id_of(v, l))
 
     def local_view(self, v: int) -> list[int]:
@@ -95,8 +90,11 @@ class Word:
         return self.values[self.graph.classes.class_of[v]].tolist()
 
     def replace(self, class_id: int, value: int) -> Word:
+        """The word with class class_id set to value mod p."""
+        if not 0 <= class_id < self.values.size:
+            raise FloweringError(f"class {class_id} not in 0..{self.values.size - 1}")
         values = self.values.copy()
-        values[class_id] = value % self.field.p
+        values[class_id] = self.field.reduce(value)
         return Word(self.graph, self.field, values)
 
     def __eq__(self, other: object) -> bool:
@@ -125,10 +123,7 @@ class Word:
             raise FloweringError("word graph_hash does not match the graph")
         if not isinstance(data["values"], list):
             raise FloweringError("values must be a list")
-        values = [exact_int(v, "a word value") for v in data["values"]]
-        if not all(0 <= v < field.p for v in values):
-            raise FloweringError(f"word values must lie in [0, {field.p})")
-        return cls(graph, field, values)
+        return cls(graph, field, [exact_int(v, "a word value") for v in data["values"]])
 
 
 def _same_graph(f: Word, g: Word) -> None:
@@ -217,7 +212,7 @@ class GraphCode:
                 f"parity matrix would have {num_rows * classes.num_classes} entries "
                 f"(cap {MATRIX_CAP})"
             )
-        dual = np.array(self.rs.parity_rows(), dtype=self.field.dtype).reshape(-1, self.rs.n)
+        dual = self.field.array(self.rs.parity_rows()).reshape(-1, self.rs.n)
         h = np.zeros((num_vertices, len(dual), classes.num_classes), dtype=self.field.dtype)
         # a vertex's n slots lie in n distinct classes, so no entry is
         # written twice
@@ -227,7 +222,7 @@ class GraphCode:
 
     def dimension(self) -> int:
         h = self.parity_check_matrix()
-        return self.graph.classes.num_classes - linalg.rank(h, self.field.p)
+        return self.graph.classes.num_classes - linalg.rank(h, self.field)
 
     def dimension_lower_bound(self) -> int:
         """(k - n/2)|V| + |petals|/2, in integer form k|V| - |classes| + |petals|."""
@@ -240,7 +235,7 @@ class GraphCode:
 
     def codeword_basis(self) -> list[list[int]]:
         """Kernel basis of the parity-check matrix, as class-value vectors."""
-        return linalg.nullspace(self.parity_check_matrix(), self.field.p)
+        return linalg.nullspace(self.parity_check_matrix(), self.field)
 
     def min_distance_bruteforce(self) -> Fraction:
         """Minimum relative weight over all nonzero codewords, by enumerating
@@ -254,6 +249,7 @@ class GraphCode:
         if p**dim > ENUM_CAP:
             raise TooLargeError(f"would enumerate {p**dim} codewords (cap {ENUM_CAP})")
         num_classes = self.graph.classes.num_classes
+        mul_add = self.field.mul_add
         best = None
         for coeffs in itertools.product(range(p), repeat=dim):
             if not any(coeffs):
@@ -262,7 +258,7 @@ class GraphCode:
             for c, b in zip(coeffs, basis):
                 if c:
                     for i, x in enumerate(b):
-                        vec[i] = (vec[i] + c * x) % p
+                        vec[i] = mul_add(vec[i], c, x)
             w = sum(1 for x in vec if x)
             if best is None or w < best:
                 best = w

@@ -173,7 +173,7 @@ def verifier_query(
     r = seq.r
     n = seq.graphs[0].n
     num_vertices = seq.graphs[0].num_vertices
-    p = rs.field.p
+    mul_add = rs.field.mul_add
     params.check(n)
     if len(challenges) != r:
         raise SequenceMismatchError(f"expected {r} challenges, got {len(challenges)}")
@@ -206,7 +206,7 @@ def verifier_query(
                 vb = oracle(i - 1, cb)
                 vr = oracle(i, cr)
                 record.openings += ((i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr))
-                if (va + alpha * vb) % p != vr:
+                if mul_add(va, alpha, vb) != vr:
                     accept = False
                     break
             if not accept:

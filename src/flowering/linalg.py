@@ -1,23 +1,22 @@
-"""Dense linear algebra mod p: RREF, rank, nullspace.
+"""Dense linear algebra over a prime field: RREF, rank, nullspace.
 
-A matrix is a 2-D array, or a list of equal-length rows of ints; its width
-is read from its shape, so a matrix with no rows still has one.  One
-vectorized numpy Gauss-Jordan elimination at the field's array dtype (int64
-when p < 2^31, else Python ints in an object array) gives the reduced row
-echelon form, and rank and the nullspace read it.
+A matrix is a 2-D array, or a list of equal-length rows, of field elements;
+its width is read from its shape, so a matrix with no rows still has one.
+One vectorized numpy Gauss-Jordan elimination on the field's element array
+gives the reduced row echelon form, and rank and the nullspace read it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import array_dtype
+from .field import PrimeField
 
 
-def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
+def rref(matrix, field: PrimeField) -> tuple[np.ndarray, list[int]]:
     """(reduced rows, pivot columns): each pivot column is cleared above and
     below its pivot, so the rows are the reduced row echelon form."""
-    m = np.array(matrix, dtype=array_dtype(p)) % p
+    m = field.array(matrix).copy()  # eliminated in place
     nrows, ncols = m.shape
     pivots: list[int] = []
     for c in range(ncols):
@@ -30,23 +29,23 @@ def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
-        m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
+        m[r] = field.mul(m[r], field.inv(int(m[r, c])))
         col = m[:, c].copy()
         col[r] = 0
         hit = np.nonzero(col)[0]
         if hit.size:
-            m[hit] = (m[hit] - np.outer(col[hit], m[r])) % p
+            m[hit] = field.sub(m[hit], np.outer(col[hit], m[r]))
         pivots.append(c)
     return m, pivots
 
 
-def rank(matrix, p: int) -> int:
-    return len(rref(matrix, p)[1])
+def rank(matrix, field: PrimeField) -> int:
+    return len(rref(matrix, field)[1])
 
 
-def nullspace(matrix, p: int) -> list[list[int]]:
-    """Basis of the right kernel {v : M v = 0 mod p}, one vector per free column."""
-    reduced, pivots = rref(matrix, p)
+def nullspace(matrix, field: PrimeField) -> list[list[int]]:
+    """Basis of the right kernel {v : M v = 0}, one vector per free column."""
+    reduced, pivots = rref(matrix, field)
     ncols = reduced.shape[1]
     lead = reduced[:len(pivots)].tolist()
     pivot_set = set(pivots)
@@ -57,6 +56,6 @@ def nullspace(matrix, p: int) -> list[list[int]]:
         v = [0] * ncols
         v[free] = 1
         for row, c in zip(lead, pivots):
-            v[c] = -row[free] % p
+            v[c] = field.sub(0, row[free])
         basis.append(v)
     return basis

@@ -222,7 +222,7 @@ def fiat_shamir_schedule(seq: BlossomingSequence, rs: RSCode, params: ProtocolPa
     _bind_instance(fs, seq, rs, params)
     fs.absorb(b"root", (yield))
     for _ in range(seq.r):
-        fs.absorb(b"root", (yield fs.challenge_field(b"alpha", rs.field.p)))
+        fs.absorb(b"root", (yield fs.challenge_field(b"alpha", rs.field)))
     yield fs.challenge_queries(
         b"query", seq.graphs[0].num_vertices, seq.graphs[0].n, params.m, params.t
     )

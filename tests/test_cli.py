@@ -137,6 +137,10 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
                     ({"points": [True] + points[1:]}, "a point must be a decimal string"),
                     ({"points": "".join(points)}, "points must be a list"),
                     ({"p": float(data["p"])}, "p must be a decimal string"),
+                    # a decimal string is an int's one spelling, though
+                    # int() would also read underscores or a leading zero
+                    ({"p": "2_147_483_647"}, "p must be a decimal string"),
+                    ({"p": "0" + data["p"]}, "p must be a decimal string"),
                     # the genset's r and d plain ints, its vectors a list of them
                     ({"genset": {**data["genset"], "d": True}}, "r and d must be integers"),
                     ({"genset": {**data["genset"], "vectors": [True] + vectors[1:]}},
@@ -157,6 +161,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
                       for i, (change, message) in enumerate((
                           ({"values": [37.5] + ["0"] * 119}, "a word value must be a decimal"),
                           ({"values": [True] + ["0"] * 119}, "a word value must be a decimal"),
+                          ({"values": [" 1"] + ["0"] * 119}, "a word value must be a decimal"),
                           ({"p": float(p), "values": ["0"] * 120}, "p must be a decimal string"),
                           ({"values": "0" * 120}, "values must be a list")))]
     missing = tmp_path / "missing.json"
@@ -215,7 +220,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
          "malformed instance file"),
         (prove + ("--word", missing), "malformed word file"),
         (prove + ("--word", no_p_word), "malformed word file"),
-        *((prove + ("--word", word), "malformed word file") for word in out_of_field),
+        *((prove + ("--word", word), "must lie in [0, ") for word in out_of_field),
         *((prove + ("--word", word), message) for word, message in mistyped_words),
         (prove + ("--word", v1_word), "malformed word file"),
         (prove + ("--m", 16385), "a proof header holds m <= 16384"),

@@ -21,7 +21,9 @@ from flowering.commitment import (
     sent_siblings,
     verify_open,
 )
+from flowering.errors import FloweringError
 from flowering.experiments import derive_seed, gen_instance, random_codeword_word
+from flowering.field import PrimeField
 from flowering.folding import BlossomingSequence
 from flowering.graph_code import Word
 from flowering.iopp import ProtocolParams, prover_commit, verifier_query
@@ -252,7 +254,7 @@ def test_opening_bound_to_tree_depth():
 def test_fs_golden_vector():
     fs = FSState(b"golden-test")
     fs.absorb(b"data", b"\x01\x02\x03")
-    assert fs.challenge_field(b"alpha", 2147483647) == 1767023907
+    assert fs.challenge_field(b"alpha", PrimeField(2147483647)) == 1767023907
     assert fs.state.hex() == (
         "0566161c5a90d86ebeaae26416d9a887e5dcad8d4c79176c6b28c7bb0f9a766e"
     )
@@ -262,7 +264,7 @@ def test_fs_domain_and_label_separation():
     def challenge(domain, label, absorbed):
         fs = FSState(domain)
         fs.absorb(b"x", absorbed)
-        return fs.challenge_field(label, 2**61 - 1)
+        return fs.challenge_field(label, PrimeField(2**61 - 1))
 
     base = challenge(b"d", b"l", b"payload")
     assert challenge(b"d", b"l", b"payload") == base
@@ -272,12 +274,13 @@ def test_fs_domain_and_label_separation():
 
 
 def test_fs_challenges_advance_state():
+    field = PrimeField(101)
     fs = FSState(b"seq")
-    a = fs.challenge_field(b"alpha", 101)
-    b = fs.challenge_field(b"alpha", 101)
+    a = fs.challenge_field(b"alpha", field)
+    b = fs.challenge_field(b"alpha", field)
     fs2 = FSState(b"seq")
-    assert fs2.challenge_field(b"alpha", 101) == a
-    assert fs2.challenge_field(b"alpha", 101) == b
+    assert fs2.challenge_field(b"alpha", field) == a
+    assert fs2.challenge_field(b"alpha", field) == b
 
 
 def test_fs_query_randomness_shape():
@@ -295,7 +298,7 @@ def test_fs_field_challenges_in_range():
     fs = FSState(b"range")
     for p in (5, 101, 2**31 - 1, (1 << 61) - 1):
         for i in range(50):
-            assert 0 <= fs.challenge_field(b"a", p) < p
+            assert 0 <= fs.challenge_field(b"a", PrimeField(p)) < p
 
 
 @pytest.fixture(scope="module")
@@ -397,8 +400,11 @@ def test_ni_out_of_range_value_rejected(ni_setup):
     assert not accept
     # a proof of the word with every value v written as v + p: every walk's
     # checks hold mod p and every path is valid, so only the range check
-    # refuses it
-    lifted = Word(word.graph, word.field, [v + 101 for v in word.values])
+    # refuses it.  Word refuses such values, so the lifted word is built
+    # unchecked, as a cheating prover would
+    with pytest.raises(FloweringError):
+        Word(word.graph, word.field, word.values + 101)
+    lifted = Word._of(word.graph, word.field, word.values + 101)
     proof, transcript = prove_noninteractive(instance.seq, instance.rs, lifted, params)
     assert transcript.accept
     assert verify_noninteractive(instance.seq, instance.rs, proof, params) == (False, None)

@@ -11,6 +11,7 @@ import pytest
 
 import loop_oracle as oracle
 from conftest import planted_cut, random_rim, scrambled
+from flowering import linalg
 from flowering.adversaries import far_word, lazy_copy
 from flowering.cayley import (
     blossoming_cayley,
@@ -26,7 +27,8 @@ from flowering.field import PrimeField
 from flowering.folding import fold
 from flowering.graph_code import Word, cut_word, cut_word_on
 from flowering.iopp import ProtocolParams
-from flowering.niproof import prove_noninteractive
+from flowering.reed_solomon import RSCode
+from flowering.niproof import prove_noninteractive, verify_noninteractive
 from flowering.rim_graph import RIM, FloweringCut, cut_graph, flowering_cut_validate
 
 
@@ -164,24 +166,90 @@ def test_word_arrays_match_loop(p):
             assert index_word.values.tolist() == oracle.index_word(adj, n, y, p)
 
 
-def test_word_refuses_values_it_cannot_fold_exactly():
-    # under int64 a value >= 2^31 times a challenge could wrap; such a word
-    # is refused at construction and never folded
+def test_word_refuses_values_outside_the_field():
+    # a word holds reduced elements only, so a value of [0, p) has one
+    # representation: p itself is refused, not read as the zero element
     field = PrimeField(2**31 - 1)
     seq = blossoming_cayley(gen_set_full(3))
-    size = seq.graphs[0].classes.num_classes
-    for bad in (2**40, 2**31, -1, 2**64):
+    graph = seq.graphs[0]
+    size = graph.classes.num_classes
+    for bad in (field.p, 2**31, 2**40, -1, 2**64):
         with pytest.raises(FloweringError):
-            Word(seq.graphs[0], field, [bad] + [0] * (size - 1))
-    # the largest value that folds exactly is accepted, unreduced
-    word = Word(seq.graphs[0], field, [2**31 - 1] * size)
-    assert fold(seq.cuts[0], word, 2**31 - 2).values.tolist() == [
-        (2**31 - 1) * (2**31 - 1) % field.p] * seq.graphs[1].classes.num_classes
-    # Python ints fold exactly at any size
-    wide = PrimeField(2**61 - 1)
-    assert Word(seq.graphs[0], wide, [2**40] * size).values.dtype == object
+            Word(graph, field, [bad] + [0] * (size - 1))
     with pytest.raises(FloweringError):
-        Word(seq.graphs[0], wide, [-1] * size)
+        Word(graph, field, [field.p] * size)
+    # the largest element is accepted and folds exactly
+    word = Word(graph, field, [field.p - 1] * size)
+    assert fold(seq.cuts[0], word, 2**31 - 2).values.tolist() == [
+        (2**31 - 2) * (2**31 - 1) % field.p] * seq.graphs[1].classes.num_classes
+    # Python ints at any size, and the same range
+    wide = PrimeField(2**61 - 1)
+    assert Word(graph, wide, [2**40] * size).values.dtype == object
+    for bad in (-1, wide.p):
+        with pytest.raises(FloweringError):
+            Word(graph, wide, [bad] * size)
+
+
+def test_index_values_past_p_are_reduced_and_prove():
+    # from_index_values reduces its values, so a word built from values
+    # >= p is the word of their residues, and its honest proof verifies
+    inst = gen_instance(3, 2**31 - 1, 5)
+    p = inst.field.p
+    y = inst.rs.random_codeword(random.Random(5))
+    word = Word.from_index_values(inst.seq.graphs[0], inst.field, [v + p for v in y])
+    assert word == Word.from_index_values(inst.seq.graphs[0], inst.field, y)
+    assert inst.code.is_codeword(word)
+    params = ProtocolParams(3, 2)
+    proof, transcript = prove_noninteractive(inst.seq, inst.rs, word, params)
+    assert transcript.accept
+    accept, _ = verify_noninteractive(inst.seq, inst.rs, proof, params)
+    assert accept
+
+
+def test_words_and_parity_rows_past_2_63():
+    # p = 2^64 - 59, the largest prime below 2^64: NumPy reads a list of
+    # ints below and at or above 2^63 as float64, yet words, parity rows
+    # and proofs over such elements are exact
+    inst = gen_instance(3, 2**64 - 59, 5)
+    field, graph = inst.field, inst.seq.graphs[0]
+    p = field.p
+    rng = random.Random(7)
+    values = [p - 1, 2**63, 1] + [rng.randrange(p) for _ in range(graph.classes.num_classes - 3)]
+    word = Word(graph, field, values)
+    assert word.values.tolist() == values
+    assert Word.from_json(graph, field, json.loads(json.dumps(word.to_json()))) == word
+    y = inst.rs.random_codeword(rng)
+    codeword = Word.from_index_values(graph, field, [v + p for v in y])
+    assert codeword == Word.from_index_values(graph, field, y)
+    assert inst.code.is_codeword(codeword)
+    params = ProtocolParams(3, 2)
+    proof, transcript = prove_noninteractive(inst.seq, inst.rs, codeword, params)
+    assert transcript.accept and verify_noninteractive(inst.seq, inst.rs, proof, params)[0]
+    # points on both sides of 2^63: the rows annihilate every codeword and
+    # have full rank
+    rs = RSCode(field, [1, 2, 2**63, p - 2, p - 1, 2**63 + 5], 2)
+    rows = rs.parity_rows()
+    assert linalg.rank(rows, field) == rs.n - rs.k
+    for _ in range(5):
+        c = rs.random_codeword(rng)
+        assert all(field.dot(row, c) == 0 for row in rows)
+    assert not rs.is_codeword([1] + [0] * (rs.n - 1))
+
+
+def test_word_accessors_refuse_out_of_range_positions():
+    field = PrimeField(101)
+    graph = blossoming_cayley(gen_set_full(3)).graphs[0]
+    word = Word(graph, field, range(graph.classes.num_classes))
+    for v, l in ((-1, 0), (graph.num_vertices, 0), (0, -1), (0, graph.n)):
+        with pytest.raises(FloweringError):
+            word.at(v, l)
+    for class_id in (-1, graph.classes.num_classes):
+        with pytest.raises(FloweringError):
+            word.replace(class_id, 1)
+    with pytest.raises(FloweringError):
+        word.local_view(-1)
+    last = graph.classes.num_classes - 1
+    assert word.replace(last, -1).values.tolist() == [*range(last), field.p - 1]
 
 
 def test_word_values_leave_as_python_ints():

@@ -1,5 +1,6 @@
 """Every import in the package and its tests is used, no package module
-rebinds a module global, and every import sits at module level.
+rebinds a module global, every import sits at module level, and no package
+module but field.py reduces mod p by hand.
 
 A name an import binds counts as used when the module reads it anywhere
 or lists it in ``__all__``; ``from __future__`` imports bind nothing.
@@ -76,4 +77,32 @@ def test_no_import_inside_a_function():
     assert function_imports(source) == [3, 5]
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in MODULES for line in function_imports(path.read_text())]
+    assert found == []
+
+
+def modulus_reductions(source: str) -> list[int]:
+    """Lines of every % (or %=) whose right operand is a name p or an
+    attribute .p: a reduction mod p written out by hand."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            right = node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod):
+            right = node.value
+        else:
+            continue
+        if (isinstance(right, ast.Name) and right.id == "p"
+                or isinstance(right, ast.Attribute) and right.attr == "p"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_reduction_mod_p_outside_the_field():
+    # field.PrimeField owns every reduction mod p, so that a change of
+    # element representation changes one module
+    source = "a = b % p\nc = (d + e) % field.p\nf %= p\ng = h % q\ni = j % p.bit_length()\n"
+    assert modulus_reductions(source) == [1, 2, 3]
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in PACKAGE if path.name != "field.py"
+             for line in modulus_reductions(path.read_text())]
     assert found == []

@@ -238,7 +238,7 @@ def test_parity_rows_match_membership():
         assert len(rows) == code.n - code.k
         assert all(len(row) == code.n for row in rows)
         if rows:
-            assert linalg.rank(rows, p) == code.n - code.k
+            assert linalg.rank(rows, code.field) == code.n - code.k
         monomials = [[pow(x, j, p) for x in code.points] for j in range(code.k)]
         words = monomials + [code.random_codeword(rng) for _ in range(5)]
         for row in rows:
