@@ -39,7 +39,7 @@ from .experiments import (
 )
 from .graph_code import Word
 from .iopp import DEFAULT_PARAMS, ProtocolParams, run_protocol
-from .niproof import VERSION, NIProof, prove_noninteractive, verify_noninteractive
+from .niproof import VERSION, NIProof, check_params, prove_noninteractive, verify_noninteractive
 
 TRANSCRIPT_FORMAT = "flowering-transcript-v1"
 # the d of a parity-check genset file that names none
@@ -139,7 +139,6 @@ def cmd_gen(args) -> int:
 def cmd_prove(args) -> int:
     instance = _load_instance(args.instance)
     params = ProtocolParams(args.m, args.t)
-    params.check(instance.n)
     if args.word:
         word = _load("word", args.word,
                      lambda data: Word.from_json(instance.seq.graphs[0], instance.field, data))
@@ -183,9 +182,10 @@ def _parse_proof(blob: bytes) -> NIProof:
 
 def cmd_verify(args) -> int:
     instance = _load_instance(args.instance)
+    params = ProtocolParams(args.m, args.t)
+    check_params(params, instance.n)
     proof = _load("proof", args.proof, _parse_proof, read=lambda fh: fh.read())
-    accept, _ = verify_noninteractive(instance.seq, instance.rs, proof,
-                                      ProtocolParams(args.m, args.t))
+    accept, _ = verify_noninteractive(instance.seq, instance.rs, proof, params)
     print("accept" if accept else "reject")
     return 0 if accept else 1
 

@@ -14,6 +14,7 @@ by hashing (seed, index).  Reports are plain dicts ready for sorted-key JSON.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import struct
@@ -225,26 +226,19 @@ def soundness_mc(
     if not isinstance(adversaries, list) or not all(a in ADVERSARIES for a in adversaries):
         raise FloweringError(
             f"adversaries must be a list of {', '.join(ADVERSARIES)}, got {adversaries!r}")
-    points = []
-    idx = 0
-    for adversary in adversaries:
-        for delta in deltas:
-            for m in ms:
-                for t in ts:
-                    point = soundness_mc_point(
-                        instance, adversary, delta, ProtocolParams(m, t),
-                        trials, derive_seed(seed, 4, idx),
-                    )
-                    points.append(point.to_json())
-                    idx += 1
-    flagged = [pt for pt in points if not pt["within_bound"]]
+    points = [
+        soundness_mc_point(instance, adversary, delta, ProtocolParams(m, t), trials,
+                           derive_seed(seed, 4, idx)).to_json()
+        for idx, (adversary, delta, m, t) in enumerate(
+            itertools.product(adversaries, deltas, ms, ts))
+    ]
     return {
         "instance": {"r": instance.r, "n": instance.n, "p": str(instance.field.p),
                      "k": instance.rs.k},
         "trials_per_point": trials,
         "seed": seed,
         "points": points,
-        "violations": len(flagged),
+        "violations": sum(not pt["within_bound"] for pt in points),
     }
 
 

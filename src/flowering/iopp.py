@@ -31,6 +31,7 @@ computed it, read from the same plan.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -260,7 +261,8 @@ def run_protocol(
 ) -> Transcript:
     """Full interactive run: prover_commit against uniform challenges, then
     the query phase.  Deterministic given the seed; respond never sees the
-    verifier's rng."""
+    verifier's rng, and m and t are checked before anything is drawn."""
+    params.check(seq.graphs[0].n)
     rng = random.Random(seed)
     challenges, words = prover_commit(seq, f0, lambda f: rs.field.sample(rng), respond)
     randomness = sample_query_randomness(rng, seq.graphs[0].num_vertices,
@@ -271,37 +273,37 @@ def run_protocol(
 
 
 def soundness_bound(delta, r: int, n: int, t: int, m: int, field_size: int) -> float:
-    """The acceptance-probability bound
-    min over eps > 0 of r/(eps |F|) + (1 - (t/n)(mu delta - r eps))^m,
-    minimized numerically on a log grid over (0, mu delta / r] with local
-    trisection refinement.  Clamped into [0, 1].  mu = 1: rim_graph.mu is 1
-    on the petal-free Cayley base graphs the study runs on."""
+    """The acceptance-probability bound for delta in [0, 1] and t in 1..n,
+    min(1, min over eps in (0, delta/r] of r/(eps |F|) + (1 - (t/n)(delta - r eps))^m).
+    mu = 1: rim_graph.mu is 1 on the petal-free Cayley base graphs.
+
+    The first term is convex and decreasing in eps, the second convex and
+    increasing, so the sum is unimodal in x = ln eps, and a golden-section
+    search over x in [ln(r/|F|), ln(delta/r)] finds its minimum.  Below r/|F|
+    the first term alone exceeds 1, so the bound is 1 if r/|F| >= delta/r."""
     d = float(delta)
-    if d <= 0:
+    if not (0 <= d <= 1 and 1 <= t <= n):
+        raise FloweringError(f"need 0 <= delta <= 1 and 1 <= t <= {n}, got delta={delta}, t={t}")
+    if r / field_size >= d / r:
         return 1.0
 
-    def value(eps: float) -> float:
-        base = 1.0 - (t / n) * (d - r * eps)
-        base = min(1.0, max(0.0, base))
-        return r / (eps * field_size) + base**m
+    def value(x: float) -> float:
+        eps = math.exp(x)
+        return r / (eps * field_size) + (1 - (t / n) * (d - r * eps)) ** m
 
-    lo, hi = 1e-9, d / r
-    if hi <= lo:
-        return min(1.0, value(hi))
-    ratio = (hi / lo) ** (1 / 999)
-    grid = [lo * ratio**i for i in range(1000)]
-    best_i = min(range(1000), key=lambda i: value(grid[i]))
-    a = grid[max(0, best_i - 1)]
-    b = grid[min(999, best_i + 1)]
+    # ends a and b in either order; c, 1/phi of the way from a to b, is the best point seen
+    golden = (math.sqrt(5) - 1) / 2
+    a, b = math.log(d / r), math.log(r / field_size)
+    c = a + golden * (b - a)
+    fc = value(c)
     for _ in range(100):
-        m1 = a + (b - a) / 3
-        m2 = b - (b - a) / 3
-        if value(m1) <= value(m2):
-            b = m2
+        x = b + golden * (a - b)
+        fx = value(x)
+        if fx <= fc:
+            b, c, fc = c, x, fx
         else:
-            a = m1
-    eps = (a + b) / 2
-    return min(1.0, min(value(eps), value(grid[best_i])))
+            a, b = b, x
+    return min(1.0, fc, value(math.log(d / r)))
 
 
 @dataclass

@@ -239,6 +239,13 @@ def derive_noninteractive_randomness(
     return challenges, randomness
 
 
+def check_params(params: ProtocolParams, n: int) -> None:
+    """Refuse an m and t that no proof header on a graph of degree n can hold."""
+    params.check(n)
+    if params.m > MAX_M or params.t > MAX_T:
+        raise FloweringError(f"a proof header holds m <= {MAX_M} and t <= {MAX_T}, got {params}")
+
+
 def prove_noninteractive(
     seq: BlossomingSequence, rs: RSCode, f0: Word, params: ProtocolParams
 ) -> tuple[NIProof, Transcript]:
@@ -248,11 +255,7 @@ def prove_noninteractive(
     together, level by level, each class under its bucket's pruned path.
     Also returns the transcript of the self-run query phase (honest proofs
     accept)."""
-    params.check(seq.graphs[0].n)
-    if params.m > MAX_M or params.t > MAX_T:
-        raise FloweringError(
-            f"a proof header holds m <= {MAX_M} and t <= {MAX_T}, "
-            f"got m={params.m}, t={params.t}")
+    check_params(params, seq.graphs[0].n)
     trees = []
     schedule = fiat_shamir_schedule(seq, rs, params)
     next(schedule)

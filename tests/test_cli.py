@@ -184,6 +184,8 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         "graph_hash": "fff32483e303ad9426ac740d8ebca6a1e280d17f31fa2cd30e6c5eeb1b3a7d48"})
     verify = ("verify", "--instance", instance_file, "--proof")
     prove = ("prove", "--instance", instance_file, "--out", tmp_path / "p.bin")
+    complexity = ("report-complexity", "--instance", instance_file, "--out",
+                  tmp_path / "c.json")
     mc = ("soundness-mc", "--instance", instance_file, "--out", tmp_path / "mc.json",
           "--config")
     gen = ("gen", "--r", 3, "--p", 101, "--k", 6, "--out", tmp_path / "g.json",
@@ -224,6 +226,15 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         *((prove + ("--word", word), message) for word, message in mistyped_words),
         (prove + ("--word", v1_word), "malformed word file"),
         (prove + ("--m", 16385), "a proof header holds m <= 16384"),
+        (verify + (proof, "--m", 16385), "a proof header holds m <= 16384"),
+        # an m below 1 or a t outside 1..n is refused before any work: by
+        # prove, by verify of its own parameters and by report-complexity
+        *((command + (flag, value), message)
+          for command in (prove, verify + (proof,), complexity)
+          for flag, value, message in (("--m", 0, "need m >= 1"), ("--m", -1, "need m >= 1"),
+                                       ("--t", 0, "need 1 <= t <= 15"),
+                                       ("--t", -1, "need 1 <= t <= 15"),
+                                       ("--t", 16, "need 1 <= t <= 15"))),
         (mc + (missing,), "malformed config file"),
         (mc + (write("ms.json", {"ms": "5"}),), "ms must be positive integers"),
         (mc + (write("trials.json", {"trials": 0}),), "trials must be positive integers"),

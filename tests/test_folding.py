@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_word
-from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full
+from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full, validate_gen_set
 from flowering.field import PrimeField
 from flowering.errors import FloweringError
 from flowering.folding import BlossomingSequence, CutMismatchError, fold
@@ -154,3 +154,17 @@ def test_blossoming_validate(t1):
         BlossomingSequence(seq.graphs[0], specs[1:])
     # a one-vertex graph with no cuts is a chain of length 0
     assert BlossomingSequence(seq.graphs[2], []).r == 0
+
+
+def test_fold_pairs_partition_parent_classes():
+    # the distinct unordered pairs {plan[0][c], plan[1][c]} of every cut are
+    # pairwise disjoint and cover each parent class once, a self-pair
+    # covering one; several child classes may name the same pair
+    chains = [blossoming_cayley(gen_set_full(r)) for r in range(2, 9)]
+    chains += [blossoming_cayley(validate_gen_set(4, vectors, 3))
+               for vectors in ([8, 4, 2, 1, 15], [1, 2, 4, 8, 15])]
+    for seq in chains:
+        for cut in seq.cuts:
+            pairs = {frozenset(pair) for pair in cut.fold_plan.T.tolist()}
+            covered = sorted(c for pair in pairs for c in pair)
+            assert covered == list(range(cut.parent.classes.num_classes))

@@ -9,6 +9,7 @@ from conftest import replay
 from flowering.adversaries import lazy_copy
 from flowering.cayley import blossoming_cayley, gen_set_full
 from flowering.experiments import gen_instance, random_codeword_word
+from flowering.errors import FloweringError
 from flowering.field import PrimeField
 from flowering.folding import fold
 from flowering.graph_code import GraphCode, Word
@@ -23,7 +24,7 @@ from flowering.iopp import (
     verifier_query,
 )
 from flowering.reed_solomon import RSCode
-from flowering.rim_graph import UnknownVertexError
+from flowering.rim_graph import UnknownVertexError, mu
 
 
 def words_oracle(words):
@@ -295,24 +296,53 @@ def test_soundness_bound_edges():
     b = soundness_bound(Fraction(1, 2), 4, 15, 2, 10, 2**61)
     assert abs(b - (1 - (2 / 15) * 0.5) ** 10) < 1e-6
     assert 0 <= soundness_bound(1, 2, 3, 3, 50, 5) <= 1
+    # delta outside [0, 1] and t outside 1..n are refused, not clamped
+    for delta, t in ((Fraction(-1, 2), 2), (Fraction(3, 2), 2), (Fraction(1, 2), 0),
+                     (Fraction(1, 2), 16)):
+        with pytest.raises(FloweringError):
+            soundness_bound(delta, 4, 15, t, 10, 2**31 - 1)
+    # r/|F| >= delta/r leaves no eps at which the first term is below 1
+    assert soundness_bound(Fraction(1, 10), 10, 1023, 2, 10, 101) == 1.0
+    assert soundness_bound(Fraction(1, 2), 4, 15, 2, 10, 32) == 1.0
+    # the bound takes mu = 1, which holds on the study's base graphs
+    for r in range(2, 9):
+        assert mu(gen_instance(r, 2**31 - 1, 2**r - 3).seq.graphs[0]) == 1
 
 
-def test_soundness_bound_against_dense_scan():
-    r, n, t, m = 4, 15, 3, 20
-    field_size = 2**31 - 1
-    delta = 0.5
+FIELD_SIZES = {"101": 101, "M31": 2**31 - 1, "M61": 2**61 - 1, "M31^4": (2**31 - 1) ** 4}
+BOUND_CASES = [
+    (4, "101", Fraction(1, 2), 10),
+    (4, "M31", Fraction(1, 10), 1000),
+    (4, "M61", Fraction(1), 10),
+    (4, "M31^4", Fraction(1, 2), 1000),
+    (8, "101", Fraction(1, 10), 10),
+    (8, "M31", Fraction(1, 2), 10),
+    (8, "M61", Fraction(1, 10), 1000),
+    (8, "M31^4", Fraction(1), 10),
+    (10, "101", Fraction(1), 1000),
+    (10, "M31", Fraction(1), 1000),
+    (10, "M61", Fraction(1, 2), 10),
+    (10, "M31^4", Fraction(1, 10), 1000),
+]
+
+
+@pytest.mark.parametrize("r, field, delta, m", BOUND_CASES,
+                         ids=[f"r{r}-{f}-delta{float(d)}-m{m}" for r, f, d, m in BOUND_CASES])
+def test_soundness_bound_against_dense_scan(r, field, delta, m):
+    # a log scan from below r/|F|, clamped to 1 as the bound is: the search
+    # never lies above it and finds its minimum to 1e-6 relative
+    n, t, field_size = 2**r - 1, 2, FIELD_SIZES[field]
     bound = soundness_bound(delta, r, n, t, m, field_size)
+    d = float(delta)
 
     def value(eps):
-        base = min(1.0, max(0.0, 1 - (t / n) * (delta - r * eps)))
+        base = min(1.0, max(0.0, 1 - (t / n) * (d - r * eps)))
         return r / (eps * field_size) + base**m
 
-    lo, hi = 1e-9, delta / r
-    dense = min(
-        value(lo * (hi / lo) ** (i / 99999)) for i in range(100000)
-    )
-    assert bound <= dense + 1e-6
-    assert abs(bound - dense) <= 1e-6
+    lo, hi = min(1e-12, r / field_size), d / r
+    dense = min(1.0, min(value(lo * (hi / lo) ** (i / 99999)) for i in range(100000)))
+    assert bound <= dense * (1 + 1e-12)
+    assert bound >= dense * (1 - 1e-6)
 
 
 def test_commit_soundness_codeword_never_improves(t1):
