@@ -1,16 +1,19 @@
 """Merkle vector commitments and the Fiat-Shamir transcript state.
 
-A word is committed in buckets of LEAF_CLASSES consecutive classes, one
-bucket per leaf, as FRI commits one coset per leaf: leaf j hashes the
-bucket index j with the values of classes 8j..8j+7 (the last leaf holds
-only the classes that remain), and leaf/node hashes are domain-separated
-by a one-byte prefix, so a path commits to a position, not just values.
-The leaf layer is zero-padded to a power of two.  Each tree layer is one
-contiguous bytes object of digests, and the preimages of a layer are built
-as one numpy record array (the leaves straight from the word's array) and
-hashed row by row, so the hashing is one DIGEST call per leaf and per node
-and nothing else per class.  SHA-256 throughout; every hash goes through
-the module-level DIGEST.
+A tree commits an array of values as given: the NI prover passes each word
+in its level's commit order (niproof), in which the two classes of a fold
+pair are adjacent, so here a position is an index into that array and not
+a class id.  The array is committed in buckets of LEAF_CLASSES consecutive
+positions, one bucket per leaf, as FRI commits one coset per leaf: leaf j
+hashes the bucket index j with the values at positions 8j..8j+7 (the last
+leaf holds only the positions that remain), and leaf/node hashes are
+domain-separated by a one-byte prefix, so a path commits to a position,
+not just values.  The leaf layer is zero-padded to a power of two.  Each
+tree layer is one contiguous bytes object of digests, and the preimages of
+a layer are built as one numpy record array (the leaves straight from the
+committed array) and hashed row by row, so the hashing is one DIGEST call
+per leaf and per node and nothing else per position.  SHA-256 throughout;
+every hash goes through the module-level DIGEST.
 
 Buckets are opened together, as a multi-opening: at each layer the
 sibling of an opened bucket's ancestor is sent once, and not at all where
@@ -36,8 +39,8 @@ from .field import PrimeField
 
 DIGEST = hashlib.sha256
 DIGEST_SIZE = 32
-# classes per Merkle leaf: an opened bucket carries its unread classes as
-# 8-byte values and saves the 32-byte path digests of separate leaves
+# positions per Merkle leaf: an opened bucket carries its unread positions
+# as 8-byte values and saves the 32-byte path digests of separate leaves
 LEAF_CLASSES = 8
 
 _LEAF_PREFIX = b"\x00"
@@ -98,8 +101,8 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
 
 
 class MerkleTree:
-    """Commitment to an array of field values (a word's values, used as is)
-    in canonical class order, one leaf per bucket of LEAF_CLASSES classes.
+    """Commitment to an array of field values, used as is and in the order
+    given, one leaf per bucket of LEAF_CLASSES positions.
 
     layers[0] is the zero-padded leaf layer and layers[-1] the root, each
     one bytes object of 32-byte digests; a level's read buckets are opened
@@ -124,7 +127,7 @@ class MerkleTree:
 
     def open(self, buckets: list[int]) -> list[tuple[int, list[int], list[bytes]]]:
         """The multi-opening of the sorted, distinct buckets: one record
-        (first class, values as Python ints, path) per bucket, whose path
+        (first position, values as Python ints, path) per bucket, whose path
         holds b"" at each layer where the sibling is itself an ancestor of
         an opened bucket, since the verifier computes it."""
         leaves = _num_leaves(len(self.values))
@@ -162,17 +165,17 @@ def sent_siblings(buckets: list[int], depth: int) -> list[tuple[int, int]]:
 
 
 def verify_open(root: bytes, records, num_classes: int) -> bool:
-    """True iff the (first class, values, path) records, sorted by bucket
-    and one per bucket, open a tree over num_classes values with this root.
-    Each record must hold exactly its bucket's classes, min(LEAF_CLASSES,
-    N - first) values, under a path of exactly that tree's depth: a shorter
-    or longer one could pass an inner node off as a leaf.  Each leaf and
-    each distinct ancestor is hashed once, from the computed sibling where
-    one exists and from the first record's path below the node otherwise.
-    No records open nothing and are accepted."""
+    """True iff the (first position, values, path) records, sorted by
+    bucket and one per bucket, open a tree over num_classes values with this
+    root.  Each record must hold exactly its bucket's positions,
+    min(LEAF_CLASSES, N - first) values, under a path of exactly that tree's
+    depth: a shorter or longer one could pass an inner node off as a leaf.
+    Each leaf and each distinct ancestor is hashed once, from the computed
+    sibling where one exists and from the first record's path below the
+    node otherwise.  No records open nothing and are accepted."""
     leaves = _num_leaves(num_classes)
     depth = (leaves - 1).bit_length()
-    nodes = {}  # position -> (digest, path of the first record below it)
+    nodes = {}  # node index -> (digest, path of the first record below it)
     last = -1
     for first, values, path in records:
         bucket, offset = divmod(first, LEAF_CLASSES)

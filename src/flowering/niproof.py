@@ -5,17 +5,22 @@ Fiat-Shamir (the compiler of Ben-Sasson, Chiesa and Spooner, TCC 2016):
 each level's Merkle root is absorbed into a transcript first bound to the
 full instance (field, the chain digest of graph 0 and every cut, RS and
 protocol parameters), and the query randomness is derived after the last
-root.  The proof carries the per-level roots and the authenticated
-openings of exactly the buckets holding the positions the verifier
-re-derives, the query phase's read log.
+root.  Each level is committed in its commit order
+(BlossomingSequence.commit_positions): levels 0..r-1 in the pair order of
+the cut that folds them, so that the two classes a fold check reads share a
+Merkle bucket, and the flower in class order.  The proof carries the
+per-level roots and the authenticated openings of exactly the buckets
+holding the commit positions of the classes the verifier re-derives, the
+query phase's read log.
 
 The record rule: a proof opens exactly the records that were read, and each
-level's records are authenticated together, once.  A record is the classes
-of one bucket under one path; NIProof.openings holds them per class, and
-_records (serialize, the verifier) and _classes (parse, the prover) are the
-only conversions.  The verifier requires each level's records to start
-exactly at the first classes of the buckets its reads touch, at every level
-before it hashes anything; then each record needs every value below p, and
+level's records are authenticated together, once.  A record is the
+positions of one bucket under one path; NIProof.openings holds them per commit
+position, and _records (serialize, the verifier) and _by_position (parse,
+the prover) are the only conversions.  The verifier reads each class at its
+commit position, and requires each level's records to start exactly at the
+first positions of the buckets its reads touch, at every level before it
+hashes anything; then each record needs every value below p, and
 each level one verify_open, which refuses a wrong length or path depth and
 hashes each opened leaf and each distinct ancestor once.  So a proof causes
 at most one authentication per level, however many openings it carries.
@@ -23,14 +28,14 @@ at most one authentication per level, however many openings it carries.
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
 
-Binary layout, version 4 (little-endian):
-    magic "FLWR" | version u16 = 4 | p u64 | chain digest 32B | r u32 |
+Binary layout, version 5 (little-endian):
+    magic "FLWR" | version u16 = 5 | p u64 | chain digest 32B | r u32 |
     m u32 | t u32 | (r+1) roots 32B | per level: count u32 | depth u8 |
-    count records (first class u64 | n u8 | n values u64) |
+    count records (first position u64 | n u8 | n values u64) |
     the level's sibling digests 32B.
-A record opens the n consecutive classes first..first+n-1 of one Merkle
-bucket (commitment.LEAF_CLASSES classes per leaf); an honest proof writes
-one record per opened bucket.  The sibling digests are the pruned
+A record opens the n consecutive commit positions first..first+n-1 of one
+Merkle bucket (commitment.LEAF_CLASSES positions per leaf); an honest proof
+writes one record per opened bucket.  The sibling digests are the pruned
 multi-opening of the level's buckets (commitment.sent_siblings): for each
 layer d < depth, in increasing position, the node at (b >> d) ^ 1 for each
 record bucket b, once, skipped where it is itself an ancestor b' >> d of a
@@ -40,19 +45,21 @@ level, since the parser has no instance to derive it from; the verifier
 requires it to equal the level tree's depth.  The chain digest is
 ``BlossomingSequence.digest``.  Parsing is strict: any other version (1
 bound graph 0 alone, 2 had one leaf per class, 3 sent a full path per
-record), an r, m or t outside 1..MAX_R, 1..MAX_M or 1..MAX_T, a count
-above MAX_OPENINGS or a depth above MAX_DEPTH, a record of no class or of
-classes of two buckets, a record in a bucket not after the previous
-record's, a bucket outside a tree of the level's depth, a depth on a level
-of no records, a truncation or a trailing byte is malformed, so a missing
-or extra digest is too; and the prover refuses to write a header the
-parser would refuse.
+record, 4 committed every level in class order), an r, m or t outside
+1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS or a depth
+above MAX_DEPTH, a record of no position or of positions of two buckets, a
+record in a bucket not after the previous record's, a bucket outside a
+tree of the level's depth, a depth on a level of no records, a truncation
+or a trailing byte is malformed, so a missing or extra digest is too; and
+the prover refuses to write a header the parser would refuse.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .commitment import (
     DIGEST_SIZE,
@@ -65,17 +72,17 @@ from .commitment import (
 from .errors import FloweringError
 from .folding import BlossomingSequence
 from .graph_code import Word
-from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, word_oracle
+from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
-VERSION = 4
+VERSION = 5
 # header bounds the parser enforces and the prover respects
 MAX_R = 64
 MAX_M = 1 << 14
 MAX_T = 1 << 12
 MAX_OPENINGS = 1 << 24
-# a u64 class index lies in one of at most 2^61 buckets
+# a u64 position lies in one of at most 2^61 buckets
 MAX_DEPTH = 61
 
 
@@ -91,7 +98,7 @@ class NIProof:
     m: int
     t: int
     roots: list[bytes]
-    openings: list[dict[int, tuple[int, list[bytes]]]]  # per level: class -> (value, path)
+    openings: list[dict[int, tuple[int, list[bytes]]]]  # per level: position -> (value, path)
 
     def serialize(self) -> bytes:
         out = [MAGIC, struct.pack("<HQ", VERSION, self.p), self.chain_digest,
@@ -163,7 +170,7 @@ class NIProof:
                 siblings[d][bucket >> d] = digests[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE]
             paths = {bucket: [layer.get(bucket >> d, b"") for d, layer in enumerate(siblings)]
                      for bucket in buckets}
-            openings.append(_classes([(first, values, paths[bucket])
+            openings.append(_by_position([(first, values, paths[bucket])
                                       for (first, values), bucket in zip(records, buckets)]))
         if pos != len(view):
             raise MalformedProofError("trailing bytes")
@@ -171,33 +178,34 @@ class NIProof:
 
 
 def _records(level: dict[int, tuple[int, list[bytes]]]):
-    """The level's openings as (first class, values, path) records, one per
-    maximal run of consecutive classes in one bucket under one path."""
+    """The level's openings as (first position, values, path) records, one
+    per maximal run of consecutive positions in one bucket under one path."""
     records = []
-    for cid in sorted(level):
-        value, path = level[cid]
+    for at in sorted(level):
+        value, path = level[at]
         if records:
             first, values, last_path = records[-1]
-            # the classes of a bucket share one path object, so compare
+            # the positions of a bucket share one path object, so compare
             # lists only when they differ
-            if (cid == first + len(values) and cid // LEAF_CLASSES == first // LEAF_CLASSES
+            if (at == first + len(values) and at // LEAF_CLASSES == first // LEAF_CLASSES
                     and (path is last_path or path == last_path)):
                 values.append(value)
                 continue
-        records.append((cid, [value], path))
+        records.append((at, [value], path))
     return records
 
 
-def _bucket_starts(cids) -> list[int]:
-    """The first class of each bucket holding one of cids, in order."""
-    return sorted({cid - cid % LEAF_CLASSES for cid in cids})
+def _buckets(positions, cids) -> list[int]:
+    """The sorted buckets holding the commit positions of cids."""
+    return sorted({positions.item(cid) // LEAF_CLASSES for cid in cids})
 
 
-def _classes(records) -> dict[int, tuple[int, list[bytes]]]:
-    """The level's openings from its (first class, values, path) records,
-    which lie in distinct buckets: each class under its record's path."""
-    return {cid: (value, path) for first, values, path in records
-            for cid, value in enumerate(values, first)}
+def _by_position(records) -> dict[int, tuple[int, list[bytes]]]:
+    """The level's openings from its (first position, values, path)
+    records, which lie in distinct buckets: each position under its
+    record's path."""
+    return {at: (value, path) for first, values, path in records
+            for at, value in enumerate(values, first)}
 
 
 def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
@@ -250,25 +258,32 @@ def prove_noninteractive(
     seq: BlossomingSequence, rs: RSCode, f0: Word, params: ProtocolParams
 ) -> tuple[NIProof, Transcript]:
     """The honest prover_commit against Fiat-Shamir: each word is committed
-    and answered by the challenge its root derives; the last root derives
-    the queries, and the buckets holding a position they read are opened
-    together, level by level, each class under its bucket's pruned path.
+    in its level's commit order and answered by the challenge its root
+    derives; the last root derives the queries, and the buckets holding the
+    position of a class they read are opened together, level by level, each
+    position under its bucket's pruned path.
     Also returns the transcript of the self-run query phase (honest proofs
     accept)."""
     check_params(params, seq.graphs[0].n)
+    positions = seq.commit_positions()
     trees = []
     schedule = fiat_shamir_schedule(seq, rs, params)
     next(schedule)
 
     def commit(word: Word):
-        trees.append(MerkleTree(word.values))
+        committed = np.empty_like(word.values)
+        committed[positions[len(trees)]] = word.values
+        trees.append(MerkleTree(committed))
         return schedule.send(trees[-1].root)
 
     challenges, words = prover_commit(seq, f0, commit)
     randomness = commit(words[-1])
-    transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
-    openings = [_classes(tree.open(sorted({cid // LEAF_CLASSES for cid in cids})))
-                for tree, cids in zip(trees, transcript.reads)]
+    # the self-run reads value by value: iopp.word_oracle would first copy
+    # every word into a list of Python ints, some 36 bytes a class
+    transcript = verifier_query(seq, rs, params, challenges,
+                                lambda level, cid: words[level].values.item(cid), randomness)
+    openings = [_by_position(tree.open(_buckets(at, cids)))
+                for tree, at, cids in zip(trees, positions, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,
         chain_digest=seq.digest(),
@@ -306,18 +321,20 @@ def verify_noninteractive(
         return False, None
 
     challenges, randomness = derive_noninteractive_randomness(seq, rs, params, proof.roots)
+    positions = seq.commit_positions()
 
     try:
-        transcript = verifier_query(seq, rs, params, challenges,
-                                    lambda level, cid: proof.openings[level][cid][0],
-                                    randomness)
+        transcript = verifier_query(
+            seq, rs, params, challenges,
+            lambda level, cid: proof.openings[level][positions[level].item(cid)][0],
+            randomness)
     except KeyError:
         return False, None
-    # one record per read bucket, starting at its first class, at every
+    # one record per read bucket, starting at its first position, at every
     # level before anything is hashed
     records = [_records(opened) for opened in proof.openings]
-    if any([first for first, _, _ in level] != _bucket_starts(cids)
-           for level, cids in zip(records, transcript.reads)):
+    if any([first for first, _, _ in level] != [b * LEAF_CLASSES for b in _buckets(at, cids)]
+           for level, at, cids in zip(records, positions, transcript.reads)):
         return False, None
     for root, level, graph in zip(proof.roots, records, seq.graphs):
         if (any(max(values) >= rs.field.p for _, values, _ in level)

@@ -4,9 +4,9 @@ A RIM assigns every vertex exactly n incident edge slots indexed 1..n, stored
 here 0-based as a |V| x n int64 array ``adj`` with the involution property
 ``adj[adj[v, l], l] == v``.  A slot with ``adj[v, l] == v`` is a
 petal (loop).  Slots (v, l) and (adj[v, l], l) form one undirected edge
-class; words and Merkle leaves are indexed by classes in a canonical order,
-so that order is fixed once here: classes sorted by (minimum vertex id,
-index l).
+class; words are indexed by classes in a canonical order, and a proof's
+commit order is derived from it, so that order is fixed once here: classes
+sorted by (minimum vertex id, index l).
 
 Every table of the graph layer (class index, cut adjacency, projection,
 fold plan) is an int64 array built by whole-array expressions, and a table

@@ -2,7 +2,9 @@ import hashlib
 import random
 import struct
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import flowering.commitment as commitment
@@ -420,15 +422,22 @@ def ni_setup_r5():
     return instance, params, word, proof
 
 
+def _committed(seq, level, values):
+    """The level's values in its commit order, as the prover commits them."""
+    committed = np.empty_like(values)
+    committed[seq.commit_positions()[level]] = values
+    return committed
+
+
 def _unread_bucket(instance, params, word, proof, level=1):
     """(bucket, values, path): a bucket no walk reads, opened against the
     honest tree with a valid path."""
     challenges, _ = derive_noninteractive_randomness(
         instance.seq, instance.rs, params, proof.roots)
     _, words = prover_commit(instance.seq, word, replay(challenges))
-    tree = MerkleTree(words[level].values)
+    tree = MerkleTree(_committed(instance.seq, level, words[level].values))
     assert tree.root == proof.roots[level]
-    read = {cid // LEAF_CLASSES for cid in proof.openings[level]}
+    read = {at // LEAF_CLASSES for at in proof.openings[level]}
     bucket = min(set(range(-(-len(tree.values) // LEAF_CLASSES))) - read)
     [(_, values, path)] = tree.open([bucket])
     assert verify_path(proof.roots[level], bucket, values, path, len(tree.values))
@@ -436,16 +445,16 @@ def _unread_bucket(instance, params, word, proof, level=1):
 
 
 def _unread_opening(instance, params, word, proof):
-    # one class outside every read bucket, under its bucket's valid path
+    # one position outside every read bucket, under its bucket's valid path
     bucket, values, path = _unread_bucket(instance, params, word, proof)
     proof.openings[1][bucket * LEAF_CLASSES] = (values[0], path)
 
 
 def _unread_bucket_opening(instance, params, word, proof):
-    # every class of a bucket no walk reads, under its valid path
+    # every position of a bucket no walk reads, under its valid path
     bucket, values, path = _unread_bucket(instance, params, word, proof)
-    for cid, value in enumerate(values, bucket * LEAF_CLASSES):
-        proof.openings[1][cid] = (value, path)
+    for at, value in enumerate(values, bucket * LEAF_CLASSES):
+        proof.openings[1][at] = (value, path)
 
 
 def _first_opening(proof, level=1):
@@ -486,33 +495,78 @@ def _move_opening(instance, params, word, proof):
 
 def _resize_path(delta):
     def mutate(instance, params, word, proof):
-        # every path of the level made one digest shorter or longer, so the
-        # level's depth byte is off by one
-        opened, _ = _first_opening(proof)
+        # every path of a level made one digest shorter or longer, so the
+        # level's depth byte is off by one; the first level whose last
+        # opened bucket lies in the upper half of its tree, which one layer
+        # less cannot hold
+        opened = next(level for level in proof.openings
+                      if max(level) // LEAF_CLASSES >> (len(level[max(level)][1]) - 1))
         for cid, (value, path) in opened.items():
             opened[cid] = (value, path[:-1] if delta < 0 else path + [bytes(DIGEST_SIZE)])
     return mutate
 
 
 def _cid_out_of_range(instance, params, word, proof):
-    opened, cid = _first_opening(proof)
-    opened[instance.seq.graphs[1].classes.num_classes] = opened.pop(cid)
+    # position N under the first position's path, its pruned digests filled
+    # in, so that the level still writes one digest per sent sibling
+    opened, at = _first_opening(proof)
+    value, path = opened.pop(at)
+    opened[instance.seq.graphs[1].classes.num_classes] = (
+        value, [digest or bytes(DIGEST_SIZE) for digest in path])
 
 
 def _drop_last_class(instance, params, word, proof):
-    # an unread last class of a full read bucket: one short record, which
-    # starts where it should, so verify_open (its length check) refuses it
+    # the last position of a full read bucket, whose class was not read:
+    # one short record, which starts where it should, so verify_open (its
+    # length check) refuses it
     reads = verify_noninteractive(instance.seq, instance.rs, proof, params)[1].reads
-    level, last = next((level, cid) for level, opened in enumerate(proof.openings)
-                       for cid in sorted(opened)
-                       if cid % LEAF_CLASSES == LEAF_CLASSES - 1 and cid not in reads[level])
+    read = [{at.item(cid) for cid in cids}
+            for at, cids in zip(instance.seq.commit_positions(), reads)]
+    level, last = next((level, at) for level, opened in enumerate(proof.openings)
+                       for at in sorted(opened)
+                       if at % LEAF_CLASSES == LEAF_CLASSES - 1 and at not in read[level])
     del proof.openings[level][last]
 
 
+def _swap_pair(instance, params, word, proof):
+    # the honest proof of a random kernel codeword, whose two classes of a
+    # fold pair differ (an index-only word is equal on both), with the
+    # values of a level-0 pair, adjacent positions of one opened bucket,
+    # traded under the bucket's path
+    rng = random.Random(5)
+    field = instance.field
+    codeword = field.array([0] * instance.seq.graphs[0].classes.num_classes)
+    for vector in instance.code.codeword_basis():
+        codeword = field.mul_add(codeword, rng.randrange(field.p), field.array(vector))
+    swapped, transcript = prove_noninteractive(
+        instance.seq, instance.rs, Word(word.graph, field, codeword), params)
+    assert transcript.accept
+    positions = instance.seq.commit_positions()[0]
+    opened = swapped.openings[0]
+    a, b = next(pair for pair in positions[instance.seq.cuts[0].fold_plan].T.tolist()
+                if pair[0] in opened and opened[pair[0]][0] != opened[pair[1]][0])
+    assert abs(a - b) == 1 and min(a, b) % 2 == 0
+    (value_a, path_a), (value_b, path_b) = opened[a], opened[b]
+    opened[a], opened[b] = (value_b, path_a), (value_a, path_b)
+    return swapped.serialize()
+
+
+def _class_order_level(instance, params, word, proof):
+    # level 1 committed in class order, as format v4 committed every level,
+    # and opened at the buckets its reads touch in that order, under a
+    # version-5 header
+    positions = instance.seq.commit_positions()
+    layout = [*positions[:1], np.arange(positions[1].size), *positions[2:]]
+    with mock.patch.object(instance.seq, "commit_positions", lambda: layout):
+        forged, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
+    assert transcript.accept
+    return forged.serialize()
+
+
 def _extra_flower_class(instance, params, word, proof):
-    # class N of the flower level under its last bucket's path: the flower
-    # view reads every class, and the last bucket holds fewer than
-    # LEAF_CLASSES, so the record grows one class past it
+    # position N of the flower level, committed in class order, under its
+    # last bucket's path: the flower view reads every class, and the last
+    # bucket holds fewer than LEAF_CLASSES, so the record grows one past it
     opened = proof.openings[instance.r]
     num_classes = instance.seq.graphs[instance.r].classes.num_classes
     assert num_classes % LEAF_CLASSES and opened.keys() == set(range(num_classes))
@@ -572,8 +626,9 @@ def verify_open_calls(monkeypatch):
 
 
 def _read_buckets(proof) -> int:
-    # an honest proof opens exactly the buckets its query phase reads
-    return sum(len({cid // LEAF_CLASSES for cid in level}) for level in proof.openings)
+    # an honest proof opens exactly the buckets holding the commit
+    # positions its query phase reads
+    return sum(len({at // LEAF_CLASSES for at in level}) for level in proof.openings)
 
 
 # cases the parser refuses: a bucket written as several records, a depth
@@ -587,13 +642,14 @@ REFUSED_BY_PARSE = {"path-shorter", "dropped-middle", "two-paths", "dropped-sibl
     _drop_opening, _unread_opening, _move_opening, _resize_path(-1), _resize_path(+1),
     _cid_out_of_range, _drop_middle_class, _two_paths, _unread_bucket_opening,
     _drop_last_class, _extra_flower_class, _drop_sibling, _duplicate_sibling, _swap_sibling,
+    _swap_pair, _class_order_level,
 ], ids=["dropped", "unread-class", "moved-level", "path-shorter", "path-longer",
         "cid-num-classes", "dropped-middle", "two-paths", "unread-bucket",
         "dropped-last", "extra-flower-class", "dropped-sibling", "duplicated-sibling",
-        "swapped-sibling"])
+        "swapped-sibling", "swapped-pair", "class-order-level"])
 def test_ni_structural_mutations_rejected(ni_setup_r5, mutate, verify_open_calls, request):
     # the verifier accepts exactly the buckets its query phase reads, each
-    # with all its classes under the level's one pruned multi-opening of
+    # with all its positions under the level's one pruned multi-opening of
     # its tree's depth, and authenticates at most once per level.  A case
     # returns the proof's bytes where it changes them directly, and changes
     # the parsed proof otherwise.
@@ -672,14 +728,14 @@ def test_ni_padded_proof_rejected_before_hashing(verify_open_calls):
     assert len(calls) == instance.r + 1 and sum(map(len, calls)) == _read_buckets(proof)
 
     padded = NIProof.parse(proof.serialize())
-    tree = MerkleTree(word.values)
-    read = {cid // LEAF_CLASSES for cid in padded.openings[0]}
+    tree = MerkleTree(_committed(instance.seq, 0, word.values))
+    read = {at // LEAF_CLASSES for at in padded.openings[0]}
     unread = sorted(set(range(len(word.values) // LEAF_CLASSES)) - read)[:1000 // LEAF_CLASSES]
     for bucket in unread:
         [(_, values, path)] = tree.open([bucket])
         assert verify_path(proof.roots[0], bucket, values, path, len(word.values))
-        for cid, value in enumerate(values, bucket * LEAF_CLASSES):
-            padded.openings[0][cid] = (value, path)
+        for at, value in enumerate(values, bucket * LEAF_CLASSES):
+            padded.openings[0][at] = (value, path)
     assert sum(map(len, padded.openings)) == sum(map(len, proof.openings)) + 1000
     calls.clear()
     accept, transcript = verify_noninteractive(instance.seq, instance.rs,
@@ -741,11 +797,12 @@ def test_ni_header_t_above_n_rejected(ni_setup):
                                  ProtocolParams(params.m, instance.n + 1)) == (False, None)
 
 
-@pytest.mark.parametrize("r,max_bytes", [(8, 60_000), (4, 3_500)])
+@pytest.mark.parametrize("r,max_bytes", [(8, 36_000), (4, 3_100)])
 def test_ni_proof_size(r, max_bytes):
     # the r = 8 and r = 4 proofs of word seed 1 at m = 10, t = 2 stay within
-    # their size budgets, and each level sends exactly the sibling digests a
-    # multi-opening of its read buckets cannot compute: at each layer the
+    # their size budgets, each level opens the buckets holding the commit
+    # positions of its reads, and sends exactly the sibling digests a
+    # multi-opening of those buckets cannot compute: at each layer the
     # distinct siblings of the buckets' ancestors that are not ancestors
     n = (1 << r) - 1
     instance = gen_instance(r, 2**31 - 1, n - 2)
@@ -755,8 +812,9 @@ def test_ni_proof_size(r, max_bytes):
     blob = proof.serialize()
     assert transcript.accept and len(blob) <= max_bytes
     pos = 4 + 10 + 32 + 12 + 32 * (r + 1)
-    for graph, cids in zip(instance.seq.graphs, transcript.reads):
-        buckets = {cid // LEAF_CLASSES for cid in cids}
+    for graph, at, cids in zip(instance.seq.graphs, instance.seq.commit_positions(),
+                               transcript.reads):
+        buckets = {at.item(cid) // LEAF_CLASSES for cid in cids}
         depth = (-(-graph.classes.num_classes // LEAF_CLASSES) - 1).bit_length()
         above = [{b >> d for b in buckets} for d in range(depth)]
         digests = sum(len({a ^ 1 for a in layer} - layer) for layer in above)

@@ -1,15 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
-from conftest import random_word
+from conftest import planted_cut, random_word
 from flowering.cayley import blossoming_cayley, cayley_rim, gen_set_full, validate_gen_set
 from flowering.field import PrimeField
 from flowering.errors import FloweringError
-from flowering.folding import BlossomingSequence, CutMismatchError, fold
+from flowering.folding import BlossomingSequence, CutMismatchError, fold, pair_positions
 from flowering.graph_code import GraphCode, Word, cut_word, cut_word_on
 from flowering.reed_solomon import RSCode
-from flowering.rim_graph import InvalidCutError
+from flowering.rim_graph import RIM, FloweringCut, InvalidCutError
 
 
 def test_fold_alpha_zero_is_cut(t1):
@@ -168,3 +169,62 @@ def test_fold_pairs_partition_parent_classes():
             pairs = {frozenset(pair) for pair in cut.fold_plan.T.tolist()}
             covered = sorted(c for pair in pairs for c in pair)
             assert covered == list(range(cut.parent.classes.num_classes))
+
+
+def _partitions(cut) -> bool:
+    # the distinct pairs cover each parent class once
+    pairs = {frozenset(pair) for pair in cut.fold_plan.T.tolist()}
+    return (sorted(c for pair in pairs for c in pair)
+            == list(range(cut.parent.classes.num_classes)))
+
+
+def _assert_pair_order(cut, at):
+    # every two-class pair {plan[0][c], plan[1][c]} takes positions 2j and
+    # 2j+1, and the self-pairs come last
+    assert sorted(at.tolist()) == list(range(cut.parent.classes.num_classes))
+    a, b = at[cut.fold_plan]
+    two = a != b
+    assert (np.minimum(a, b)[two] % 2 == 0).all()
+    assert (np.abs(a - b)[two] == 1).all()
+    alone = sorted(set(a[~two].tolist()))
+    assert alone == list(range(at.size - len(alone), at.size))
+
+
+def test_commit_positions_in_pair_order(t1):
+    # each level below the flower is committed in its cut's pair order, a
+    # permutation of the level's classes, and the flower in class order
+    chains = [blossoming_cayley(gen_set_full(r)) for r in range(2, 9)]
+    chains += [blossoming_cayley(validate_gen_set(4, vectors, 3))
+               for vectors in ([8, 4, 2, 1, 15], [1, 2, 4, 8, 15])]
+    chains.append(t1["seq"])
+    for seq in chains:
+        positions = seq.commit_positions()
+        assert positions is seq.commit_positions()  # built once per chain
+        assert len(positions) == seq.r + 1
+        for cut, at in zip(seq.cuts, positions):
+            _assert_pair_order(cut, at)
+        assert positions[-1].tolist() == list(range(seq.graphs[-1].classes.num_classes))
+
+
+def test_commit_positions_fall_back_to_class_order():
+    # the edge {0, 3} crosses a cut whose phi is 0 -> 2, 1 -> 3, so its class
+    # is in the fold pairs of both child classes, with {2} and with {1}: the
+    # pairs do not partition level 0, which is committed in class order
+    graph = RIM(1, [[3], [1], [2], [0]])
+    seq = BlossomingSequence(graph, [([0, 1], {0: 2, 1: 3}), ([0], {0: 1})])
+    assert seq.cuts[0].fold_plan.tolist() == [[0, 1], [2, 0]]
+    assert [at.tolist() for at in seq.commit_positions()] == [[0, 1, 2], [0, 1], [0]]
+    # on random planted cuts, whose cross edges may join a class to two
+    # pairs, the positions follow the pairs exactly when they partition
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(300):
+        graph, kept, phi = planted_cut(rng, rng.randrange(1, 7), rng.randrange(1, 5))
+        cut = FloweringCut(graph, kept, phi)
+        at = pair_positions(cut)
+        seen.add(_partitions(cut))
+        if _partitions(cut):
+            _assert_pair_order(cut, at)
+        else:
+            assert at.tolist() == list(range(graph.classes.num_classes))
+    assert seen == {True, False}

@@ -43,12 +43,12 @@ def instance(r: int):
 
 
 NI_PROOFS = {
-    (3, 1): "6d90d632014c04a35ed89f13c9e5b0872fd0ba5d17c7f13ec1090cce66e52ee2",
-    (3, 2): "abd4684b0384293ab2aa8a3e805e5d30cc110ae370e13d4935cc59ed5d7439ac",
-    (4, 1): "3494c079bfa0a6d722841f5c82d81d47b2c85575ef5e7ca86b0895ac601e7415",
-    (4, 2): "ff69c275e075f16ad466a99d823e8bd83674e6249dc0c3bee287963b7b2d5bbb",
-    (6, 1): "978f3f0d386106fae18d57b171f06651167617a855a38ea46f0f6bee2c7ffa56",
-    (8, 1): "f57b697b41445dfec431ce9b0f00355fd95cef326d10b3c6381b160b56b9a8b5",
+    (3, 1): "c6189ebb6fc827bda05b70c4a4e098ebd55facf6d38ba84b0ad2101b4a50835f",
+    (3, 2): "347e5e79e80955fcb2da5a8728efcef0df0cece1146ed69686eb3d7123ceb494",
+    (4, 1): "81211467173c53fe97476b01d7935a1411abdc9ef37c68905baa57ee3e7d812f",
+    (4, 2): "e5496aa728e3d0a63bae9aeea787fb60ac0ce3c8ae94e7c18055e820a29c18cb",
+    (6, 1): "930030ad8facb8c551009cde9cf52abf8159716012aa53dcf9de14e5f9dc986a",
+    (8, 1): "d0bfdcf27552bc544eedb879b79dc913c4d4a3e2bb489b0dc6bb3a45644bf4d4",
 }
 
 
