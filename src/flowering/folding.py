@@ -50,12 +50,6 @@ def fold(cut: FloweringCut, f: Word, alpha: int) -> Word:
                     field.mul_add(vals[plan[0]], field.reduce(alpha), vals[plan[1]]))
 
 
-def _positions(num: int) -> np.ndarray:
-    """The positions 0..num-1, in int32, half the memory of an int64 table,
-    wherever they fit."""
-    return np.arange(num, dtype=np.int32 if num <= np.iinfo(np.int32).max else np.int64)
-
-
 def pair_positions(cut: FloweringCut) -> np.ndarray:
     """The commit position of each parent class in the cut's pair order:
     the two-class fold pairs first, pair j at positions 2j and 2j+1 in
@@ -63,7 +57,7 @@ def pair_positions(cut: FloweringCut) -> np.ndarray:
     the pairs do not partition the parent's classes (some class is in two
     distinct pairs, or in none), the positions are the class order."""
     plan = cut.fold_plan
-    ids = _positions(cut.parent.classes.num_classes)
+    ids = np.arange(cut.parent.classes.num_classes, dtype=np.int32)
     partner = np.full_like(ids, -1)
     partner[plan[0]] = plan[1]
     partner[plan[1]] = plan[0]
@@ -93,7 +87,6 @@ class BlossomingSequence:
         self.cuts: list[FloweringCut] = []
         self.graphs = [graph0]
         self._digest: bytes | None = None
-        self._proof_length: int | None = None
         self._positions: list[np.ndarray] | None = None
         for v_prime, phi in specs:
             self.cuts.append(FloweringCut(self.graphs[-1], v_prime, phi))
@@ -109,9 +102,7 @@ class BlossomingSequence:
 
     def proof_length(self) -> int:
         """Total number of edge classes across the sent levels 1..r."""
-        if self._proof_length is None:
-            self._proof_length = sum(g.classes.num_classes for g in self.graphs[1:])
-        return self._proof_length
+        return sum(g.classes.num_classes for g in self.graphs[1:])
 
     def commit_positions(self) -> list[np.ndarray]:
         """Per level, the Merkle position of each class: levels 0..r-1 in
@@ -119,7 +110,7 @@ class BlossomingSequence:
         Built on first use, not with the chain or its fold plans."""
         if self._positions is None:
             self._positions = ([pair_positions(cut) for cut in self.cuts]
-                               + [_positions(self.graphs[-1].classes.num_classes)])
+                               + [np.arange(self.graphs[-1].classes.num_classes, dtype=np.int32)])
         return self._positions
 
     def digest(self) -> bytes:

@@ -142,10 +142,10 @@ def prover_commit(seq: BlossomingSequence, f0: Word, challenge,
 
 def word_oracle(words: list[Word]):
     """The oracle of verifier_query over the prover's words f_0..f_r.  It
-    answers in Python ints, each word read once through tolist, so the fold
-    checks and the RS check are exact at any modulus."""
-    views = [w.values.tolist() for w in words]
-    return lambda level, cid: views[level][cid]
+    answers in Python ints, read value by value with item, so the fold
+    checks and the RS check are exact at any modulus and no word is copied
+    (a copy as a list of Python ints holds some 36 bytes a class)."""
+    return lambda level, cid: words[level].values.item(cid)
 
 
 def sample_query_randomness(rng: random.Random, num_vertices: int, n: int,

@@ -72,7 +72,7 @@ from .commitment import (
 from .errors import FloweringError
 from .folding import BlossomingSequence
 from .graph_code import Word
-from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query
+from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, word_oracle
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
@@ -278,10 +278,7 @@ def prove_noninteractive(
 
     challenges, words = prover_commit(seq, f0, commit)
     randomness = commit(words[-1])
-    # the self-run reads value by value: iopp.word_oracle would first copy
-    # every word into a list of Python ints, some 36 bytes a class
-    transcript = verifier_query(seq, rs, params, challenges,
-                                lambda level, cid: words[level].values.item(cid), randomness)
+    transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
     openings = [_by_position(tree.open(_buckets(at, cids)))
                 for tree, at, cids in zip(trees, positions, transcript.reads)]
     proof = NIProof(
