@@ -40,7 +40,8 @@ from .field import PrimeField
 DIGEST = hashlib.sha256
 DIGEST_SIZE = 32
 # positions per Merkle leaf: an opened bucket carries its unread positions
-# as 8-byte values and saves the 32-byte path digests of separate leaves
+# as values of p's byte width (4 B at p = 2^31 - 1) and saves the 32-byte
+# path digests of separate leaves
 LEAF_CLASSES = 8
 
 _LEAF_PREFIX = b"\x00"

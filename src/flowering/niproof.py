@@ -28,14 +28,19 @@ at most one authentication per level, however many openings it carries.
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
 
-Binary layout, version 5 (little-endian):
-    magic "FLWR" | version u16 = 5 | p u64 | chain digest 32B | r u32 |
+Binary layout, version 6 (little-endian):
+    magic "FLWR" | version u16 = 6 | p u64 | chain digest 32B | r u32 |
     m u32 | t u32 | (r+1) roots 32B | per level: count u32 | depth u8 |
-    count records (first position u64 | n u8 | n values u64) |
+    count records (first position u32 | n u8 | n values of w bytes) |
     the level's sibling digests 32B.
-A record opens the n consecutive commit positions first..first+n-1 of one
-Merkle bucket (commitment.LEAF_CLASSES positions per leaf); an honest proof
-writes one record per opened bucket.  The sibling digests are the pruned
+A value takes the smallest width w of 1, 2, 4 or 8 bytes with p <= 2^(8w):
+4 bytes at p = 2^31 - 1, 8 at p = 2^61 - 1.  Only the wire narrows: the
+Merkle leaves hash every value as a u64 (commitment.MerkleTree), so the
+roots do not depend on w.  A record opens the n consecutive commit
+positions first..first+n-1 of one Merkle bucket (commitment.LEAF_CLASSES
+positions per leaf); an honest proof writes one record per opened bucket,
+and a position fits a u32 since a graph has at most
+cayley.MAX_GRAPH_ENTRIES slots.  The sibling digests are the pruned
 multi-opening of the level's buckets (commitment.sent_siblings): for each
 layer d < depth, in increasing position, the node at (b >> d) ^ 1 for each
 record bucket b, once, skipped where it is itself an ancestor b' >> d of a
@@ -45,13 +50,15 @@ level, since the parser has no instance to derive it from; the verifier
 requires it to equal the level tree's depth.  The chain digest is
 ``BlossomingSequence.digest``.  Parsing is strict: any other version (1
 bound graph 0 alone, 2 had one leaf per class, 3 sent a full path per
-record, 4 committed every level in class order), an r, m or t outside
-1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS or a depth
-above MAX_DEPTH, a record of no position or of positions of two buckets, a
-record in a bucket not after the previous record's, a bucket outside a
-tree of the level's depth, a depth on a level of no records, a truncation
-or a trailing byte is malformed, so a missing or extra digest is too; and
-the prover refuses to write a header the parser would refuse.
+record, 4 committed every level in class order, 5 sent every value as a
+u64), an r, m or t outside 1..MAX_R, 1..MAX_M or 1..MAX_T, a count above
+MAX_OPENINGS or a depth above MAX_DEPTH, a record of no position or of
+positions of two buckets, a record in a bucket not after the previous
+record's, a bucket outside a tree of the level's depth, a depth on a level
+of no records, a truncation or a trailing byte is malformed, so a missing
+or extra digest is too; and the prover refuses to write a header the
+parser would refuse, and the writer a value outside w bytes or a position
+outside a u32.
 """
 
 from __future__ import annotations
@@ -76,14 +83,14 @@ from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, wor
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
-VERSION = 5
+VERSION = 6
 # header bounds the parser enforces and the prover respects
 MAX_R = 64
 MAX_M = 1 << 14
 MAX_T = 1 << 12
 MAX_OPENINGS = 1 << 24
-# a u64 position lies in one of at most 2^61 buckets
-MAX_DEPTH = 61
+# a u32 position lies in one of at most 2^29 buckets
+MAX_DEPTH = 29
 
 
 class MalformedProofError(FloweringError):
@@ -101,6 +108,7 @@ class NIProof:
     openings: list[dict[int, tuple[int, list[bytes]]]]  # per level: position -> (value, path)
 
     def serialize(self) -> bytes:
+        code = _value_code(self.p)
         out = [MAGIC, struct.pack("<HQ", VERSION, self.p), self.chain_digest,
                struct.pack("<III", self.r, self.m, self.t)]
         out.extend(self.roots)
@@ -112,7 +120,13 @@ class NIProof:
             out.append(struct.pack("<IB", len(records), depth))
             paths = {}
             for first, values, path in records:
-                out.append(struct.pack(f"<QB{len(values)}Q", first, len(values), *values))
+                try:
+                    out.append(struct.pack(f"<IB{len(values)}{code}", first, len(values),
+                                           *values))
+                except struct.error as exc:
+                    raise FloweringError(
+                        f"the record of {len(values)} values from position {first} does not "
+                        f"fit format v{VERSION} at p = {self.p}: {exc}") from None
                 paths.setdefault(first // LEAF_CLASSES, path)
             out.extend(paths[bucket][d] for d, bucket in sent_siblings(list(paths), depth))
         return b"".join(out)
@@ -135,6 +149,8 @@ class NIProof:
         version, p = struct.unpack("<HQ", take(10))
         if version != VERSION:
             raise MalformedProofError(f"unsupported version {version}")
+        code = _value_code(p)
+        width = struct.calcsize(f"<{code}")
         chain_digest = take(DIGEST_SIZE)
         r, m, t = struct.unpack("<III", take(12))
         if not (1 <= r <= MAX_R and 1 <= m <= MAX_M and 1 <= t <= MAX_T):
@@ -148,7 +164,7 @@ class NIProof:
             records = []
             buckets = []
             for _ in range(count):
-                first, n = struct.unpack("<QB", take(9))
+                first, n = struct.unpack("<IB", take(5))
                 bucket = first // LEAF_CLASSES
                 if n == 0 or bucket != (first + n - 1) // LEAF_CLASSES:
                     raise MalformedProofError(
@@ -156,7 +172,7 @@ class NIProof:
                 if buckets and bucket <= buckets[-1]:
                     raise MalformedProofError(
                         f"a record in bucket {bucket} follows one in bucket {buckets[-1]}")
-                records.append((first, struct.unpack(f"<{n}Q", take(8 * n))))
+                records.append((first, struct.unpack(f"<{n}{code}", take(width * n))))
                 buckets.append(bucket)
             if buckets and buckets[-1] >> depth:
                 raise MalformedProofError(
@@ -175,6 +191,12 @@ class NIProof:
         if pos != len(view):
             raise MalformedProofError("trailing bytes")
         return cls(p, chain_digest, r, m, t, roots, openings)
+
+
+def _value_code(p: int) -> str:
+    """The struct code of the narrowest of 1, 2, 4 and 8 bytes that holds
+    every value below p."""
+    return next(code for code in "BHIQ" if p <= 1 << 8 * struct.calcsize(f"<{code}"))
 
 
 def _records(level: dict[int, tuple[int, list[bytes]]]):

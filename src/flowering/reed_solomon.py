@@ -119,7 +119,10 @@ class RSCode:
 
 def _product_of_roots(points, field: PrimeField) -> list[int]:
     """The coefficients, low-degree first, of prod (X - x) over the points."""
-    coeffs = field.array([1])
-    for x in points:
-        coeffs = field.sub(np.append(0, coeffs), x * np.append(coeffs, 0))
-    return coeffs.tolist()
+    # coefficient i at index i + 1, behind a zero that stays, so that each
+    # factor is one in-place update: c_i becomes c_{i-1} - x c_i
+    padded = np.zeros(len(points) + 2, dtype=field.dtype)
+    padded[1] = 1
+    for end, x in enumerate(points, 2):
+        padded[1:end + 1] = field.sub(padded[:end], x * padded[1:end + 1])
+    return padded[1:].tolist()

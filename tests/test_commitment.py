@@ -322,6 +322,23 @@ def test_ni_round_trip(ni_setup):
     assert parsed.serialize() == blob
 
 
+@pytest.mark.parametrize("p,width", [(5, 1), (101, 1), (65537, 4), (2**31 - 1, 4),
+                                     (2**31 + 11, 4), (2**61 - 1, 8)])
+def test_ni_round_trip_at_value_width(p, width):
+    # each value goes on the wire in the smallest of 1, 2, 4 and 8 bytes
+    # holding every value below p, and serialize -> parse -> serialize is
+    # byte-identical at every width
+    instance = gen_instance(2, p, 1)
+    params = ProtocolParams(4, 2)
+    word = random_codeword_word(instance, random.Random(p))
+    proof, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
+    blob = proof.serialize()
+    parsed = NIProof.parse(blob)
+    assert transcript.accept and parsed == proof and parsed.serialize() == blob
+    assert _digest_lists(proof, width)[-1][1] == len(blob)
+    assert verify_noninteractive(instance.seq, instance.rs, parsed, params)[0]
+
+
 def test_ni_matches_interactive_given_same_challenges(ni_setup):
     # the NI prover is prover_commit and verifier_query on the Fiat-Shamir
     # challenges and randomness; a far word's proof opens only valid paths,
@@ -412,9 +429,33 @@ def test_ni_out_of_range_value_rejected(ni_setup):
     assert verify_noninteractive(instance.seq, instance.rs, proof, params) == (False, None)
 
 
+def test_ni_writer_refuses_what_the_parser_would(ni_setup):
+    # at p = 101 a value takes one byte, and a first position is a u32: a
+    # value past a byte or a position past a u32 is one error line from
+    # serialize, never a proof of other values or a bare struct.error
+    _, _, _, proof, _ = ni_setup
+    level = next(i for i, lv in enumerate(proof.openings) if lv)
+    at, (_, path) = next(iter(proof.openings[level].items()))
+    for key, value in ((at, 256), (at, -1), (1 << 32, 0)):
+        hacked = NIProof.parse(proof.serialize())
+        hacked.openings[level][key] = (value, path)
+        with pytest.raises(FloweringError, match="does not fit format v6 at p = 101") as info:
+            hacked.serialize()
+        assert "\n" not in str(info.value)
+    # the widest value and the last position are written; the parser reads
+    # the value back, and refuses the position only for the level's depth
+    hacked = NIProof.parse(proof.serialize())
+    hacked.openings[level][at] = (255, path)
+    assert NIProof.parse(hacked.serialize()) == hacked
+    hacked.openings[level][(1 << 32) - 1] = (0, path)
+    with pytest.raises(MalformedProofError, match="outside a tree of depth"):
+        NIProof.parse(hacked.serialize())
+
+
 @pytest.fixture(scope="module")
 def ni_setup_r5():
-    # r = 5, so that levels 0..2 have buckets no walk reads
+    # r = 5, so that levels 0..2 have buckets no walk reads; at
+    # p = 2^31 - 1 a value takes 4 bytes on the wire
     instance = gen_instance(5, 2**31 - 1, 29)
     params = ProtocolParams(3, 2)
     word = random_codeword_word(instance, random.Random(0))
@@ -573,13 +614,14 @@ def _extra_flower_class(instance, params, word, proof):
     opened[num_classes] = (0, opened[num_classes - 1][1])
 
 
-def _digest_lists(proof) -> list[tuple[int, int]]:
-    """(start, end) in the proof's bytes of each level's sibling digests."""
+def _digest_lists(proof, width: int) -> list[tuple[int, int]]:
+    """(start, end) in the proof's bytes of each level's sibling digests,
+    each record being a 5-byte header and its values of width bytes."""
     pos = 4 + 10 + 32 + 12 + 32 * (proof.r + 1)
     spans = []
     for level in proof.openings:
         records = niproof._records(level)
-        pos += 5 + sum(9 + 8 * len(values) for _, values, _ in records)
+        pos += 5 + sum(5 + width * len(values) for _, values, _ in records)
         depth = len(records[0][2]) if records else 0
         sent = len(list(sent_siblings([first // LEAF_CLASSES for first, _, _ in records], depth)))
         spans.append((pos, pos + DIGEST_SIZE * sent))
@@ -590,7 +632,7 @@ def _digest_lists(proof) -> list[tuple[int, int]]:
 def _drop_sibling(instance, params, word, proof):
     # level 0's list of sibling digests one short
     blob = proof.serialize()
-    start, end = _digest_lists(proof)[0]
+    start, end = _digest_lists(proof, 4)[0]
     assert end > start
     return blob[:start] + blob[start + DIGEST_SIZE:]
 
@@ -598,14 +640,14 @@ def _drop_sibling(instance, params, word, proof):
 def _duplicate_sibling(instance, params, word, proof):
     # level 0's first sibling digest sent twice
     blob = proof.serialize()
-    start, _ = _digest_lists(proof)[0]
+    start, _ = _digest_lists(proof, 4)[0]
     return blob[:start + DIGEST_SIZE] + blob[start:]
 
 
 def _swap_sibling(instance, params, word, proof):
     # the first sibling digests of levels 0 and 1 trade places
     blob = bytearray(proof.serialize())
-    (a, _), (b, _) = _digest_lists(proof)[:2]
+    (a, _), (b, _) = _digest_lists(proof, 4)[:2]
     blob[a:a + DIGEST_SIZE], blob[b:b + DIGEST_SIZE] = (blob[b:b + DIGEST_SIZE],
                                                         blob[a:a + DIGEST_SIZE])
     return bytes(blob)
@@ -683,7 +725,8 @@ def test_ni_malformed_records_refused(ni_setup):
                 + digests + tail)
 
     def record(first, values):
-        return struct.pack(f"<QB{len(values)}Q", first, len(values), *values)
+        # at p = 101 each value takes one byte
+        return struct.pack(f"<IB{len(values)}B", first, len(values), *values)
 
     # buckets 0 and 1: siblings, so at depth 1 nothing is sent and at
     # depth 2 the one sibling of their parent is
@@ -797,7 +840,7 @@ def test_ni_header_t_above_n_rejected(ni_setup):
                                  ProtocolParams(params.m, instance.n + 1)) == (False, None)
 
 
-@pytest.mark.parametrize("r,max_bytes", [(8, 36_000), (4, 3_100)])
+@pytest.mark.parametrize("r,max_bytes", [(8, 29_000), (4, 1_800)])
 def test_ni_proof_size(r, max_bytes):
     # the r = 8 and r = 4 proofs of word seed 1 at m = 10, t = 2 stay within
     # their size budgets, each level opens the buckets holding the commit
@@ -822,6 +865,7 @@ def test_ni_proof_size(r, max_bytes):
         assert (count, depth_byte) == (len(buckets), depth)
         pos += 5
         for _ in range(count):
-            pos += 9 + 8 * blob[pos + 8]
+            # a u32 first position, n as a u8, and n values of 4 bytes
+            pos += 5 + 4 * blob[pos + 4]
         pos += DIGEST_SIZE * digests
     assert pos == len(blob)

@@ -23,7 +23,7 @@ from flowering.experiments import (
 )
 from flowering.field import PrimeField
 from flowering.iopp import ProtocolParams
-from flowering.niproof import prove_noninteractive
+from flowering.niproof import NIProof, prove_noninteractive
 from flowering.reed_solomon import RSCode
 
 P = 2**31 - 1
@@ -43,12 +43,22 @@ def instance(r: int):
 
 
 NI_PROOFS = {
-    (3, 1): "c6189ebb6fc827bda05b70c4a4e098ebd55facf6d38ba84b0ad2101b4a50835f",
-    (3, 2): "347e5e79e80955fcb2da5a8728efcef0df0cece1146ed69686eb3d7123ceb494",
-    (4, 1): "81211467173c53fe97476b01d7935a1411abdc9ef37c68905baa57ee3e7d812f",
-    (4, 2): "e5496aa728e3d0a63bae9aeea787fb60ac0ce3c8ae94e7c18055e820a29c18cb",
-    (6, 1): "930030ad8facb8c551009cde9cf52abf8159716012aa53dcf9de14e5f9dc986a",
-    (8, 1): "d0bfdcf27552bc544eedb879b79dc913c4d4a3e2bb489b0dc6bb3a45644bf4d4",
+    (3, 1): "3c56703145273e9e46cd66630f63fb2560a56672e499db2ff9d2c82488f8d6b7",
+    (3, 2): "fe2fc8500e6254551caa7fa3d49f5e88b19ac19529774134a7d66d5db051f406",
+    (4, 1): "cca3f23d755ff4a0c88e1b2ab2295cb5f956d147f0ba75629cdddf5839440a0f",
+    (4, 2): "fc9feeac1765a49f6f9849b07510eaf64f4420e0fdc41faa742ad8a211c48191",
+    (6, 1): "3fc0e787a77054ca0aeb89434934e5d1ab6f4728f384d3bc21178586ccb90e0d",
+    (8, 1): "321a5102f4b811a3da1290102c2a93b06473223180980571c20a34a556118d3a",
+}
+# the SHA-256 of each proof's concatenated Merkle roots, which no change of
+# wire format moves: these are format v5's
+NI_ROOTS = {
+    (3, 1): "3fc212250c88a81ecadbfc97c959ccaf9f4ca4e3c0f77099181713a685e06caf",
+    (3, 2): "8b0b581ea4e191d99dcd2e1504768378abe08a9642baa6156dec2a2160cc647b",
+    (4, 1): "98bf347e0eac46ef0e9e05e948b6d2bc9c7e5c352722e7df71a0cbbab7cd9b73",
+    (4, 2): "712dd17134ee468002261956d48fca71fc196da31e234a05e84fa02abf6d992a",
+    (6, 1): "6def06980707695a01b5244472d07b792d4f10013bb0781089d087dcbc6f9960",
+    (8, 1): "21ff8cec9e4cc07ed356710bd59ac4ee64646f79cfd67ce8ba168f0228698a03",
 }
 
 
@@ -58,7 +68,10 @@ def test_ni_proof_bytes(r, seed):
     word = random_codeword_word(inst, random.Random(derive_seed(seed, 1)))
     proof, transcript = prove_noninteractive(inst.seq, inst.rs, word, ProtocolParams(10, 2))
     assert transcript.accept
-    assert sha256(proof.serialize()) == NI_PROOFS[(r, seed)]
+    blob = proof.serialize()
+    assert sha256(blob) == NI_PROOFS[(r, seed)]
+    assert sha256(b"".join(proof.roots)) == NI_ROOTS[(r, seed)]
+    assert NIProof.parse(blob) == proof
 
 
 def test_honest_run_transcript_bytes():
