@@ -5,15 +5,16 @@ in its level's commit order (niproof), in which the two classes of a fold
 pair are adjacent, so here a position is an index into that array and not
 a class id.  The array is committed in buckets of LEAF_CLASSES consecutive
 positions, one bucket per leaf, as FRI commits one coset per leaf: leaf j
-hashes the bucket index j with the values at positions 8j..8j+7 (the last
-leaf holds only the positions that remain), and leaf/node hashes are
-domain-separated by a one-byte prefix, so a path commits to a position,
-not just values.  The leaf layer is zero-padded to a power of two.  Each
-tree layer is one contiguous bytes object of digests, and the preimages of
-a layer are built as one numpy record array (the leaves straight from the
-committed array) and hashed row by row, so the hashing is one DIGEST call
-per leaf and per node and nothing else per position.  SHA-256 throughout;
-every hash goes through the module-level DIGEST.
+hashes the bucket index j with the values of bucket j, positions
+LEAF_CLASSES * j on (the last leaf holds only the positions that remain),
+and leaf/node hashes are domain-separated by a one-byte prefix, so a path
+commits to a position, not just values.  The leaf layer is zero-padded to
+a power of two.  Each tree layer is one contiguous bytes object of
+digests, and the preimages of a layer are built as one numpy record array
+(the leaves straight from the committed array) and hashed by one map over
+its rows, so the hashing is one DIGEST call per leaf and per node and no
+bytecode per row.  SHA-256 throughout; every hash goes through the
+module-level DIGEST.
 
 Buckets are opened together, as a multi-opening: at each layer the
 sibling of an opened bucket's ancestor is sent once, and not at all where
@@ -39,10 +40,11 @@ from .field import PrimeField
 
 DIGEST = hashlib.sha256
 DIGEST_SIZE = 32
+_DIGEST_OF = type(DIGEST()).digest  # the digest method of a DIGEST object
 # positions per Merkle leaf: an opened bucket carries its unread positions
 # as values of p's byte width (4 B at p = 2^31 - 1) and saves the 32-byte
-# path digests of separate leaves
-LEAF_CLASSES = 8
+# path digests of separate leaves; 16 gives 8's proof size at half the hashes
+LEAF_CLASSES = 16
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -66,12 +68,10 @@ def _leaf_preimage(bucket: int, values: list[int]) -> bytes:
 
 
 def _hash_rows(records: np.ndarray) -> bytes:
-    """The digests of the rows of a 2-D uint8 array, concatenated."""
-    digest = DIGEST
-    width = records.shape[1]
-    view = memoryview(records.tobytes())
-    return b"".join([digest(view[i:i + width]).digest()
-                     for i in range(0, len(view), width)])
+    """The digests of the rows of a 2-D uint8 array, concatenated: each row
+    as one bytes object, hashed and digested by map."""
+    rows = records.view(f"V{records.shape[1]}").ravel().tolist()
+    return b"".join(map(_DIGEST_OF, map(DIGEST, rows)))
 
 
 def _leaf_layer(values: np.ndarray) -> bytes:

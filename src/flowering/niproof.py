@@ -15,21 +15,20 @@ query phase's read log.
 
 The record rule: a proof opens exactly the records that were read, and each
 level's records are authenticated together, once.  A record is the
-positions of one bucket under one path; NIProof.openings holds them per commit
-position, and _records (serialize, the verifier) and _by_position (parse,
-the prover) are the only conversions.  The verifier reads each class at its
-commit position, and requires each level's records to start exactly at the
-first positions of the buckets its reads touch, at every level before it
-hashes anything; then each record needs every value below p, and
-each level one verify_open, which refuses a wrong length or path depth and
-hashes each opened leaf and each distinct ancestor once.  So a proof causes
-at most one authentication per level, however many openings it carries.
+positions of one bucket under one path; NIProof.openings holds them per
+commit position, and _records (serialize), _read_records (the verifier) and
+_by_position (parse, the prover) are the only conversions.  Each level must
+open exactly the positions of the buckets holding the commit positions of
+its reads, each bucket under one path, before anything is hashed; then each
+record needs every value below p, and each level one verify_open, which
+refuses a wrong path depth and hashes each opened leaf and each distinct
+ancestor once.  So a proof causes at most one authentication per level.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
 
-Binary layout, version 6 (little-endian):
-    magic "FLWR" | version u16 = 6 | p u64 | chain digest 32B | r u32 |
+Binary layout, version 7 (little-endian):
+    magic "FLWR" | version u16 = 7 | p u64 | chain digest 32B | r u32 |
     m u32 | t u32 | (r+1) roots 32B | per level: count u32 | depth u8 |
     count records (first position u32 | n u8 | n values of w bytes) |
     the level's sibling digests 32B.
@@ -51,14 +50,14 @@ requires it to equal the level tree's depth.  The chain digest is
 ``BlossomingSequence.digest``.  Parsing is strict: any other version (1
 bound graph 0 alone, 2 had one leaf per class, 3 sent a full path per
 record, 4 committed every level in class order, 5 sent every value as a
-u64), an r, m or t outside 1..MAX_R, 1..MAX_M or 1..MAX_T, a count above
-MAX_OPENINGS or a depth above MAX_DEPTH, a record of no position or of
-positions of two buckets, a record in a bucket not after the previous
-record's, a bucket outside a tree of the level's depth, a depth on a level
-of no records, a truncation or a trailing byte is malformed, so a missing
-or extra digest is too; and the prover refuses to write a header the
-parser would refuse, and the writer a value outside w bytes or a position
-outside a u32.
+u64, 6 had 8-class leaves), an r, m or t outside 1..MAX_R, 1..MAX_M or
+1..MAX_T, a count above MAX_OPENINGS or a depth above MAX_DEPTH, a record
+of no position or of positions of two buckets, a record in a bucket not
+after the previous record's, a bucket outside a tree of the level's depth,
+a depth on a level of no records, a truncation or a trailing byte is
+malformed, so a missing or extra digest is too; and the prover refuses to
+write a header the parser would refuse, and the writer a value outside w
+bytes or a position outside a u32.
 """
 
 from __future__ import annotations
@@ -83,14 +82,14 @@ from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, wor
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
-VERSION = 6
+VERSION = 7
 # header bounds the parser enforces and the prover respects
 MAX_R = 64
 MAX_M = 1 << 14
 MAX_T = 1 << 12
 MAX_OPENINGS = 1 << 24
-# a u32 position lies in one of at most 2^29 buckets
-MAX_DEPTH = 29
+# the depth of a tree whose buckets hold every u32 position
+MAX_DEPTH = (2**32 // LEAF_CLASSES - 1).bit_length()
 
 
 class MalformedProofError(FloweringError):
@@ -222,6 +221,20 @@ def _buckets(positions, cids) -> list[int]:
     return sorted({positions.item(cid) // LEAF_CLASSES for cid in cids})
 
 
+def _read_records(opened, positions, cids):
+    """The (first position, values, path) records of the buckets holding the
+    commit positions of cids, each whole (else KeyError) under one path;
+    None if two positions differ in path or another position is opened."""
+    records = []
+    for first in [bucket * LEAF_CLASSES for bucket in _buckets(positions, cids)]:
+        values, paths = zip(*[opened[at] for at in
+                              range(first, min(first + LEAF_CLASSES, positions.size))])
+        if paths.count(paths[0]) < len(paths):
+            return None
+        records.append((first, values, paths[0]))
+    return records if sum(len(values) for _, values, _ in records) == len(opened) else None
+
+
 def _by_position(records) -> dict[int, tuple[int, list[bytes]]]:
     """The level's openings from its (first position, values, path)
     records, which lie in distinct buckets: each position under its
@@ -324,11 +337,8 @@ def verify_noninteractive(
     t, and a proof whose header names others is rejected; None takes the
     header's.  (False, None) on any mismatch."""
     graph0 = seq.graphs[0]
-    if proof.p != rs.field.p:
-        return False, None
-    if proof.chain_digest != seq.digest():
-        return False, None
-    if proof.r != seq.r or not len(proof.roots) == len(proof.openings) == seq.r + 1:
+    if (proof.p != rs.field.p or proof.chain_digest != seq.digest() or proof.r != seq.r
+            or not len(proof.roots) == len(proof.openings) == seq.r + 1):
         return False, None
     header = ProtocolParams(proof.m, proof.t)
     params = params or header
@@ -347,13 +357,13 @@ def verify_noninteractive(
             seq, rs, params, challenges,
             lambda level, cid: proof.openings[level][positions[level].item(cid)][0],
             randomness)
+        # exactly the positions of the read buckets, each bucket under one
+        # path, at every level before anything is hashed
+        records = [_read_records(opened, at, cids)
+                   for opened, at, cids in zip(proof.openings, positions, transcript.reads)]
     except KeyError:
         return False, None
-    # one record per read bucket, starting at its first position, at every
-    # level before anything is hashed
-    records = [_records(opened) for opened in proof.openings]
-    if any([first for first, _, _ in level] != [b * LEAF_CLASSES for b in _buckets(at, cids)]
-           for level, at, cids in zip(records, positions, transcript.reads)):
+    if None in records:
         return False, None
     for root, level, graph in zip(proof.roots, records, seq.graphs):
         if (any(max(values) >= rs.field.p for _, values, _ in level)

@@ -55,7 +55,7 @@ def test_prove_verify_ni_json(tmp_path, instance_file):
     proof = tmp_path / "proof.json"
     assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,
                "--seed", 6, "--json", "--out", proof) == 0
-    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v6"
+    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v7"
     assert run("verify", "--instance", instance_file, "--proof", proof,
                "--m", 2, "--t", 1) == 0
 
@@ -185,6 +185,9 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     # a version-5 header, the format that sent every value as a u64
     v5_proof = tmp_path / "v5_proof.bin"
     v5_proof.write_bytes(proof.read_bytes()[:4] + b"\x05\x00" + proof.read_bytes()[6:])
+    # a version-6 header, the format of 8-class Merkle leaves
+    v6_proof = tmp_path / "v6_proof.bin"
+    v6_proof.write_bytes(proof.read_bytes()[:4] + b"\x06\x00" + proof.read_bytes()[6:])
     v1_word = write("v1_word.json", {
         "p": str(p), "values": ["0"] * 120,
         "graph_hash": "fff32483e303ad9426ac740d8ebca6a1e280d17f31fa2cd30e6c5eeb1b3a7d48"})
@@ -272,7 +275,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (verify + (not_json,), "malformed proof file"),
         (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),
          "malformed proof file"),
-        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v6"}),),
+        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v7"}),),
          "malformed proof file"),
         (verify + (write("bad_hex.json", {"hex": "zz"}),), "malformed proof file"),
         (verify + (truncated,), "truncated proof"),
@@ -281,6 +284,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (verify + (v3_proof,), "unsupported version 3"),
         (verify + (v4_proof,), "unsupported version 4"),
         (verify + (v5_proof,), "unsupported version 5"),
+        (verify + (v6_proof,), "unsupported version 6"),
     ):
         assert run(*argv) == 2
         err = capsys.readouterr().err

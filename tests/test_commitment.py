@@ -94,9 +94,13 @@ def _refused_openings(tree, bucket, values, path):
 def test_bucket_tree_matches_loop_oracle(p):
     # the array-built tree equals the per-leaf loop in every layer, every
     # bucket opens alone under its full path, and the level check and the
-    # per-path oracle accept it and refuse every altered opening
+    # per-path oracle accept it and refuse every altered opening; the sizes
+    # include one class short of and past one and two whole buckets, so
+    # that a tree with no full bucket (the 15 classes of the r = 4 flower)
+    # builds its leaf layer from no full row
     rng = random.Random(p)
-    for n in (1, 2, 7, 8, 9, 15, 16, 17, 120, 1000, 4097):
+    edges = [LEAF_CLASSES - 1, LEAF_CLASSES + 1, 2 * LEAF_CLASSES - 1, 2 * LEAF_CLASSES + 1]
+    for n in sorted({1, 2, 7, 8, 9, 15, 16, 17, 120, 1000, 4097, *edges}):
         for values in ([0] * n, [p - 1] * n, [rng.randrange(p) for _ in range(n)]):
             tree = MerkleTree(values)
             layers = oracle.merkle_layers(values, LEAF_CLASSES)
@@ -198,29 +202,31 @@ def test_level_check_matches_per_path_oracle():
 
 
 def test_merkle_open_verify():
-    # 13 classes in two buckets, of 8 and 5 classes
-    values = list(range(100, 113))
+    # LEAF_CLASSES + 5 classes in two buckets, a full one and one of 5
+    full = LEAF_CLASSES
+    n = full + 5
+    values = list(range(100, 100 + n))
     tree = MerkleTree(values)
-    assert tree.open([0]) == [(0, values[:8], [tree.layers[0][32:]])]
-    assert tree.open([1]) == [(8, values[8:], [tree.layers[0][:32]])]
+    assert tree.open([0]) == [(0, values[:full], [tree.layers[0][32:]])]
+    assert tree.open([1]) == [(full, values[full:], [tree.layers[0][:32]])]
     # both buckets: each is the other's sibling, so neither path sends it
     both = tree.open([0, 1])
-    assert both == [(0, values[:8], [b""]), (8, values[8:], [b""])]
-    assert verify_open(tree.root, both, 13)
-    assert not verify_open(tree.root, both[::-1], 13)  # buckets out of order
-    assert not verify_open(tree.root, both[:1] * 2, 13)  # one bucket twice
+    assert both == [(0, values[:full], [b""]), (full, values[full:], [b""])]
+    assert verify_open(tree.root, both, n)
+    assert not verify_open(tree.root, both[::-1], n)  # buckets out of order
+    assert not verify_open(tree.root, both[:1] * 2, n)  # one bucket twice
     # a path authenticates only against the tree shape it came from
     [first] = tree.open([0])
-    assert verify_open(tree.root, [first], 16)  # same depth, full buckets
+    assert verify_open(tree.root, [first], 2 * full)  # same depth, full buckets
     [last] = tree.open([1])
-    assert verify_open(tree.root, [last], 13)
-    assert not verify_open(tree.root, [last], 12)  # last bucket of 4
-    assert not verify_open(tree.root, [last], 16)  # last bucket of 8
-    assert not verify_open(tree.root, [last], 8)  # bucket out of range
-    assert not verify_open(tree.root, [last], 17)  # deeper tree
-    assert not verify_open(tree.root, [(9, *last[1:])], 13)  # not a bucket's first class
+    assert verify_open(tree.root, [last], n)
+    assert not verify_open(tree.root, [last], n - 1)  # last bucket of 4
+    assert not verify_open(tree.root, [last], 2 * full)  # last bucket full
+    assert not verify_open(tree.root, [last], full)  # bucket out of range
+    assert not verify_open(tree.root, [last], 2 * full + 1)  # deeper tree
+    assert not verify_open(tree.root, [(full + 1, *last[1:])], n)  # not a bucket's first class
     # a pruned entry is only valid where the verifier computes the sibling
-    assert not verify_open(tree.root, [(0, values[:8], [b""])], 13)
+    assert not verify_open(tree.root, [(0, values[:full], [b""])], n)
     with pytest.raises(IndexOutOfRangeError):
         tree.open([2])
     with pytest.raises(IndexOutOfRangeError):
@@ -439,7 +445,8 @@ def test_ni_writer_refuses_what_the_parser_would(ni_setup):
     for key, value in ((at, 256), (at, -1), (1 << 32, 0)):
         hacked = NIProof.parse(proof.serialize())
         hacked.openings[level][key] = (value, path)
-        with pytest.raises(FloweringError, match="does not fit format v6 at p = 101") as info:
+        with pytest.raises(FloweringError,
+                           match=f"does not fit format v{niproof.VERSION} at p = 101") as info:
             hacked.serialize()
         assert "\n" not in str(info.value)
     # the widest value and the last position are written; the parser reads
@@ -526,12 +533,14 @@ def _two_paths(instance, params, word, proof):
 
 
 def _move_opening(instance, params, word, proof):
-    # under a path of the depth of its new level's tree
+    # under a path of the depth of its new level's tree, its pruned digests
+    # filled in, so that the level still writes one digest per sent sibling
     opened, cid = _first_opening(proof)
     target = proof.openings[2]
     new_cid = min(set(range(instance.seq.graphs[2].classes.num_classes)) - set(target))
     value, path = opened.pop(cid)
-    target[new_cid] = (value, path[:len(target[min(target)][1])])
+    target[new_cid] = (value, [digest or bytes(DIGEST_SIZE)
+                               for digest in path[:len(target[min(target)][1])]])
 
 
 def _resize_path(delta):
@@ -548,18 +557,19 @@ def _resize_path(delta):
 
 
 def _cid_out_of_range(instance, params, word, proof):
-    # position N under the first position's path, its pruned digests filled
-    # in, so that the level still writes one digest per sent sibling
+    # the first position at or past N that starts a bucket, so in no bucket
+    # of the tree, under the first position's path, its pruned digests
+    # filled in, so that the level still writes one digest per sent sibling
     opened, at = _first_opening(proof)
     value, path = opened.pop(at)
-    opened[instance.seq.graphs[1].classes.num_classes] = (
-        value, [digest or bytes(DIGEST_SIZE) for digest in path])
+    past = LEAF_CLASSES * -(-instance.seq.graphs[1].classes.num_classes // LEAF_CLASSES)
+    opened[past] = (value, [digest or bytes(DIGEST_SIZE) for digest in path])
 
 
 def _drop_last_class(instance, params, word, proof):
     # the last position of a full read bucket, whose class was not read:
-    # one short record, which starts where it should, so verify_open (its
-    # length check) refuses it
+    # the bucket misses a position, so the verifier refuses it before
+    # anything is hashed
     reads = verify_noninteractive(instance.seq, instance.rs, proof, params)[1].reads
     read = [{at.item(cid) for cid in cids}
             for at, cids in zip(instance.seq.commit_positions(), reads)]
@@ -607,7 +617,8 @@ def _class_order_level(instance, params, word, proof):
 def _extra_flower_class(instance, params, word, proof):
     # position N of the flower level, committed in class order, under its
     # last bucket's path: the flower view reads every class, and the last
-    # bucket holds fewer than LEAF_CLASSES, so the record grows one past it
+    # bucket holds fewer than LEAF_CLASSES, so the record grows one past
+    # the tree's last position
     opened = proof.openings[instance.r]
     num_classes = instance.seq.graphs[instance.r].classes.num_classes
     assert num_classes % LEAF_CLASSES and opened.keys() == set(range(num_classes))
@@ -754,13 +765,22 @@ def test_ni_malformed_records_refused(ni_setup):
     ):
         with pytest.raises(MalformedProofError, match=message):
             NIProof.parse(blob)
+    # MAX_DEPTH is the depth of a tree whose buckets hold every u32
+    # position: the last such bucket parses at it and not one layer less
+    max_depth = niproof.MAX_DEPTH
+    assert max_depth == (2**32 // LEAF_CLASSES - 1).bit_length()
+    last = record(2**32 - LEAF_CLASSES, [1] * LEAF_CLASSES)
+    parsed = NIProof.parse(level0(last, depth=max_depth, digests=digest * max_depth))
+    assert parsed.openings[0][2**32 - 1] == (1, [digest] * max_depth)
+    with pytest.raises(MalformedProofError, match="outside a tree of depth"):
+        NIProof.parse(level0(last, depth=max_depth - 1, digests=digest * (max_depth - 1)))
 
 
 def test_ni_padded_proof_rejected_before_hashing(verify_open_calls):
-    # 1,000 extra level-0 classes from buckets no walk reads, each bucket
-    # valid against the honest tree: the verifier compares the records with
-    # its read buckets first, so it rejects the proof without hashing
-    # anything
+    # the extra level-0 classes of 1000 // LEAF_CLASSES whole buckets no
+    # walk reads, each bucket valid against the honest tree: the verifier
+    # compares the records with its read buckets first, so it rejects the
+    # proof without hashing anything
     instance = gen_instance(6, 2**31 - 1, 61)
     params = ProtocolParams(3, 2)
     word = random_codeword_word(instance, random.Random(0))
@@ -779,7 +799,9 @@ def test_ni_padded_proof_rejected_before_hashing(verify_open_calls):
         assert verify_path(proof.roots[0], bucket, values, path, len(word.values))
         for at, value in enumerate(values, bucket * LEAF_CLASSES):
             padded.openings[0][at] = (value, path)
-    assert sum(map(len, padded.openings)) == sum(map(len, proof.openings)) + 1000
+    assert len(unread) == 1000 // LEAF_CLASSES
+    assert (sum(map(len, padded.openings))
+            == sum(map(len, proof.openings)) + LEAF_CLASSES * len(unread))
     calls.clear()
     accept, transcript = verify_noninteractive(instance.seq, instance.rs,
                                                NIProof.parse(padded.serialize()), params)
@@ -838,6 +860,26 @@ def test_ni_header_t_above_n_rejected(ni_setup):
     assert parsed.t == instance.n + 1
     assert verify_noninteractive(instance.seq, instance.rs, parsed,
                                  ProtocolParams(params.m, instance.n + 1)) == (False, None)
+
+
+def test_prove_hashes_each_tree_node_once(monkeypatch):
+    # an r = 8 prove makes one DIGEST call per leaf and per inner node of
+    # each level's tree, none for the zero padding: leaves + padded leaves
+    # - 1 per level.  A tree of narrower leaves, or one that hashes classes
+    # one by one, makes more
+    instance = gen_instance(8, 2**31 - 1, 253)
+    calls = []
+
+    class CountingTree(MerkleTree):
+        def __init__(self, values):
+            calls.extend(_hashed_preimages(super().__init__, values))
+
+    monkeypatch.setattr(niproof, "MerkleTree", CountingTree)
+    word = random_codeword_word(instance, random.Random(derive_seed(1, 1)))
+    _, transcript = prove_noninteractive(instance.seq, instance.rs, word, ProtocolParams(10, 2))
+    assert transcript.accept
+    leaves = [-(-graph.classes.num_classes // LEAF_CLASSES) for graph in instance.seq.graphs]
+    assert len(calls) == sum(n + (1 << (n - 1).bit_length()) - 1 for n in leaves) == 11_550
 
 
 @pytest.mark.parametrize("r,max_bytes", [(8, 29_000), (4, 1_800)])

@@ -43,22 +43,23 @@ def instance(r: int):
 
 
 NI_PROOFS = {
-    (3, 1): "3c56703145273e9e46cd66630f63fb2560a56672e499db2ff9d2c82488f8d6b7",
-    (3, 2): "fe2fc8500e6254551caa7fa3d49f5e88b19ac19529774134a7d66d5db051f406",
-    (4, 1): "cca3f23d755ff4a0c88e1b2ab2295cb5f956d147f0ba75629cdddf5839440a0f",
-    (4, 2): "fc9feeac1765a49f6f9849b07510eaf64f4420e0fdc41faa742ad8a211c48191",
-    (6, 1): "3fc0e787a77054ca0aeb89434934e5d1ab6f4728f384d3bc21178586ccb90e0d",
-    (8, 1): "321a5102f4b811a3da1290102c2a93b06473223180980571c20a34a556118d3a",
+    (3, 1): "f0319bcb7e53fed9551cb961e619612e1a692e74f7de8c7ce70d95b84d664fcf",
+    (3, 2): "8b96c49c4db150e59ab141dca800a67143272301bbbea6b0b392537b889890cb",
+    (4, 1): "46425a3475d7e3a8dd9efdd67021aa89081b8da08610dcc68358b6ca89f5be0b",
+    (4, 2): "fc931214fb681786c556cf8ed7d72cb71beccf03b546d1cdeaaa81c09508735e",
+    (6, 1): "f6c4c5aab94f9ac3813390c21d31138d57322128754311e09e6903067cf6bbd9",
+    (8, 1): "6094906ac228bd03ac899e13e3ef6811b81c2aed0a6f875f832f4f6a105965e3",
 }
-# the SHA-256 of each proof's concatenated Merkle roots, which no change of
-# wire format moves: these are format v5's
+# the SHA-256 of each proof's concatenated Merkle roots, which a change of
+# wire format alone does not move: these are format v7's, whose leaves hold
+# 16 classes (v5 and v6 shared the roots of 8-class leaves)
 NI_ROOTS = {
-    (3, 1): "3fc212250c88a81ecadbfc97c959ccaf9f4ca4e3c0f77099181713a685e06caf",
-    (3, 2): "8b0b581ea4e191d99dcd2e1504768378abe08a9642baa6156dec2a2160cc647b",
-    (4, 1): "98bf347e0eac46ef0e9e05e948b6d2bc9c7e5c352722e7df71a0cbbab7cd9b73",
-    (4, 2): "712dd17134ee468002261956d48fca71fc196da31e234a05e84fa02abf6d992a",
-    (6, 1): "6def06980707695a01b5244472d07b792d4f10013bb0781089d087dcbc6f9960",
-    (8, 1): "21ff8cec9e4cc07ed356710bd59ac4ee64646f79cfd67ce8ba168f0228698a03",
+    (3, 1): "e5a64ae2b7266cd260c493926fb9202acb03d74ec1483874545cca66ff70a6f1",
+    (3, 2): "3056320125b533192c00f0372f55a1388617a308460f2c41b4888af08c4d5a37",
+    (4, 1): "5003bb64f6e5ab946ce793e058e23f6a495c3bb0a230d97542e04bd227c27c20",
+    (4, 2): "8a47772fa3ec4ac3d746a4f7319dd0cdf15c27c10cb7222d97e4cb809e47c8b3",
+    (6, 1): "c15fb1466268d65916ce0b6d64bd6a2ef848ba7c0109c4f2f128ef42035bb05e",
+    (8, 1): "412b11c71c051d0f4a6a1f5e62fb4924c5389dcb58cff6687ed98d002b353332",
 }
 
 
