@@ -11,6 +11,13 @@ Generating sets carry an independence parameter d: every d-1 of the vectors
 must be linearly independent (the coset-graph construction from a parity
 check matrix of a binary [n, n-r, d] code).  The full nonzero set realizes
 d = 3.
+
+blossoming_cayley returns the chain as a CayleyChain, which answers the
+reads of the query phase and the NI verifier (folding.Chain) by closed
+forms in the generating set: class ids, fold pairs and commit positions are
+ranks computed in O(r) big-int steps per read, and the chain digest streams
+graph 0's rows.  Its dense BlossomingSequence, which the prover folds and
+commits through, is built on first use.
 """
 
 from __future__ import annotations
@@ -21,19 +28,26 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FloweringError, TooLargeError
-from .folding import BlossomingSequence
+from .folding import BlossomingSequence, LazyPairs, chain_digest
 from .graph_code import GraphCode, Word
-from .rim_graph import RIM
+from .rim_graph import RIM, FloweringCut, adjacency_digest
 
 INDEPENDENCE_CHECK_CAP = 10**6
 # entries 2^r * n of the largest graph-0 table built: the full generating
 # set at r = 12 has 4,096 x 4,095
 MAX_GRAPH_ENTRIES = 1 << 24
 _SPOT_CHECKS = 1000
+# graph-0 entries hashed per block when a CayleyChain streams its digest
+_DIGEST_BLOCK = 1 << 18
+# fold pairs, and pair positions, a CayleyChain keeps per level once answered
+PAIR_MEMO = 1 << 10
+# low vertex bits whose terms a CayleyChain's rankers take from a table
+_LOW_BITS = 4
 
 
 class ZeroGeneratorError(FloweringError):
@@ -198,17 +212,231 @@ def cayley_rim(r: int, gens: GenSet | list[int]) -> RIM:
     return RIM(len(vectors), vertex ^ np.array(vectors, dtype=np.int64), check=False)
 
 
-def blossoming_cayley(gens: GenSet) -> BlossomingSequence:
-    """The canonical blossoming sequence on Cay(F_2^r, gens), r = gens.r: at
-    level i keep the half with coordinate i zero and identify across the
-    toggled coordinate."""
-    r = gens.r
-    graph0 = cayley_rim(r, gens)
-    specs = []
-    for i in range(1, r + 1):
-        half = 1 << (r - i)
-        specs.append((range(half), dict(zip(range(half), range(half, 2 * half)))))
-    return BlossomingSequence(graph0, specs)
+def _ranker(present: int, c: list[int], sets: list[int], none: int):
+    """rank(w, l): the number of present slots (u, l') before (w, l) in
+    (vertex, index) order, that is with u < w, or u = w and l' < l.
+    Index l' is absent at every vertex if bit l' of none is set, absent
+    where bit h of u is set if bit l' of sets[h] is (c[h] such indices),
+    and present otherwise; present counts the indices not in none.
+
+    The vertices below w hold present * w - sum_h c[h] ones(w, h) present
+    slots, ones(w, h) being the number of u < w with bit h set.  Summed over
+    the set bits k of w from the top, that is c[k] (w mod 2^k) +
+    2^(k-1) (c[0] + ... + c[k-1]) per bit.  At w itself come the l slots
+    below l, less the absent ones: those in none or in the sets of the
+    bits of w.  The terms of the low _LOW_BITS bits of w are tabled."""
+    below = [(1 << k >> 1) * sum(c[:k]) for k in range(len(c))]
+    low_sum, low_absent = [0], [none]
+    for x in range(1, 1 << min(len(c), _LOW_BITS)):
+        k = x.bit_length() - 1
+        rest = x ^ (1 << k)
+        low_sum.append(low_sum[rest] + c[k] * rest + below[k])
+        low_absent.append(low_absent[rest] | sets[k])
+    low = len(low_sum) - 1
+
+    def rank(w: int, l: int) -> int:
+        acc = present * w + l
+        absent = 0
+        while w > low:
+            k = w.bit_length() - 1
+            w ^= 1 << k
+            acc -= c[k] * w + below[k]
+            absent |= sets[k]
+        return acc - low_sum[w] - ((absent | low_absent[w]) & ((1 << l) - 1)).bit_count()
+
+    return rank
+
+
+def _slots(bits: int, present: int, c: list[int]) -> int:
+    """The present slots of the vertices below 2^bits, each bit h set in
+    half of them."""
+    return (present << bits) - (sum(c[:bits]) << bits >> 1)
+
+
+class CayleyChain:
+    """The canonical blossoming sequence on Cay(F_2^r, gens), answered from
+    the generating set: at level i keep the half with coordinate i zero and
+    identify across the toggled coordinate.
+
+    Level i has the vertices below b = 2^(r-i), and slot (v, l) is the edge
+    to v ^ s_l if s_l < b and a petal otherwise.  An edge slot represents
+    its class when bit top(s_l) of v is 0, and a petal slot always does, as
+    does any slot whose bit top(s_l) >= r-i lies above every vertex of the
+    level.  So one ranker over the bits top(s_l) gives the class ids of
+    every level, the rank of the representative (v or v ^ s_l) among all
+    representatives.  The walk's descent is v mod b, and its fold pair
+    ((vc, l), (vc | b, l)).
+
+    A commit position is twice the rank of the pair's smaller class among
+    the smaller classes (folding.pair_positions), whose representatives lie
+    below b at level i-1: the class of the kept vertex of a petal pair, the
+    representative with bit top(s_l) 0 for s_l < b, and the one with bit
+    top(s_l ^ b) 0 for b < s_l < 2b, which pairs the edge classes at vc and
+    vc ^ s_l ^ b.  The self-pairs (s_l = b) follow in vertex order.  So a
+    level's positions are a ranker of the class ranker's bits, but for the
+    indices with top(s_l) = r-i, and all of them together cost O(n).
+
+    The dense chain is built on first use of graphs, cuts or
+    commit_positions, which the prover and the word tools read; a
+    CayleyChain stands in for it there."""
+
+    def __init__(self, gens: GenSet):
+        _check_graph_size(gens.r, gens.n)
+        self.gens, self.r, self.n = gens, gens.r, gens.n
+        self._digest: bytes | None = None
+
+    # every table below is O(n) and built on first use, as the dense one is
+
+    @cached_property
+    def _tops(self) -> list[int]:
+        return [s.bit_length() - 1 for s in self.gens.vectors]
+
+    @cached_property
+    def _by_top(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """Per bit h, the indices whose top bit is h: their count, their
+        bitset and their list."""
+        c, sets, indices = [0] * self.r, [0] * self.r, [[] for _ in range(self.r)]
+        for l, top in enumerate(self._tops):
+            c[top] += 1
+            sets[top] |= 1 << l
+            indices[top].append(l)
+        return c, sets, indices
+
+    @cached_property
+    def _rank(self):
+        return _ranker(self.n, *self._by_top[:2], 0)
+
+    @cached_property
+    def _flips(self) -> list[int]:
+        return [1 << top for top in self._tops]
+
+    @cached_property
+    def _num_classes(self) -> list[int]:
+        return [_slots(self.r - level, self.n, self._by_top[0]) for level in range(self.r + 1)]
+
+    @cached_property
+    def _fold_pairs(self) -> list[LazyPairs]:
+        return [self._fold_pair(level) for level in range(self.r)]
+
+    def _fold_pair(self, level: int) -> LazyPairs:
+        """The fold pairs of the level: the classes of (vc, l) and
+        (vc | half, l).  For an index whose top bit is not the level's top
+        bit, the image's representative is the kept one's, w, with that bit
+        set, so its id adds the slots of the vertices from w to w | half
+        and takes away the indices below l absent at w | half only."""
+        rank, flip, vectors, tops = self._rank, self._flips, self.gens.vectors, self._tops
+        top = self.r - level - 1
+        half = 1 << top
+        c, sets, _ = self._by_top
+        c_top, set_top = c[top], sets[top]
+        step = self.n * half - (half >> 1) * sum(c[:top])
+
+        def fold_pair(vc: int, l: int) -> tuple[int, int]:
+            if tops[l] == top:
+                return rank(vc, l), rank(vc ^ vectors[l] ^ half, l)
+            w = vc ^ vectors[l] if vc & flip[l] else vc
+            kept = rank(w, l)
+            return kept, kept + step - c_top * w - (set_top & ((1 << l) - 1)).bit_count()
+        return LazyPairs(fold_pair, PAIR_MEMO)
+
+    @cached_property
+    def _pair_positions(self) -> list[LazyPairs]:
+        return [self._pair_position(level) for level in range(self.r)]
+
+    def _pair_position(self, level: int) -> LazyPairs:
+        bits = self.r - level - 1
+        half = 1 << bits
+        vectors, tops, flip = self.gens.vectors, self._tops, self._flips
+        # the middle indices, half <= s_l < 2 half, take the bit top(s_l ^ half)
+        c, sets = (table[:bits] for table in self._by_top[:2])
+        none = 0
+        for l in self._by_top[2][bits]:
+            d = vectors[l] ^ half
+            if d:
+                c[d.bit_length() - 1] += 1
+                sets[d.bit_length() - 1] |= 1 << l
+            else:  # the self-pair index
+                none = 1 << l
+        present = self.n - (none > 0)
+        rank = _ranker(present, c, sets, none)
+        self_pairs_at = 2 * _slots(bits, present, c)
+
+        def pair_position(vc: int, l: int) -> tuple[int, int]:
+            s = vectors[l]
+            if tops[l] != bits:
+                at = 2 * rank(vc ^ s if vc & flip[l] else vc, l)
+                return at, at + 1
+            if s == half:
+                return self_pairs_at + vc, self_pairs_at + vc
+            d = s ^ half
+            if vc & (1 << d.bit_length() >> 1):
+                at = 2 * rank(vc ^ d, l)
+                return at + 1, at
+            at = 2 * rank(vc, l)
+            return at, at + 1
+        return LazyPairs(pair_position, PAIR_MEMO)
+
+    def num_vertices(self, level: int) -> int:
+        return 1 << (self.r - level)
+
+    def num_classes(self, level: int) -> int:
+        return self._num_classes[level]
+
+    def proof_length(self) -> int:
+        """Total number of edge classes across the sent levels 1..r."""
+        return sum(self._num_classes[1:])
+
+    def descent(self, v: int) -> list[tuple[int, int]]:
+        return [(v & ((1 << shift) - 1), v >> shift & 1) for shift in range(self.r - 1, -1, -1)]
+
+    def fold_pairs(self) -> list[LazyPairs]:
+        return self._fold_pairs
+
+    def pair_positions(self) -> list[LazyPairs]:
+        return self._pair_positions
+
+    def flower_ids(self) -> range:
+        return range(self.n)
+
+    def digest(self) -> bytes:
+        """BlossomingSequence.digest of the chain: graph 0's rows v ^ S in
+        blocks, and each cut's ends, V' and its image, as one range."""
+        if self._digest is None:
+            r, s = self.r, np.array(self.gens.vectors, dtype=np.int64)
+            rows = max(1, _DIGEST_BLOCK // self.n)
+            blocks = (np.arange(start, min(start + rows, 1 << r))[:, None] ^ s
+                      for start in range(0, 1 << r, rows))
+            self._digest = chain_digest(adjacency_digest(self.n, 1 << r, blocks),
+                                        (np.arange(2 << (r - i)) for i in range(1, r + 1)))
+        return self._digest
+
+    @cached_property
+    def dense(self) -> BlossomingSequence:
+        """The chain as graphs and validated cuts, built on first use."""
+        r = self.r
+        specs = []
+        for i in range(1, r + 1):
+            half = 1 << (r - i)
+            specs.append((range(half), dict(zip(range(half), range(half, 2 * half)))))
+        return BlossomingSequence(cayley_rim(r, self.gens), specs)
+
+    @cached_property
+    def graphs(self) -> list[RIM]:
+        return self.dense.graphs
+
+    @cached_property
+    def cuts(self) -> list[FloweringCut]:
+        return self.dense.cuts
+
+    def commit_positions(self) -> list[np.ndarray]:
+        return self.dense.commit_positions()
+
+
+def blossoming_cayley(gens: GenSet) -> CayleyChain:
+    """The canonical blossoming sequence on Cay(F_2^r, gens), r = gens.r,
+    as an implicit chain: nothing over the vertices is built until the
+    dense chain is asked for."""
+    return CayleyChain(gens)
 
 
 def min_distance_bounds(r: int, n: int, k: int, d: int) -> tuple[Fraction, Fraction]:

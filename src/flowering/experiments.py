@@ -3,9 +3,11 @@ complexity and bound reports.
 
 An instance is a Cayley graph over F_2^r named by its generating set, plus
 an RS base code.  Its file holds only {format, p, k, points, genset}:
-generating an instance and loading its file both build the canonical
+generating an instance and loading its file both take the canonical
 blossoming sequence from the generating set, so a file cannot name a graph
-its generating set does not define.
+its generating set does not define.  The sequence is a CayleyChain, so
+loading builds no table over the vertices: the dense chain, and the code on
+graph 0 (Instance.code), come on first use by the prover or a word tool.
 
 Everything is deterministic given a master seed: per-trial seeds are derived
 by hashing (seed, index).  Reports are plain dicts ready for sorted-key JSON.
@@ -19,10 +21,12 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .adversaries import ADVERSARIES, build_adversary
 from .cayley import (
+    CayleyChain,
     GenSet,
     blossoming_cayley,
     gen_set_full,
@@ -31,7 +35,6 @@ from .cayley import (
 )
 from .errors import FloweringError, TooLargeError
 from .field import PrimeField, exact_int
-from .folding import BlossomingSequence
 from .graph_code import GraphCode, Word, relative_weight
 from .iopp import ProtocolParams, Transcript, run_protocol, soundness_bound
 from .reed_solomon import RSCode
@@ -54,8 +57,12 @@ class Instance:
     field: PrimeField
     rs: RSCode
     gens: GenSet
-    seq: BlossomingSequence
-    code: GraphCode
+    seq: CayleyChain
+
+    @cached_property
+    def code(self) -> GraphCode:
+        """The code on graph 0, built on first use with the dense chain."""
+        return GraphCode(self.seq.graphs[0], self.rs)
 
     @property
     def r(self) -> int:
@@ -90,8 +97,9 @@ class Instance:
 
 def _cayley_instance(gens: GenSet, rs: RSCode) -> Instance:
     """The instance on Cay(F_2^r, gens) with RS base code rs."""
-    seq = blossoming_cayley(gens)
-    return Instance(rs.field, rs, gens, seq, GraphCode(seq.graphs[0], rs))
+    if rs.n != gens.n:
+        raise FloweringError(f"RS length {rs.n} != graph regularity {gens.n}")
+    return Instance(rs.field, rs, gens, blossoming_cayley(gens))
 
 
 def gen_instance(r: int, p: int, k: int, genset: str | GenSet = "full") -> Instance:

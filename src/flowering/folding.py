@@ -5,9 +5,9 @@ the value on a child class at (v, l) is f(v, l) + alpha * f(phi(v), l).  The
 isomorphism phi makes this well defined per class, so the fold is one
 gather and one field mul_add over the cut's precomputed class-pair plan, a
 2 x N' int64 array built once per cut, at two field operations per output
-class on the word's array; the verifier's fold check reads single columns
-of the same plan and checks the same mul_add.  alpha is always the
-verifier's challenge; nothing here samples randomness.
+class on the word's array; the verifier's fold check reads the same pairs
+and checks the same mul_add.  alpha is always the verifier's challenge;
+nothing here samples randomness.
 
 A blossoming sequence is valid by construction: its constructor cuts each
 graph once, validating every cut on its parent, and refuses a chain that
@@ -20,11 +20,20 @@ order (pair_positions): when the cut's fold pairs partition the parent's
 classes, as translation by the cut bit makes them on every Cayley chain,
 each pair takes two adjacent positions and a Merkle bucket of an even
 number of positions never splits one, as FRI commits one coset per leaf.
+
+The query phase and the NI verifier read a chain only through Chain: per
+level sizes, the digest, the walk's descent, and per read a fold pair with
+its commit positions.  A BlossomingSequence answers from its tables: the
+cut's down and fold plan, and commit_positions.  A Cayley chain answers from
+its generating set (cayley.CayleyChain), so a verifier builds no table over
+the vertices.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -74,6 +83,62 @@ def pair_positions(cut: FloweringCut) -> np.ndarray:
     return positions
 
 
+def chain_digest(graph0: bytes, ends) -> bytes:
+    """SHA-256 over graph 0's digest and, per cut, V' and phi(V') as
+    little-endian int64 arrays; every size is fixed by graph 0."""
+    h = hashlib.sha256(graph0)
+    for cut_ends in ends:
+        h.update(np.ascontiguousarray(cut_ends, dtype="<i8"))
+    return h.digest()
+
+
+# the pair of a child slot (vc, l): its two parent classes, or their positions
+PairMap = Callable[[int, int], tuple[int, int]]
+
+
+class LazyPairs(dict):
+    """A map from (vc, l) to the pair compute(vc, l), computed on the first
+    read and kept while the map holds fewer than cap pairs: the small chains
+    of a Monte-Carlo study answer their walks from it after the first few,
+    and a verifier keeps no more than it read."""
+
+    __slots__ = ("compute", "cap")
+
+    def __init__(self, compute: PairMap, cap: int):
+        super().__init__()
+        self.compute, self.cap = compute, cap
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, int]:
+        pair = self.compute(*key)
+        if len(self) < self.cap:
+            self[key] = pair
+        return pair
+
+
+class Chain(Protocol):
+    """What the query phase and the NI verifier read of a blossoming
+    sequence: sizes, its digest, and per read a class id and its commit
+    position.  descent(v0) follows a level-0 vertex down the cuts: entry j
+    is the child vertex vc that cut j+1 maps the level-j vertex v to, with
+    a side bit, 0 if v is the kept vertex of vc and 1 if its phi image.
+    fold_pairs()[j][vc, l] are the level-j class ids of the kept and the
+    image slot at index l, the fold plan's column for the child slot
+    (vc, l), and pair_positions()[j][vc, l] their commit positions.  The
+    flower is committed in class order."""
+
+    r: int
+    n: int
+
+    def num_vertices(self, level: int) -> int: ...
+    def num_classes(self, level: int) -> int: ...
+    def proof_length(self) -> int: ...
+    def digest(self) -> bytes: ...
+    def descent(self, v: int) -> list[tuple[int, int]]: ...
+    def fold_pairs(self) -> list[LazyPairs]: ...
+    def pair_positions(self) -> list[LazyPairs]: ...
+    def flower_ids(self) -> Sequence[int]: ...
+
+
 class BlossomingSequence:
     """Chain of graphs linked by flowering cuts, ending in a one-vertex
     flower; graphs[i] is the child of cuts[i-1].
@@ -84,6 +149,7 @@ class BlossomingSequence:
     """
 
     def __init__(self, graph0: RIM, specs):
+        self.n = graph0.n
         self.cuts: list[FloweringCut] = []
         self.graphs = [graph0]
         self._digest: bytes | None = None
@@ -100,9 +166,35 @@ class BlossomingSequence:
     def r(self) -> int:
         return len(self.cuts)
 
+    def num_vertices(self, level: int) -> int:
+        return self.graphs[level].num_vertices
+
+    def num_classes(self, level: int) -> int:
+        return self.graphs[level].classes.num_classes
+
     def proof_length(self) -> int:
         """Total number of edge classes across the sent levels 1..r."""
-        return sum(g.classes.num_classes for g in self.graphs[1:])
+        return sum(map(self.num_classes, range(1, self.r + 1)))
+
+    def descent(self, v: int) -> list[tuple[int, int]]:
+        steps = []
+        for cut in self.cuts:
+            vc = cut.down.item(v)
+            steps.append((vc, int(cut.from_child.item(vc) != v)))
+            v = vc
+        return steps
+
+    def fold_pairs(self) -> list[LazyPairs]:
+        return [LazyPairs(cut.fold_pair, 0) for cut in self.cuts]
+
+    def pair_positions(self) -> list[LazyPairs]:
+        def of_cut(cut: FloweringCut, at: np.ndarray) -> PairMap:
+            return lambda vc, l: tuple(map(at.item, cut.fold_pair(vc, l)))
+        return [LazyPairs(of_cut(cut, at), 0)
+                for cut, at in zip(self.cuts, self.commit_positions())]
+
+    def flower_ids(self) -> list[int]:
+        return self.graphs[-1].classes.class_of[0].tolist()
 
     def commit_positions(self) -> list[np.ndarray]:
         """Per level, the Merkle position of each class: levels 0..r-1 in
@@ -114,11 +206,8 @@ class BlossomingSequence:
         return self._positions
 
     def digest(self) -> bytes:
-        """SHA-256 over graph 0's digest and, per cut, V' and phi(V') as
-        little-endian int64 arrays; every size is fixed by graph 0."""
+        """chain_digest of graph 0 and every cut."""
         if self._digest is None:
-            h = hashlib.sha256(self.graphs[0].digest())
-            for cut in self.cuts:
-                h.update(cut.ends.astype("<i8", copy=False))
-            self._digest = h.digest()
+            self._digest = chain_digest(self.graphs[0].digest(),
+                                        (cut.ends for cut in self.cuts))
         return self._digest

@@ -9,24 +9,29 @@ Query phase: m repetitions each walk a random start vertex down the cut
 chain checking t indices of the fold relation per level, then the single
 flower view is read in full and RS-tested.
 
-Query accounting: the walks only record opening triples, and after them the
-phase derives from those triples one read log per level, the positions its
-walks read; the transcript's read log is that union plus the flower view,
-and it is exactly what a non-interactive proof opens.  oracle_reads counts
-the distinct walk positions, which reproduces the 2t-then-t shape per level
-(the second read of the projected vertex's class is the previous round's
-opening), plus the flower view in full, n reads.  A walk reads at most
-(2r+1)t positions, so when the m walks touch pairwise-disjoint positions the
-total is exactly (2r+1)mt + n, and it never exceeds that.  The phase stops
-at the first failed fold check, which is then the last recorded opening,
-and reads the flower view only if every walk passed.
+Query accounting: the walks record opening triples and, as they go, one
+read log per level, the classes its walks read; the transcript's read log
+is that union plus the flower view, and it is exactly what a
+non-interactive proof opens.  oracle_reads counts the distinct walk
+positions, which reproduces the 2t-then-t shape per level (the second read
+of the projected vertex's class is the previous round's opening), plus the
+flower view in full, n reads.  A walk reads at most (2r+1)t positions, so
+when the m walks touch pairwise-disjoint positions the total is exactly
+(2r+1)mt + n, and it never exceeds that.  The phase stops at the first
+failed fold check, which is then the last recorded opening, and reads the
+flower view only if every walk passed.
 
-The walk follows the cuts: at level i it moves to v_i = down_i(v_{i-1}), the
-child id of the projection of v_{i-1}, and for each index l it opens the
-child class of (v_i, l) in f_i and, in f_{i-1}, the two parent classes that
-the cut's fold plan names for it: those of (v, l) and (phi_i(v), l) at the
-parent vertex v of v_i.  So the check is the fold relation as the prover
-computed it, read from the same plan.
+The walk follows the cuts through the chain's narrow interface
+(folding.Chain): at level i it moves to v_i = down_i(v_{i-1}), the child id
+of the projection of v_{i-1}, and for each index l it opens the child class
+of (v_i, l) in f_i and, in f_{i-1}, the fold pair behind it: the classes of
+(v, l) and (phi_i(v), l) at the parent vertex v of v_i.  That child class is
+one class of the pair the next level's check reads, so each check looks up
+one new pair, and the non-interactive verifier its two commit positions
+with it.  A dense chain reads them from the fold plan and the commit
+positions, a Cayley chain (cayley.CayleyChain) computes them from the
+generating set; either way the check is the fold relation as the prover
+computed it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import FloweringError
-from .folding import BlossomingSequence, fold
+from .folding import BlossomingSequence, Chain, fold
 from .graph_code import GraphCode, Word
 from .reed_solomon import RSCode
 from .rim_graph import UnknownVertexError
@@ -145,7 +150,8 @@ def word_oracle(words: list[Word]):
     answers in Python ints, read value by value with item, so the fold
     checks and the RS check are exact at any modulus and no word is copied
     (a copy as a list of Python ints holds some 36 bytes a class)."""
-    return lambda level, cid: words[level].values.item(cid)
+    items = [word.values.item for word in words]
+    return lambda level, cid: items[level](cid)
 
 
 def sample_query_randomness(rng: random.Random, num_vertices: int, n: int,
@@ -160,20 +166,21 @@ def sample_query_randomness(rng: random.Random, num_vertices: int, n: int,
 
 
 def verifier_query(
-    seq: BlossomingSequence,
+    seq: Chain,
     rs: RSCode,
     params: ProtocolParams,
     challenges: list[int],
     oracle,
     randomness: list[tuple[int, tuple[int, ...]]],
+    by_position: bool = False,
 ) -> Transcript:
-    """Run the query phase against oracles; oracle(level, class_id) -> value.
+    """Run the query phase against oracles: oracle(level, class id) ->
+    value, or oracle(level, commit position) -> value if by_position.
 
     Returns the transcript with its read log; a failed fold check ends the
     phase as its last recorded opening triple."""
-    r = seq.r
-    n = seq.graphs[0].n
-    num_vertices = seq.graphs[0].num_vertices
+    r, n = seq.r, seq.n
+    num_vertices = seq.num_vertices(0)
     mul_add = rs.field.mul_add
     params.check(n)
     if len(challenges) != r:
@@ -183,7 +190,10 @@ def verifier_query(
     counters = Counters(rounds=r, proof_length=seq.proof_length(),
                         rand_field_elements=r, rand_vertices=params.m,
                         rand_subsets=params.m, prover_field_ops=2 * seq.proof_length())
+    descent, fold_pairs, flower_ids = seq.descent, seq.fold_pairs(), seq.flower_ids()
+    pair_positions = seq.pair_positions() if by_position else None
     records: list[QueryRecord] = []
+    reads: list[set[int]] = [set() for _ in range(r + 1)]
     accept = True
 
     for v0, indices in randomness:
@@ -191,37 +201,57 @@ def verifier_query(
             raise UnknownVertexError(f"start vertex {v0} not in the base graph")
         record = QueryRecord(v0=v0, indices=indices, walk=())
         records.append(record)
-        walk = []
-        v_cur = v0
-        for i, cut in enumerate(seq.cuts, start=1):
-            vc = cut.down.item(v_cur)
-            walk.append(vc)
-            class_of = cut.child.classes.class_of
-            plan = cut.fold_plan
+        openings = record.openings
+        steps = descent(v0)
+        # per index l, the pair of level-(i-1) classes the check at level i
+        # reads, and with by_position their commit positions.  The child
+        # class that check reads is one of the next level's pair, so each
+        # pair is looked up once; at the flower, committed in class order,
+        # it is the flower's class.
+        i = 0
+        if r:
+            pairs = [fold_pairs[0][steps[0][0], l] for l in indices]
+            if by_position:
+                at = [pair_positions[0][steps[0][0], l] for l in indices]
+        for i in range(1, r + 1):
+            if i < r:
+                vc, side = steps[i]
+                next_pairs = fold_pairs[i]
+                if by_position:
+                    next_at = pair_positions[i]
             alpha = challenges[i - 1]
-            for l in indices:
-                cr = class_of.item(vc, l)
-                ca = plan.item(0, cr)
-                cb = plan.item(1, cr)
-                va = oracle(i - 1, ca)
-                vb = oracle(i - 1, cb)
-                vr = oracle(i, cr)
-                record.openings += ((i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr))
+            parent_reads, child_reads = reads[i - 1], reads[i]
+            for k, l in enumerate(indices):
+                ca, cb = pairs[k]
+                if i < r:
+                    pairs[k] = pair = next_pairs[vc, l]
+                    cr = pair[side]
+                else:
+                    cr = flower_ids[l]
+                if by_position:
+                    pa, pb = at[k]
+                    if i < r:
+                        at[k] = where = next_at[vc, l]
+                        pr = where[side]
+                    else:
+                        pr = cr
+                    va, vb, vr = oracle(i - 1, pa), oracle(i - 1, pb), oracle(i, pr)
+                else:
+                    va, vb, vr = oracle(i - 1, ca), oracle(i - 1, cb), oracle(i, cr)
+                openings += ((i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr))
+                parent_reads.add(ca)
+                parent_reads.add(cb)
+                child_reads.add(cr)
                 if mul_add(va, alpha, vb) != vr:
                     accept = False
                     break
             if not accept:
                 break
-            v_cur = vc
-        record.walk = tuple(walk)
+        record.walk = tuple(v for v, _ in steps[:i])
         if not accept:
             break
 
     # a fold check is three opening triples and two field operations
-    reads: list[set[int]] = [set() for _ in range(r + 1)]
-    for record in records:
-        for level, cid, _ in record.openings:
-            reads[level].add(cid)
     counters.verifier_field_ops = sum(len(record.openings) for record in records) // 3 * 2
     counters.oracle_reads = sum(len(level) for level in reads)
     # A walk reads at most (2r+1)t positions: 2t at level 0, at most 2t at
@@ -232,7 +262,6 @@ def verifier_query(
     disjoint = counters.oracle_reads == len(records) * (2 * r + 1) * params.t
 
     if accept:
-        flower_ids = seq.graphs[r].classes.class_of[0].tolist()
         view = [oracle(r, cid) for cid in flower_ids]
         reads[r].update(flower_ids)
         counters.oracle_reads += n
@@ -252,7 +281,7 @@ def verifier_query(
 
 
 def run_protocol(
-    seq: BlossomingSequence,
+    seq: Chain,
     rs: RSCode,
     f0: Word,
     params: ProtocolParams,
@@ -262,13 +291,12 @@ def run_protocol(
     """Full interactive run: prover_commit against uniform challenges, then
     the query phase.  Deterministic given the seed; respond never sees the
     verifier's rng, and m and t are checked before anything is drawn."""
-    params.check(seq.graphs[0].n)
+    params.check(seq.n)
     rng = random.Random(seed)
     challenges, words = prover_commit(seq, f0, lambda f: rs.field.sample(rng), respond)
-    randomness = sample_query_randomness(rng, seq.graphs[0].num_vertices,
-                                         seq.graphs[0].n, params)
+    randomness = sample_query_randomness(rng, seq.num_vertices(0), seq.n, params)
     transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
-    assert transcript.counters.proof_length < seq.graphs[0].n * seq.graphs[0].num_vertices
+    assert transcript.counters.proof_length < seq.n * seq.num_vertices(0)
     return transcript
 
 

@@ -8,10 +8,13 @@ protocol parameters), and the query randomness is derived after the last
 root.  Each level is committed in its commit order
 (BlossomingSequence.commit_positions): levels 0..r-1 in the pair order of
 the cut that folds them, so that the two classes a fold check reads share a
-Merkle bucket, and the flower in class order.  The proof carries the
-per-level roots and the authenticated openings of exactly the buckets
-holding the commit positions of the classes the verifier re-derives, the
-query phase's read log.
+Merkle bucket, and the flower in class order.  The prover builds those
+orders as tables; the verifier takes the commit position of each class its
+walks read with the class's id (folding.Chain.pair_positions), as closed
+forms on a Cayley chain, and reads the proof by position.  The proof
+carries the per-level roots and the authenticated openings of exactly the
+buckets holding the commit positions of the classes the verifier
+re-derives, the query phase's read log.
 
 The record rule: a proof opens exactly the records that were read, and each
 level's records are authenticated together, once.  A record is the
@@ -76,7 +79,7 @@ from .commitment import (
     verify_open,
 )
 from .errors import FloweringError
-from .folding import BlossomingSequence
+from .folding import BlossomingSequence, Chain
 from .graph_code import Word
 from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, word_oracle
 from .reed_solomon import RSCode
@@ -221,14 +224,14 @@ def _buckets(positions, cids) -> list[int]:
     return sorted({positions.item(cid) // LEAF_CLASSES for cid in cids})
 
 
-def _read_records(opened, positions, cids):
-    """The (first position, values, path) records of the buckets holding the
-    commit positions of cids, each whole (else KeyError) under one path;
-    None if two positions differ in path or another position is opened."""
+def _read_records(opened, read: set[int], num_classes: int):
+    """The (first position, values, path) records of the buckets holding
+    the read positions, each whole (else KeyError) under one path; None if
+    two positions differ in path or another position is opened."""
     records = []
-    for first in [bucket * LEAF_CLASSES for bucket in _buckets(positions, cids)]:
+    for first in sorted({at // LEAF_CLASSES * LEAF_CLASSES for at in read}):
         values, paths = zip(*[opened[at] for at in
-                              range(first, min(first + LEAF_CLASSES, positions.size))])
+                              range(first, min(first + LEAF_CLASSES, num_classes))])
         if paths.count(paths[0]) < len(paths):
             return None
         records.append((first, values, paths[0]))
@@ -243,7 +246,7 @@ def _by_position(records) -> dict[int, tuple[int, list[bytes]]]:
             for at, value in enumerate(values, first)}
 
 
-def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
+def _bind_instance(fs: FSState, seq: Chain, rs: RSCode,
                    params: ProtocolParams) -> None:
     header = struct.pack(
         "<QIIII", rs.field.p, seq.r, params.m, params.t, rs.k
@@ -253,7 +256,7 @@ def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
     fs.absorb(b"instance", header)
 
 
-def fiat_shamir_schedule(seq: BlossomingSequence, rs: RSCode, params: ProtocolParams):
+def fiat_shamir_schedule(seq: Chain, rs: RSCode, params: ProtocolParams):
     """The one Fiat-Shamir schedule of prover and verifier, as a generator.
 
     After priming with next(), send it the roots of levels 0..r in order:
@@ -266,13 +269,11 @@ def fiat_shamir_schedule(seq: BlossomingSequence, rs: RSCode, params: ProtocolPa
     fs.absorb(b"root", (yield))
     for _ in range(seq.r):
         fs.absorb(b"root", (yield fs.challenge_field(b"alpha", rs.field)))
-    yield fs.challenge_queries(
-        b"query", seq.graphs[0].num_vertices, seq.graphs[0].n, params.m, params.t
-    )
+    yield fs.challenge_queries(b"query", seq.num_vertices(0), seq.n, params.m, params.t)
 
 
 def derive_noninteractive_randomness(
-    seq: BlossomingSequence, rs: RSCode, params: ProtocolParams, roots: list[bytes]
+    seq: Chain, rs: RSCode, params: ProtocolParams, roots: list[bytes]
 ) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
     """(challenges, query randomness) both prover and verifier compute from
     the instance binding and the committed roots."""
@@ -299,7 +300,7 @@ def prove_noninteractive(
     position under its bucket's pruned path.
     Also returns the transcript of the self-run query phase (honest proofs
     accept)."""
-    check_params(params, seq.graphs[0].n)
+    check_params(params, seq.n)
     positions = seq.commit_positions()
     trees = []
     schedule = fiat_shamir_schedule(seq, rs, params)
@@ -329,14 +330,13 @@ def prove_noninteractive(
 
 
 def verify_noninteractive(
-    seq: BlossomingSequence, rs: RSCode, proof: NIProof, params: ProtocolParams | None = None
+    seq: Chain, rs: RSCode, proof: NIProof, params: ProtocolParams | None = None
 ) -> tuple[bool, Transcript | None]:
     """Recompute challenges and queries from the proof's roots, re-run every
-    check on the opened values, and authenticate the openings under the
-    record rule of the module docstring.  params are the verifier's m and
-    t, and a proof whose header names others is rejected; None takes the
-    header's.  (False, None) on any mismatch."""
-    graph0 = seq.graphs[0]
+    check on the opened values, read by commit position, and authenticate
+    the openings under the record rule of the module docstring.  params
+    are the verifier's m and t, and a proof whose header names others is
+    rejected; None takes the header's.  (False, None) on any mismatch."""
     if (proof.p != rs.field.p or proof.chain_digest != seq.digest() or proof.r != seq.r
             or not len(proof.roots) == len(proof.openings) == seq.r + 1):
         return False, None
@@ -345,28 +345,30 @@ def verify_noninteractive(
     if params != header:
         return False, None
     try:
-        params.check(graph0.n)
+        params.check(seq.n)
     except FloweringError:
         return False, None
 
     challenges, randomness = derive_noninteractive_randomness(seq, rs, params, proof.roots)
-    positions = seq.commit_positions()
+    read = [set() for _ in proof.openings]  # per level, the positions read
+
+    def oracle(level: int, at: int) -> int:
+        read[level].add(at)
+        return proof.openings[level][at][0]
 
     try:
-        transcript = verifier_query(
-            seq, rs, params, challenges,
-            lambda level, cid: proof.openings[level][positions[level].item(cid)][0],
-            randomness)
+        transcript = verifier_query(seq, rs, params, challenges, oracle, randomness,
+                                    by_position=True)
         # exactly the positions of the read buckets, each bucket under one
         # path, at every level before anything is hashed
-        records = [_read_records(opened, at, cids)
-                   for opened, at, cids in zip(proof.openings, positions, transcript.reads)]
+        records = [_read_records(opened, at, seq.num_classes(level))
+                   for level, (opened, at) in enumerate(zip(proof.openings, read))]
     except KeyError:
         return False, None
     if None in records:
         return False, None
-    for root, level, graph in zip(proof.roots, records, seq.graphs):
-        if (any(max(values) >= rs.field.p for _, values, _ in level)
-                or not verify_open(root, level, graph.classes.num_classes)):
+    for level, (root, level_records) in enumerate(zip(proof.roots, records)):
+        if (any(max(values) >= rs.field.p for _, values, _ in level_records)
+                or not verify_open(root, level_records, seq.num_classes(level))):
             return False, None
     return transcript.accept, transcript

@@ -20,13 +20,17 @@ numpy scalar reaches a transcript, a Merkle opening or a proof.
 Cutting a graph to a vertex subset keeps ids dense by remapping.  A
 flowering cut is validated on its parent and cut once; it keeps the
 child-to-parent ids, the parent-to-child projection ``down`` that the query
-walk follows, and the fold plan, which names the two parent classes behind
-every child class for the fold and the verifier's fold check alike.
+walk of a dense chain follows, and the fold plan, which names the two
+parent classes behind every child class for the fold and that walk's fold
+check alike (``fold_pair``).  A Cayley chain's walk reads neither: it
+computes the same ids from the generating set (cayley.CayleyChain).
 
 Graphs are never read from disk: an instance file names the generating set
 and the chain is rebuilt from it.  A graph is named by ``RIM.digest``, the
 SHA-256 of its raw adjacency buffer under a format tag; like the class
-index it is computed once per graph and cached.
+index it is computed once per graph and cached.  ``adjacency_digest`` takes
+the rows in blocks, so a graph given by a formula hashes to the same name
+without its table.
 """
 
 from __future__ import annotations
@@ -169,13 +173,20 @@ class RIM:
         return f"RIM(n={self.n}, vertices={self.num_vertices}, classes={self.classes.num_classes})"
 
     def digest(self) -> bytes:
-        """SHA-256 over the tag, n and |V| as u64 and the adjacency as
-        row-major little-endian int64, hashed from the table's own buffer."""
+        """adjacency_digest of the table, hashed from its own buffer."""
         if self._digest is None:
-            h = hashlib.sha256(DIGEST_TAG + struct.pack("<QQ", self.n, self.num_vertices))
-            h.update(np.ascontiguousarray(self.adj, dtype="<i8"))
-            self._digest = h.digest()
+            self._digest = adjacency_digest(self.n, self.num_vertices, [self.adj])
         return self._digest
+
+
+def adjacency_digest(n: int, num_vertices: int, blocks) -> bytes:
+    """SHA-256 over the tag, n and |V| as u64 and the adjacency as
+    row-major little-endian int64, the rows arriving in blocks of whole
+    rows, so that a graph given by a formula is named without its table."""
+    h = hashlib.sha256(DIGEST_TAG + struct.pack("<QQ", n, num_vertices))
+    for block in blocks:
+        h.update(np.ascontiguousarray(block, dtype="<i8"))
+    return h.digest()
 
 
 def cut_graph(rim: RIM, vertices) -> tuple[RIM, np.ndarray]:
@@ -274,6 +285,12 @@ class FloweringCut:
     def v_prime(self) -> tuple[int, ...]:
         """The kept half V', sorted."""
         return tuple(self.from_child.tolist())
+
+    def fold_pair(self, vc: int, l: int) -> tuple[int, int]:
+        """The fold plan's column for the child class of slot (vc, l)."""
+        plan = self.fold_plan
+        c = self.child.classes.class_of.item(vc, l)
+        return plan.item(0, c), plan.item(1, c)
 
     @property
     def fold_plan(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -582,8 +583,9 @@ def _drop_last_class(instance, params, word, proof):
 def _swap_pair(instance, params, word, proof):
     # the honest proof of a random kernel codeword, whose two classes of a
     # fold pair differ (an index-only word is equal on both), with the
-    # values of a level-0 pair, adjacent positions of one opened bucket,
-    # traded under the bucket's path
+    # values of a level-0 pair that no walk reads, adjacent positions of one
+    # opened bucket, traded under the bucket's path: the query phase and
+    # the records are those of the honest proof, and the leaf's hash is not
     rng = random.Random(5)
     field = instance.field
     codeword = field.array([0] * instance.seq.graphs[0].classes.num_classes)
@@ -593,9 +595,11 @@ def _swap_pair(instance, params, word, proof):
         instance.seq, instance.rs, Word(word.graph, field, codeword), params)
     assert transcript.accept
     positions = instance.seq.commit_positions()[0]
+    read = {positions.item(cid) for cid in transcript.reads[0]}
     opened = swapped.openings[0]
     a, b = next(pair for pair in positions[instance.seq.cuts[0].fold_plan].T.tolist()
-                if pair[0] in opened and opened[pair[0]][0] != opened[pair[1]][0])
+                if pair[0] in opened and not read & set(pair)
+                and opened[pair[0]][0] != opened[pair[1]][0])
     assert abs(a - b) == 1 and min(a, b) % 2 == 0
     (value_a, path_a), (value_b, path_b) = opened[a], opened[b]
     opened[a], opened[b] = (value_b, path_a), (value_a, path_b)
@@ -604,13 +608,21 @@ def _swap_pair(instance, params, word, proof):
 
 def _class_order_level(instance, params, word, proof):
     # level 1 committed in class order, as format v4 committed every level,
-    # and opened at the buckets its reads touch in that order, under a
-    # version-5 header
+    # under a version-7 header, and opened whole, so that every position
+    # the verifier reads in pair order is there: the query phase ends, and
+    # the record check refuses the buckets it did not read
     positions = instance.seq.commit_positions()
     layout = [*positions[:1], np.arange(positions[1].size), *positions[2:]]
     with mock.patch.object(instance.seq, "commit_positions", lambda: layout):
         forged, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
     assert transcript.accept
+    challenges, _ = derive_noninteractive_randomness(
+        instance.seq, instance.rs, params, forged.roots)
+    _, words = prover_commit(instance.seq, word, replay(challenges))
+    tree = MerkleTree(words[1].values)
+    assert tree.root == forged.roots[1]
+    forged.openings[1] = niproof._by_position(
+        tree.open(list(range(-(-len(tree.values) // LEAF_CLASSES)))))
     return forged.serialize()
 
 
@@ -678,6 +690,36 @@ def verify_open_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def verifier_checks(monkeypatch):
+    """How far verify_noninteractive got: the query phases it ended, the
+    levels whose read records it refused, and the levels verify_open
+    refused."""
+    seen = Counter()
+    query, read_records, open_level = (niproof.verifier_query, niproof._read_records,
+                                       niproof.verify_open)
+
+    def counting_query(*args, **kwargs):
+        transcript = query(*args, **kwargs)
+        seen["query phase"] += 1
+        return transcript
+
+    def counting_records(*args):
+        records = read_records(*args)
+        seen["records refused"] += records is None
+        return records
+
+    def counting_open(*args):
+        ok = open_level(*args)
+        seen["verify_open refused"] += not ok
+        return ok
+
+    monkeypatch.setattr(niproof, "verifier_query", counting_query)
+    monkeypatch.setattr(niproof, "_read_records", counting_records)
+    monkeypatch.setattr(niproof, "verify_open", counting_open)
+    return seen
+
+
 def _read_buckets(proof) -> int:
     # an honest proof opens exactly the buckets holding the commit
     # positions its query phase reads
@@ -689,6 +731,8 @@ def _read_buckets(proof) -> int:
 # too many, which misaligns the rest of the proof
 REFUSED_BY_PARSE = {"path-shorter", "dropped-middle", "two-paths", "dropped-sibling",
                     "duplicated-sibling"}
+# cases whose query phase ends, each with the one check that refuses it
+REFUSED_BY = {"swapped-pair": "verify_open refused", "class-order-level": "records refused"}
 
 
 @pytest.mark.parametrize("mutate", [
@@ -700,7 +744,8 @@ REFUSED_BY_PARSE = {"path-shorter", "dropped-middle", "two-paths", "dropped-sibl
         "cid-num-classes", "dropped-middle", "two-paths", "unread-bucket",
         "dropped-last", "extra-flower-class", "dropped-sibling", "duplicated-sibling",
         "swapped-sibling", "swapped-pair", "class-order-level"])
-def test_ni_structural_mutations_rejected(ni_setup_r5, mutate, verify_open_calls, request):
+def test_ni_structural_mutations_rejected(ni_setup_r5, mutate, verify_open_calls,
+                                          verifier_checks, request):
     # the verifier accepts exactly the buckets its query phase reads, each
     # with all its positions under the level's one pruned multi-opening of
     # its tree's depth, and authenticates at most once per level.  A case
@@ -717,9 +762,13 @@ def test_ni_structural_mutations_rejected(ni_setup_r5, mutate, verify_open_calls
         return
     reparsed = NIProof.parse(blob)
     verify_open_calls.clear()
+    verifier_checks.clear()
     accept, transcript = verify_noninteractive(instance.seq, instance.rs, reparsed, params)
     assert not accept and transcript is None
     assert len(verify_open_calls) <= instance.r + 1
+    if request.node.callspec.id in REFUSED_BY:
+        assert verifier_checks["query phase"] == 1
+        assert set(+verifier_checks) == {"query phase", REFUSED_BY[request.node.callspec.id]}
 
 
 def test_ni_malformed_records_refused(ni_setup):
