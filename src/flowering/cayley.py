@@ -12,12 +12,13 @@ must be linearly independent (the coset-graph construction from a parity
 check matrix of a binary [n, n-r, d] code).  The full nonzero set realizes
 d = 3.
 
-blossoming_cayley returns the chain as a CayleyChain, which answers the
-reads of the query phase and the NI verifier (folding.Chain) by closed
-forms in the generating set: class ids, fold pairs and commit positions are
-ranks computed in O(r) big-int steps per read, and the chain digest streams
+blossoming_cayley returns the chain as a CayleyChain, which answers a
+fresh NI verifier's reads (folding.Chain) by closed forms in the
+generating set: class ids, fold pairs and commit positions are ranks
+computed in O(r) big-int steps per read, and the chain digest streams
 graph 0's rows.  Its dense BlossomingSequence, which the prover folds and
-commits through, is built on first use.
+commits through, is built on first use, and every other read comes from
+its tables.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FloweringError, TooLargeError
-from .folding import BlossomingSequence, LazyPairs, chain_digest
+from .folding import BlossomingSequence, ReadMap, chain_digest
 from .graph_code import GraphCode, Word
 from .rim_graph import RIM, FloweringCut, adjacency_digest
 
@@ -44,10 +46,6 @@ MAX_GRAPH_ENTRIES = 1 << 24
 _SPOT_CHECKS = 1000
 # graph-0 entries hashed per block when a CayleyChain streams its digest
 _DIGEST_BLOCK = 1 << 18
-# fold pairs, and pair positions, a CayleyChain keeps per level once answered
-PAIR_MEMO = 1 << 10
-# low vertex bits whose terms a CayleyChain's rankers take from a table
-_LOW_BITS = 4
 
 
 class ZeroGeneratorError(FloweringError):
@@ -224,27 +222,24 @@ def _ranker(present: int, c: list[int], sets: list[int], none: int):
     the set bits k of w from the top, that is c[k] (w mod 2^k) +
     2^(k-1) (c[0] + ... + c[k-1]) per bit.  At w itself come the l slots
     below l, less the absent ones: those in none or in the sets of the
-    bits of w.  The terms of the low _LOW_BITS bits of w are tabled."""
+    bits of w."""
     below = [(1 << k >> 1) * sum(c[:k]) for k in range(len(c))]
-    low_sum, low_absent = [0], [none]
-    for x in range(1, 1 << min(len(c), _LOW_BITS)):
-        k = x.bit_length() - 1
-        rest = x ^ (1 << k)
-        low_sum.append(low_sum[rest] + c[k] * rest + below[k])
-        low_absent.append(low_absent[rest] | sets[k])
-    low = len(low_sum) - 1
 
     def rank(w: int, l: int) -> int:
         acc = present * w + l
-        absent = 0
-        while w > low:
+        absent = none
+        while w:
             k = w.bit_length() - 1
             w ^= 1 << k
             acc -= c[k] * w + below[k]
             absent |= sets[k]
-        return acc - low_sum[w] - ((absent | low_absent[w]) & ((1 << l) - 1)).bit_count()
+        return acc - (absent & ((1 << l) - 1)).bit_count()
 
     return rank
+
+
+# the pair of a child slot (vc, l): its two parent classes, or their positions
+PairMap = Callable[[int, int], tuple[int, int]]
 
 
 def _slots(bits: int, present: int, c: list[int]) -> int:
@@ -278,7 +273,8 @@ class CayleyChain:
 
     The dense chain is built on first use of graphs, cuts or
     commit_positions, which the prover and the word tools read; a
-    CayleyChain stands in for it there."""
+    CayleyChain stands in for it there.  Once it is built, the verifier's
+    reads come from its tables too."""
 
     def __init__(self, gens: GenSet):
         _check_graph_size(gens.r, gens.n)
@@ -314,11 +310,7 @@ class CayleyChain:
     def _num_classes(self) -> list[int]:
         return [_slots(self.r - level, self.n, self._by_top[0]) for level in range(self.r + 1)]
 
-    @cached_property
-    def _fold_pairs(self) -> list[LazyPairs]:
-        return [self._fold_pair(level) for level in range(self.r)]
-
-    def _fold_pair(self, level: int) -> LazyPairs:
+    def _fold_pair(self, level: int) -> PairMap:
         """The fold pairs of the level: the classes of (vc, l) and
         (vc | half, l).  For an index whose top bit is not the level's top
         bit, the image's representative is the kept one's, w, with that bit
@@ -337,13 +329,13 @@ class CayleyChain:
             w = vc ^ vectors[l] if vc & flip[l] else vc
             kept = rank(w, l)
             return kept, kept + step - c_top * w - (set_top & ((1 << l) - 1)).bit_count()
-        return LazyPairs(fold_pair, PAIR_MEMO)
+        return fold_pair
 
     @cached_property
-    def _pair_positions(self) -> list[LazyPairs]:
+    def _pair_positions(self) -> list[PairMap]:
         return [self._pair_position(level) for level in range(self.r)]
 
-    def _pair_position(self, level: int) -> LazyPairs:
+    def _pair_position(self, level: int) -> PairMap:
         bits = self.r - level - 1
         half = 1 << bits
         vectors, tops, flip = self.gens.vectors, self._tops, self._flips
@@ -374,7 +366,7 @@ class CayleyChain:
                 return at + 1, at
             at = 2 * rank(vc, l)
             return at, at + 1
-        return LazyPairs(pair_position, PAIR_MEMO)
+        return pair_position
 
     def num_vertices(self, level: int) -> int:
         return 1 << (self.r - level)
@@ -386,14 +378,45 @@ class CayleyChain:
         """Total number of edge classes across the sent levels 1..r."""
         return sum(self._num_classes[1:])
 
-    def descent(self, v: int) -> list[tuple[int, int]]:
-        return [(v & ((1 << shift) - 1), v >> shift & 1) for shift in range(self.r - 1, -1, -1)]
+    @cached_property
+    def _masks(self) -> list[int]:
+        return [(1 << bit) - 1 for bit in range(self.r - 1, -1, -1)]
 
-    def fold_pairs(self) -> list[LazyPairs]:
-        return self._fold_pairs
+    def descent(self, v: int) -> list[int]:
+        return [v & mask for mask in self._masks]
 
-    def pair_positions(self) -> list[LazyPairs]:
-        return self._pair_positions
+    def _fold_read(self, level: int) -> ReadMap:
+        """The fold check at slot (vc, l) of level level+1, addressed by
+        commit positions.  Its class id is the kept class's at level level:
+        the ranks agree on the vertices below 2^(r-level-1).  Its commit
+        position is in the next level's pair order, the flower's in class
+        order."""
+        fold_pair, pair_at = self._fold_pair(level), self._pair_positions[level]
+        if level + 1 == self.r:
+            def read(vc: int, l: int) -> tuple[int, int, int, int, int, int]:
+                a, b = fold_pair(vc, l)
+                return (a, b, a, *pair_at(vc, l), a)
+            return read
+        child_at = self._pair_positions[level + 1]
+        bit = self.r - level - 2
+        mask = (1 << bit) - 1
+
+        def read(vc: int, l: int) -> tuple[int, int, int, int, int, int]:
+            a, b = fold_pair(vc, l)
+            return (a, b, a, *pair_at(vc, l), child_at(vc & mask, l)[vc >> bit & 1])
+        return read
+
+    @cached_property
+    def _position_reads(self) -> list[ReadMap]:
+        return [self._fold_read(level) for level in range(self.r)]
+
+    def fold_reads(self, positions: bool = False) -> list[ReadMap]:
+        """A fresh verifier's reads by commit position from the closed
+        forms; every other read from the dense chain's tables, which the
+        prover and the word tools build."""
+        if positions and "dense" not in vars(self):
+            return self._position_reads
+        return self.dense.fold_reads(positions)
 
     def flower_ids(self) -> range:
         return range(self.n)

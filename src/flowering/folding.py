@@ -22,11 +22,12 @@ each pair takes two adjacent positions and a Merkle bucket of an even
 number of positions never splits one, as FRI commits one coset per leaf.
 
 The query phase and the NI verifier read a chain only through Chain: per
-level sizes, the digest, the walk's descent, and per read a fold pair with
-its commit positions.  A BlossomingSequence answers from its tables: the
-cut's down and fold plan, and commit_positions.  A Cayley chain answers from
-its generating set (cayley.CayleyChain), so a verifier builds no table over
-the vertices.
+level sizes, the digest, the walk's descent, and per fold check the class
+ids it reads with their addresses, which for the NI verifier are commit
+positions.  A BlossomingSequence answers from its tables: the cut's down,
+the child's class index, the fold plan and commit_positions.  A Cayley
+chain answers a fresh verifier from its generating set
+(cayley.CayleyChain), so that verifier builds no table over the vertices.
 """
 
 from __future__ import annotations
@@ -92,39 +93,22 @@ def chain_digest(graph0: bytes, ends) -> bytes:
     return h.digest()
 
 
-# the pair of a child slot (vc, l): its two parent classes, or their positions
-PairMap = Callable[[int, int], tuple[int, int]]
-
-
-class LazyPairs(dict):
-    """A map from (vc, l) to the pair compute(vc, l), computed on the first
-    read and kept while the map holds fewer than cap pairs: the small chains
-    of a Monte-Carlo study answer their walks from it after the first few,
-    and a verifier keeps no more than it read."""
-
-    __slots__ = ("compute", "cap")
-
-    def __init__(self, compute: PairMap, cap: int):
-        super().__init__()
-        self.compute, self.cap = compute, cap
-
-    def __missing__(self, key: tuple[int, int]) -> tuple[int, int]:
-        pair = self.compute(*key)
-        if len(self) < self.cap:
-            self[key] = pair
-        return pair
+# the fold check at a child slot (vc, l): the two parent class ids of its
+# fold pair and the slot's own class id, then the three addresses the query
+# phase's oracle reads them at
+ReadMap = Callable[[int, int], tuple[int, int, int, int, int, int]]
 
 
 class Chain(Protocol):
     """What the query phase and the NI verifier read of a blossoming
-    sequence: sizes, its digest, and per read a class id and its commit
-    position.  descent(v0) follows a level-0 vertex down the cuts: entry j
-    is the child vertex vc that cut j+1 maps the level-j vertex v to, with
-    a side bit, 0 if v is the kept vertex of vc and 1 if its phi image.
-    fold_pairs()[j][vc, l] are the level-j class ids of the kept and the
-    image slot at index l, the fold plan's column for the child slot
-    (vc, l), and pair_positions()[j][vc, l] their commit positions.  The
-    flower is committed in class order."""
+    sequence: sizes, its digest, and per fold check three class ids and
+    their addresses.  descent(v0) follows a level-0 vertex down the cuts:
+    entry j is the child vertex vc that cut j+1 maps the level-j vertex to.
+    fold_reads(positions)[j](vc, l) are the level-j class ids of the kept
+    and the image slot at index l (the fold plan's column for the child
+    slot), the level-(j+1) class id of the slot (vc, l), then the addresses
+    of the three: the ids again, or with positions their commit positions.
+    The flower is committed in class order."""
 
     r: int
     n: int
@@ -133,10 +117,29 @@ class Chain(Protocol):
     def num_classes(self, level: int) -> int: ...
     def proof_length(self) -> int: ...
     def digest(self) -> bytes: ...
-    def descent(self, v: int) -> list[tuple[int, int]]: ...
-    def fold_pairs(self) -> list[LazyPairs]: ...
-    def pair_positions(self) -> list[LazyPairs]: ...
+    def descent(self, v: int) -> list[int]: ...
+    def fold_reads(self, positions: bool = False) -> list[ReadMap]: ...
     def flower_ids(self) -> Sequence[int]: ...
+
+
+def _read_map(cut: FloweringCut, pair_at: np.ndarray | None = None,
+              child_at: np.ndarray | None = None) -> ReadMap:
+    """The fold check at slot (vc, l) of the cut's child: its class c, the
+    fold plan's column c, and the same column of pair_at and entry c of
+    child_at, the commit positions of the parent and the child, if given."""
+    class_of, plan = cut.child.classes.class_of.item, cut.fold_plan.item
+    if pair_at is None:
+        def read(vc: int, l: int) -> tuple[int, int, int, int, int, int]:
+            c = class_of(vc, l)
+            a, b = plan(0, c), plan(1, c)
+            return a, b, c, a, b, c
+    else:
+        at, child = pair_at.item, child_at.item
+
+        def read(vc: int, l: int) -> tuple[int, int, int, int, int, int]:
+            c = class_of(vc, l)
+            return plan(0, c), plan(1, c), c, at(0, c), at(1, c), child(c)
+    return read
 
 
 class BlossomingSequence:
@@ -154,6 +157,7 @@ class BlossomingSequence:
         self.graphs = [graph0]
         self._digest: bytes | None = None
         self._positions: list[np.ndarray] | None = None
+        self._reads: dict[bool, list[ReadMap]] = {}
         for v_prime, phi in specs:
             self.cuts.append(FloweringCut(self.graphs[-1], v_prime, phi))
             self.graphs.append(self.cuts[-1].child)
@@ -176,22 +180,25 @@ class BlossomingSequence:
         """Total number of edge classes across the sent levels 1..r."""
         return sum(map(self.num_classes, range(1, self.r + 1)))
 
-    def descent(self, v: int) -> list[tuple[int, int]]:
-        steps = []
+    def descent(self, v: int) -> list[int]:
+        walk = []
         for cut in self.cuts:
-            vc = cut.down.item(v)
-            steps.append((vc, int(cut.from_child.item(vc) != v)))
-            v = vc
-        return steps
+            v = cut.down.item(v)
+            walk.append(v)
+        return walk
 
-    def fold_pairs(self) -> list[LazyPairs]:
-        return [LazyPairs(cut.fold_pair, 0) for cut in self.cuts]
-
-    def pair_positions(self) -> list[LazyPairs]:
-        def of_cut(cut: FloweringCut, at: np.ndarray) -> PairMap:
-            return lambda vc, l: tuple(map(at.item, cut.fold_pair(vc, l)))
-        return [LazyPairs(of_cut(cut, at), 0)
-                for cut, at in zip(self.cuts, self.commit_positions())]
+    def fold_reads(self, positions: bool = False) -> list[ReadMap]:
+        """Per cut, the fold checks of its child slots, built once per
+        chain; with positions, addressed by the commit positions of the
+        parent, gathered by the fold plan, and of the child."""
+        if positions not in self._reads:
+            if positions:
+                orders = self.commit_positions()
+                self._reads[True] = [_read_map(cut, parent[cut.fold_plan], child)
+                                     for cut, parent, child in zip(self.cuts, orders, orders[1:])]
+            else:
+                self._reads[False] = list(map(_read_map, self.cuts))
+        return self._reads[positions]
 
     def flower_ids(self) -> list[int]:
         return self.graphs[-1].classes.class_of[0].tolist()

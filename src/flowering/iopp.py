@@ -25,12 +25,13 @@ The walk follows the cuts through the chain's narrow interface
 (folding.Chain): at level i it moves to v_i = down_i(v_{i-1}), the child id
 of the projection of v_{i-1}, and for each index l it opens the child class
 of (v_i, l) in f_i and, in f_{i-1}, the fold pair behind it: the classes of
-(v, l) and (phi_i(v), l) at the parent vertex v of v_i.  That child class is
-one class of the pair the next level's check reads, so each check looks up
-one new pair, and the non-interactive verifier its two commit positions
-with it.  A dense chain reads them from the fold plan and the commit
-positions, a Cayley chain (cayley.CayleyChain) computes them from the
-generating set; either way the check is the fold relation as the prover
+(v, l) and (phi_i(v), l) at the parent vertex v of v_i.  Each check is one
+lookup in the chain's fold_reads: the three class ids, and the addresses
+the oracle reads them at, the ids or, for the non-interactive verifier,
+the commit positions.  A dense chain reads them from the child's class
+index, the fold plan and the commit positions; a Cayley chain
+(cayley.CayleyChain) computes them from the generating set until its
+tables are built.  Either way the check is the fold relation as the prover
 computed it.
 """
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import FloweringError
-from .folding import BlossomingSequence, Chain, fold
+from .folding import BlossomingSequence, Chain, ReadMap, fold
 from .graph_code import GraphCode, Word
 from .reed_solomon import RSCode
 from .rim_graph import UnknownVertexError
@@ -172,10 +173,12 @@ def verifier_query(
     challenges: list[int],
     oracle,
     randomness: list[tuple[int, tuple[int, ...]]],
-    by_position: bool = False,
+    fold_reads: list[ReadMap] | None = None,
 ) -> Transcript:
-    """Run the query phase against oracles: oracle(level, class id) ->
-    value, or oracle(level, commit position) -> value if by_position.
+    """Run the query phase against oracles: oracle(level, address) ->
+    value.  fold_reads gives each read's class id and address
+    (folding.Chain); the default, seq.fold_reads(), addresses a class by
+    its id, and the NI verifier passes the commit positions.
 
     Returns the transcript with its read log; a failed fold check ends the
     phase as its last recorded opening triple."""
@@ -190,8 +193,9 @@ def verifier_query(
     counters = Counters(rounds=r, proof_length=seq.proof_length(),
                         rand_field_elements=r, rand_vertices=params.m,
                         rand_subsets=params.m, prover_field_ops=2 * seq.proof_length())
-    descent, fold_pairs, flower_ids = seq.descent, seq.fold_pairs(), seq.flower_ids()
-    pair_positions = seq.pair_positions() if by_position else None
+    descent, flower_ids = seq.descent, seq.flower_ids()
+    if fold_reads is None:
+        fold_reads = seq.fold_reads()
     records: list[QueryRecord] = []
     reads: list[set[int]] = [set() for _ in range(r + 1)]
     accept = True
@@ -202,42 +206,14 @@ def verifier_query(
         record = QueryRecord(v0=v0, indices=indices, walk=())
         records.append(record)
         openings = record.openings
-        steps = descent(v0)
-        # per index l, the pair of level-(i-1) classes the check at level i
-        # reads, and with by_position their commit positions.  The child
-        # class that check reads is one of the next level's pair, so each
-        # pair is looked up once; at the flower, committed in class order,
-        # it is the flower's class.
+        walk = descent(v0)
         i = 0
-        if r:
-            pairs = [fold_pairs[0][steps[0][0], l] for l in indices]
-            if by_position:
-                at = [pair_positions[0][steps[0][0], l] for l in indices]
         for i in range(1, r + 1):
-            if i < r:
-                vc, side = steps[i]
-                next_pairs = fold_pairs[i]
-                if by_position:
-                    next_at = pair_positions[i]
-            alpha = challenges[i - 1]
+            vc, check, alpha = walk[i - 1], fold_reads[i - 1], challenges[i - 1]
             parent_reads, child_reads = reads[i - 1], reads[i]
-            for k, l in enumerate(indices):
-                ca, cb = pairs[k]
-                if i < r:
-                    pairs[k] = pair = next_pairs[vc, l]
-                    cr = pair[side]
-                else:
-                    cr = flower_ids[l]
-                if by_position:
-                    pa, pb = at[k]
-                    if i < r:
-                        at[k] = where = next_at[vc, l]
-                        pr = where[side]
-                    else:
-                        pr = cr
-                    va, vb, vr = oracle(i - 1, pa), oracle(i - 1, pb), oracle(i, pr)
-                else:
-                    va, vb, vr = oracle(i - 1, ca), oracle(i - 1, cb), oracle(i, cr)
+            for l in indices:
+                ca, cb, cr, pa, pb, pr = check(vc, l)
+                va, vb, vr = oracle(i - 1, pa), oracle(i - 1, pb), oracle(i, pr)
                 openings += ((i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr))
                 parent_reads.add(ca)
                 parent_reads.add(cb)
@@ -247,7 +223,7 @@ def verifier_query(
                     break
             if not accept:
                 break
-        record.walk = tuple(v for v, _ in steps[:i])
+        record.walk = tuple(walk[:i])
         if not accept:
             break
 

@@ -10,11 +10,11 @@ root.  Each level is committed in its commit order
 the cut that folds them, so that the two classes a fold check reads share a
 Merkle bucket, and the flower in class order.  The prover builds those
 orders as tables; the verifier takes the commit position of each class its
-walks read with the class's id (folding.Chain.pair_positions), as closed
-forms on a Cayley chain, and reads the proof by position.  The proof
-carries the per-level roots and the authenticated openings of exactly the
-buckets holding the commit positions of the classes the verifier
-re-derives, the query phase's read log.
+walks read with the class's id (folding.Chain.fold_reads), from closed
+forms on a Cayley chain whose tables are not built, and reads the proof by
+position.  The proof carries the per-level roots and the authenticated
+openings of exactly the buckets holding the commit positions of the
+classes the verifier re-derives, the query phase's read log.
 
 The record rule: a proof opens exactly the records that were read, and each
 level's records are authenticated together, once.  A record is the
@@ -358,7 +358,7 @@ def verify_noninteractive(
 
     try:
         transcript = verifier_query(seq, rs, params, challenges, oracle, randomness,
-                                    by_position=True)
+                                    seq.fold_reads(positions=True))
         # exactly the positions of the read buckets, each bucket under one
         # path, at every level before anything is hashed
         records = [_read_records(opened, at, seq.num_classes(level))

@@ -22,8 +22,9 @@ flowering cut is validated on its parent and cut once; it keeps the
 child-to-parent ids, the parent-to-child projection ``down`` that the query
 walk of a dense chain follows, and the fold plan, which names the two
 parent classes behind every child class for the fold and that walk's fold
-check alike (``fold_pair``).  A Cayley chain's walk reads neither: it
-computes the same ids from the generating set (cayley.CayleyChain).
+check alike.  A Cayley chain whose tables are not built, as in a fresh
+verifier, computes the same ids from the generating set
+(cayley.CayleyChain).
 
 Graphs are never read from disk: an instance file names the generating set
 and the chain is rebuilt from it.  A graph is named by ``RIM.digest``, the
@@ -285,12 +286,6 @@ class FloweringCut:
     def v_prime(self) -> tuple[int, ...]:
         """The kept half V', sorted."""
         return tuple(self.from_child.tolist())
-
-    def fold_pair(self, vc: int, l: int) -> tuple[int, int]:
-        """The fold plan's column for the child class of slot (vc, l)."""
-        plan = self.fold_plan
-        c = self.child.classes.class_of.item(vc, l)
-        return plan.item(0, c), plan.item(1, c)
 
     @property
     def fold_plan(self) -> np.ndarray:

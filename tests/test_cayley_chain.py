@@ -15,7 +15,13 @@ from flowering.adversaries import build_adversary
 from flowering.cayley import _f2_rank, blossoming_cayley, gen_set_full, validate_gen_set
 from flowering.cli import main
 from flowering.experiments import gen_instance, random_codeword_word
-from flowering.iopp import ProtocolParams, run_protocol
+from flowering.iopp import (
+    ProtocolParams,
+    prover_commit,
+    run_protocol,
+    sample_query_randomness,
+    verifier_query,
+)
 from flowering.niproof import NIProof, prove_noninteractive, verify_noninteractive
 
 P = 2**31 - 1
@@ -49,18 +55,24 @@ def test_closed_forms_equal_dense_chain(gens):
     for level, graph in enumerate(dense.graphs):
         assert chain.num_vertices(level) == graph.num_vertices
         assert chain.num_classes(level) == graph.classes.num_classes
-    # a level's fold pairs name the classes of its every slot: the kept
-    # vertices vc and their images vc | half
-    for level, (cut, pairs, at) in enumerate(zip(dense.cuts, chain.fold_pairs(),
-                                                 chain.pair_positions())):
+    # a level's fold checks name the classes of its every slot: the kept
+    # vertices vc and their images vc | half, and the child's slot (vc, l)
+    for level, (cut, by_position, by_id) in enumerate(zip(dense.cuts,
+                                                          chain.fold_reads(positions=True),
+                                                          dense.fold_reads())):
         half = cut.child.num_vertices
-        ids = np.array([[pairs[vc, l] for l in range(n)] for vc in range(half)])
+        reads = np.array([[by_position(vc, l) for l in range(n)] for vc in range(half)])
+        ids = reads[:, :, :3]
+        assert np.array_equal([[by_id(vc, l) for l in range(n)] for vc in range(half)],
+                              np.concatenate([ids, ids], axis=2))
         class_of = cut.parent.classes.class_of
         assert np.array_equal(ids[:, :, 0], class_of[:half])
         assert np.array_equal(ids[:, :, 1], class_of[half:])
-        assert np.array_equal(ids.transpose(2, 0, 1), cut.fold_plan[:, cut.child.classes.class_of])
-        assert np.array_equal([[at[vc, l] for l in range(n)] for vc in range(half)],
-                              positions[level][ids])
+        assert np.array_equal(ids[:, :, :2].transpose(2, 0, 1),
+                              cut.fold_plan[:, cut.child.classes.class_of])
+        assert np.array_equal(ids[:, :, 2], cut.child.classes.class_of)
+        assert np.array_equal(reads[:, :, 3:5], positions[level][ids[:, :, :2]])
+        assert np.array_equal(reads[:, :, 5], positions[level + 1][ids[:, :, 2]])
     assert list(chain.flower_ids()) == dense.graphs[r].classes.class_of[0].tolist()
     for v0 in range(1 << r):
         assert chain.descent(v0) == dense.descent(v0)
@@ -84,35 +96,77 @@ def _runs(r: int):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 6])
 def test_protocol_runs_equal_on_dense_chain(r):
-    # the interactive query phase walks by closed forms and the NI verifier
-    # reads by closed-form commit positions; both give the transcripts of
-    # the dense chain's tables
+    # the query phase walks by closed forms and closed-form commit
+    # positions on a chain whose tables are not built, as the NI verifier
+    # does, and gives the transcripts of the dense chain's tables.
+    # run_protocol builds the tables in its commit phase, so its walk reads
+    # them.
     instance, runs = _runs(r)
     chain, dense = instance.seq, instance.seq.dense
+    rs = instance.rs
     for word, respond in runs:
         for seed, (m, t) in enumerate([(1, 1), (3, 2), (5, min(4, chain.n))]):
             params = ProtocolParams(m, t)
-            implicit = run_protocol(chain, instance.rs, word, params, seed, respond)
-            tables = run_protocol(dense, instance.rs, word, params, seed, respond)
+            tables = run_protocol(dense, rs, word, params, seed, respond)
+            assert run_protocol(chain, rs, word, params, seed, respond).to_json() == tables.to_json()
+            rng = random.Random(seed)
+            challenges, words = prover_commit(dense, word, lambda f: rs.field.sample(rng), respond)
+            randomness = sample_query_randomness(rng, dense.num_vertices(0), dense.n, params)
+            # the same words read by commit position on a fresh chain
+            committed = []
+            for level_word, order in zip(words, dense.commit_positions()):
+                committed.append(np.empty_like(level_word.values))
+                committed[-1][order] = level_word.values
+            fresh = blossoming_cayley(instance.gens)
+            implicit = verifier_query(fresh, rs, params, challenges,
+                                      lambda level, at: committed[level].item(at), randomness,
+                                      fresh.fold_reads(positions=True))
+            assert "dense" not in vars(fresh)
             assert implicit.to_json() == tables.to_json()
             assert implicit.reads == tables.reads
-        proof, _ = prove_noninteractive(chain, instance.rs, word, ProtocolParams(3, 2))
+        proof, _ = prove_noninteractive(chain, rs, word, ProtocolParams(3, 2))
         parsed = NIProof.parse(proof.serialize())
+        fresh = blossoming_cayley(instance.gens)
         (accept, implicit), (dense_accept, tables) = [
-            verify_noninteractive(seq, instance.rs, parsed) for seq in (chain, dense)]
+            verify_noninteractive(seq, rs, parsed) for seq in (fresh, dense)]
+        assert "dense" not in vars(fresh)
         assert accept == dense_accept
         assert (implicit.to_json(), implicit.reads) == (tables.to_json(), tables.reads)
 
 
-def test_pair_memo_is_bounded():
-    chain = blossoming_cayley(gen_set_full(8))
-    pairs = chain.fold_pairs()[0]
-    for vc in range(128):
-        for l in range(255):
-            pairs[vc, l]
-    assert len(pairs) == cayley.PAIR_MEMO
-    # a pair past the memo is still answered
-    assert pairs[127, 254] == chain.dense.cuts[0].fold_pair(127, 254)
+def test_closed_forms_sampled_at_r10():
+    # past the exhaustive r <= 8: random slots of every level of the full
+    # r = 10 chain against its dense tables, and an r = 9 NI proof that a
+    # fresh chain accepts, and rejects with a flipped value, as the dense
+    # chain does
+    gens = gen_set_full(10)
+    chain, dense = blossoming_cayley(gens), blossoming_cayley(gens).dense
+    rng = random.Random(10)
+    slots = [(rng.randrange(cut.child.num_vertices), rng.randrange(gens.n))
+             for cut in dense.cuts for _ in range(200)]
+    maps = chain.fold_reads(positions=True), dense.fold_reads(positions=True)
+    for level, (closed, table) in enumerate(zip(*maps)):
+        for vc, l in slots[200 * level:200 * (level + 1)]:
+            assert closed(vc, l) == table(vc, l), (level, vc, l)
+    for v0 in rng.sample(range(1 << 10), 200):
+        assert chain.descent(v0) == dense.descent(v0)
+    assert chain.proof_length() == dense.proof_length()
+    assert chain.digest() == dense.digest()
+    assert "dense" not in vars(chain)
+
+    instance = gen_instance(9, P, 509)
+    proof, _ = prove_noninteractive(instance.seq, instance.rs,
+                                    random_codeword_word(instance, random.Random(9)),
+                                    ProtocolParams(10, 2))
+    flipped = NIProof.parse(proof.serialize())
+    level = next(opened for opened in flipped.openings if opened)
+    value, path = level[min(level)]
+    level[min(level)] = (value ^ 1 if value ^ 1 < P else value ^ 2, path)
+    for candidate, verdict in ((proof, True), (flipped, False)):
+        fresh = blossoming_cayley(instance.gens)
+        assert verify_noninteractive(fresh, instance.rs, candidate)[0] is verdict
+        assert verify_noninteractive(instance.seq, instance.rs, candidate)[0] is verdict
+        assert "dense" not in vars(fresh)
 
 
 def test_verify_builds_no_dense_table(tmp_path, monkeypatch):
