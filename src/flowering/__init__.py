@@ -13,7 +13,7 @@ from .cayley import (
     min_distance_bounds,
     upper_bound_witness,
 )
-from .commitment import FSState, MerkleTree, verify_open
+from .commitment import FSState, MerkleTree, MultiOpening, verify_open
 from .errors import FloweringError, TooLargeError
 from .field import NotPrimeError, PrimeField
 from .folding import BlossomingSequence, fold
@@ -46,6 +46,7 @@ __all__ = [
     "GenSet",
     "GraphCode",
     "MerkleTree",
+    "MultiOpening",
     "NIProof",
     "NotPrimeError",
     "PrimeField",

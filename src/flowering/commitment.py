@@ -12,14 +12,19 @@ commits to a position, not just values.  The leaf layer is zero-padded to
 a power of two.  Each tree layer is one contiguous bytes object of
 digests, and the preimages of a layer are built as one numpy record array
 (the leaves straight from the committed array) and hashed by one map over
-its rows, so the hashing is one DIGEST call per leaf and per node and no
-bytecode per row.  SHA-256 throughout; every hash goes through the
-module-level DIGEST.
+its rows, so the hashing is one DIGEST call per leaf and per node above a
+leaf and no bytecode per row; a node over padding alone is the digest of
+an all-padding subtree of its height, hashed once at import for every
+tree.  SHA-256 throughout; every hash goes through the module-level
+DIGEST.
 
 Buckets are opened together, as a multi-opening: at each layer the
 sibling of an opened bucket's ancestor is sent once, and not at all where
 it is itself such an ancestor, since the verifier computes it (the batched
 decommitment of StarkWare's "ethSTARK Documentation", ePrint 2021/582).
+A MultiOpening keeps the opened buckets' values and those sibling digests
+in the order the proof sends them, and verify_open consumes them in that
+order.
 
 FSState keeps a running 32-byte state.  Every absorb and every challenge is
 framed with a length-prefixed label, and deriving a challenge ratchets the
@@ -32,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,6 +107,13 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
     return DIGEST(_NODE_PREFIX + left + right).digest()
 
 
+# _PADDING[d]: the digest of an all-padding subtree of height d, a tree
+# layer's padding; hashed once, here, for every depth a tree can have
+_PADDING = [_ZERO_DIGEST]
+for _ in range(63):
+    _PADDING.append(_node_hash(_PADDING[-1], _PADDING[-1]))
+
+
 class MerkleTree:
     """Commitment to an array of field values, used as is and in the order
     given, one leaf per bucket of LEAF_CLASSES positions.
@@ -116,87 +129,133 @@ class MerkleTree:
             raise EmptyWordError("cannot commit to an empty word")
         self.values = values
         leaves = _num_leaves(len(values))
-        layers = [_leaf_layer(values)
-                  + _ZERO_DIGEST * ((1 << (leaves - 1).bit_length()) - leaves)]
-        while len(layers[-1]) > DIGEST_SIZE:
-            layers.append(_node_layer(layers[-1]))
+        width = 1 << (leaves - 1).bit_length()
+        layer = _leaf_layer(values)
+        layers = []
+        for pad in _PADDING:  # the padding digest of the layer at hand
+            real = len(layer) // DIGEST_SIZE
+            layers.append(layer + pad * (width - real))
+            if width == 1:
+                break
+            # only the nodes above a leaf are hashed, the last one beside
+            # the padding when the layer has an odd number of them
+            layer = _node_layer(layer + pad * (real & 1))
+            width >>= 1
         self.layers = layers
 
     @property
     def root(self) -> bytes:
         return self.layers[-1]
 
-    def open(self, buckets: list[int]) -> list[tuple[int, list[int], list[bytes]]]:
-        """The multi-opening of the sorted, distinct buckets: one record
-        (first position, values as Python ints, path) per bucket, whose path
-        holds b"" at each layer where the sibling is itself an ancestor of
-        an opened bucket, since the verifier computes it."""
+    def open(self, buckets: list[int]) -> MultiOpening:
+        """The multi-opening of the sorted, distinct buckets: each bucket's
+        values as Python ints, and the sibling digests a verifier cannot
+        compute, in wire order (sent_siblings)."""
         leaves = _num_leaves(len(self.values))
         for bucket in buckets:
             if not 0 <= bucket < leaves:
                 raise IndexOutOfRangeError(f"bucket {bucket} out of range")
-        above = [{b >> d for b in buckets} for d in range(len(self.layers) - 1)]
-        records = []
+        depth = len(self.layers) - 1
+        records = {}
         for bucket in buckets:
-            path = []
-            for d, layer in enumerate(self.layers[:-1]):
-                sibling = (bucket >> d) ^ 1
-                path.append(b"" if sibling in above[d]
-                            else layer[sibling * DIGEST_SIZE:(sibling + 1) * DIGEST_SIZE])
             first = bucket * LEAF_CLASSES
-            records.append((first, self.values[first:first + LEAF_CLASSES].tolist(), path))
-        return records
+            records[bucket] = (first, self.values[first:first + LEAF_CLASSES].tolist())
+        siblings = b"".join(self.layers[d][node * DIGEST_SIZE:(node + 1) * DIGEST_SIZE]
+                            for d, node in sent_siblings(buckets, depth))
+        return MultiOpening(records, depth, siblings)
+
+
+@dataclass
+class MultiOpening:
+    """Buckets of one tree opened together, as the proof's wire format
+    carries them: records maps each opened bucket, in increasing order, to
+    its record (first position, values); depth is the tree's; siblings is
+    the sibling digests, concatenated in wire order (sent_siblings)."""
+
+    records: dict[int, tuple[int, list[int]]]
+    depth: int
+    siblings: bytes
+
+    def paths(self) -> dict[int, list[bytes]]:
+        """Each opened bucket's path: per layer its sibling digest, b"" where
+        the sibling is an ancestor of an opened bucket."""
+        sent = {key: self.siblings[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE]
+                for i, key in enumerate(sent_siblings(list(self.records), self.depth))}
+        return {bucket: [sent.get((d, (bucket >> d) ^ 1), b"") for d in range(self.depth)]
+                for bucket in self.records}
 
 
 def sent_siblings(buckets: list[int], depth: int) -> list[tuple[int, int]]:
-    """(layer, bucket) for each sibling digest a multi-opening of the
-    sorted, distinct buckets carries, in order of layer and then position:
-    at layer d the sibling of each ancestor b >> d, once, unless it is an
-    ancestor itself.  bucket is the first whose path holds the digest."""
+    """(layer, node) for each sibling digest a multi-opening of the sorted,
+    distinct buckets carries, in wire order: at layer d, in increasing
+    position, the sibling (b >> d) ^ 1 of each ancestor b >> d of an opened
+    bucket, once, unless it is itself such an ancestor."""
     out = []
-    firsts = dict(zip(buckets, buckets))  # the layer's ancestors -> first bucket below
+    nodes = buckets
     for d in range(depth):
-        parents = {}
-        for node, first in firsts.items():
-            if node ^ 1 not in firsts:
-                out.append((d, first))
-            parents.setdefault(node >> 1, first)
-        firsts = parents
+        above = set(nodes)
+        out += [(d, node ^ 1) for node in nodes if node ^ 1 not in above]
+        nodes = list(dict.fromkeys([node >> 1 for node in nodes]))
     return out
 
 
-def verify_open(root: bytes, records, num_classes: int) -> bool:
-    """True iff the (first position, values, path) records, sorted by
-    bucket and one per bucket, open a tree over num_classes values with this
-    root.  Each record must hold exactly its bucket's positions,
-    min(LEAF_CLASSES, N - first) values, under a path of exactly that tree's
-    depth: a shorter or longer one could pass an inner node off as a leaf.
-    Each leaf and each distinct ancestor is hashed once, from the computed
-    sibling where one exists and from the first record's path below the
-    node otherwise.  No records open nothing and are accepted."""
+def sibling_count(buckets, depth: int) -> int:
+    """len(sent_siblings(buckets, depth)), from the number of ancestors per
+    layer alone: a parent with one opened child sends one sibling and a
+    parent with two sends none."""
+    count, nodes = 0, set(buckets)
+    for _ in range(depth):
+        parents = {node >> 1 for node in nodes}
+        count += 2 * len(parents) - len(nodes)
+        nodes = parents
+    return count
+
+
+def verify_open(root: bytes, opening: MultiOpening, num_classes: int) -> bool:
+    """True iff the multi-opening opens a tree over num_classes values with
+    this root.  Its records must be in increasing bucket order, each holding
+    exactly its bucket's positions, min(LEAF_CLASSES, N - first) values,
+    and its depth must be that tree's: a shallower or deeper tree could pass
+    an inner node off as a leaf.  The sibling stream is consumed in wire
+    order, layer by layer, in increasing position, one digest wherever a
+    node's sibling is not itself computed, and a stream left over or too
+    short is refused.  Each leaf and each distinct ancestor is hashed once.
+    No records open nothing and are accepted with no siblings."""
     leaves = _num_leaves(num_classes)
     depth = (leaves - 1).bit_length()
-    nodes = {}  # node index -> (digest, path of the first record below it)
-    last = -1
-    for first, values, path in records:
-        bucket, offset = divmod(first, LEAF_CLASSES)
-        if (offset or not last < bucket < leaves or len(path) != depth
+    siblings = opening.siblings
+    if not opening.records:
+        return not siblings
+    if opening.depth != depth:
+        return False
+    indices, preimages = [], []  # a layer's computed nodes, in increasing position
+    for bucket, (first, values) in opening.records.items():
+        if (first != bucket * LEAF_CLASSES or indices and bucket <= indices[-1]
+                or not 0 <= bucket < leaves
                 or len(values) != min(LEAF_CLASSES, num_classes - first)):
             return False
-        nodes[bucket] = (DIGEST(_leaf_preimage(bucket, values)).digest(), path)
-        last = bucket
-    for d in range(depth):
-        parents = {}
-        for pos, (node, path) in nodes.items():
-            if pos >> 1 in parents:
-                continue
-            sibling = nodes.get(pos ^ 1, (path[d],))[0]
-            if len(sibling) != DIGEST_SIZE:
-                return False
-            parents[pos >> 1] = (_node_hash(sibling, node) if pos & 1
-                                 else _node_hash(node, sibling), path)
-        nodes = parents
-    return not nodes or nodes[0][0] == root
+        indices.append(bucket)
+        preimages.append(_leaf_preimage(bucket, values))
+    at = 0  # the next sent digest; a short stream ends past its length
+    for _ in range(depth):
+        digests = list(map(_DIGEST_OF, map(DIGEST, preimages)))
+        parents, preimages = [], []
+        i, count = 0, len(indices)
+        while i < count:
+            index, node = indices[i], digests[i]
+            if index & 1:
+                preimages.append(_NODE_PREFIX + siblings[at:at + DIGEST_SIZE] + node)
+                at += DIGEST_SIZE
+            elif i + 1 < count and indices[i + 1] == index + 1:
+                preimages.append(_NODE_PREFIX + node + digests[i + 1])
+                i += 1
+            else:
+                preimages.append(_NODE_PREFIX + node + siblings[at:at + DIGEST_SIZE])
+                at += DIGEST_SIZE
+            parents.append(index >> 1)
+            i += 1
+        indices = parents
+    return at == len(siblings) and DIGEST(preimages[0]).digest() == root
 
 
 def _frame(data: bytes) -> bytes:

@@ -18,14 +18,18 @@ classes the verifier re-derives, the query phase's read log.
 
 The record rule: a proof opens exactly the records that were read, and each
 level's records are authenticated together, once.  A record is the
-positions of one bucket under one path; NIProof.openings holds them per
-commit position, and _records (serialize), _read_records (the verifier) and
-_by_position (parse, the prover) are the only conversions.  Each level must
-open exactly the positions of the buckets holding the commit positions of
-its reads, each bucket under one path, before anything is hashed; then each
-record needs every value below p, and each level one verify_open, which
-refuses a wrong path depth and hashes each opened leaf and each distinct
-ancestor once.  So a proof causes at most one authentication per level.
+positions of one bucket; each level is kept as the wire carries it, a
+commitment.MultiOpening of its records keyed by bucket and its sibling
+digests in wire order, from MerkleTree.open through serialize and parse to
+the verifier, which reads a value through its bucket's record.  Each level
+must open exactly the buckets holding the commit positions of its reads,
+each record whole and every value below p, at every level before anything
+is hashed; then each level takes one verify_open, which refuses a wrong
+depth and a sibling stream left over or too short, and hashes each opened
+leaf and each distinct ancestor once.  So a proof causes at most one
+authentication per level.  NIProof.openings is a per-position view of the
+records, (value, path) with each path derived from the sibling digests, for
+readers that still take that form.
 
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
@@ -46,8 +50,8 @@ cayley.MAX_GRAPH_ENTRIES slots.  The sibling digests are the pruned
 multi-opening of the level's buckets (commitment.sent_siblings): for each
 layer d < depth, in increasing position, the node at (b >> d) ^ 1 for each
 record bucket b, once, skipped where it is itself an ancestor b' >> d of a
-record bucket.  Each record's path holds its siblings, b"" where pruned, so
-a proof and its parse carry the same paths.  The depth is written once per
+record bucket.  Parse keeps them as the bytes it read and serialize writes
+them back as they are; byte_split gives a proof's bytes by part.  The depth is written once per
 level, since the parser has no instance to derive it from; the verifier
 requires it to equal the level tree's depth.  The chain digest is
 ``BlossomingSequence.digest``.  Parsing is strict: any other version (1
@@ -75,7 +79,8 @@ from .commitment import (
     LEAF_CLASSES,
     FSState,
     MerkleTree,
-    sent_siblings,
+    MultiOpening,
+    sibling_count,
     verify_open,
 )
 from .errors import FloweringError
@@ -99,6 +104,48 @@ class MalformedProofError(FloweringError):
     pass
 
 
+class Positions:
+    """One level's openings per commit position, a view over its records:
+    position -> (value, path), each path its bucket's, derived from the
+    sibling digests (b"" where pruned).  It takes the length, iteration in
+    position order, values(), a read, and a write of the value of an
+    opened position under that position's path, which changes the record;
+    the program itself reads records."""
+
+    def __init__(self, opening: MultiOpening):
+        self.opening = opening
+
+    def __len__(self) -> int:
+        return sum(len(values) for _, values in self.opening.records.values())
+
+    def __iter__(self):
+        for first, values in self.opening.records.values():
+            yield from range(first, first + len(values))
+
+    def _locate(self, at: int) -> tuple[list[int], int]:
+        first, values = self.opening.records[at // LEAF_CLASSES]
+        if not 0 <= at - first < len(values):
+            raise KeyError(at)
+        return values, at - first
+
+    def __getitem__(self, at: int) -> tuple[int, list[bytes]]:
+        values, i = self._locate(at)
+        return values[i], self.opening.paths()[at // LEAF_CLASSES]
+
+    def __setitem__(self, at: int, opened: tuple[int, list[bytes]]) -> None:
+        value, path = opened
+        values, i = self._locate(at)
+        if path != self.opening.paths()[at // LEAF_CLASSES]:
+            raise FloweringError(f"position {at} opens under its bucket's path only")
+        values[i] = value
+
+    def values(self):
+        paths = self.opening.paths()
+        for bucket, (_, values) in self.opening.records.items():
+            for value in values:
+                yield value, paths[bucket]
+
+
 @dataclass
 class NIProof:
     p: int
@@ -107,21 +154,21 @@ class NIProof:
     m: int
     t: int
     roots: list[bytes]
-    openings: list[dict[int, tuple[int, list[bytes]]]]  # per level: position -> (value, path)
+    levels: list[MultiOpening]  # per level, its opened records and sibling digests
+
+    @property
+    def openings(self) -> list[Positions]:
+        """Per level, the per-position view of its records."""
+        return [Positions(level) for level in self.levels]
 
     def serialize(self) -> bytes:
         code = _value_code(self.p)
         out = [MAGIC, struct.pack("<HQ", VERSION, self.p), self.chain_digest,
                struct.pack("<III", self.r, self.m, self.t)]
         out.extend(self.roots)
-        for level in self.openings:
-            records = _records(level)
-            depth = len(records[0][2]) if records else 0
-            if any(len(path) != depth for _, _, path in records):
-                raise FloweringError("the records of a level need paths of one depth")
-            out.append(struct.pack("<IB", len(records), depth))
-            paths = {}
-            for first, values, path in records:
+        for level in self.levels:
+            out.append(struct.pack("<IB", len(level.records), level.depth))
+            for first, values in level.records.values():
                 try:
                     out.append(struct.pack(f"<IB{len(values)}{code}", first, len(values),
                                            *values))
@@ -129,70 +176,94 @@ class NIProof:
                     raise FloweringError(
                         f"the record of {len(values)} values from position {first} does not "
                         f"fit format v{VERSION} at p = {self.p}: {exc}") from None
-                paths.setdefault(first // LEAF_CLASSES, path)
-            out.extend(paths[bucket][d] for d, bucket in sent_siblings(list(paths), depth))
+            out.append(level.siblings)
         return b"".join(out)
 
     @classmethod
     def parse(cls, data: bytes) -> NIProof:
-        view = memoryview(data)
-        pos = 0
+        return _read(data)[0]
 
-        def take(size: int) -> bytes:
-            nonlocal pos
-            if pos + size > len(view):
-                raise MalformedProofError("truncated proof")
-            out = bytes(view[pos:pos + size])
-            pos += size
-            return out
 
-        if take(4) != MAGIC:
+_HEADER_BYTES = 4 + 10 + DIGEST_SIZE + 12  # magic, version and p, chain digest, r, m, t
+_LEVEL = struct.Struct("<IB")  # a level's record count and depth, and a record's first and n
+
+
+def _read(data: bytes) -> tuple[NIProof, list[tuple[int, int, int]]]:
+    """The proof, and per level the offsets in data where it starts, where
+    its sibling digests start and where it ends.  Every read of the wire
+    format is here."""
+    data = bytes(data)
+    try:
+        magic, version, p = struct.unpack_from("<4sHQ", data)
+        if magic != MAGIC:
             raise MalformedProofError("bad magic")
-        version, p = struct.unpack("<HQ", take(10))
         if version != VERSION:
             raise MalformedProofError(f"unsupported version {version}")
         code = _value_code(p)
         width = struct.calcsize(f"<{code}")
-        chain_digest = take(DIGEST_SIZE)
-        r, m, t = struct.unpack("<III", take(12))
+        chain_digest = data[14:14 + DIGEST_SIZE]
+        r, m, t = struct.unpack_from("<III", data, 14 + DIGEST_SIZE)
         if not (1 <= r <= MAX_R and 1 <= m <= MAX_M and 1 <= t <= MAX_T):
             raise MalformedProofError("implausible protocol parameters")
-        roots = [take(DIGEST_SIZE) for _ in range(r + 1)]
-        openings = []
+        pos = _HEADER_BYTES + DIGEST_SIZE * (r + 1)
+        if pos > len(data):
+            raise MalformedProofError("truncated proof")
+        roots = [data[at:at + DIGEST_SIZE] for at in range(_HEADER_BYTES, pos, DIGEST_SIZE)]
+        levels, spans = [], []
         for _ in range(r + 1):
-            count, depth = struct.unpack("<IB", take(5))
+            start = pos
+            count, depth = _LEVEL.unpack_from(data, pos)
+            pos += _LEVEL.size
             if count > MAX_OPENINGS or depth > MAX_DEPTH:
                 raise MalformedProofError("implausible opening count or depth")
-            records = []
-            buckets = []
+            records = {}
+            last = -1
             for _ in range(count):
-                first, n = struct.unpack("<IB", take(5))
+                first, n = _LEVEL.unpack_from(data, pos)
                 bucket = first // LEAF_CLASSES
                 if n == 0 or bucket != (first + n - 1) // LEAF_CLASSES:
                     raise MalformedProofError(
                         f"a record of {n} classes from class {first} is not inside one bucket")
-                if buckets and bucket <= buckets[-1]:
+                if bucket <= last:
                     raise MalformedProofError(
-                        f"a record in bucket {bucket} follows one in bucket {buckets[-1]}")
-                records.append((first, struct.unpack(f"<{n}{code}", take(width * n))))
-                buckets.append(bucket)
-            if buckets and buckets[-1] >> depth:
-                raise MalformedProofError(
-                    f"bucket {buckets[-1]} is outside a tree of depth {depth}")
-            if not buckets and depth:
+                        f"a record in bucket {bucket} follows one in bucket {last}")
+                records[bucket] = (first, list(struct.unpack_from(f"<{n}{code}", data,
+                                                                  pos + _LEVEL.size)))
+                pos += _LEVEL.size + width * n
+                last = bucket
+            if last >> depth > 0:
+                raise MalformedProofError(f"bucket {last} is outside a tree of depth {depth}")
+            if not records and depth:
                 raise MalformedProofError(f"a level of no records has depth {depth}, not 0")
-            sent = sent_siblings(buckets, depth)
-            digests = take(DIGEST_SIZE * len(sent))
-            siblings = [{} for _ in range(depth)]  # per layer: ancestor -> its sibling
-            for i, (d, bucket) in enumerate(sent):
-                siblings[d][bucket >> d] = digests[i * DIGEST_SIZE:(i + 1) * DIGEST_SIZE]
-            paths = {bucket: [layer.get(bucket >> d, b"") for d, layer in enumerate(siblings)]
-                     for bucket in buckets}
-            openings.append(_by_position([(first, values, paths[bucket])
-                                      for (first, values), bucket in zip(records, buckets)]))
-        if pos != len(view):
-            raise MalformedProofError("trailing bytes")
-        return cls(p, chain_digest, r, m, t, roots, openings)
+            digests = pos
+            pos += DIGEST_SIZE * sibling_count(records, depth)
+            if pos > len(data):
+                raise MalformedProofError("truncated proof")
+            levels.append(MultiOpening(records, depth, data[digests:pos]))
+            spans.append((start, digests, pos))
+    except struct.error:
+        raise MalformedProofError("truncated proof") from None
+    if pos != len(data):
+        raise MalformedProofError("trailing bytes")
+    return NIProof(p, chain_digest, r, m, t, roots, levels), spans
+
+
+def byte_split(blob: bytes) -> dict:
+    """The proof's bytes by part, as parse reads them: header, roots, values,
+    framing (each level's count and depth, each record's first position
+    and n) and sibling digests, which sum to len(blob); the digest and
+    record counts; and per level the offsets (start, digests, end) of its
+    records and its sibling digests."""
+    proof, spans = _read(blob)
+    records = sum(len(level.records) for level in proof.levels)
+    framing = _LEVEL.size * (len(proof.levels) + records)
+    digests = sum(end - at for _, at, end in spans)
+    roots = DIGEST_SIZE * len(proof.roots)
+    return {"header": _HEADER_BYTES, "roots": roots,
+            "values": len(blob) - _HEADER_BYTES - roots - framing - digests,
+            "framing": framing, "digests": digests,
+            "digest_count": digests // DIGEST_SIZE, "record_count": records,
+            "levels": spans}
 
 
 def _value_code(p: int) -> str:
@@ -201,49 +272,27 @@ def _value_code(p: int) -> str:
     return next(code for code in "BHIQ" if p <= 1 << 8 * struct.calcsize(f"<{code}"))
 
 
-def _records(level: dict[int, tuple[int, list[bytes]]]):
-    """The level's openings as (first position, values, path) records, one
-    per maximal run of consecutive positions in one bucket under one path."""
-    records = []
-    for at in sorted(level):
-        value, path = level[at]
-        if records:
-            first, values, last_path = records[-1]
-            # the positions of a bucket share one path object, so compare
-            # lists only when they differ
-            if (at == first + len(values) and at // LEAF_CLASSES == first // LEAF_CLASSES
-                    and (path is last_path or path == last_path)):
-                values.append(value)
-                continue
-        records.append((at, [value], path))
-    return records
-
-
 def _buckets(positions, cids) -> list[int]:
     """The sorted buckets holding the commit positions of cids."""
     return sorted({positions.item(cid) // LEAF_CLASSES for cid in cids})
 
 
-def _read_records(opened, read: set[int], num_classes: int):
-    """The (first position, values, path) records of the buckets holding
-    the read positions, each whole (else KeyError) under one path; None if
-    two positions differ in path or another position is opened."""
-    records = []
-    for first in sorted({at // LEAF_CLASSES * LEAF_CLASSES for at in read}):
-        values, paths = zip(*[opened[at] for at in
-                              range(first, min(first + LEAF_CLASSES, num_classes))])
-        if paths.count(paths[0]) < len(paths):
-            return None
-        records.append((first, values, paths[0]))
-    return records if sum(len(values) for _, values, _ in records) == len(opened) else None
-
-
-def _by_position(records) -> dict[int, tuple[int, list[bytes]]]:
-    """The level's openings from its (first position, values, path)
-    records, which lie in distinct buckets: each position under its
-    record's path."""
-    return {at: (value, path) for first, values, path in records
-            for at, value in enumerate(values, first)}
+def _check_records(levels: list[MultiOpening], read: list[set[int]], seq: Chain,
+                   p: int) -> bool:
+    """The record check, at every level before anything is hashed: the
+    level opens exactly the buckets it read, each record whole (its
+    bucket's first position and every position of the bucket) and every
+    value below p."""
+    for level, (opening, buckets) in enumerate(zip(levels, read)):
+        num_classes = seq.num_classes(level)
+        if opening.records.keys() != buckets:
+            return False
+        for bucket, (first, values) in opening.records.items():
+            if (first != bucket * LEAF_CLASSES
+                    or len(values) != min(LEAF_CLASSES, num_classes - first)
+                    or max(values) >= p):
+                return False
+    return True
 
 
 def _bind_instance(fs: FSState, seq: Chain, rs: RSCode,
@@ -296,8 +345,8 @@ def prove_noninteractive(
     """The honest prover_commit against Fiat-Shamir: each word is committed
     in its level's commit order and answered by the challenge its root
     derives; the last root derives the queries, and the buckets holding the
-    position of a class they read are opened together, level by level, each
-    position under its bucket's pruned path.
+    position of a class they read are opened together, one multi-opening
+    per level.
     Also returns the transcript of the self-run query phase (honest proofs
     accept)."""
     check_params(params, seq.n)
@@ -315,8 +364,8 @@ def prove_noninteractive(
     challenges, words = prover_commit(seq, f0, commit)
     randomness = commit(words[-1])
     transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
-    openings = [_by_position(tree.open(_buckets(at, cids)))
-                for tree, at, cids in zip(trees, positions, transcript.reads)]
+    levels = [tree.open(_buckets(at, cids))
+              for tree, at, cids in zip(trees, positions, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,
         chain_digest=seq.digest(),
@@ -324,7 +373,7 @@ def prove_noninteractive(
         m=params.m,
         t=params.t,
         roots=[tree.root for tree in trees],
-        openings=openings,
+        levels=levels,
     )
     return proof, transcript
 
@@ -338,7 +387,7 @@ def verify_noninteractive(
     are the verifier's m and t, and a proof whose header names others is
     rejected; None takes the header's.  (False, None) on any mismatch."""
     if (proof.p != rs.field.p or proof.chain_digest != seq.digest() or proof.r != seq.r
-            or not len(proof.roots) == len(proof.openings) == seq.r + 1):
+            or not len(proof.roots) == len(proof.levels) == seq.r + 1):
         return False, None
     header = ProtocolParams(proof.m, proof.t)
     params = params or header
@@ -350,25 +399,25 @@ def verify_noninteractive(
         return False, None
 
     challenges, randomness = derive_noninteractive_randomness(seq, rs, params, proof.roots)
-    read = [set() for _ in proof.openings]  # per level, the positions read
+    read = [set() for _ in proof.levels]  # per level, the buckets read
+    records = [level.records for level in proof.levels]
 
     def oracle(level: int, at: int) -> int:
-        read[level].add(at)
-        return proof.openings[level][at][0]
+        bucket = at // LEAF_CLASSES
+        read[level].add(bucket)
+        # a record that is not whole may answer with another position's
+        # value, or none; the record check refuses it either way
+        first, values = records[level][bucket]
+        return values[at - first]
 
     try:
         transcript = verifier_query(seq, rs, params, challenges, oracle, randomness,
                                     seq.fold_reads(positions=True))
-        # exactly the positions of the read buckets, each bucket under one
-        # path, at every level before anything is hashed
-        records = [_read_records(opened, at, seq.num_classes(level))
-                   for level, (opened, at) in enumerate(zip(proof.openings, read))]
-    except KeyError:
+    except LookupError:  # a read outside the opened records
         return False, None
-    if None in records:
+    if not _check_records(proof.levels, read, seq, rs.field.p):
         return False, None
-    for level, (root, level_records) in enumerate(zip(proof.roots, records)):
-        if (any(max(values) >= rs.field.p for _, values, _ in level_records)
-                or not verify_open(root, level_records, seq.num_classes(level))):
+    for level, (root, opening) in enumerate(zip(proof.roots, proof.levels)):
+        if not verify_open(root, opening, seq.num_classes(level)):
             return False, None
     return transcript.accept, transcript

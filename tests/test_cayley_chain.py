@@ -159,9 +159,9 @@ def test_closed_forms_sampled_at_r10():
                                     random_codeword_word(instance, random.Random(9)),
                                     ProtocolParams(10, 2))
     flipped = NIProof.parse(proof.serialize())
-    level = next(opened for opened in flipped.openings if opened)
-    value, path = level[min(level)]
-    level[min(level)] = (value ^ 1 if value ^ 1 < P else value ^ 2, path)
+    opened = next(level for level in flipped.levels if level.records)
+    _, values = next(iter(opened.records.values()))
+    values[0] = values[0] ^ 1 if values[0] ^ 1 < P else values[0] ^ 2
     for candidate, verdict in ((proof, True), (flipped, False)):
         fresh = blossoming_cayley(instance.gens)
         assert verify_noninteractive(fresh, instance.rs, candidate)[0] is verdict
@@ -181,9 +181,9 @@ def test_verify_builds_no_dense_table(tmp_path, monkeypatch):
     assert run("prove", "--instance", instance, "--seed", 1, "--out", proof) == 0
     blob = proof.read_bytes()
     flipped = NIProof.parse(blob)
-    level = next(opened for opened in flipped.openings if opened)
-    value, path = level[min(level)]
-    level[min(level)] = (value ^ 1 if value ^ 1 < P else value ^ 2, path)
+    opened = next(level for level in flipped.levels if level.records)
+    _, values = next(iter(opened.records.values()))
+    values[0] = values[0] ^ 1 if values[0] ^ 1 < P else values[0] ^ 2
     (tmp_path / "flipped.bin").write_bytes(flipped.serialize())
     (tmp_path / "truncated.bin").write_bytes(blob[:-1])
 

@@ -20,8 +20,10 @@ from flowering.commitment import (
     FSState,
     IndexOutOfRangeError,
     MerkleTree,
+    MultiOpening,
     _node_hash,
     sent_siblings,
+    sibling_count,
     verify_open,
 )
 from flowering.errors import FloweringError
@@ -33,6 +35,7 @@ from flowering.iopp import ProtocolParams, prover_commit, verifier_query
 from flowering.niproof import (
     MalformedProofError,
     NIProof,
+    byte_split,
     derive_noninteractive_randomness,
     prove_noninteractive,
     verify_noninteractive,
@@ -59,9 +62,14 @@ def verify_path(root, bucket, values, path, num_classes):
     return oracle.verify_open(root, bucket, values, path, num_classes, LEAF_CLASSES)
 
 
+def one_bucket(bucket, values, path):
+    # the multi-opening of one bucket, whose full path is its sibling stream
+    return MultiOpening({bucket: (bucket * LEAF_CLASSES, values)}, len(path), b"".join(path))
+
+
 def verify_record(root, bucket, values, path, num_classes):
     # the level check on a one-bucket opening
-    return verify_open(root, [(bucket * LEAF_CLASSES, values, path)], num_classes)
+    return verify_open(root, one_bucket(bucket, values, path), num_classes)
 
 
 def _refused_openings(tree, bucket, values, path):
@@ -109,10 +117,11 @@ def test_bucket_tree_matches_loop_oracle(p):
             assert tree.root == layers[-1][0]
             buckets = -(-n // LEAF_CLASSES)
             for bucket in range(buckets):
-                [(first, opened, path)] = tree.open([bucket])
-                assert first == bucket * LEAF_CLASSES
-                assert opened == values[first:first + LEAF_CLASSES]
-                assert path == [layer[(bucket >> d) ^ 1] for d, layer in enumerate(layers[:-1])]
+                path = [layer[(bucket >> d) ^ 1] for d, layer in enumerate(layers[:-1])]
+                first = bucket * LEAF_CLASSES
+                opened = values[first:first + LEAF_CLASSES]
+                assert tree.open([bucket]) == one_bucket(bucket, opened, path)
+                assert tree.open([bucket]).paths() == {bucket: path}
                 assert verify_path(tree.root, bucket, opened, path, n)
                 assert verify_record(tree.root, bucket, opened, path, n)
                 for name, args in _refused_openings(tree, bucket, opened, path).items():
@@ -159,47 +168,56 @@ def test_level_check_matches_per_path_oracle():
         subsets += [sorted(rng.sample(range(leaves), rng.randrange(1, leaves + 1)))
                     for _ in range(6)]
         for buckets in subsets:
-            records = tree.open(buckets)
+            opening = tree.open(buckets)
             full = {b: [layer[(b >> d) ^ 1] for d, layer in enumerate(layers[:-1])]
                     for b in buckets}
-            sent = list(sent_siblings(buckets, depth))
-            assert len(sent) == len({(d, (b >> d) ^ 1) for b in buckets for d in range(depth)}
-                                    - {(d, b >> d) for b in buckets for d in range(depth)})
-            for (first, opened, path), b in zip(records, buckets):
-                assert first == b * LEAF_CLASSES and opened == values[first:first + LEAF_CLASSES]
-                assert path == [b"" if any(c >> d == (b >> d) ^ 1 for c in buckets) else digest
-                                for d, digest in enumerate(full[b])]
+            sent = sent_siblings(buckets, depth)
+            assert len(sent) == sibling_count(buckets, depth) == len(
+                {(d, (b >> d) ^ 1) for b in buckets for d in range(depth)}
+                - {(d, b >> d) for b in buckets for d in range(depth)})
+            assert opening.depth == depth
+            assert opening.records == {b: (b * LEAF_CLASSES, values[b * LEAF_CLASSES:
+                                                                   (b + 1) * LEAF_CLASSES])
+                                       for b in buckets}
+            assert opening.siblings == b"".join(layers[d][node] for d, node in sent)
+            assert opening.paths() == {
+                b: [b"" if any(c >> d == (b >> d) ^ 1 for c in buckets) else digest
+                    for d, digest in enumerate(full[b])] for b in buckets}
 
-            def agree(root, records, full):
-                expected = all(verify_path(root, first // LEAF_CLASSES, opened,
-                                           full[first // LEAF_CLASSES], n)
-                               for first, opened, _ in records)
-                assert verify_open(root, records, n) == expected
+            def agree(root, opening, full):
+                expected = all(verify_path(root, b, opened, full[b], n)
+                               for b, (_, opened) in opening.records.items())
+                assert verify_open(root, opening, n) == expected
                 return expected
 
-            assert agree(tree.root, records, full)
-            assert not agree(_flip(tree.root), records, full)
+            assert agree(tree.root, opening, full)
+            assert not agree(_flip(tree.root), opening, full)
             # each opened leaf and each distinct ancestor hashed once
-            hashed = _hashed_preimages(verify_open, tree.root, records, n)
+            hashed = _hashed_preimages(verify_open, tree.root, opening, n)
             assert len(hashed) == len(set(hashed)) == sum(
                 len({b >> d for b in buckets}) for d in range(depth + 1))
-            i = rng.randrange(len(records))
-            first, opened, path = records[i]
+            b = rng.choice(buckets)
+            first, opened = opening.records[b]
             changed = list(opened)
             changed[rng.randrange(len(opened))] ^= 1
-            assert not agree(tree.root, records[:i] + [(first, changed, path)] + records[i + 1:],
-                             full)
+            assert not agree(tree.root, MultiOpening({**opening.records, b: (first, changed)},
+                                                     depth, opening.siblings), full)
             if sent:
-                d, b = rng.choice(sent)
-
-                def flip_sent(bucket, path):
-                    # every path below the sent digest's sibling carries it
-                    return [_flip(x) if k == d and bucket >> d == b >> d else x
-                            for k, x in enumerate(path)]
-
-                flipped = [(f, v, flip_sent(f // LEAF_CLASSES, path)) for f, v, path in records]
-                flipped_full = {c: flip_sent(c, path) for c, path in full.items()}
+                k = rng.randrange(len(sent))
+                d, node = sent[k]
+                at = k * DIGEST_SIZE
+                # every path below the sent digest's sibling carries it
+                flipped = MultiOpening(opening.records, depth, opening.siblings[:at]
+                                       + _flip(opening.siblings[at:at + DIGEST_SIZE])
+                                       + opening.siblings[at + DIGEST_SIZE:])
+                flipped_full = {c: [_flip(x) if j == d and (c >> d) ^ 1 == node else x
+                                    for j, x in enumerate(path)] for c, path in full.items()}
                 assert not agree(tree.root, flipped, flipped_full)
+                # a stream one digest short or one too long
+                for siblings in (opening.siblings[:-DIGEST_SIZE],
+                                 opening.siblings + opening.siblings[:DIGEST_SIZE]):
+                    assert not verify_open(tree.root, MultiOpening(opening.records, depth,
+                                                                   siblings), n)
 
 
 def test_merkle_open_verify():
@@ -208,26 +226,33 @@ def test_merkle_open_verify():
     n = full + 5
     values = list(range(100, 100 + n))
     tree = MerkleTree(values)
-    assert tree.open([0]) == [(0, values[:full], [tree.layers[0][32:]])]
-    assert tree.open([1]) == [(full, values[full:], [tree.layers[0][:32]])]
-    # both buckets: each is the other's sibling, so neither path sends it
+    first, last = (0, values[:full]), (full, values[full:])
+    assert tree.open([0]) == MultiOpening({0: first}, 1, tree.layers[0][32:])
+    assert tree.open([1]) == MultiOpening({1: last}, 1, tree.layers[0][:32])
+    # both buckets: each is the other's sibling, so the stream sends neither
     both = tree.open([0, 1])
-    assert both == [(0, values[:full], [b""]), (full, values[full:], [b""])]
+    assert both == MultiOpening({0: first, 1: last}, 1, b"")
     assert verify_open(tree.root, both, n)
-    assert not verify_open(tree.root, both[::-1], n)  # buckets out of order
-    assert not verify_open(tree.root, both[:1] * 2, n)  # one bucket twice
-    # a path authenticates only against the tree shape it came from
-    [first] = tree.open([0])
-    assert verify_open(tree.root, [first], 2 * full)  # same depth, full buckets
-    [last] = tree.open([1])
-    assert verify_open(tree.root, [last], n)
-    assert not verify_open(tree.root, [last], n - 1)  # last bucket of 4
-    assert not verify_open(tree.root, [last], 2 * full)  # last bucket full
-    assert not verify_open(tree.root, [last], full)  # bucket out of range
-    assert not verify_open(tree.root, [last], 2 * full + 1)  # deeper tree
-    assert not verify_open(tree.root, [(full + 1, *last[1:])], n)  # not a bucket's first class
-    # a pruned entry is only valid where the verifier computes the sibling
-    assert not verify_open(tree.root, [(0, values[:full], [b""])], n)
+    assert not verify_open(tree.root, MultiOpening({1: last, 0: first}, 1, b""), n)  # out of order
+    # one record twice
+    assert not verify_open(tree.root, MultiOpening({0: first, 1: first}, 1, b""), n)
+    # a stream is consumed whole: a digest too few or too many
+    assert not verify_open(tree.root, MultiOpening({0: first}, 1, b""), n)
+    assert not verify_open(tree.root, MultiOpening({0: first, 1: last}, 1, tree.layers[0][:32]), n)
+    # an opening authenticates only against the tree shape it came from
+    assert verify_open(tree.root, tree.open([0]), 2 * full)  # same depth, full buckets
+    opened = tree.open([1])
+    assert verify_open(tree.root, opened, n)
+    assert not verify_open(tree.root, opened, n - 1)  # last bucket of 4
+    assert not verify_open(tree.root, opened, 2 * full)  # last bucket full
+    assert not verify_open(tree.root, opened, full)  # bucket out of range
+    assert not verify_open(tree.root, opened, 2 * full + 1)  # deeper tree
+    # not a bucket's first class
+    assert not verify_open(tree.root, MultiOpening({1: (full + 1, values[full:])}, 1,
+                                                   opened.siblings), n)
+    # no records open nothing, with no siblings
+    assert verify_open(tree.root, MultiOpening({}, 0, b""), n)
+    assert not verify_open(tree.root, MultiOpening({}, 0, opened.siblings), n)
     with pytest.raises(IndexOutOfRangeError):
         tree.open([2])
     with pytest.raises(IndexOutOfRangeError):
@@ -236,10 +261,10 @@ def test_merkle_open_verify():
 
 def test_single_leaf_tree():
     tree = MerkleTree([42])
-    assert tree.open([0]) == [(0, [42], [])]
-    assert verify_open(tree.root, [(0, [42], [])], 1)
-    assert not verify_open(tree.root, [(LEAF_CLASSES, [42], [])], 1)
-    assert not verify_open(tree.root, [(0, [42], [])], 2)  # a bucket of 2
+    assert tree.open([0]) == MultiOpening({0: (0, [42])}, 0, b"")
+    assert verify_open(tree.root, tree.open([0]), 1)
+    assert not verify_open(tree.root, MultiOpening({1: (LEAF_CLASSES, [42])}, 0, b""), 1)
+    assert not verify_open(tree.root, tree.open([0]), 2)  # a bucket of 2
 
 
 def test_opening_bound_to_tree_depth():
@@ -248,8 +273,8 @@ def test_opening_bound_to_tree_depth():
     a, b, c = ([base + i for i in range(LEAF_CLASSES)] for base in (0, 100, 200))
     node0 = _node_hash(oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, b))
     root = _node_hash(node0, oracle.merkle_leaf(1, c))
-    shallow = [(LEAF_CLASSES, c, [node0])]
-    deep = [(LEAF_CLASSES, b, [oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, c)])]
+    shallow = one_bucket(1, c, [node0])
+    deep = one_bucket(1, b, [oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, c)])
     two_leaves, four_leaves = 2 * LEAF_CLASSES, 4 * LEAF_CLASSES
     assert verify_open(root, shallow, two_leaves) and not verify_open(root, deep, two_leaves)
     for num_classes in (two_leaves + 1, 3 * LEAF_CLASSES, four_leaves):
@@ -342,7 +367,10 @@ def test_ni_round_trip_at_value_width(p, width):
     blob = proof.serialize()
     parsed = NIProof.parse(blob)
     assert transcript.accept and parsed == proof and parsed.serialize() == blob
-    assert _digest_lists(proof, width)[-1][1] == len(blob)
+    split = byte_split(blob)
+    assert split["levels"][-1][2] == len(blob)
+    assert split["values"] == width * sum(len(values) for level in proof.levels
+                                          for _, values in level.records.values())
     assert verify_noninteractive(instance.seq, instance.rs, parsed, params)[0]
 
 
@@ -404,6 +432,66 @@ def test_ni_truncation_malformed(ni_setup):
         NIProof.parse(blob + b"\x00")
 
 
+def test_ni_every_truncation_and_byte_flip_refused():
+    # the r = 3, p = 101, m = 2 proof: every truncation, and every byte
+    # XORed with 0x01, 0x80 or 0xff, is refused by parse or rejected by the
+    # verifier; none is accepted, and none raises but FloweringError
+    instance = gen_instance(3, 101, 5)
+    params = ProtocolParams(2, 2)
+    word = random_codeword_word(instance, random.Random(0))
+    proof, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
+    blob = proof.serialize()
+    assert transcript.accept and verify_noninteractive(instance.seq, instance.rs, proof, params)[0]
+    cases = [blob[:cut] for cut in range(len(blob))]
+    cases += [blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
+              for i in range(len(blob)) for mask in (0x01, 0x80, 0xff)]
+    refused = Counter()
+    for case in cases:
+        try:
+            parsed = NIProof.parse(case)
+        except MalformedProofError:
+            refused["parse"] += 1
+            continue
+        try:
+            accept, _ = verify_noninteractive(instance.seq, instance.rs, parsed, params)
+        except FloweringError:
+            accept = False
+        assert not accept
+        refused["verifier"] += 1
+    assert sum(refused.values()) == 4 * len(blob) and refused["parse"] and refused["verifier"]
+
+
+def test_positions_view_reads_and_writes_values(ni_setup):
+    # NIProof.openings, per level position -> (value, path) over the
+    # records: length, truthiness, iteration in position order, values(),
+    # a read, and a write of an opened position's value under its path,
+    # which serialize carries, so that the verifier rejects the proof
+    instance, params, _, proof, _ = ni_setup
+    parsed = NIProof.parse(proof.serialize())
+    for opening, view in zip(parsed.levels, parsed.openings):
+        paths = opening.paths()
+        expected = {at: (value, paths[bucket]) for bucket, (first, values)
+                    in opening.records.items() for at, value in enumerate(values, first)}
+        assert bool(view) is bool(expected) and len(view) == len(expected)
+        assert list(view) == sorted(expected)
+        assert list(view.values()) == [expected[at] for at in sorted(expected)]
+        assert all(view[at] == expected[at] for at in expected)
+    level = next(view for view in parsed.openings if view)
+    at = min(level)
+    value, path = level[at]
+    with pytest.raises(KeyError):
+        level[next(x for x in range(at, at + 2**20) if x not in set(level))]
+    with pytest.raises(FloweringError, match="under its bucket's path"):
+        level[at] = (value, path + [b""])
+    assert level[at] == (value, path)
+    level[at] = (value ^ 1, path)
+    assert level[at] == (value ^ 1, path)
+    blob = parsed.serialize()
+    assert blob != proof.serialize()
+    assert verify_noninteractive(instance.seq, instance.rs, NIProof.parse(blob),
+                                 params) == (False, None)
+
+
 def test_ni_wrong_instance_rejected(ni_setup):
     instance, params, word, proof, _ = ni_setup
     other = gen_instance(3, 101, 6)  # same graph, different k
@@ -418,10 +506,8 @@ def test_ni_wrong_instance_rejected(ni_setup):
 def test_ni_out_of_range_value_rejected(ni_setup):
     instance, params, word, proof, _ = ni_setup
     hacked = NIProof.parse(proof.serialize())
-    level = next(i for i, lv in enumerate(hacked.openings) if lv)
-    cid = next(iter(hacked.openings[level]))
-    value, path = hacked.openings[level][cid]
-    hacked.openings[level][cid] = (value + 101, path)  # same residue, out of range
+    _, values = next(iter(next(lv for lv in hacked.levels if lv.records).records.values()))
+    values[0] += 101  # same residue, out of range
     accept, _ = verify_noninteractive(instance.seq, instance.rs, hacked, params)
     assert not accept
     # a proof of the word with every value v written as v + p: every walk's
@@ -441,11 +527,12 @@ def test_ni_writer_refuses_what_the_parser_would(ni_setup):
     # value past a byte or a position past a u32 is one error line from
     # serialize, never a proof of other values or a bare struct.error
     _, _, _, proof, _ = ni_setup
-    level = next(i for i, lv in enumerate(proof.openings) if lv)
-    at, (_, path) = next(iter(proof.openings[level].items()))
-    for key, value in ((at, 256), (at, -1), (1 << 32, 0)):
+    level = next(i for i, lv in enumerate(proof.levels) if lv.records)
+    bucket, (first, values) = next(iter(proof.levels[level].records.items()))
+    for key, record in ((bucket, (first, [256, *values[1:]])), (bucket, (first, [-1])),
+                        ((1 << 32) // LEAF_CLASSES, (1 << 32, [0]))):
         hacked = NIProof.parse(proof.serialize())
-        hacked.openings[level][key] = (value, path)
+        hacked.levels[level].records[key] = record
         with pytest.raises(FloweringError,
                            match=f"does not fit format v{niproof.VERSION} at p = 101") as info:
             hacked.serialize()
@@ -453,9 +540,9 @@ def test_ni_writer_refuses_what_the_parser_would(ni_setup):
     # the widest value and the last position are written; the parser reads
     # the value back, and refuses the position only for the level's depth
     hacked = NIProof.parse(proof.serialize())
-    hacked.openings[level][at] = (255, path)
+    hacked.levels[level].records[bucket] = (first, [255, *values[1:]])
     assert NIProof.parse(hacked.serialize()) == hacked
-    hacked.openings[level][(1 << 32) - 1] = (0, path)
+    hacked.levels[level].records[(1 << 32) // LEAF_CLASSES - 1] = ((1 << 32) - 1, [0])
     with pytest.raises(MalformedProofError, match="outside a tree of depth"):
         NIProof.parse(hacked.serialize())
 
@@ -478,93 +565,139 @@ def _committed(seq, level, values):
     return committed
 
 
-def _unread_bucket(instance, params, word, proof, level=1):
-    """(bucket, values, path): a bucket no walk reads, opened against the
-    honest tree with a valid path."""
+def _level_tree(instance, params, word, proof, level=1):
+    """The level's honest tree, as the prover committed it."""
     challenges, _ = derive_noninteractive_randomness(
         instance.seq, instance.rs, params, proof.roots)
     _, words = prover_commit(instance.seq, word, replay(challenges))
     tree = MerkleTree(_committed(instance.seq, level, words[level].values))
     assert tree.root == proof.roots[level]
-    read = {at // LEAF_CLASSES for at in proof.openings[level]}
-    bucket = min(set(range(-(-len(tree.values) // LEAF_CLASSES))) - read)
-    [(_, values, path)] = tree.open([bucket])
-    assert verify_path(proof.roots[level], bucket, values, path, len(tree.values))
-    return bucket, values, path
+    return tree
+
+
+def _unread_bucket(instance, params, word, proof, level=1):
+    """(tree, bucket): the level's honest tree and a bucket no walk reads,
+    which opens against it."""
+    tree = _level_tree(instance, params, word, proof, level)
+    opened = set(proof.levels[level].records)
+    bucket = min(set(range(-(-len(tree.values) // LEAF_CLASSES))) - opened)
+    assert verify_open(proof.roots[level], tree.open([bucket]), len(tree.values))
+    return tree, bucket
+
+
+def _tree_siblings(tree, buckets) -> bytes:
+    """The sibling stream of the buckets, read from the tree's layers, so
+    also for a bucket past the tree's last leaf."""
+    depth = len(tree.layers) - 1
+    return b"".join(tree.layers[d][node * DIGEST_SIZE:(node + 1) * DIGEST_SIZE]
+                    for d, node in sent_siblings(buckets, depth))
 
 
 def _unread_opening(instance, params, word, proof):
-    # one position outside every read bucket, under its bucket's valid path
-    bucket, values, path = _unread_bucket(instance, params, word, proof)
-    proof.openings[1][bucket * LEAF_CLASSES] = (values[0], path)
+    # the first position of a bucket no walk reads, opened with the read
+    # buckets against the honest tree
+    tree, bucket = _unread_bucket(instance, params, word, proof)
+    opening = tree.open(sorted({*proof.levels[1].records, bucket}))
+    first, values = opening.records[bucket]
+    opening.records[bucket] = (first, values[:1])
+    proof.levels[1] = opening
 
 
 def _unread_bucket_opening(instance, params, word, proof):
-    # every position of a bucket no walk reads, under its valid path
-    bucket, values, path = _unread_bucket(instance, params, word, proof)
-    for at, value in enumerate(values, bucket * LEAF_CLASSES):
-        proof.openings[1][at] = (value, path)
+    # every position of a bucket no walk reads, opened with the read buckets
+    tree, bucket = _unread_bucket(instance, params, word, proof)
+    proof.levels[1] = tree.open(sorted({*proof.levels[1].records, bucket}))
 
 
-def _first_opening(proof, level=1):
-    cid = min(proof.openings[level])
-    return proof.openings[level], cid
+def _first_record(proof, level=1):
+    records = proof.levels[level].records
+    bucket = min(records)
+    return records, bucket
 
 
 def _drop_opening(instance, params, word, proof):
-    opened, cid = _first_opening(proof)
-    del opened[cid]
+    # the first position of level 1's first record
+    records, bucket = _first_record(proof)
+    first, values = records[bucket]
+    records[bucket] = (first + 1, values[1:])
+
+
+def _split_record(proof, runs) -> bytes:
+    """The proof's bytes with the first record of level 1 written as the
+    given runs (start, stop) of its values, each as a record."""
+    records, bucket = _first_record(proof)
+    first, values = records[bucket]
+    head = struct.pack(f"<IB{len(values)}I", first, len(values), *values)
+    blob = proof.serialize()
+    start = byte_split(blob)["levels"][1][0]
+    count, depth = struct.unpack_from("<IB", blob, start)
+    at = start + 5
+    assert blob[at:at + len(head)] == head
+    split = b"".join(struct.pack(f"<IB{stop - begin}I", first + begin, stop - begin,
+                                 *values[begin:stop]) for begin, stop in runs)
+    return (blob[:start] + struct.pack("<IB", count + len(runs) - 1, depth)
+            + blob[start + 5:at] + split + blob[at + len(head):])
 
 
 def _drop_middle_class(instance, params, word, proof):
-    # the bucket's record splits in two around the gap
-    opened, cid = _first_opening(proof)
-    records = len(niproof._records(opened))
-    del opened[cid + LEAF_CLASSES // 2]
-    assert len(niproof._records(opened)) == records + 1
+    # the first record of level 1 without its middle class, written as the
+    # two records around the gap
+    half = LEAF_CLASSES // 2
+    return _split_record(proof, [(0, half), (half + 1, LEAF_CLASSES)])
 
 
 def _two_paths(instance, params, word, proof):
-    # the second class of a bucket under a path of the right length that is
-    # not the bucket's; the first class still carries the bucket's path, so
-    # the bucket is written as three records
-    opened, cid = _first_opening(proof)
-    value, path = opened[cid + 1]
-    opened[cid + 1] = (value, path[:-1] + [b"\x01" * DIGEST_SIZE])
+    # the first bucket of level 1 written as three records, its second
+    # class alone, as the per-position form wrote a bucket whose second
+    # class carried another path
+    return _split_record(proof, [(0, 1), (1, 2), (2, LEAF_CLASSES)])
 
 
 def _move_opening(instance, params, word, proof):
-    # under a path of the depth of its new level's tree, its pruned digests
-    # filled in, so that the level still writes one digest per sent sibling
-    opened, cid = _first_opening(proof)
-    target = proof.openings[2]
-    new_cid = min(set(range(instance.seq.graphs[2].classes.num_classes)) - set(target))
-    value, path = opened.pop(cid)
-    target[new_cid] = (value, [digest or bytes(DIGEST_SIZE)
-                               for digest in path[:len(target[min(target)][1])]])
+    # the first position of level 1's first record, moved to the first
+    # bucket level 2 does not open, under level 2's honest sibling stream
+    # for its new buckets, so that the level still writes one digest per
+    # sent sibling
+    records, bucket = _first_record(proof)
+    first, values = records[bucket]
+    records[bucket] = (first + 1, values[1:])
+    tree = _level_tree(instance, params, word, proof, level=2)
+    target = proof.levels[2]
+    new = min(set(range(-(-len(tree.values) // LEAF_CLASSES))) - set(target.records))
+    buckets = sorted({*target.records, new})
+    proof.levels[2] = MultiOpening({b: target.records.get(b, (new * LEAF_CLASSES, values[:1]))
+                                    for b in buckets}, target.depth, _tree_siblings(tree, buckets))
 
 
 def _resize_path(delta):
     def mutate(instance, params, word, proof):
-        # every path of a level made one digest shorter or longer, so the
-        # level's depth byte is off by one; the first level whose last
-        # opened bucket lies in the upper half of its tree, which one layer
-        # less cannot hold
-        opened = next(level for level in proof.openings
-                      if max(level) // LEAF_CLASSES >> (len(level[max(level)][1]) - 1))
-        for cid, (value, path) in opened.items():
-            opened[cid] = (value, path[:-1] if delta < 0 else path + [bytes(DIGEST_SIZE)])
+        # a level's depth one less or one more, with the sibling stream of
+        # that depth (the deeper one's extra digest zero); the first level
+        # whose last opened bucket lies in the upper half of its tree, which
+        # one layer less cannot hold
+        opening = next(level for level in proof.levels
+                       if max(level.records) >> (level.depth - 1))
+        depth = opening.depth + delta
+        opening.siblings = (opening.siblings[:DIGEST_SIZE * sibling_count(opening.records, depth)]
+                            + bytes(DIGEST_SIZE) * (delta > 0))
+        opening.depth = depth
     return mutate
 
 
 def _cid_out_of_range(instance, params, word, proof):
-    # the first position at or past N that starts a bucket, so in no bucket
-    # of the tree, under the first position's path, its pruned digests
-    # filled in, so that the level still writes one digest per sent sibling
-    opened, at = _first_opening(proof)
-    value, path = opened.pop(at)
-    past = LEAF_CLASSES * -(-instance.seq.graphs[1].classes.num_classes // LEAF_CLASSES)
-    opened[past] = (value, [digest or bytes(DIGEST_SIZE) for digest in path])
+    # the first position of level 1's first record moved to the first
+    # position at or past N that starts a bucket, so in no bucket of the
+    # tree, under the honest tree's sibling stream (its padding included),
+    # so that the level still writes one digest per sent sibling
+    records, bucket = _first_record(proof)
+    first, values = records[bucket]
+    records[bucket] = (first + 1, values[1:])
+    tree = _level_tree(instance, params, word, proof)
+    past = -(-instance.seq.graphs[1].classes.num_classes // LEAF_CLASSES)
+    opening = proof.levels[1]
+    buckets = sorted({*records, past})
+    proof.levels[1] = MultiOpening({b: records.get(b, (past * LEAF_CLASSES, values[:1]))
+                                    for b in buckets}, opening.depth, _tree_siblings(tree, buckets))
 
 
 def _drop_last_class(instance, params, word, proof):
@@ -574,18 +707,20 @@ def _drop_last_class(instance, params, word, proof):
     reads = verify_noninteractive(instance.seq, instance.rs, proof, params)[1].reads
     read = [{at.item(cid) for cid in cids}
             for at, cids in zip(instance.seq.commit_positions(), reads)]
-    level, last = next((level, at) for level, opened in enumerate(proof.openings)
-                       for at in sorted(opened)
-                       if at % LEAF_CLASSES == LEAF_CLASSES - 1 and at not in read[level])
-    del proof.openings[level][last]
+    level, bucket = next((level, bucket) for level, opening in enumerate(proof.levels)
+                         for bucket, (first, values) in opening.records.items()
+                         if len(values) == LEAF_CLASSES
+                         and first + LEAF_CLASSES - 1 not in read[level])
+    first, values = proof.levels[level].records[bucket]
+    proof.levels[level].records[bucket] = (first, values[:-1])
 
 
 def _swap_pair(instance, params, word, proof):
     # the honest proof of a random kernel codeword, whose two classes of a
     # fold pair differ (an index-only word is equal on both), with the
     # values of a level-0 pair that no walk reads, adjacent positions of one
-    # opened bucket, traded under the bucket's path: the query phase and
-    # the records are those of the honest proof, and the leaf's hash is not
+    # opened bucket, traded in its record: the query phase and the records
+    # are those of the honest proof, and the leaf's hash is not
     rng = random.Random(5)
     field = instance.field
     codeword = field.array([0] * instance.seq.graphs[0].classes.num_classes)
@@ -596,13 +731,18 @@ def _swap_pair(instance, params, word, proof):
     assert transcript.accept
     positions = instance.seq.commit_positions()[0]
     read = {positions.item(cid) for cid in transcript.reads[0]}
-    opened = swapped.openings[0]
+    records = swapped.levels[0].records
+
+    def value(at):
+        first, values = records[at // LEAF_CLASSES]
+        return values[at - first]
+
     a, b = next(pair for pair in positions[instance.seq.cuts[0].fold_plan].T.tolist()
-                if pair[0] in opened and not read & set(pair)
-                and opened[pair[0]][0] != opened[pair[1]][0])
+                if pair[0] // LEAF_CLASSES in records and not read & set(pair)
+                and value(pair[0]) != value(pair[1]))
     assert abs(a - b) == 1 and min(a, b) % 2 == 0
-    (value_a, path_a), (value_b, path_b) = opened[a], opened[b]
-    opened[a], opened[b] = (value_b, path_a), (value_a, path_b)
+    first, values = records[a // LEAF_CLASSES]
+    values[a - first], values[b - first] = values[b - first], values[a - first]
     return swapped.serialize()
 
 
@@ -621,41 +761,31 @@ def _class_order_level(instance, params, word, proof):
     _, words = prover_commit(instance.seq, word, replay(challenges))
     tree = MerkleTree(words[1].values)
     assert tree.root == forged.roots[1]
-    forged.openings[1] = niproof._by_position(
-        tree.open(list(range(-(-len(tree.values) // LEAF_CLASSES)))))
+    forged.levels[1] = tree.open(list(range(-(-len(tree.values) // LEAF_CLASSES))))
     return forged.serialize()
 
 
 def _extra_flower_class(instance, params, word, proof):
-    # position N of the flower level, committed in class order, under its
-    # last bucket's path: the flower view reads every class, and the last
+    # position N of the flower level, committed in class order, appended to
+    # its last record: the flower view reads every class, and the last
     # bucket holds fewer than LEAF_CLASSES, so the record grows one past
     # the tree's last position
-    opened = proof.openings[instance.r]
+    records = proof.levels[instance.r].records
     num_classes = instance.seq.graphs[instance.r].classes.num_classes
-    assert num_classes % LEAF_CLASSES and opened.keys() == set(range(num_classes))
-    opened[num_classes] = (0, opened[num_classes - 1][1])
+    assert num_classes % LEAF_CLASSES
+    assert list(records) == list(range(-(-num_classes // LEAF_CLASSES)))
+    records[max(records)][1].append(0)
 
 
-def _digest_lists(proof, width: int) -> list[tuple[int, int]]:
-    """(start, end) in the proof's bytes of each level's sibling digests,
-    each record being a 5-byte header and its values of width bytes."""
-    pos = 4 + 10 + 32 + 12 + 32 * (proof.r + 1)
-    spans = []
-    for level in proof.openings:
-        records = niproof._records(level)
-        pos += 5 + sum(5 + width * len(values) for _, values, _ in records)
-        depth = len(records[0][2]) if records else 0
-        sent = len(list(sent_siblings([first // LEAF_CLASSES for first, _, _ in records], depth)))
-        spans.append((pos, pos + DIGEST_SIZE * sent))
-        pos += DIGEST_SIZE * sent
-    return spans
+def _digest_span(proof, level):
+    """(start, end) of the level's sibling digests in the proof's bytes."""
+    return byte_split(proof.serialize())["levels"][level][1:]
 
 
 def _drop_sibling(instance, params, word, proof):
     # level 0's list of sibling digests one short
     blob = proof.serialize()
-    start, end = _digest_lists(proof, 4)[0]
+    start, end = _digest_span(proof, 0)
     assert end > start
     return blob[:start] + blob[start + DIGEST_SIZE:]
 
@@ -663,14 +793,14 @@ def _drop_sibling(instance, params, word, proof):
 def _duplicate_sibling(instance, params, word, proof):
     # level 0's first sibling digest sent twice
     blob = proof.serialize()
-    start, _ = _digest_lists(proof, 4)[0]
+    start, _ = _digest_span(proof, 0)
     return blob[:start + DIGEST_SIZE] + blob[start:]
 
 
 def _swap_sibling(instance, params, word, proof):
     # the first sibling digests of levels 0 and 1 trade places
     blob = bytearray(proof.serialize())
-    (a, _), (b, _) = _digest_lists(proof, 4)[:2]
+    (a, _), (b, _) = _digest_span(proof, 0), _digest_span(proof, 1)
     blob[a:a + DIGEST_SIZE], blob[b:b + DIGEST_SIZE] = (blob[b:b + DIGEST_SIZE],
                                                         blob[a:a + DIGEST_SIZE])
     return bytes(blob)
@@ -682,9 +812,9 @@ def verify_open_calls(monkeypatch):
     that is per level."""
     calls = []
 
-    def counting_verify_open(root, records, num_classes):
-        calls.append([first // LEAF_CLASSES for first, _, _ in records])
-        return verify_open(root, records, num_classes)
+    def counting_verify_open(root, opening, num_classes):
+        calls.append(list(opening.records))
+        return verify_open(root, opening, num_classes)
 
     monkeypatch.setattr(niproof, "verify_open", counting_verify_open)
     return calls
@@ -696,8 +826,8 @@ def verifier_checks(monkeypatch):
     levels whose read records it refused, and the levels verify_open
     refused."""
     seen = Counter()
-    query, read_records, open_level = (niproof.verifier_query, niproof._read_records,
-                                       niproof.verify_open)
+    query, check_records, open_level = (niproof.verifier_query, niproof._check_records,
+                                        niproof.verify_open)
 
     def counting_query(*args, **kwargs):
         transcript = query(*args, **kwargs)
@@ -705,9 +835,9 @@ def verifier_checks(monkeypatch):
         return transcript
 
     def counting_records(*args):
-        records = read_records(*args)
-        seen["records refused"] += records is None
-        return records
+        ok = check_records(*args)
+        seen["records refused"] += not ok
+        return ok
 
     def counting_open(*args):
         ok = open_level(*args)
@@ -715,7 +845,7 @@ def verifier_checks(monkeypatch):
         return ok
 
     monkeypatch.setattr(niproof, "verifier_query", counting_query)
-    monkeypatch.setattr(niproof, "_read_records", counting_records)
+    monkeypatch.setattr(niproof, "_check_records", counting_records)
     monkeypatch.setattr(niproof, "verify_open", counting_open)
     return seen
 
@@ -723,7 +853,7 @@ def verifier_checks(monkeypatch):
 def _read_buckets(proof) -> int:
     # an honest proof opens exactly the buckets holding the commit
     # positions its query phase reads
-    return sum(len({at // LEAF_CLASSES for at in level}) for level in proof.openings)
+    return sum(len(level.records) for level in proof.levels)
 
 
 # cases the parser refuses: a bucket written as several records, a depth
@@ -791,11 +921,13 @@ def test_ni_malformed_records_refused(ni_setup):
     # buckets 0 and 1: siblings, so at depth 1 nothing is sent and at
     # depth 2 the one sibling of their parent is
     pair = (record(0, [1] * LEAF_CLASSES), record(LEAF_CLASSES + 1, [2, 3]))
-    shallow = NIProof.parse(level0(*pair)).openings[0]
-    assert shallow.keys() == {*range(LEAF_CLASSES), LEAF_CLASSES + 1, LEAF_CLASSES + 2}
-    assert all(path == [b""] for _, path in shallow.values())
-    deep = NIProof.parse(level0(*pair, depth=2, digests=digest)).openings[0]
-    assert all(path == [b"", digest] for _, path in deep.values())
+    shallow = NIProof.parse(level0(*pair)).levels[0]
+    assert shallow == MultiOpening({0: (0, [1] * LEAF_CLASSES), 1: (LEAF_CLASSES + 1, [2, 3])},
+                                   1, b"")
+    assert shallow.paths() == {0: [b""], 1: [b""]}
+    deep = NIProof.parse(level0(*pair, depth=2, digests=digest)).levels[0]
+    assert (deep.depth, deep.siblings) == (2, digest)
+    assert deep.paths() == {0: [b"", digest], 1: [b"", digest]}
     for blob, message in (
         (level0(record(LEAF_CLASSES - 1, [1, 2])), "not inside one bucket"),
         (level0(record(1, [1] * LEAF_CLASSES)), "not inside one bucket"),
@@ -819,8 +951,10 @@ def test_ni_malformed_records_refused(ni_setup):
     max_depth = niproof.MAX_DEPTH
     assert max_depth == (2**32 // LEAF_CLASSES - 1).bit_length()
     last = record(2**32 - LEAF_CLASSES, [1] * LEAF_CLASSES)
-    parsed = NIProof.parse(level0(last, depth=max_depth, digests=digest * max_depth))
-    assert parsed.openings[0][2**32 - 1] == (1, [digest] * max_depth)
+    parsed = NIProof.parse(level0(last, depth=max_depth, digests=digest * max_depth)).levels[0]
+    bucket = 2**32 // LEAF_CLASSES - 1
+    assert parsed.records == {bucket: (2**32 - LEAF_CLASSES, [1] * LEAF_CLASSES)}
+    assert parsed.paths() == {bucket: [digest] * max_depth}
     with pytest.raises(MalformedProofError, match="outside a tree of depth"):
         NIProof.parse(level0(last, depth=max_depth - 1, digests=digest * (max_depth - 1)))
 
@@ -841,16 +975,18 @@ def test_ni_padded_proof_rejected_before_hashing(verify_open_calls):
 
     padded = NIProof.parse(proof.serialize())
     tree = MerkleTree(_committed(instance.seq, 0, word.values))
-    read = {at // LEAF_CLASSES for at in padded.openings[0]}
+    read = set(padded.levels[0].records)
     unread = sorted(set(range(len(word.values) // LEAF_CLASSES)) - read)[:1000 // LEAF_CLASSES]
     for bucket in unread:
-        [(_, values, path)] = tree.open([bucket])
-        assert verify_path(proof.roots[0], bucket, values, path, len(word.values))
-        for at, value in enumerate(values, bucket * LEAF_CLASSES):
-            padded.openings[0][at] = (value, path)
+        assert verify_open(proof.roots[0], tree.open([bucket]), len(word.values))
+    padded.levels[0] = tree.open(sorted(read | set(unread)))
+    assert verify_open(proof.roots[0], padded.levels[0], len(word.values))
     assert len(unread) == 1000 // LEAF_CLASSES
-    assert (sum(map(len, padded.openings))
-            == sum(map(len, proof.openings)) + LEAF_CLASSES * len(unread))
+
+    def positions(proof):
+        return sum(len(values) for level in proof.levels for _, values in level.records.values())
+
+    assert positions(padded) == positions(proof) + LEAF_CLASSES * len(unread)
     calls.clear()
     accept, transcript = verify_noninteractive(instance.seq, instance.rs,
                                                NIProof.parse(padded.serialize()), params)
@@ -912,10 +1048,11 @@ def test_ni_header_t_above_n_rejected(ni_setup):
 
 
 def test_prove_hashes_each_tree_node_once(monkeypatch):
-    # an r = 8 prove makes one DIGEST call per leaf and per inner node of
-    # each level's tree, none for the zero padding: leaves + padded leaves
-    # - 1 per level.  A tree of narrower leaves, or one that hashes classes
-    # one by one, makes more
+    # an r = 8 prove makes one DIGEST call per leaf and per inner node above
+    # a leaf of each level's tree, none for the zero padding: the sum over
+    # the tree's layers of ceil(leaves / 2^d) per level.  A tree that hashes
+    # the nodes over padding alone, a tree of narrower leaves, or one that
+    # hashes classes one by one, makes more
     instance = gen_instance(8, 2**31 - 1, 253)
     calls = []
 
@@ -928,7 +1065,14 @@ def test_prove_hashes_each_tree_node_once(monkeypatch):
     _, transcript = prove_noninteractive(instance.seq, instance.rs, word, ProtocolParams(10, 2))
     assert transcript.accept
     leaves = [-(-graph.classes.num_classes // LEAF_CLASSES) for graph in instance.seq.graphs]
-    assert len(calls) == sum(n + (1 << (n - 1).bit_length()) - 1 for n in leaves) == 11_550
+    assert len(calls) == sum(-(-n // (1 << d)) for n in leaves
+                             for d in range((n - 1).bit_length() + 1)) == 10_862
+
+
+# the seed-1 r = 8 split of BENCH_v7.json: header, roots, values, framing
+# and digest bytes, and the digest and record counts
+SPLIT_R8 = {"header": 58, "roots": 288, "values": 10_300, "framing": 850, "digests": 15_808,
+            "digest_count": 494, "record_count": 161}
 
 
 @pytest.mark.parametrize("r,max_bytes", [(8, 29_000), (4, 1_800)])
@@ -945,18 +1089,24 @@ def test_ni_proof_size(r, max_bytes):
                                              ProtocolParams(10, 2))
     blob = proof.serialize()
     assert transcript.accept and len(blob) <= max_bytes
-    pos = 4 + 10 + 32 + 12 + 32 * (r + 1)
-    for graph, at, cids in zip(instance.seq.graphs, instance.seq.commit_positions(),
-                               transcript.reads):
+    split = byte_split(blob)
+    parts = ("header", "roots", "values", "framing", "digests")
+    assert sum(split[part] for part in parts) == len(blob)
+    if r == 8:
+        assert {key: split[key] for key in SPLIT_R8} == SPLIT_R8
+    pos = split["header"] + split["roots"]
+    for graph, at, cids, opening, (start, digests, end) in zip(
+            instance.seq.graphs, instance.seq.commit_positions(), transcript.reads,
+            NIProof.parse(blob).levels, split["levels"]):
         buckets = {at.item(cid) // LEAF_CLASSES for cid in cids}
         depth = (-(-graph.classes.num_classes // LEAF_CLASSES) - 1).bit_length()
         above = [{b >> d for b in buckets} for d in range(depth)]
-        digests = sum(len({a ^ 1 for a in layer} - layer) for layer in above)
-        count, depth_byte = struct.unpack_from("<IB", blob, pos)
-        assert (count, depth_byte) == (len(buckets), depth)
-        pos += 5
-        for _ in range(count):
-            # a u32 first position, n as a u8, and n values of 4 bytes
-            pos += 5 + 4 * blob[pos + 4]
-        pos += DIGEST_SIZE * digests
+        sent = sum(len({a ^ 1 for a in layer} - layer) for layer in above)
+        assert (set(opening.records), opening.depth) == (buckets, depth)
+        # a u32 count and a u8 depth, then per record a u32 first position,
+        # n as a u8, and n values of 4 bytes
+        assert start == pos and digests == start + 5 + sum(
+            5 + 4 * len(values) for _, values in opening.records.values())
+        assert end - digests == DIGEST_SIZE * sent
+        pos = end
     assert pos == len(blob)

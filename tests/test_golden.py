@@ -23,7 +23,7 @@ from flowering.experiments import (
 )
 from flowering.field import PrimeField
 from flowering.iopp import ProtocolParams
-from flowering.niproof import NIProof, prove_noninteractive
+from flowering.niproof import NIProof, byte_split, prove_noninteractive
 from flowering.reed_solomon import RSCode
 
 P = 2**31 - 1
@@ -73,6 +73,21 @@ def test_ni_proof_bytes(r, seed):
     assert sha256(blob) == NI_PROOFS[(r, seed)]
     assert sha256(b"".join(proof.roots)) == NI_ROOTS[(r, seed)]
     assert NIProof.parse(blob) == proof
+
+
+@pytest.mark.parametrize("r,seed", sorted(NI_PROOFS))
+def test_ni_proof_byte_split(r, seed):
+    # the byte split of each pinned proof covers it: its parts sum to its
+    # length, and its levels follow the roots and each other to its end
+    inst = instance(r)
+    word = random_codeword_word(inst, random.Random(derive_seed(seed, 1)))
+    blob = prove_noninteractive(inst.seq, inst.rs, word, ProtocolParams(10, 2))[0].serialize()
+    split = byte_split(blob)
+    assert sum(split[part] for part in ("header", "roots", "values", "framing",
+                                        "digests")) == len(blob)
+    assert split["digests"] == 32 * split["digest_count"]
+    ends = [split["header"] + split["roots"]] + [end for _, _, end in split["levels"]]
+    assert [start for start, _, _ in split["levels"]] == ends[:-1] and ends[-1] == len(blob)
 
 
 def test_honest_run_transcript_bytes():

@@ -268,7 +268,7 @@ def test_word_values_leave_as_python_ints():
             assert isinstance(w.values, np.ndarray) and w.values.dtype == inst.field.dtype
             assert all(type(x) is int for x in w.local_view(0) + [w.at(0, 1), w.at(1, 6)])
             assert Word.from_json(w.graph, w.field, json.loads(json.dumps(w.to_json()))) == w
-            [(_, values, _)] = MerkleTree(w.values).open([0])
+            [(_, values)] = MerkleTree(w.values).open([0]).records.values()
             assert values and all(type(x) is int for x in values)
         params = ProtocolParams(4, 2)
         transcript = honest_run(inst, params, seed=3)
@@ -279,6 +279,7 @@ def test_word_values_leave_as_python_ints():
         json.dumps(transcript.to_json())
         proof, ni_transcript = prove_noninteractive(
             inst.seq, inst.rs, random_codeword_word(inst, rng), params)
-        assert all(type(value) is int for level in proof.openings for value, _ in level.values())
+        assert all(type(value) is int for level in proof.levels
+                   for _, values in level.records.values() for value in values)
         assert all(type(x) is int for query in ni_transcript.queries
                    for opening in query.openings for x in opening)
