@@ -109,8 +109,9 @@ class Positions:
     position -> (value, path), each path its bucket's, derived from the
     sibling digests (b"" where pruned).  It takes the length, iteration in
     position order, values(), a read, and a write of the value of an
-    opened position under that position's path, which changes the record;
-    the program itself reads records."""
+    opened position under that position's path, which changes the record.
+    The program itself reads records; the view serves readers of the
+    per-position form, perfbench's cli-r8 flip and proof_breakdown."""
 
     def __init__(self, opening: MultiOpening):
         self.opening = opening
@@ -122,22 +123,18 @@ class Positions:
         for first, values in self.opening.records.values():
             yield from range(first, first + len(values))
 
-    def _locate(self, at: int) -> tuple[list[int], int]:
+    def __getitem__(self, at: int) -> tuple[int, list[bytes]]:
         first, values = self.opening.records[at // LEAF_CLASSES]
         if not 0 <= at - first < len(values):
             raise KeyError(at)
-        return values, at - first
-
-    def __getitem__(self, at: int) -> tuple[int, list[bytes]]:
-        values, i = self._locate(at)
-        return values[i], self.opening.paths()[at // LEAF_CLASSES]
+        return values[at - first], self.opening.paths()[at // LEAF_CLASSES]
 
     def __setitem__(self, at: int, opened: tuple[int, list[bytes]]) -> None:
         value, path = opened
-        values, i = self._locate(at)
-        if path != self.opening.paths()[at // LEAF_CLASSES]:
+        if path != self[at][1]:
             raise FloweringError(f"position {at} opens under its bucket's path only")
-        values[i] = value
+        first, values = self.opening.records[at // LEAF_CLASSES]
+        values[at - first] = value
 
     def values(self):
         paths = self.opening.paths()
