@@ -81,7 +81,7 @@ def revivable_word(
     l0, l1 = petal_idx[0], petal_idx[1]
     word = Word.from_index_values(graph, field, code.rs.random_codeword(rng))
     values = word.values
-    classes = graph.classes
+    classes, phi = graph.classes, cut.phi
     touched: set[int] = set()
     for alpha_star, members in groups:
         if field.reduce(alpha_star) == 0:
@@ -90,7 +90,7 @@ def revivable_word(
             if v in touched:
                 raise FloweringError("groups must be vertex-disjoint")
             touched.add(v)
-            w = cut.phi[v]
+            w = phi[v]
             eta = rng.randrange(1, field.p)
             cv = classes.id_of(v, l0)
             cw = classes.id_of(w, l0)
@@ -99,7 +99,7 @@ def revivable_word(
     for v in cut.v_prime:
         if v in touched:
             continue
-        w = cut.phi[v]
+        w = phi[v]
         cv = classes.id_of(v, l0)
         cw = classes.id_of(w, l1)
         values[cv] = field.add(values.item(cv), rng.randrange(1, field.p))

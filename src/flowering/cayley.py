@@ -16,9 +16,9 @@ blossoming_cayley returns the chain as a CayleyChain, which answers a
 fresh NI verifier's reads (folding.Chain) by closed forms in the
 generating set: class ids, fold pairs and commit positions are ranks
 computed in O(r) big-int steps per read, and the chain digest streams
-graph 0's rows.  Its dense BlossomingSequence, which the prover folds and
-commits through, is built on first use, and every other read comes from
-its tables.
+graph 0's rows.  The tables the prover folds and commits through are built
+on first use as blocks of graph 0's, with one class index and no cut
+validated, and every other read comes from them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import FloweringError, TooLargeError
 from .folding import BlossomingSequence, ReadMap, chain_digest
 from .graph_code import GraphCode, Word
-from .rim_graph import RIM, FloweringCut, adjacency_digest
+from .rim_graph import RIM, EdgeClassIndex, FloweringCut, adjacency_digest
 
 INDEPENDENCE_CHECK_CAP = 10**6
 # entries 2^r * n of the largest graph-0 table built: the full generating
@@ -271,17 +271,16 @@ class CayleyChain:
     level's positions are a ranker of the class ranker's bits, but for the
     indices with top(s_l) = r-i, and all of them together cost O(n).
 
-    The dense chain is built on first use of graphs, cuts or
-    commit_positions, which the prover and the word tools read; a
-    CayleyChain stands in for it there.  Once it is built, the verifier's
-    reads come from its tables too."""
+    The tables are built on first use of graphs, cuts or commit_positions,
+    which the prover and the word tools read, as blocks of graph 0 (_tables).
+    Once they are built, the verifier's reads come from them too."""
 
     def __init__(self, gens: GenSet):
         _check_graph_size(gens.r, gens.n)
         self.gens, self.r, self.n = gens, gens.r, gens.n
         self._digest: bytes | None = None
 
-    # every table below is O(n) and built on first use, as the dense one is
+    # every table below is O(n) and built on first use, as _tables is
 
     @cached_property
     def _tops(self) -> list[int]:
@@ -412,11 +411,11 @@ class CayleyChain:
 
     def fold_reads(self, positions: bool = False) -> list[ReadMap]:
         """A fresh verifier's reads by commit position from the closed
-        forms; every other read from the dense chain's tables, which the
-        prover and the word tools build."""
-        if positions and "dense" not in vars(self):
+        forms; every other read from the chain's tables, which the prover
+        and the word tools build."""
+        if positions and "_tables" not in vars(self):
             return self._position_reads
-        return self.dense.fold_reads(positions)
+        return self._tables.fold_reads(positions)
 
     def flower_ids(self) -> range:
         return range(self.n)
@@ -434,31 +433,55 @@ class CayleyChain:
         return self._digest
 
     @cached_property
-    def dense(self) -> BlossomingSequence:
-        """The chain as graphs and validated cuts, built on first use."""
-        r = self.r
-        specs = []
-        for i in range(1, r + 1):
-            half = 1 << (r - i)
-            specs.append((range(half), dict(zip(range(half), range(half, 2 * half)))))
-        return BlossomingSequence(cayley_rim(r, self.gens), specs)
+    def _tables(self) -> BlossomingSequence:
+        """The chain's graphs and cuts as blocks of graph 0, whose adjacency
+        and class index are the only ones built from scratch.  Level i keeps
+        graph 0's first b = 2^(r-i) vertices, and slot (v, l) is a petal
+        where s_l >= b.  Its representatives are graph 0's below b, as the
+        ranker above has it, so its class_of is graph 0's top b rows and its
+        reps graph 0's first N_i.  Cut i keeps range(b) with phi(v) = v + b,
+        so down is v mod b, and fold plan column c is c and graph 0's class
+        of (v + b, l) for the child's representative (v, l).  No cut is
+        validated: the tests check every table against the validated chain
+        BlossomingSequence(cayley_rim(r, gens), specs)."""
+        r, n = self.r, self.n
+        graph0 = cayley_rim(r, self.gens)
+        index = graph0.classes
+        vertex, l = index.reps
+        # the flat positions of graph 0's representatives in its class_of
+        at, class_of = vertex * n + l, index.class_of.ravel()
+        s = np.array(self.gens.vectors, dtype=np.int64)
+        graphs, cuts = [graph0], []
+        for level in range(1, r + 1):
+            b, count = 1 << (r - level), self._num_classes[level]
+            v = np.arange(b)[:, None]
+            adj = np.where(s < b, v ^ s, v)
+            child = RIM(n, adj, check=False, classes=EdgeClassIndex._of(
+                adj, index.class_of[:b], (vertex[:count], l[:count])))
+            plan = np.empty((2, count), dtype=np.int64)
+            plan[0] = np.arange(count)
+            class_of[b * n:].take(at[:count], out=plan[1])
+            ends = np.arange(2 * b).reshape(2, b)
+            cuts.append(FloweringCut._of(graphs[-1], child, ends, ends.ravel() & (b - 1), plan))
+            graphs.append(child)
+        return BlossomingSequence._of(graphs, cuts)
 
-    @cached_property
+    @property
     def graphs(self) -> list[RIM]:
-        return self.dense.graphs
+        return self._tables.graphs
 
-    @cached_property
+    @property
     def cuts(self) -> list[FloweringCut]:
-        return self.dense.cuts
+        return self._tables.cuts
 
     def commit_positions(self) -> list[np.ndarray]:
-        return self.dense.commit_positions()
+        return self._tables.commit_positions()
 
 
 def blossoming_cayley(gens: GenSet) -> CayleyChain:
     """The canonical blossoming sequence on Cay(F_2^r, gens), r = gens.r,
-    as an implicit chain: nothing over the vertices is built until the
-    dense chain is asked for."""
+    as an implicit chain: nothing over the vertices is built until its
+    tables are asked for."""
     return CayleyChain(gens)
 
 

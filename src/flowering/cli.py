@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import random
@@ -252,7 +253,9 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t", type=int, default=DEFAULT_PARAMS.t)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="flowering",
                                      description="Proximity testing for codes on graphs")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,8 +6,9 @@ an RS base code.  Its file holds only {format, p, k, points, genset}:
 generating an instance and loading its file both take the canonical
 blossoming sequence from the generating set, so a file cannot name a graph
 its generating set does not define.  The sequence is a CayleyChain, so
-loading builds no table over the vertices: the dense chain, and the code on
-graph 0 (Instance.code), come on first use by the prover or a word tool.
+loading builds no table over the vertices: the chain's tables, blocks of
+graph 0's, and the code on graph 0 (Instance.code), come on first use by
+the prover or a word tool.
 
 Everything is deterministic given a master seed: per-trial seeds are derived
 by hashing (seed, index).  Reports are plain dicts ready for sorted-key JSON.
@@ -61,7 +62,7 @@ class Instance:
 
     @cached_property
     def code(self) -> GraphCode:
-        """The code on graph 0, built on first use with the dense chain."""
+        """The code on graph 0, built on first use with the chain's tables."""
         return GraphCode(self.seq.graphs[0], self.rs)
 
     @property

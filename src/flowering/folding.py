@@ -11,8 +11,10 @@ nothing here samples randomness.
 
 A blossoming sequence is valid by construction: its constructor cuts each
 graph once, validating every cut on its parent, and refuses a chain that
-does not end in a one-vertex flower.  Its digest names graph 0 and every
-cut, since each cut fixes the fold relation the verifier checks.
+does not end in a one-vertex flower.  A Cayley chain's tables are valid by
+construction too, blocks of graph 0's (cayley.CayleyChain), so it takes
+them unchecked (BlossomingSequence._of).  Its digest names graph 0 and
+every cut, since each cut fixes the fold relation the verifier checks.
 
 A fold check at level i reads a pair of level-(i-1) classes, those of
 (v, l) and (phi(v), l), so a proof commits level i-1 in cut i's pair
@@ -25,9 +27,10 @@ The query phase and the NI verifier read a chain only through Chain: per
 level sizes, the digest, the walk's descent, and per fold check the class
 ids it reads with their addresses, which for the NI verifier are commit
 positions.  A BlossomingSequence answers from its tables: the cut's down,
-the child's class index, the fold plan and commit_positions.  A Cayley
-chain answers a fresh verifier from its generating set
-(cayley.CayleyChain), so that verifier builds no table over the vertices.
+the child's class index, the fold plan and commit_positions, which are
+pair_positions over the fold plans, built on first use.  A Cayley chain
+answers a fresh verifier from its generating set (cayley.CayleyChain), so
+that verifier builds no table over the vertices.
 """
 
 from __future__ import annotations
@@ -165,6 +168,16 @@ class BlossomingSequence:
             raise FloweringError(
                 f"{NOT_FLOWER}: the chain ends in a graph of "
                 f"{self.graphs[-1].num_vertices} vertices")
+
+    @classmethod
+    def _of(cls, graphs: list[RIM], cuts: list[FloweringCut]) -> BlossomingSequence:
+        """The chain of these graphs and cuts, known valid by construction,
+        as a Cayley chain's are (cayley.CayleyChain); unchecked."""
+        seq = cls.__new__(cls)
+        seq.n, seq.graphs, seq.cuts = graphs[0].n, graphs, cuts
+        seq._digest = seq._positions = None
+        seq._reads = {}
+        return seq
 
     @property
     def r(self) -> int:

@@ -28,7 +28,7 @@ of (v_i, l) in f_i and, in f_{i-1}, the fold pair behind it: the classes of
 (v, l) and (phi_i(v), l) at the parent vertex v of v_i.  Each check is one
 lookup in the chain's fold_reads: the three class ids, and the addresses
 the oracle reads them at, the ids or, for the non-interactive verifier,
-the commit positions.  A dense chain reads them from the child's class
+the commit positions.  A built chain reads them from the child's class
 index, the fold plan and the commit positions; a Cayley chain
 (cayley.CayleyChain) computes them from the generating set until its
 tables are built.  Either way the check is the fold relation as the prover

@@ -46,14 +46,15 @@ class RSCode:
     """RS[n, k] on pairwise-distinct points x_1..x_n of a field with p > n."""
 
     def __init__(self, field: PrimeField, points: list[int], k: int):
-        points = [field.reduce(x) for x in points]
         n = len(points)
+        # checked first: at p <= n any n points collide mod p
+        if field.p <= n:
+            raise FieldTooSmallError(f"need p > n, got p={field.p}, n={n}")
+        points = [field.reduce(x) for x in points]
         if len(set(points)) != n:
             raise DuplicatePointError("evaluation points must be pairwise distinct")
         if not 1 <= k <= n:
             raise DimensionOutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if field.p <= n:
-            raise FieldTooSmallError(f"need p > n, got p={field.p}, n={n}")
         self.field = field
         self.points = tuple(points)
         self._xs = field.array(points)

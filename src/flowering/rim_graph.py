@@ -20,10 +20,11 @@ numpy scalar reaches a transcript, a Merkle opening or a proof.
 Cutting a graph to a vertex subset keeps ids dense by remapping.  A
 flowering cut is validated on its parent and cut once; it keeps the
 child-to-parent ids, the parent-to-child projection ``down`` that the query
-walk of a dense chain follows, and the fold plan, which names the two
+walk of a built chain follows, and the fold plan, which names the two
 parent classes behind every child class for the fold and that walk's fold
-check alike.  A Cayley chain whose tables are not built, as in a fresh
-verifier, computes the same ids from the generating set
+check alike.  A Cayley chain builds its levels' class indexes and cuts as
+blocks of graph 0's tables, through the unchecked ``_of`` constructors, and
+a fresh verifier computes the same ids from the generating set
 (cayley.CayleyChain).
 
 Graphs are never read from disk: an instance file names the generating set
@@ -93,6 +94,16 @@ class EdgeClassIndex:
         self.class_of[adj[self.reps], self.reps[1]] = ids
         self._adj = adj
 
+    @classmethod
+    def _of(cls, adj: np.ndarray, class_of: np.ndarray, reps) -> EdgeClassIndex:
+        """The index of adjacency adj with tables known by construction, as a
+        Cayley level's are blocks of graph 0's (cayley.CayleyChain);
+        unchecked."""
+        index = cls.__new__(cls)
+        index.class_of, index.reps, index._adj = class_of, reps, adj
+        index.num_classes = reps[0].size
+        return index
+
     @property
     def sizes(self) -> np.ndarray:
         """Per class, 1 for a petal and 2 for an edge."""
@@ -118,12 +129,14 @@ class RIM:
 
     adjacency may be nested lists or an int64 array, which is used as is,
     not copied.  The class index and the digest are cached from it, so the
-    table must not change after construction.
+    table must not change after construction; classes, if given, is taken
+    as its class index.
     """
 
     __slots__ = ("n", "num_vertices", "adj", "_classes", "_digest")
 
-    def __init__(self, n: int, adjacency, check: bool = True):
+    def __init__(self, n: int, adjacency, check: bool = True,
+                 classes: EdgeClassIndex | None = None):
         try:
             adj = np.asarray(adjacency, dtype=np.int64)
         except (ValueError, OverflowError) as exc:
@@ -134,7 +147,7 @@ class RIM:
         self.n = n
         self.num_vertices = adj.shape[0]
         self.adj = adj
-        self._classes: EdgeClassIndex | None = None
+        self._classes = classes
         self._digest: bytes | None = None
         if check:
             bad = self.violations()
@@ -269,23 +282,38 @@ class FloweringCut:
     representative in V' of parent vertex v.  All are int64 arrays.
     """
 
-    __slots__ = ("parent", "phi", "child", "ends", "from_child", "down", "_fold_plan")
+    __slots__ = ("parent", "child", "ends", "from_child", "down", "_fold_plan")
 
     def __init__(self, parent: RIM, v_prime, phi: dict[int, int]):
         reason, tables = _split(parent, v_prime, phi)
         if reason is not None:
             raise InvalidCutError(reason)
-        self.ends, self.down, child_adj = tables
-        self.from_child = self.ends[0]
-        self.parent = parent
-        self.phi = dict(phi)
-        self.child = RIM(parent.n, child_adj, check=False)
-        self._fold_plan: np.ndarray | None = None
+        ends, down, child_adj = tables
+        self._set(parent, RIM(parent.n, child_adj, check=False), ends, down, None)
+
+    @classmethod
+    def _of(cls, parent: RIM, child: RIM, ends: np.ndarray, down: np.ndarray,
+            fold_plan: np.ndarray) -> FloweringCut:
+        """The cut with these tables, known valid by construction, as a
+        Cayley chain's are (cayley.CayleyChain); unchecked."""
+        cut = cls.__new__(cls)
+        cut._set(parent, child, ends, down, fold_plan)
+        return cut
+
+    def _set(self, parent, child, ends, down, fold_plan) -> None:
+        self.parent, self.child, self.ends, self.down = parent, child, ends, down
+        self.from_child = ends[0]
+        self._fold_plan = fold_plan
 
     @property
     def v_prime(self) -> tuple[int, ...]:
         """The kept half V', sorted."""
         return tuple(self.from_child.tolist())
+
+    @property
+    def phi(self) -> dict[int, int]:
+        """The isomorphism as a dict from V' to the other half."""
+        return dict(zip(*self.ends.tolist()))
 
     @property
     def fold_plan(self) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""The implicit Cayley chain against the dense one it stands in for: every
-closed form (class ids, fold pairs, the descent, class counts, commit
-positions and the digest) and every protocol run on it must equal the
-tables of the dense chain."""
+"""The implicit Cayley chain against the validated dense chain, its oracle:
+every closed form (class ids, fold pairs, the descent, class counts, commit
+positions and the digest), every table it builds as blocks of graph 0, and
+every protocol run on it must equal the oracle's."""
 
 import random
 from collections import Counter
@@ -12,9 +12,16 @@ import pytest
 
 from flowering import cayley, folding, rim_graph
 from flowering.adversaries import build_adversary
-from flowering.cayley import _f2_rank, blossoming_cayley, gen_set_full, validate_gen_set
+from flowering.cayley import (
+    _f2_rank,
+    blossoming_cayley,
+    cayley_rim,
+    gen_set_full,
+    validate_gen_set,
+)
 from flowering.cli import main
 from flowering.experiments import gen_instance, random_codeword_word
+from flowering.folding import BlossomingSequence
 from flowering.iopp import (
     ProtocolParams,
     prover_commit,
@@ -40,6 +47,42 @@ def _random_gensets(count: int, seed: int = 0):
     return out
 
 
+def validated_chain(gens):
+    """The canonical chain cut by cut through the validating constructor:
+    level i keeps range(2^(r-i)) and phi(v) = v | 2^(r-i)."""
+    r = gens.r
+    specs = [(range(half), {v: v | half for v in range(half)})
+             for half in (1 << (r - i) for i in range(1, r + 1))]
+    return BlossomingSequence(cayley_rim(r, gens), specs)
+
+
+def assert_tables_equal(chain, oracle, levels: bool = True):
+    """The chain's block tables against the oracle's: the fold plans and
+    commit positions, and with levels every graph's adjacency, class_of,
+    reps and petal count and every cut's ends, down and phi."""
+    assert len(chain.cuts) == len(oracle.cuts) == chain.r
+    for cut, expected in zip(chain.cuts, oracle.cuts):
+        assert np.array_equal(cut.fold_plan, expected.fold_plan)
+    for positions, expected in zip(chain.commit_positions(), oracle.commit_positions(),
+                                   strict=True):
+        assert np.array_equal(positions, expected)
+    if not levels:
+        return
+    for graph, expected in zip(chain.graphs, oracle.graphs, strict=True):
+        assert np.array_equal(graph.adj, expected.adj)
+        index, oracle_index = graph.classes, expected.classes
+        assert np.array_equal(index.class_of, oracle_index.class_of)
+        for table, oracle_table in zip(index.reps, oracle_index.reps, strict=True):
+            assert np.array_equal(table, oracle_table)
+        assert index.num_classes == oracle_index.num_classes
+        assert index.num_petals == oracle_index.num_petals
+    for cut, expected in zip(chain.cuts, oracle.cuts):
+        assert np.array_equal(cut.ends, expected.ends)
+        assert np.array_equal(cut.down, expected.down)
+        assert cut.phi == expected.phi
+        assert (cut.parent, cut.child) == (expected.parent, expected.child)
+
+
 GENSETS = ([gen_set_full(r) for r in range(1, 9)]
            + [validate_gen_set(4, [8, 4, 2, 1, 15], 3)] + _random_gensets(12))
 
@@ -48,7 +91,7 @@ GENSETS = ([gen_set_full(r) for r in range(1, 9)]
                          ids=[f"{i}-r{g.r}-n{g.n}" for i, g in enumerate(GENSETS)])
 def test_closed_forms_equal_dense_chain(gens):
     chain = blossoming_cayley(gens)
-    dense = blossoming_cayley(gens).dense
+    dense = validated_chain(gens)
     r, n = gens.r, gens.n
     assert (chain.r, chain.n) == (dense.r, dense.n) == (r, n)
     positions = dense.commit_positions()
@@ -78,8 +121,10 @@ def test_closed_forms_equal_dense_chain(gens):
         assert chain.descent(v0) == dense.descent(v0)
     assert chain.proof_length() == dense.proof_length()
     assert chain.digest() == dense.digest()
-    # none of it built the dense chain
-    assert "dense" not in vars(chain)
+    # none of it built the chain's tables
+    assert "_tables" not in vars(chain)
+    # which are the oracle's, built as blocks of graph 0
+    assert_tables_equal(chain, dense)
 
 
 def _runs(r: int):
@@ -102,7 +147,7 @@ def test_protocol_runs_equal_on_dense_chain(r):
     # run_protocol builds the tables in its commit phase, so its walk reads
     # them.
     instance, runs = _runs(r)
-    chain, dense = instance.seq, instance.seq.dense
+    chain, dense = instance.seq, validated_chain(instance.gens)
     rs = instance.rs
     for word, respond in runs:
         for seed, (m, t) in enumerate([(1, 1), (3, 2), (5, min(4, chain.n))]):
@@ -121,7 +166,7 @@ def test_protocol_runs_equal_on_dense_chain(r):
             implicit = verifier_query(fresh, rs, params, challenges,
                                       lambda level, at: committed[level].item(at), randomness,
                                       fresh.fold_reads(positions=True))
-            assert "dense" not in vars(fresh)
+            assert "_tables" not in vars(fresh)
             assert implicit.to_json() == tables.to_json()
             assert implicit.reads == tables.reads
         proof, _ = prove_noninteractive(chain, rs, word, ProtocolParams(3, 2))
@@ -129,18 +174,18 @@ def test_protocol_runs_equal_on_dense_chain(r):
         fresh = blossoming_cayley(instance.gens)
         (accept, implicit), (dense_accept, tables) = [
             verify_noninteractive(seq, rs, parsed) for seq in (fresh, dense)]
-        assert "dense" not in vars(fresh)
+        assert "_tables" not in vars(fresh)
         assert accept == dense_accept
         assert (implicit.to_json(), implicit.reads) == (tables.to_json(), tables.reads)
 
 
 def test_closed_forms_sampled_at_r10():
     # past the exhaustive r <= 8: random slots of every level of the full
-    # r = 10 chain against its dense tables, and an r = 9 NI proof that a
-    # fresh chain accepts, and rejects with a flipped value, as the dense
-    # chain does
+    # r = 10 chain against the validated chain's tables, then its block fold
+    # plans and commit positions, and an r = 9 NI proof that a fresh chain
+    # accepts, and rejects with a flipped value, as the built chain does
     gens = gen_set_full(10)
-    chain, dense = blossoming_cayley(gens), blossoming_cayley(gens).dense
+    chain, dense = blossoming_cayley(gens), validated_chain(gens)
     rng = random.Random(10)
     slots = [(rng.randrange(cut.child.num_vertices), rng.randrange(gens.n))
              for cut in dense.cuts for _ in range(200)]
@@ -152,7 +197,8 @@ def test_closed_forms_sampled_at_r10():
         assert chain.descent(v0) == dense.descent(v0)
     assert chain.proof_length() == dense.proof_length()
     assert chain.digest() == dense.digest()
-    assert "dense" not in vars(chain)
+    assert "_tables" not in vars(chain)
+    assert_tables_equal(chain, dense, levels=False)
 
     instance = gen_instance(9, P, 509)
     proof, _ = prove_noninteractive(instance.seq, instance.rs,
@@ -166,7 +212,7 @@ def test_closed_forms_sampled_at_r10():
         fresh = blossoming_cayley(instance.gens)
         assert verify_noninteractive(fresh, instance.rs, candidate)[0] is verdict
         assert verify_noninteractive(instance.seq, instance.rs, candidate)[0] is verdict
-        assert "dense" not in vars(fresh)
+        assert "_tables" not in vars(fresh)
 
 
 def test_verify_builds_no_dense_table(tmp_path, monkeypatch):
@@ -204,7 +250,9 @@ def test_verify_builds_no_dense_table(tmp_path, monkeypatch):
     for name, code in (("proof.bin", 0), ("flipped.bin", 1), ("truncated.bin", 2)):
         assert run("verify", "--instance", instance, "--proof", tmp_path / name) == code
     assert not calls
-    # the counters see the prover, which builds the dense chain
+    # a fresh prove builds the chain's tables as blocks of graph 0: one
+    # graph-0 table and class index, no cut validated, and the commit
+    # positions of its 8 cuts
     assert run("prove", "--instance", instance, "--seed", 1, "--out", proof) == 0
-    assert set(calls) == {"flowering.cayley.cayley_rim", "EdgeClassIndex.__init__",
-                          "FloweringCut.__init__", "flowering.folding.pair_positions"}
+    assert calls == Counter({"flowering.cayley.cayley_rim": 1, "EdgeClassIndex.__init__": 1,
+                             "flowering.folding.pair_positions": 8})

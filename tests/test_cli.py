@@ -271,6 +271,9 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (gen + (write("genset.json", {"vectors": [1, 2]}),), "malformed genset file"),
         (gen + (write("genset_r2.json", {"r": 2, "d": 3, "vectors": [1, 2, 3]}),),
          "the generating set has r=2, not r=3"),
+        # the default points 1..7 collide mod 5 only because p <= n
+        (("gen", "--r", 3, "--p", 5, "--k", 2, "--out", tmp_path / "g.json"),
+         "need p > n, got p=5, n=7"),
         (verify + (missing,), "malformed proof file"),
         (verify + (not_json,), "malformed proof file"),
         (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),

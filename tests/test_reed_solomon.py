@@ -107,6 +107,9 @@ def test_rs_new_validation():
         RSCode(f5, [1, 2, 3], 4)
     with pytest.raises(FieldTooSmallError):
         RSCode(PrimeField(3), [0, 1, 2], 2)
+    # p <= n is named before the points it makes collide
+    with pytest.raises(FieldTooSmallError):
+        RSCode.with_default_points(f5, 7, 2)
 
 
 def test_interpolate_known_cases(rs_t1):
