@@ -15,17 +15,20 @@ d = 3.
 blossoming_cayley returns the chain as a CayleyChain, which answers a
 fresh NI verifier's reads (folding.Chain) by closed forms in the
 generating set: class ids, fold pairs and commit positions are ranks
-computed in O(r) big-int steps per read, and the chain digest streams
-graph 0's rows.  The tables the prover folds and commits through are built
-on first use as blocks of graph 0's, with one class index and no cut
-validated, and every other read comes from them.
+computed in O(r) big-int steps per read, and the chain is named by its
+generating set (CayleyChain.digest).  The tables the prover folds and
+commits through are built on first use as blocks of graph 0's, with one
+class index and no cut validated, and every other read comes from them;
+MAX_GRAPH_ENTRIES caps those tables (cayley_rim), not the chain.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
+import struct
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -35,17 +38,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FloweringError, TooLargeError
-from .folding import BlossomingSequence, ReadMap, chain_digest
+from .folding import BlossomingSequence, ReadMap
 from .graph_code import GraphCode, Word
-from .rim_graph import RIM, EdgeClassIndex, FloweringCut, adjacency_digest
+from .rim_graph import RIM, EdgeClassIndex, FloweringCut
 
 INDEPENDENCE_CHECK_CAP = 10**6
 # entries 2^r * n of the largest graph-0 table built: the full generating
 # set at r = 12 has 4,096 x 4,095
 MAX_GRAPH_ENTRIES = 1 << 24
 _SPOT_CHECKS = 1000
-# graph-0 entries hashed per block when a CayleyChain streams its digest
-_DIGEST_BLOCK = 1 << 18
+# domain tag of CayleyChain.digest, naming the canonical halving
+CHAIN_TAG = b"flowering-cayley-halving-v1"
 
 
 class ZeroGeneratorError(FloweringError):
@@ -125,11 +128,12 @@ class GenSet:
 
 def gen_set_full(r: int) -> GenSet:
     """All 2^r - 1 nonzero vectors; distinct nonzero vectors over F_2 are
-    pairwise independent, so d = 3 holds structurally."""
+    pairwise independent, so d = 3 holds structurally, but for r = 1, whose
+    one vector admits d = 2 only (d - 1 <= n)."""
     if r < 1:
         raise FloweringError("r must be >= 1")
     _check_graph_size(r)
-    return GenSet(r, tuple(range(1, 1 << r)), 3, True)
+    return GenSet(r, tuple(range(1, 1 << r)), 3 if r > 1 else 2, True)
 
 
 def validate_gen_set(r: int, vectors: list[int], d: int) -> GenSet:
@@ -276,7 +280,6 @@ class CayleyChain:
     Once they are built, the verifier's reads come from them too."""
 
     def __init__(self, gens: GenSet):
-        _check_graph_size(gens.r, gens.n)
         self.gens, self.r, self.n = gens, gens.r, gens.n
         self._digest: bytes | None = None
 
@@ -421,15 +424,14 @@ class CayleyChain:
         return range(self.n)
 
     def digest(self) -> bytes:
-        """BlossomingSequence.digest of the chain: graph 0's rows v ^ S in
-        blocks, and each cut's ends, V' and its image, as one range."""
+        """SHA-256 over CHAIN_TAG, r and n as u64 and the vectors in index
+        order, ceil(r/8) little-endian bytes each: what fixes the chain, so
+        no graph row is hashed.  A dense chain's digest starts with graph
+        0's where this one has the tag (BlossomingSequence.digest)."""
         if self._digest is None:
-            r, s = self.r, np.array(self.gens.vectors, dtype=np.int64)
-            rows = max(1, _DIGEST_BLOCK // self.n)
-            blocks = (np.arange(start, min(start + rows, 1 << r))[:, None] ^ s
-                      for start in range(0, 1 << r, rows))
-            self._digest = chain_digest(adjacency_digest(self.n, 1 << r, blocks),
-                                        (np.arange(2 << (r - i)) for i in range(1, r + 1)))
+            vectors = b"".join(v.to_bytes((self.r + 7) // 8, "little") for v in self.gens.vectors)
+            self._digest = hashlib.sha256(
+                CHAIN_TAG + struct.pack("<QQ", self.r, self.n) + vectors).digest()
         return self._digest
 
     @cached_property

@@ -13,8 +13,10 @@ A blossoming sequence is valid by construction: its constructor cuts each
 graph once, validating every cut on its parent, and refuses a chain that
 does not end in a one-vertex flower.  A Cayley chain's tables are valid by
 construction too, blocks of graph 0's (cayley.CayleyChain), so it takes
-them unchecked (BlossomingSequence._of).  Its digest names graph 0 and
-every cut, since each cut fixes the fold relation the verifier checks.
+them unchecked (BlossomingSequence._of).  A blossoming sequence's digest
+names graph 0 and every cut, since each cut fixes the fold relation the
+verifier checks; a Cayley chain, whose cuts its generating set fixes, is
+named by that set alone.
 
 A fold check at level i reads a pair of level-(i-1) classes, those of
 (v, l) and (phi(v), l), so a proof commits level i-1 in cut i's pair
@@ -85,15 +87,6 @@ def pair_positions(cut: FloweringCut) -> np.ndarray:
     positions[partner[lo]] = evens + 1
     positions[ids == partner] = ids[2 * lo.size:]
     return positions
-
-
-def chain_digest(graph0: bytes, ends) -> bytes:
-    """SHA-256 over graph 0's digest and, per cut, V' and phi(V') as
-    little-endian int64 arrays; every size is fixed by graph 0."""
-    h = hashlib.sha256(graph0)
-    for cut_ends in ends:
-        h.update(np.ascontiguousarray(cut_ends, dtype="<i8"))
-    return h.digest()
 
 
 # the fold check at a child slot (vc, l): the two parent class ids of its
@@ -226,8 +219,11 @@ class BlossomingSequence:
         return self._positions
 
     def digest(self) -> bytes:
-        """chain_digest of graph 0 and every cut."""
+        """SHA-256 over graph 0's RIM.digest and, per cut, V' and phi(V')
+        as little-endian int64 arrays; every size is fixed by graph 0."""
         if self._digest is None:
-            self._digest = chain_digest(self.graphs[0].digest(),
-                                        (cut.ends for cut in self.cuts))
+            h = hashlib.sha256(self.graphs[0].digest())
+            for cut in self.cuts:
+                h.update(np.ascontiguousarray(cut.ends, dtype="<i8"))
+            self._digest = h.digest()
         return self._digest

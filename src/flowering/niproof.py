@@ -3,18 +3,18 @@
 The prover is iopp.prover_commit with each verifier message replaced by
 Fiat-Shamir (the compiler of Ben-Sasson, Chiesa and Spooner, TCC 2016):
 each level's Merkle root is absorbed into a transcript first bound to the
-full instance (field, the chain digest of graph 0 and every cut, RS and
-protocol parameters), and the query randomness is derived after the last
-root.  Each level is committed in its commit order
-(BlossomingSequence.commit_positions): levels 0..r-1 in the pair order of
-the cut that folds them, so that the two classes a fold check reads share a
-Merkle bucket, and the flower in class order.  The prover builds those
-orders as tables; the verifier takes the commit position of each class its
-walks read with the class's id (folding.Chain.fold_reads), from closed
-forms on a Cayley chain whose tables are not built, and reads the proof by
-position.  The proof carries the per-level roots and the authenticated
-openings of exactly the buckets holding the commit positions of the
-classes the verifier re-derives, the query phase's read log.
+full instance (field, chain digest, RS and protocol parameters), and the
+query randomness is derived after the last root.  Each level is committed in
+its commit order (BlossomingSequence.commit_positions): levels 0..r-1 in
+the pair order of the cut that folds them, so that the two classes a fold
+check reads share a Merkle bucket, and the flower in class order.  The
+prover builds those orders as tables; the verifier takes the commit
+position of each class its walks read with the class's id
+(folding.Chain.fold_reads), from closed forms on a Cayley chain whose
+tables are not built, and reads the proof by position.  The proof carries
+the per-level roots and the authenticated openings of exactly the buckets
+holding the commit positions of the classes the verifier re-derives, the
+query phase's read log.
 
 The record rule: a proof opens exactly the records that were read, and each
 level's records are authenticated together, once.  A record is the
@@ -34,37 +34,40 @@ readers that still take that form.
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
 
-Binary layout, version 7 (little-endian):
-    magic "FLWR" | version u16 = 7 | p u64 | chain digest 32B | r u32 |
+Binary layout, version 8 (little-endian):
+    magic "FLWR" | version u16 = 8 | p u64 | chain digest 32B | r u32 |
     m u32 | t u32 | (r+1) roots 32B | per level: count u32 | depth u8 |
     count records (first position u32 | n u8 | n values of w bytes) |
     the level's sibling digests 32B.
 A value takes the smallest width w of 1, 2, 4 or 8 bytes with p <= 2^(8w):
 4 bytes at p = 2^31 - 1, 8 at p = 2^61 - 1.  Only the wire narrows: the
 Merkle leaves hash every value as a u64 (commitment.MerkleTree), so the
-roots do not depend on w.  A record opens the n consecutive commit
-positions first..first+n-1 of one Merkle bucket (commitment.LEAF_CLASSES
-positions per leaf); an honest proof writes one record per opened bucket,
-and a position fits a u32 since a graph has at most
-cayley.MAX_GRAPH_ENTRIES slots.  The sibling digests are the pruned
-multi-opening of the level's buckets (commitment.sent_siblings): for each
-layer d < depth, in increasing position, the node at (b >> d) ^ 1 for each
-record bucket b, once, skipped where it is itself an ancestor b' >> d of a
-record bucket.  Parse keeps them as the bytes it read and serialize writes
-them back as they are; byte_split gives a proof's bytes by part.  The depth is written once per
-level, since the parser has no instance to derive it from; the verifier
-requires it to equal the level tree's depth.  The chain digest is
-``BlossomingSequence.digest``.  Parsing is strict: any other version (1
-bound graph 0 alone, 2 had one leaf per class, 3 sent a full path per
-record, 4 committed every level in class order, 5 sent every value as a
-u64, 6 had 8-class leaves), an r, m or t outside 1..MAX_R, 1..MAX_M or
-1..MAX_T, a count above MAX_OPENINGS or a depth above MAX_DEPTH, a record
-of no position or of positions of two buckets, a record in a bucket not
-after the previous record's, a bucket outside a tree of the level's depth,
-a depth on a level of no records, a truncation or a trailing byte is
-malformed, so a missing or extra digest is too; and the prover refuses to
-write a header the parser would refuse, and the writer a value outside w
-bytes or a position outside a u32.
+roots do not depend on w.  A record opens the n consecutive commit positions
+first..first+n-1 of one Merkle bucket (commitment.LEAF_CLASSES positions
+per leaf); an honest proof writes one record per opened bucket, and a
+prover's position fits a u32 since the tables it commits through have at
+most cayley.MAX_GRAPH_ENTRIES slots.  A verifier's position past every u32
+is a read outside the records, so the proof is rejected.  The sibling
+digests are the pruned multi-opening of the level's buckets
+(commitment.sent_siblings): for each layer d < depth, in increasing
+position, the node at (b >> d) ^ 1 for each record bucket b, once, skipped
+where it is itself an ancestor b' >> d of a record bucket.  Parse keeps them
+as the bytes it read and serialize writes them back as they are; byte_split
+gives a proof's bytes by part.  The depth is written once per level, since
+the parser has no instance to derive it from; the verifier requires it to
+equal the level tree's depth.  The chain digest is ``Chain.digest``: a
+Cayley chain's names its generating set, a dense chain's graph 0 and every
+cut.  Parsing is strict: any other version (1 bound graph 0 alone, 2 had one
+leaf per class, 3 sent a full path per record, 4 committed every level in
+class order, 5 sent every value as a u64, 6 had 8-class leaves, 7 named a
+Cayley chain by graph 0's rows and every cut), an r, m or t outside
+1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS or a depth above
+MAX_DEPTH, a record of no position or of positions of two buckets, a record
+in a bucket not after the previous record's, a bucket outside a tree of the
+level's depth, a depth on a level of no records, a truncation or a trailing
+byte is malformed, so a missing or extra digest is too; and the prover
+refuses to write a header the parser would refuse, and the writer a value
+outside w bytes or a position outside a u32.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, wor
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
-VERSION = 7
+VERSION = 8
 # header bounds the parser enforces and the prover respects
 MAX_R = 64
 MAX_M = 1 << 14

@@ -30,9 +30,8 @@ a fresh verifier computes the same ids from the generating set
 Graphs are never read from disk: an instance file names the generating set
 and the chain is rebuilt from it.  A graph is named by ``RIM.digest``, the
 SHA-256 of its raw adjacency buffer under a format tag; like the class
-index it is computed once per graph and cached.  ``adjacency_digest`` takes
-the rows in blocks, so a graph given by a formula hashes to the same name
-without its table.
+index it is computed once per graph and cached.  A Cayley chain is named by
+its generating set instead (cayley.CayleyChain.digest).
 """
 
 from __future__ import annotations
@@ -187,20 +186,13 @@ class RIM:
         return f"RIM(n={self.n}, vertices={self.num_vertices}, classes={self.classes.num_classes})"
 
     def digest(self) -> bytes:
-        """adjacency_digest of the table, hashed from its own buffer."""
+        """SHA-256 over DIGEST_TAG, n and |V| as u64 and the adjacency as
+        row-major little-endian int64, hashed from the table's own buffer."""
         if self._digest is None:
-            self._digest = adjacency_digest(self.n, self.num_vertices, [self.adj])
+            h = hashlib.sha256(DIGEST_TAG + struct.pack("<QQ", self.n, self.num_vertices))
+            h.update(np.ascontiguousarray(self.adj, dtype="<i8"))
+            self._digest = h.digest()
         return self._digest
-
-
-def adjacency_digest(n: int, num_vertices: int, blocks) -> bytes:
-    """SHA-256 over the tag, n and |V| as u64 and the adjacency as
-    row-major little-endian int64, the rows arriving in blocks of whole
-    rows, so that a graph given by a formula is named without its table."""
-    h = hashlib.sha256(DIGEST_TAG + struct.pack("<QQ", n, num_vertices))
-    for block in blocks:
-        h.update(np.ascontiguousarray(block, dtype="<i8"))
-    return h.digest()
 
 
 def cut_graph(rim: RIM, vertices) -> tuple[RIM, np.ndarray]:

@@ -60,6 +60,11 @@ def test_gen_set_full():
     assert g2.vectors == (1, 2, 3)  # the bit strings 01, 10, 11
     assert g2.d == 3 and g2.independence_verified
 
+    # the one vector of F_2^1 admits d = 2 only (d - 1 <= n), as validation
+    # agrees
+    g1 = gen_set_full(1)
+    assert g1.d == 2 and validate_gen_set(1, list(g1.vectors), g1.d) == g1
+
     g3 = gen_set_full(3)
     assert g3.n == 7
     # d - 1 = 2: all pairs of distinct nonzero vectors are independent

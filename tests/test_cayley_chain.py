@@ -1,9 +1,14 @@
 """The implicit Cayley chain against the validated dense chain, its oracle:
-every closed form (class ids, fold pairs, the descent, class counts, commit
-positions and the digest), every table it builds as blocks of graph 0, and
-every protocol run on it must equal the oracle's."""
+every closed form (class ids, fold pairs, the descent, class counts and
+commit positions), every table it builds as blocks of graph 0, and every
+protocol run on it must equal the oracle's.  Only the digest differs: a
+Cayley chain is named by its generating set, a dense chain by graph 0 and
+every cut."""
 
+import hashlib
+import json
 import random
+import struct
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +18,7 @@ import pytest
 from flowering import cayley, folding, rim_graph
 from flowering.adversaries import build_adversary
 from flowering.cayley import (
+    GenSet,
     _f2_rank,
     blossoming_cayley,
     cayley_rim,
@@ -20,6 +26,9 @@ from flowering.cayley import (
     validate_gen_set,
 )
 from flowering.cli import main
+from flowering.commitment import MultiOpening
+from flowering.errors import TooLargeError
+from flowering.field import PrimeField
 from flowering.experiments import gen_instance, random_codeword_word
 from flowering.folding import BlossomingSequence
 from flowering.iopp import (
@@ -30,6 +39,7 @@ from flowering.iopp import (
     verifier_query,
 )
 from flowering.niproof import NIProof, prove_noninteractive, verify_noninteractive
+from flowering.reed_solomon import RSCode
 
 P = 2**31 - 1
 
@@ -120,7 +130,8 @@ def test_closed_forms_equal_dense_chain(gens):
     for v0 in range(1 << r):
         assert chain.descent(v0) == dense.descent(v0)
     assert chain.proof_length() == dense.proof_length()
-    assert chain.digest() == dense.digest()
+    # the chain's name is its generating set's, which no dense chain shares
+    assert chain.digest() == blossoming_cayley(gens).digest() != dense.digest()
     # none of it built the chain's tables
     assert "_tables" not in vars(chain)
     # which are the oracle's, built as blocks of graph 0
@@ -169,14 +180,20 @@ def test_protocol_runs_equal_on_dense_chain(r):
             assert "_tables" not in vars(fresh)
             assert implicit.to_json() == tables.to_json()
             assert implicit.reads == tables.reads
+        # a fresh chain's NI verdict and transcript are those of the chain
+        # whose block tables the prover built, which assert_tables_equal
+        # checks against the oracle; the oracle, a chain of another name,
+        # rejects the proof
         proof, _ = prove_noninteractive(chain, rs, word, ProtocolParams(3, 2))
         parsed = NIProof.parse(proof.serialize())
         fresh = blossoming_cayley(instance.gens)
-        (accept, implicit), (dense_accept, tables) = [
-            verify_noninteractive(seq, rs, parsed) for seq in (fresh, dense)]
-        assert "_tables" not in vars(fresh)
-        assert accept == dense_accept
+        (accept, implicit), (built_accept, tables) = [
+            verify_noninteractive(seq, rs, parsed) for seq in (fresh, chain)]
+        assert "_tables" not in vars(fresh) and "_tables" in vars(chain)
+        assert accept == built_accept
         assert (implicit.to_json(), implicit.reads) == (tables.to_json(), tables.reads)
+        assert verify_noninteractive(dense, rs, parsed) == (False, None)
+    assert_tables_equal(chain, dense)
 
 
 def test_closed_forms_sampled_at_r10():
@@ -196,7 +213,6 @@ def test_closed_forms_sampled_at_r10():
     for v0 in rng.sample(range(1 << 10), 200):
         assert chain.descent(v0) == dense.descent(v0)
     assert chain.proof_length() == dense.proof_length()
-    assert chain.digest() == dense.digest()
     assert "_tables" not in vars(chain)
     assert_tables_equal(chain, dense, levels=False)
 
@@ -218,7 +234,7 @@ def test_closed_forms_sampled_at_r10():
 def test_verify_builds_no_dense_table(tmp_path, monkeypatch):
     # a fresh r = 8 `flowering verify` answers every read from the
     # generating set: no graph-0 table, class index, cut or commit-position
-    # table is built, whatever its verdict
+    # table is built, and no graph hashed, whatever its verdict
     def run(*argv):
         return main([str(a) for a in argv])
 
@@ -247,6 +263,7 @@ def test_verify_builds_no_dense_table(tmp_path, monkeypatch):
     counting(rim_graph.EdgeClassIndex, "__init__")
     counting(rim_graph.FloweringCut, "__init__")
     counting(folding, "pair_positions")
+    counting(rim_graph.RIM, "digest")
     for name, code in (("proof.bin", 0), ("flipped.bin", 1), ("truncated.bin", 2)):
         assert run("verify", "--instance", instance, "--proof", tmp_path / name) == code
     assert not calls
@@ -256,3 +273,74 @@ def test_verify_builds_no_dense_table(tmp_path, monkeypatch):
     assert run("prove", "--instance", instance, "--seed", 1, "--out", proof) == 0
     assert calls == Counter({"flowering.cayley.cayley_rim": 1, "EdgeClassIndex.__init__": 1,
                              "flowering.folding.pair_positions": 8})
+
+
+def test_genset_name_binds_the_instance(tmp_path):
+    # the Cayley counterpart of test_ni_binds_every_cut: a chain is named by
+    # r and its vectors in index order, so two vectors swapped name another
+    # chain, as do the same vectors read in F_2^5, and a proof made on one
+    # order is rejected against the other
+    gens = gen_set_full(4)
+    vectors = list(gens.vectors)
+    vectors[0], vectors[1] = vectors[1], vectors[0]
+    name = blossoming_cayley(gens).digest()
+    # the tag, r and n as u64, then one byte per vector at r <= 8
+    assert name == hashlib.sha256(
+        cayley.CHAIN_TAG + struct.pack("<QQ", 4, 15) + bytes(gens.vectors)).digest()
+    assert blossoming_cayley(validate_gen_set(4, vectors, 3)).digest() != name
+    assert blossoming_cayley(GenSet(5, gens.vectors, 3)).digest() != name
+
+    def run(*argv):
+        return main([str(a) for a in argv])
+
+    genset, proof = tmp_path / "swapped.json", tmp_path / "proof.bin"
+    genset.write_text(json.dumps({"r": 4, "d": 3, "vectors": vectors}))
+    for path, source in (("full.json", "full"), ("swapped_instance.json", genset)):
+        assert run("gen", "--r", 4, "--p", P, "--k", 13, "--genset", source,
+                   "--out", tmp_path / path) == 0
+    assert run("prove", "--instance", tmp_path / "full.json", "--seed", 1, "--out", proof) == 0
+    assert run("verify", "--instance", tmp_path / "full.json", "--proof", proof) == 0
+    assert run("verify", "--instance", tmp_path / "swapped_instance.json", "--proof", proof) == 1
+
+
+def test_chain_above_the_table_cap():
+    # the unit vectors of F_2^25 span a graph of 2^25 x 25 slots, above
+    # MAX_GRAPH_ENTRIES.  The chain answers its name, its sizes and the
+    # verifier's reads from the generating set, and refuses only its tables
+    r = 25
+    gens = GenSet(r, tuple(1 << j for j in range(r)), 3)
+    assert (r << r) > cayley.MAX_GRAPH_ENTRIES
+    chain = blossoming_cayley(gens)
+    assert chain.digest() == hashlib.sha256(
+        cayley.CHAIN_TAG + struct.pack("<QQ", r, r)
+        + b"".join(v.to_bytes(4, "little") for v in gens.vectors)).digest()
+    # at level i, the r - i vectors below 2^(r-i) pair its vertices and
+    # the other i are petals
+    for level in range(r + 1):
+        b = 1 << (r - level)
+        assert chain.num_classes(level) == (r - level) * b // 2 + level * b
+    rng = random.Random(25)
+    reads = chain.fold_reads(positions=True)
+    for _ in range(50):
+        level = rng.randrange(r)
+        vc, l = rng.randrange(chain.num_vertices(level + 1)), rng.randrange(r)
+        kept, image, child, kept_at, image_at, child_at = reads[level](vc, l)
+        # the child slot keeps the kept class's id, and the pair takes two
+        # adjacent commit positions, or one for a self-pair
+        assert child == kept and max(kept, image) < chain.num_classes(level)
+        assert {kept_at, image_at} in ({kept_at & ~1, kept_at | 1}, {kept_at})
+        assert child_at < chain.num_classes(level + 1)
+    # a foreign proof is rejected at its chain digest, and one naming this
+    # chain at its first read, which no record holds
+    instance = gen_instance(4, P, 13)
+    foreign, _ = prove_noninteractive(instance.seq, instance.rs,
+                                      random_codeword_word(instance, random.Random(4)),
+                                      ProtocolParams(10, 2))
+    empty = [MultiOpening({}, 0, b"") for _ in range(r + 1)]
+    named = NIProof(P, chain.digest(), r, 10, 2, [bytes(32)] * (r + 1), empty)
+    rs = RSCode.with_default_points(PrimeField(P), r, r - 2)
+    for proof in (foreign, NIProof.parse(named.serialize())):
+        assert verify_noninteractive(chain, rs, proof) == (False, None)
+    assert "_tables" not in vars(chain)
+    with pytest.raises(TooLargeError, match="MAX_GRAPH_ENTRIES"):
+        chain.graphs

@@ -38,6 +38,26 @@ def test_gen_deterministic(tmp_path, instance_file):
     assert other.read_bytes() == instance_file.read_bytes()
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_every_gen_instance_round_trips(tmp_path, r):
+    # every command loads what gen writes, the one-vector r = 1 genset too.
+    # At r = 1 the graph has one class, so rounds = 1 < log2 N = 0 fails,
+    # and k = n = 1 makes every word a codeword, a corrupted witness too:
+    # each report says so, by exit 1
+    n = (1 << r) - 1
+    instance, proof = tmp_path / "instance.json", tmp_path / "proof.bin"
+    assert run("gen", "--r", r, "--p", 2147483647, "--k", max(n - 1, 1), "--out", instance) == 0
+    assert run("prove", "--instance", instance, "--t", 1, "--out", proof) == 0
+    assert run("verify", "--instance", instance, "--t", 1, "--proof", proof) == 0
+    bounds, complexity = tmp_path / "bounds.json", tmp_path / "complexity.json"
+    assert run("check-bounds", "--instance", instance, "--out", bounds) == (r == 1)
+    assert run("report-complexity", "--instance", instance, "--t", 1,
+               "--out", complexity) == (r == 1)
+    if r == 1:
+        assert not json.loads(bounds.read_text())["distance"]["corrupted_witness_rejected"]
+        assert not json.loads(complexity.read_text())["asserted"]["rounds_lt_log2N"]
+
+
 def test_prove_verify_ni(tmp_path, instance_file):
     proof = tmp_path / "proof.bin"
     assert run("prove", "--instance", instance_file, "--m", 4, "--t", 2,
@@ -55,7 +75,7 @@ def test_prove_verify_ni_json(tmp_path, instance_file):
     proof = tmp_path / "proof.json"
     assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,
                "--seed", 6, "--json", "--out", proof) == 0
-    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v7"
+    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v8"
     assert run("verify", "--instance", instance_file, "--proof", proof,
                "--m", 2, "--t", 1) == 0
 
@@ -145,8 +165,8 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
                     ({"genset": {**data["genset"], "d": True}}, "r and d must be integers"),
                     ({"genset": {**data["genset"], "vectors": [True] + vectors[1:]}},
                      "vectors must be a list of integers")))]
-    # a graph-0 table of 2^40 x 40 entries, refused before anything of size
-    # 2^r is built
+    # a graph-0 table of 2^40 x 40 entries, refused by each command that
+    # builds it before anything of size 2^r is built; verify builds none
     r40 = write("r40.json", {**data, "k": 38, "points": [str(x) for x in range(1, 41)],
                              "genset": {"r": 40, "d": 3, "vectors": [1 << i for i in range(40)]}})
     v1 = write("v1.json", {**data, "format": "flowering-instance-v1"})
@@ -188,6 +208,9 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     # a version-6 header, the format of 8-class Merkle leaves
     v6_proof = tmp_path / "v6_proof.bin"
     v6_proof.write_bytes(proof.read_bytes()[:4] + b"\x06\x00" + proof.read_bytes()[6:])
+    # a version-7 header, whose chain digest named graph 0's rows and every cut
+    v7_proof = tmp_path / "v7_proof.bin"
+    v7_proof.write_bytes(proof.read_bytes()[:4] + b"\x07\x00" + proof.read_bytes()[6:])
     v1_word = write("v1_word.json", {
         "p": str(p), "values": ["0"] * 120,
         "graph_hash": "fff32483e303ad9426ac740d8ebca6a1e280d17f31fa2cd30e6c5eeb1b3a7d48"})
@@ -225,6 +248,8 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (("verify", "--instance", v1, "--proof", proof), "not a flowering-instance-v2 file"),
         (("prove", "--instance", r40, "--out", tmp_path / "p.bin"), "MAX_GRAPH_ENTRIES"),
         (("check-bounds", "--instance", r40, "--out", tmp_path / "b.json"), "MAX_GRAPH_ENTRIES"),
+        (("report-complexity", "--instance", r40, "--out", tmp_path / "c.json"),
+         "MAX_GRAPH_ENTRIES"),
         (("gen", "--r", 40, "--p", p, "--k", 38, "--out", tmp_path / "g.json"),
          "MAX_GRAPH_ENTRIES"),
         (("prove", "--instance", missing, "--out", tmp_path / "p.bin"),
@@ -278,7 +303,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (verify + (not_json,), "malformed proof file"),
         (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),
          "malformed proof file"),
-        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v7"}),),
+        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v8"}),),
          "malformed proof file"),
         (verify + (write("bad_hex.json", {"hex": "zz"}),), "malformed proof file"),
         (verify + (truncated,), "truncated proof"),
@@ -288,10 +313,14 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (verify + (v4_proof,), "unsupported version 4"),
         (verify + (v5_proof,), "unsupported version 5"),
         (verify + (v6_proof,), "unsupported version 6"),
+        (verify + (v7_proof,), "unsupported version 7"),
     ):
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    # the r = 40 chain is named by its generating set, so verify loads it
+    # and rejects a proof of the r = 4 chain
+    assert run("verify", "--instance", r40, "--proof", proof) == 1
 
 
 def test_unwritable_output_exits_2(tmp_path, instance_file, capsys, monkeypatch):

@@ -1069,10 +1069,10 @@ def test_prove_hashes_each_tree_node_once(monkeypatch):
                              for d in range((n - 1).bit_length() + 1)) == 10_862
 
 
-# the seed-1 r = 8 split of BENCH_v7.json: header, roots, values, framing
-# and digest bytes, and the digest and record counts
-SPLIT_R8 = {"header": 58, "roots": 288, "values": 10_300, "framing": 850, "digests": 15_808,
-            "digest_count": 494, "record_count": 161}
+# the seed-1 r = 8 split of format v8 (BENCH_chain_identity.json): header,
+# roots, values, framing and digest bytes, and the digest and record counts
+SPLIT_R8 = {"header": 58, "roots": 288, "values": 10_236, "framing": 845, "digests": 14_688,
+            "digest_count": 459, "record_count": 160}
 
 
 @pytest.mark.parametrize("r,max_bytes", [(8, 29_000), (4, 1_800)])

@@ -43,23 +43,24 @@ def instance(r: int):
 
 
 NI_PROOFS = {
-    (3, 1): "f0319bcb7e53fed9551cb961e619612e1a692e74f7de8c7ce70d95b84d664fcf",
-    (3, 2): "8b96c49c4db150e59ab141dca800a67143272301bbbea6b0b392537b889890cb",
-    (4, 1): "46425a3475d7e3a8dd9efdd67021aa89081b8da08610dcc68358b6ca89f5be0b",
-    (4, 2): "fc931214fb681786c556cf8ed7d72cb71beccf03b546d1cdeaaa81c09508735e",
-    (6, 1): "f6c4c5aab94f9ac3813390c21d31138d57322128754311e09e6903067cf6bbd9",
-    (8, 1): "6094906ac228bd03ac899e13e3ef6811b81c2aed0a6f875f832f4f6a105965e3",
+    (3, 1): "6a58f4a4916e43ab4fdf844977da83420ee8c5c8a2c588a9aa1f8dd95fce0f36",
+    (3, 2): "0876e8546302b6a80b6a8705358f282320565c5099d4b31864ca5828992ae0d5",
+    (4, 1): "1d5cbd12f4c769f285d785cb1494c423295a20efdf86e56522fe6616943ccd55",
+    (4, 2): "96d59843a9de39bd7837febe4355b26922999c9a13bb1868ba42a2d670f1d8f5",
+    (6, 1): "65a4128765f63bddb2dbd36d8f205c025cb83672307870f85a7c6f78d354c481",
+    (8, 1): "c254d0ac3b94675400e76b873f51d9c2bdb8cde9a5e108bdbe859e80382576e7",
 }
 # the SHA-256 of each proof's concatenated Merkle roots, which a change of
-# wire format alone does not move: these are format v7's, whose leaves hold
-# 16 classes (v5 and v6 shared the roots of 8-class leaves)
+# wire format alone does not move.  Every root past level 0 follows the
+# Fiat-Shamir challenges, and so the chain digest: these are format v8's,
+# whose digest names the generating set, with 16-class leaves
 NI_ROOTS = {
-    (3, 1): "e5a64ae2b7266cd260c493926fb9202acb03d74ec1483874545cca66ff70a6f1",
-    (3, 2): "3056320125b533192c00f0372f55a1388617a308460f2c41b4888af08c4d5a37",
-    (4, 1): "5003bb64f6e5ab946ce793e058e23f6a495c3bb0a230d97542e04bd227c27c20",
-    (4, 2): "8a47772fa3ec4ac3d746a4f7319dd0cdf15c27c10cb7222d97e4cb809e47c8b3",
-    (6, 1): "c15fb1466268d65916ce0b6d64bd6a2ef848ba7c0109c4f2f128ef42035bb05e",
-    (8, 1): "412b11c71c051d0f4a6a1f5e62fb4924c5389dcb58cff6687ed98d002b353332",
+    (3, 1): "924460f28ba37e090a85638e9f452780355903e6097adcfb3e91fd44d0fa93f6",
+    (3, 2): "f6586a8d6cf4e8aa6759c941683839d82de2c763e81aae629da0f3dc128275d2",
+    (4, 1): "ea25f66370387f5bdd74a37e94f91e65661d3bbb1b365911dadc77baff6c45f8",
+    (4, 2): "68b7327229db09f408819ab140c26183cf7db7e34f6390b580ba4a6a921d86f9",
+    (6, 1): "57cd3cb890c582ea97cc23ae4b311108dc31c5911b283f30d2c0d7ddb80517a9",
+    (8, 1): "666132a703e3b17286033a8b47a90e8b1945dd974671f834983485676089a7cf",
 }
 
 
@@ -108,9 +109,9 @@ def test_soundness_mc_report_bytes():
 
 
 def test_graph0_hash_and_parity_rows_bytes():
-    # the digest of the r = 8 graph 0, which every chain digest and so every
-    # proof header binds, and all n - 1 dual rows on the default points
-    # (those of every k are a prefix)
+    # the digest of the r = 8 graph 0, which word files and the interactive
+    # run report name graph 0 by, and all n - 1 dual rows on the default
+    # points (those of every k are a prefix)
     assert instance(8).seq.graphs[0].digest().hex() == (
         "97c260981471d6da8e9176d534297c567febeb04e30edb00583a12aa5edc2115")
     rows = RSCode.with_default_points(PrimeField(P), 255, 1).parity_rows()
