@@ -84,14 +84,22 @@ def _check_graph_size(r: int, n: int | None = None) -> None:
 
 
 def _f2_rank(vectors) -> int:
-    basis: list[int] = []
+    """The rank over F_2 of nonnegative ints read as bit vectors.  Each
+    vector is reduced by the pivots of the vectors before it, one per top
+    bit, and the scan stops once every bit of the widest vector has a
+    pivot, since then no later vector can be independent."""
+    width = max(vectors, default=0).bit_length()
+    pivots: dict[int, int] = {}
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
+        if len(pivots) == width:
+            break
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
 
 
 def _independent(subset) -> bool:

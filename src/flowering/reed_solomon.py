@@ -9,16 +9,22 @@ and any distinct points will do.
 
 The code's algebra rests on two primitives: the coefficients of a product
 prod (X - x) over a list of points, and evaluation, which runs Horner's rule
-once per coefficient over all points as one array expression.  The dual
-multipliers are M' evaluated at every point, inverted together by the
-field's batch inversion; the unit interpolant is a product over the last
-k - 1 points, scaled to 1 at x_{n-k+1}.  Results leave as lists of Python
-ints.
+once per coefficient over all points as one array expression.  The values
+M'(x_i) = prod_{j != i} (x_i - x_j) take one of two routes, and the field's
+batch inversion turns them into the multipliers.  On points in arithmetic
+progression, x_i = a + (i-1) h (every instance gen writes has 1..n),
+x_i - x_j = (i - j) h, so M'(x_i) is the product of the i-1 differences
+h, 2h, ..., (i-1)h times the n-i differences -h, ..., -(n-i)h: two running
+products, O(n) in all.  On any other points M' is built from the
+coefficients of M and evaluated at every point, O(n^2).  The unit
+interpolant is a product over the last k - 1 points, scaled to 1 at
+x_{n-k+1}.  Results leave as lists of Python ints.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import numpy as np
 
@@ -101,15 +107,29 @@ class RSCode:
         (u_i x_i^j)_i, the generator of the dual GRS code, u_i = 1/M'(x_i)."""
         if self._parity_rows is None:
             field = self.field
-            coeffs = _product_of_roots(self.points, field)
-            derivs = self.evaluate([field.mul(j, c) for j, c in enumerate(coeffs)][1:])
-            row = field.array(field.inv_all(derivs))
+            row = field.array(field.inv_all(self._derivative_at_points()))
             rows = []
             for _ in range(self.n - self.k):
                 rows.append(row.tolist())
                 row = field.mul(row, self._xs)
             self._parity_rows = rows
         return self._parity_rows
+
+    def _derivative_at_points(self) -> list[int]:
+        """M'(x_i) at every point: two running products of the differences
+        when the points are an arithmetic progression, else the derivative
+        of M's coefficients evaluated at every point."""
+        field, xs = self.field, self._xs
+        steps = field.sub(xs[1:], xs[:-1])
+        if (steps == steps[:1]).all():
+            # x_m's differences to the m points before it are h, 2h, ..., mh,
+            # and to the n-1-m points after it -h, -2h, ..., -(n-1-m)h
+            rising = accumulate(field.sub(xs[1:], xs[0]).tolist(), field.mul, initial=1)
+            falling = accumulate(field.sub(xs[0], xs[1:]).tolist(), field.mul, initial=1)
+            return field.mul(field.array(list(rising)),
+                             field.array(list(falling))[::-1]).tolist()
+        coeffs = _product_of_roots(self.points, field)
+        return self.evaluate([field.mul(j, c) for j, c in enumerate(coeffs)][1:])
 
     def random_codeword(self, rng: random.Random) -> list[int]:
         return self.evaluate([self.field.sample(rng) for _ in range(self.k)])

@@ -344,3 +344,39 @@ def test_chain_above_the_table_cap():
     assert "_tables" not in vars(chain)
     with pytest.raises(TooLargeError, match="MAX_GRAPH_ENTRIES"):
         chain.graphs
+
+
+def _f2_rank_by_min(vectors) -> int:
+    """The rank by the reduction _f2_rank replaced: each vector against the
+    whole basis, kept sorted, largest first."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def test_f2_rank_matches_full_reduction():
+    # the pivot table stops once the rank fills the widest vector's bits,
+    # so the cases that matter are lists that reach full rank early, lists
+    # that never do, and repeats and dependent sums after full rank
+    rng = random.Random(26)
+    cases = [[], [0], [0, 0], [5, 5], [1, 2, 3], [3, 1, 2, 3, 0, 7]]
+    for r in range(1, 11):
+        for rank in range(r + 1):
+            basis = [(1 << j) | rng.randrange(1 << j) for j in rng.sample(range(r), rank)]
+            vectors = basis + [rng.choice(basis) ^ rng.choice(basis) for _ in range(rank)]
+            rng.shuffle(vectors)
+            cases += [vectors, vectors + vectors, basis + [0]]
+        cases.append([rng.randrange(1 << r) for _ in range(rng.randrange(1, 2 * r))])
+        cases.append(list(gen_set_full(r).vectors))
+    for gens in GENSETS:
+        vectors = list(gens.vectors)
+        subset = rng.sample(vectors, min(3, len(vectors)))
+        cases += [vectors, subset + [subset[0] ^ subset[-1]], subset + subset]
+    for vectors in cases:
+        assert _f2_rank(vectors) == _f2_rank_by_min(vectors), vectors
+    assert [_f2_rank(gen_set_full(r).vectors) for r in range(1, 11)] == list(range(1, 11))

@@ -71,6 +71,20 @@ def test_prove_verify_ni(tmp_path, instance_file):
     assert proof.read_bytes() == proof2.read_bytes()
 
 
+def test_prove_verify_on_points_in_no_progression(tmp_path, instance_file):
+    # an instance file may name any distinct points; the squares 1, 4, ...,
+    # 225 are no arithmetic progression, so prove's self-run and verify
+    # take the RS code's general route to its dual rows.  The proof binds
+    # the points: the instance on 1..n rejects it
+    data = json.loads(instance_file.read_text())
+    data["points"] = [str(i * i) for i in range(1, 16)]
+    squares, proof = tmp_path / "squares.json", tmp_path / "proof.bin"
+    squares.write_text(json.dumps(data))
+    assert run("prove", "--instance", squares, "--seed", 3, "--out", proof) == 0
+    assert run("verify", "--instance", squares, "--proof", proof) == 0
+    assert run("verify", "--instance", instance_file, "--proof", proof) == 1
+
+
 def test_prove_verify_ni_json(tmp_path, instance_file):
     proof = tmp_path / "proof.json"
     assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,

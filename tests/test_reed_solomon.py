@@ -4,8 +4,11 @@ import random
 import pytest
 
 import loop_oracle as oracle
-from flowering import linalg
+from flowering import linalg, reed_solomon
+from flowering.experiments import Instance, gen_instance, random_codeword_word
 from flowering.field import PrimeField
+from flowering.iopp import ProtocolParams
+from flowering.niproof import NIProof, prove_noninteractive, verify_noninteractive
 from flowering.reed_solomon import (
     DimensionOutOfRangeError,
     DuplicatePointError,
@@ -279,3 +282,55 @@ def test_parity_rows_and_evaluate_match_loops(field, points):
         assert values == [oracle.horner(coeffs, x, p) for x in points]
         assert all(type(v) is int for row in rows for v in row)
         assert all(type(v) is int for v in values)
+
+
+def progression_point_sets():
+    """(field, points): arithmetic progressions a, a + h, ..., a + (n-1) h
+    mod p, for a = 0, a near p (so the points wrap), a descending step
+    h = p - 1, and n from 1 up, on both sides of the int64 bound; and at
+    p = 101 the points 1..100, n = p - 1."""
+    for p in (101, 2**31 - 1, 2**61 - 1):
+        for a, h, n in ((0, 1, 1), (7, 3, 1), (0, 5, 2), (9, p - 1, 2), (0, 1, 17),
+                        (p - 1, p - 1, 40), (p - 5, 1, 33), (12, 29, 64)):
+            yield PrimeField(p), [(a + i * h) % p for i in range(n)]
+    yield PrimeField(101), list(range(1, 101))
+
+
+@pytest.mark.parametrize("field,points", list(progression_point_sets()),
+                         ids=lambda v: str(v.p) if isinstance(v, PrimeField) else f"n{len(v)}")
+def test_progression_dual_rows_match_loops(field, points, monkeypatch):
+    # progressions take the closed form, which never builds M.  With its
+    # first two points swapped a progression of n > 2 points is none (its
+    # steps -h and 2h differ, as p > 3) and takes the general path, which
+    # must give the permuted rows
+    built = []
+    product_of_roots = reed_solomon._product_of_roots
+
+    def counting(*args):
+        built.append(len(args[0]))
+        return product_of_roots(*args)
+    monkeypatch.setattr(reed_solomon, "_product_of_roots", counting)
+
+    p, n = field.p, len(points)
+    assert RSCode(field, points, 1).parity_rows() == oracle.parity_rows(points, 1, p)
+    assert built == []
+    permuted = points[1::-1] + points[2:]
+    assert RSCode(field, permuted, 1).parity_rows() == oracle.parity_rows(permuted, 1, p)
+    assert built == ([n] if n > 2 else [])
+
+
+def test_gen_instances_prove_and_verify_by_the_closed_form(monkeypatch):
+    # every instance gen writes has the points 1..n, so neither the NI
+    # prover's self-run nor a fresh verify of a freshly loaded instance
+    # builds the coefficients of M
+    def refuse(*args):
+        raise AssertionError("the general path ran on a progression")
+    monkeypatch.setattr(reed_solomon, "_product_of_roots", refuse)
+
+    instance = gen_instance(4, 2**31 - 1, 13)
+    params = ProtocolParams(10, 2)
+    word = random_codeword_word(instance, random.Random(1))
+    proof, _ = prove_noninteractive(instance.seq, instance.rs, word, params)
+    fresh = Instance.from_json(instance.to_json())
+    assert verify_noninteractive(fresh.seq, fresh.rs, NIProof.parse(proof.serialize()),
+                                 params)[0]
