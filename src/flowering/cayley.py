@@ -12,14 +12,14 @@ must be linearly independent (the coset-graph construction from a parity
 check matrix of a binary [n, n-r, d] code).  The full nonzero set realizes
 d = 3.
 
-blossoming_cayley returns the chain as a CayleyChain, which answers a
-fresh NI verifier's reads (folding.Chain) by closed forms in the
-generating set: class ids, fold pairs and commit positions are ranks
-computed in O(r) big-int steps per read, and the chain is named by its
-generating set (CayleyChain.digest).  The tables the prover folds and
-commits through are built on first use as blocks of graph 0's, with one
-class index and no cut validated, and every other read comes from them;
-MAX_GRAPH_ENTRIES caps those tables (cayley_rim), not the chain.
+blossoming_cayley returns a CayleyChain, a BlossomingSequence that answers
+a fresh NI verifier's reads by closed forms in the generating set: class
+ids, fold pairs and commit positions are ranks computed in O(r) big-int
+steps per read, and the chain is named by its generating set.  The graphs
+and cuts the prover folds and commits through are built on first use as
+blocks of graph 0's, with one class index and no cut validated, and the
+base class answers every other read from them; MAX_GRAPH_ENTRIES caps
+those tables (cayley_rim), not the chain.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def _slots(bits: int, present: int, c: list[int]) -> int:
     return (present << bits) - (sum(c[:bits]) << bits >> 1)
 
 
-class CayleyChain:
+class CayleyChain(BlossomingSequence):
     """The canonical blossoming sequence on Cay(F_2^r, gens), answered from
     the generating set: at level i keep the half with coordinate i zero and
     identify across the toggled coordinate.
@@ -283,13 +283,17 @@ class CayleyChain:
     level's positions are a ranker of the class ranker's bits, but for the
     indices with top(s_l) = r-i, and all of them together cost O(n).
 
-    The tables are built on first use of graphs, cuts or commit_positions,
-    which the prover and the word tools read, as blocks of graph 0 (_tables).
-    Once they are built, the verifier's reads come from them too."""
+    The graphs and cuts, which the prover and the word tools read, are
+    built on first use as blocks of graph 0 (_tables); the base class reads
+    them for every read not overridden here, and for the verifier's too
+    once they are built."""
 
     def __init__(self, gens: GenSet):
-        self.gens, self.r, self.n = gens, gens.r, gens.n
-        self._digest: bytes | None = None
+        self.gens, self.n = gens, gens.n
+
+    @property
+    def r(self) -> int:
+        return self.gens.r
 
     # every table below is O(n) and built on first use, as _tables is
 
@@ -384,10 +388,6 @@ class CayleyChain:
     def num_classes(self, level: int) -> int:
         return self._num_classes[level]
 
-    def proof_length(self) -> int:
-        """Total number of edge classes across the sent levels 1..r."""
-        return sum(self._num_classes[1:])
-
     @cached_property
     def _masks(self) -> list[int]:
         return [(1 << bit) - 1 for bit in range(self.r - 1, -1, -1)]
@@ -417,7 +417,7 @@ class CayleyChain:
         return read
 
     @cached_property
-    def _position_reads(self) -> list[ReadMap]:
+    def _closed_form_reads(self) -> list[ReadMap]:
         return [self._fold_read(level) for level in range(self.r)]
 
     def fold_reads(self, positions: bool = False) -> list[ReadMap]:
@@ -425,25 +425,20 @@ class CayleyChain:
         forms; every other read from the chain's tables, which the prover
         and the word tools build."""
         if positions and "_tables" not in vars(self):
-            return self._position_reads
-        return self._tables.fold_reads(positions)
+            return self._closed_form_reads
+        return super().fold_reads(positions)
 
-    def flower_ids(self) -> range:
-        return range(self.n)
-
-    def digest(self) -> bytes:
+    @cached_property
+    def _digest(self) -> bytes:
         """SHA-256 over CHAIN_TAG, r and n as u64 and the vectors in index
         order, ceil(r/8) little-endian bytes each: what fixes the chain, so
         no graph row is hashed.  A dense chain's digest starts with graph
-        0's where this one has the tag (BlossomingSequence.digest)."""
-        if self._digest is None:
-            vectors = b"".join(v.to_bytes((self.r + 7) // 8, "little") for v in self.gens.vectors)
-            self._digest = hashlib.sha256(
-                CHAIN_TAG + struct.pack("<QQ", self.r, self.n) + vectors).digest()
-        return self._digest
+        0's where this one has the tag (BlossomingSequence._digest)."""
+        vectors = b"".join(v.to_bytes((self.r + 7) // 8, "little") for v in self.gens.vectors)
+        return hashlib.sha256(CHAIN_TAG + struct.pack("<QQ", self.r, self.n) + vectors).digest()
 
     @cached_property
-    def _tables(self) -> BlossomingSequence:
+    def _tables(self) -> tuple[list[RIM], list[FloweringCut]]:
         """The chain's graphs and cuts as blocks of graph 0, whose adjacency
         and class index are the only ones built from scratch.  Level i keeps
         graph 0's first b = 2^(r-i) vertices, and slot (v, l) is a petal
@@ -474,18 +469,15 @@ class CayleyChain:
             ends = np.arange(2 * b).reshape(2, b)
             cuts.append(FloweringCut._of(graphs[-1], child, ends, ends.ravel() & (b - 1), plan))
             graphs.append(child)
-        return BlossomingSequence._of(graphs, cuts)
+        return graphs, cuts
 
     @property
     def graphs(self) -> list[RIM]:
-        return self._tables.graphs
+        return self._tables[0]
 
     @property
     def cuts(self) -> list[FloweringCut]:
-        return self._tables.cuts
-
-    def commit_positions(self) -> list[np.ndarray]:
-        return self._tables.commit_positions()
+        return self._tables[1]
 
 
 def blossoming_cayley(gens: GenSet) -> CayleyChain:

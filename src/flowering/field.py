@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 import random
-import re
 from itertools import accumulate
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from .errors import FloweringError
 
 _INT64_MAX_P = 1 << 31  # entries < p, products < p^2 < 2^62 fit in int64
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class NotPrimeError(FloweringError):
@@ -41,15 +39,18 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def exact_int(value, name: str) -> int:
-    """A plain int, or its one decimal spelling as a string (ASCII digits, a
-    leading minus, no leading zero, no "-0"), as an int.  A bool or a float
-    is refused, not truncated, and so is every other string int() would
-    read (spaces, underscores, a plus sign, non-ASCII digits, "007")."""
+    """A plain int, or its one decimal spelling str(int) as a string (ASCII
+    digits, a leading minus, no leading zero, no "-0"), as an int.  A bool or
+    a float is refused, not truncated, as is every other string int() reads
+    (spaces, underscores, "+7", non-ASCII digits, "007") or finds too long."""
     if type(value) is int:
         return value
-    if not (isinstance(value, str) and _DECIMAL.fullmatch(value)):
-        raise FloweringError(f"{name} must be a decimal string or an integer, got {value!r}")
-    return int(value)
+    try:
+        if isinstance(value, str) and str(number := int(value)) == value:
+            return number
+    except ValueError:
+        pass
+    raise FloweringError(f"{name} must be a decimal string or an integer, got {value!r}")
 
 
 def _python_int(value, p: int) -> int:

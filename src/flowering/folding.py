@@ -11,12 +11,11 @@ nothing here samples randomness.
 
 A blossoming sequence is valid by construction: its constructor cuts each
 graph once, validating every cut on its parent, and refuses a chain that
-does not end in a one-vertex flower.  A Cayley chain's tables are valid by
-construction too, blocks of graph 0's (cayley.CayleyChain), so it takes
-them unchecked (BlossomingSequence._of).  A blossoming sequence's digest
-names graph 0 and every cut, since each cut fixes the fold relation the
-verifier checks; a Cayley chain, whose cuts its generating set fixes, is
-named by that set alone.
+does not end in a one-vertex flower.  Its subclass cayley.CayleyChain is
+valid by construction too: its graphs and cuts are blocks of graph 0's,
+built unchecked.  A blossoming sequence's digest names graph 0 and every
+cut, since each cut fixes the fold relation the verifier checks; a Cayley
+chain, whose cuts its generating set fixes, is named by that set alone.
 
 A fold check at level i reads a pair of level-(i-1) classes, those of
 (v, l) and (phi(v), l), so a proof commits level i-1 in cut i's pair
@@ -25,21 +24,18 @@ classes, as translation by the cut bit makes them on every Cayley chain,
 each pair takes two adjacent positions and a Merkle bucket of an even
 number of positions never splits one, as FRI commits one coset per leaf.
 
-The query phase and the NI verifier read a chain only through Chain: per
-level sizes, the digest, the walk's descent, and per fold check the class
-ids it reads with their addresses, which for the NI verifier are commit
-positions.  A BlossomingSequence answers from its tables: the cut's down,
-the child's class index, the fold plan and commit_positions, which are
-pair_positions over the fold plans, built on first use.  A Cayley chain
-answers a fresh verifier from its generating set (cayley.CayleyChain), so
-that verifier builds no table over the vertices.
+A BlossomingSequence answers the verifier's reads, listed in its
+docstring, from its tables: the cut's down, the child's class index, the
+fold plan and commit_positions, pair_positions over the fold plans.  Its
+subclass cayley.CayleyChain answers them from its generating set, so a
+fresh verifier builds no table over the vertices.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Sequence
-from typing import Protocol
+from collections.abc import Callable
+from functools import cached_property
 
 import numpy as np
 
@@ -95,29 +91,6 @@ def pair_positions(cut: FloweringCut) -> np.ndarray:
 ReadMap = Callable[[int, int], tuple[int, int, int, int, int, int]]
 
 
-class Chain(Protocol):
-    """What the query phase and the NI verifier read of a blossoming
-    sequence: sizes, its digest, and per fold check three class ids and
-    their addresses.  descent(v0) follows a level-0 vertex down the cuts:
-    entry j is the child vertex vc that cut j+1 maps the level-j vertex to.
-    fold_reads(positions)[j](vc, l) are the level-j class ids of the kept
-    and the image slot at index l (the fold plan's column for the child
-    slot), the level-(j+1) class id of the slot (vc, l), then the addresses
-    of the three: the ids again, or with positions their commit positions.
-    The flower is committed in class order."""
-
-    r: int
-    n: int
-
-    def num_vertices(self, level: int) -> int: ...
-    def num_classes(self, level: int) -> int: ...
-    def proof_length(self) -> int: ...
-    def digest(self) -> bytes: ...
-    def descent(self, v: int) -> list[int]: ...
-    def fold_reads(self, positions: bool = False) -> list[ReadMap]: ...
-    def flower_ids(self) -> Sequence[int]: ...
-
-
 def _read_map(cut: FloweringCut, pair_at: np.ndarray | None = None,
               child_at: np.ndarray | None = None) -> ReadMap:
     """The fold check at slot (vc, l) of the cut's child: its class c, the
@@ -145,15 +118,17 @@ class BlossomingSequence:
     Valid by construction: it is built from a base graph and (v_prime, phi)
     specs, each cut validated on the graph before it, and a chain that does
     not end in a flower raises a FloweringError naming NotFlower.
+
+    The verifier reads r, n, num_vertices, num_classes, proof_length,
+    digest, descent, fold_reads and flower_ids, and the prover graphs, cuts
+    and commit_positions too; cayley.CayleyChain overrides each verifier
+    read that this class answers from graphs or cuts.
     """
 
     def __init__(self, graph0: RIM, specs):
         self.n = graph0.n
         self.cuts: list[FloweringCut] = []
         self.graphs = [graph0]
-        self._digest: bytes | None = None
-        self._positions: list[np.ndarray] | None = None
-        self._reads: dict[bool, list[ReadMap]] = {}
         for v_prime, phi in specs:
             self.cuts.append(FloweringCut(self.graphs[-1], v_prime, phi))
             self.graphs.append(self.cuts[-1].child)
@@ -161,16 +136,6 @@ class BlossomingSequence:
             raise FloweringError(
                 f"{NOT_FLOWER}: the chain ends in a graph of "
                 f"{self.graphs[-1].num_vertices} vertices")
-
-    @classmethod
-    def _of(cls, graphs: list[RIM], cuts: list[FloweringCut]) -> BlossomingSequence:
-        """The chain of these graphs and cuts, known valid by construction,
-        as a Cayley chain's are (cayley.CayleyChain); unchecked."""
-        seq = cls.__new__(cls)
-        seq.n, seq.graphs, seq.cuts = graphs[0].n, graphs, cuts
-        seq._digest = seq._positions = None
-        seq._reads = {}
-        return seq
 
     @property
     def r(self) -> int:
@@ -187,6 +152,8 @@ class BlossomingSequence:
         return sum(map(self.num_classes, range(1, self.r + 1)))
 
     def descent(self, v: int) -> list[int]:
+        """A level-0 vertex followed down the cuts: entry j is the child
+        vertex vc that cut j+1 maps the level-j vertex to."""
         walk = []
         for cut in self.cuts:
             v = cut.down.item(v)
@@ -194,36 +161,48 @@ class BlossomingSequence:
         return walk
 
     def fold_reads(self, positions: bool = False) -> list[ReadMap]:
-        """Per cut, the fold checks of its child slots, built once per
-        chain; with positions, addressed by the commit positions of the
-        parent, gathered by the fold plan, and of the child."""
-        if positions not in self._reads:
-            if positions:
-                orders = self.commit_positions()
-                self._reads[True] = [_read_map(cut, parent[cut.fold_plan], child)
-                                     for cut, parent, child in zip(self.cuts, orders, orders[1:])]
-            else:
-                self._reads[False] = list(map(_read_map, self.cuts))
-        return self._reads[positions]
+        """Per cut j, the fold checks of its child slots, built once per
+        chain: fold_reads(positions)[j](vc, l) are the level-j class ids of
+        the kept and the image slot at index l (the fold plan's column for
+        the child slot), the level-(j+1) class id of the slot (vc, l), then
+        the addresses of the three: the ids again, or with positions their
+        commit positions, those of the parent gathered by the fold plan."""
+        return self._position_reads if positions else self._id_reads
 
-    def flower_ids(self) -> list[int]:
-        return self.graphs[-1].classes.class_of[0].tolist()
+    @cached_property
+    def _id_reads(self) -> list[ReadMap]:
+        return list(map(_read_map, self.cuts))
+
+    @cached_property
+    def _position_reads(self) -> list[ReadMap]:
+        orders = self.commit_positions()
+        return [_read_map(cut, parent[cut.fold_plan], child)
+                for cut, parent, child in zip(self.cuts, orders, orders[1:])]
+
+    def flower_ids(self) -> range:
+        """The flower's classes, its one vertex's n petals, in index order."""
+        return range(self.n)
 
     def commit_positions(self) -> list[np.ndarray]:
         """Per level, the Merkle position of each class: levels 0..r-1 in
         the pair order of the cut that folds them, the flower in class order.
         Built on first use, not with the chain or its fold plans."""
-        if self._positions is None:
-            self._positions = ([pair_positions(cut) for cut in self.cuts]
-                               + [np.arange(self.graphs[-1].classes.num_classes, dtype=np.int32)])
         return self._positions
 
+    @cached_property
+    def _positions(self) -> list[np.ndarray]:
+        return ([pair_positions(cut) for cut in self.cuts]
+                + [np.arange(self.num_classes(self.r), dtype=np.int32)])
+
     def digest(self) -> bytes:
+        """The chain's name (_digest), which an NI proof's transcript binds."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
         """SHA-256 over graph 0's RIM.digest and, per cut, V' and phi(V')
         as little-endian int64 arrays; every size is fixed by graph 0."""
-        if self._digest is None:
-            h = hashlib.sha256(self.graphs[0].digest())
-            for cut in self.cuts:
-                h.update(np.ascontiguousarray(cut.ends, dtype="<i8"))
-            self._digest = h.digest()
-        return self._digest
+        h = hashlib.sha256(self.graphs[0].digest())
+        for cut in self.cuts:
+            h.update(np.ascontiguousarray(cut.ends, dtype="<i8"))
+        return h.digest()

@@ -21,17 +21,17 @@ when the m walks touch pairwise-disjoint positions the total is exactly
 failed fold check, which is then the last recorded opening, and reads the
 flower view only if every walk passed.
 
-The walk follows the cuts through the chain's narrow interface
-(folding.Chain): at level i it moves to v_i = down_i(v_{i-1}), the child id
+The walk follows the cuts through the reads the chain offers a verifier
+(folding.BlossomingSequence): at level i it moves to v_i = down_i(v_{i-1}), the child id
 of the projection of v_{i-1}, and for each index l it opens the child class
 of (v_i, l) in f_i and, in f_{i-1}, the fold pair behind it: the classes of
 (v, l) and (phi_i(v), l) at the parent vertex v of v_i.  Each check is one
 lookup in the chain's fold_reads: the three class ids, and the addresses
 the oracle reads them at, the ids or, for the non-interactive verifier,
-the commit positions.  A built chain reads them from the child's class
-index, the fold plan and the commit positions; a Cayley chain
-(cayley.CayleyChain) computes them from the generating set until its
-tables are built.  Either way the check is the fold relation as the prover
+the commit positions.  A BlossomingSequence reads them from the child's
+class index, the fold plan and the commit positions; its subclass
+cayley.CayleyChain computes them from the generating set until its tables
+are built.  Either way the check is the fold relation as the prover
 computed it.
 """
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import FloweringError
-from .folding import BlossomingSequence, Chain, ReadMap, fold
+from .folding import BlossomingSequence, ReadMap, fold
 from .graph_code import GraphCode, Word
 from .reed_solomon import RSCode
 from .rim_graph import UnknownVertexError
@@ -167,7 +167,7 @@ def sample_query_randomness(rng: random.Random, num_vertices: int, n: int,
 
 
 def verifier_query(
-    seq: Chain,
+    seq: BlossomingSequence,
     rs: RSCode,
     params: ProtocolParams,
     challenges: list[int],
@@ -177,7 +177,7 @@ def verifier_query(
 ) -> Transcript:
     """Run the query phase against oracles: oracle(level, address) ->
     value.  fold_reads gives each read's class id and address
-    (folding.Chain); the default, seq.fold_reads(), addresses a class by
+    (BlossomingSequence.fold_reads); the default, seq.fold_reads(), addresses a class by
     its id, and the NI verifier passes the commit positions.
 
     Returns the transcript with its read log; a failed fold check ends the
@@ -257,7 +257,7 @@ def verifier_query(
 
 
 def run_protocol(
-    seq: Chain,
+    seq: BlossomingSequence,
     rs: RSCode,
     f0: Word,
     params: ProtocolParams,

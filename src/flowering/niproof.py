@@ -10,7 +10,7 @@ the pair order of the cut that folds them, so that the two classes a fold
 check reads share a Merkle bucket, and the flower in class order.  The
 prover builds those orders as tables; the verifier takes the commit
 position of each class its walks read with the class's id
-(folding.Chain.fold_reads), from closed forms on a Cayley chain whose
+(BlossomingSequence.fold_reads), from closed forms on a Cayley chain whose
 tables are not built, and reads the proof by position.  The proof carries
 the per-level roots and the authenticated openings of exactly the buckets
 holding the commit positions of the classes the verifier re-derives, the
@@ -55,7 +55,7 @@ where it is itself an ancestor b' >> d of a record bucket.  Parse keeps them
 as the bytes it read and serialize writes them back as they are; byte_split
 gives a proof's bytes by part.  The depth is written once per level, since
 the parser has no instance to derive it from; the verifier requires it to
-equal the level tree's depth.  The chain digest is ``Chain.digest``: a
+equal the level tree's depth.  The chain digest is ``seq.digest()``: a
 Cayley chain's names its generating set, a dense chain's graph 0 and every
 cut.  Parsing is strict: any other version (1 bound graph 0 alone, 2 had one
 leaf per class, 3 sent a full path per record, 4 committed every level in
@@ -87,7 +87,7 @@ from .commitment import (
     verify_open,
 )
 from .errors import FloweringError
-from .folding import BlossomingSequence, Chain
+from .folding import BlossomingSequence
 from .graph_code import Word
 from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, word_oracle
 from .reed_solomon import RSCode
@@ -277,7 +277,7 @@ def _buckets(positions, cids) -> list[int]:
     return sorted({positions.item(cid) // LEAF_CLASSES for cid in cids})
 
 
-def _check_records(levels: list[MultiOpening], read: list[set[int]], seq: Chain,
+def _check_records(levels: list[MultiOpening], read: list[set[int]], seq: BlossomingSequence,
                    p: int) -> bool:
     """The record check, at every level before anything is hashed: the
     level opens exactly the buckets it read, each record whole (its
@@ -295,7 +295,7 @@ def _check_records(levels: list[MultiOpening], read: list[set[int]], seq: Chain,
     return True
 
 
-def _bind_instance(fs: FSState, seq: Chain, rs: RSCode,
+def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
                    params: ProtocolParams) -> None:
     header = struct.pack(
         "<QIIII", rs.field.p, seq.r, params.m, params.t, rs.k
@@ -305,7 +305,7 @@ def _bind_instance(fs: FSState, seq: Chain, rs: RSCode,
     fs.absorb(b"instance", header)
 
 
-def fiat_shamir_schedule(seq: Chain, rs: RSCode, params: ProtocolParams):
+def fiat_shamir_schedule(seq: BlossomingSequence, rs: RSCode, params: ProtocolParams):
     """The one Fiat-Shamir schedule of prover and verifier, as a generator.
 
     After priming with next(), send it the roots of levels 0..r in order:
@@ -322,7 +322,7 @@ def fiat_shamir_schedule(seq: Chain, rs: RSCode, params: ProtocolParams):
 
 
 def derive_noninteractive_randomness(
-    seq: Chain, rs: RSCode, params: ProtocolParams, roots: list[bytes]
+    seq: BlossomingSequence, rs: RSCode, params: ProtocolParams, roots: list[bytes]
 ) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
     """(challenges, query randomness) both prover and verifier compute from
     the instance binding and the committed roots."""
@@ -379,7 +379,7 @@ def prove_noninteractive(
 
 
 def verify_noninteractive(
-    seq: Chain, rs: RSCode, proof: NIProof, params: ProtocolParams | None = None
+    seq: BlossomingSequence, rs: RSCode, proof: NIProof, params: ProtocolParams | None = None
 ) -> tuple[bool, Transcript | None]:
     """Recompute challenges and queries from the proof's roots, re-run every
     check on the opened values, read by commit position, and authenticate

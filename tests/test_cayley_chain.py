@@ -138,6 +138,52 @@ def test_closed_forms_equal_dense_chain(gens):
     assert_tables_equal(chain, dense)
 
 
+# what the query phase and the NI verifier read of a chain, and what only
+# the prover reads: a public member added to BlossomingSequence fails
+# test_fresh_chain_answers_every_verifier_read until it is put on one side
+VERIFIER_READS = {"r", "n", "num_vertices", "num_classes", "proof_length", "digest",
+                  "descent", "fold_reads", "flower_ids"}
+PROVER_READS = {"graphs", "cuts", "commit_positions"}
+
+
+def verifier_answers(seq) -> dict:
+    """Each verifier read of the chain, at every level, vertex and slot."""
+    levels = range(seq.r + 1)
+    return {
+        "r": seq.r,
+        "n": seq.n,
+        "num_vertices": [seq.num_vertices(level) for level in levels],
+        "num_classes": [seq.num_classes(level) for level in levels],
+        "proof_length": seq.proof_length(),
+        "digest": seq.digest(),
+        "descent": [seq.descent(v0) for v0 in range(seq.num_vertices(0))],
+        "fold_reads": [[read(vc, l) for vc in range(seq.num_vertices(level + 1))
+                        for l in range(seq.n)]
+                       for level, read in enumerate(seq.fold_reads(positions=True))],
+        "flower_ids": list(seq.flower_ids()),
+    }
+
+
+@pytest.mark.parametrize("gens", GENSETS,
+                         ids=[f"{i}-r{g.r}-n{g.n}" for i, g in enumerate(GENSETS)])
+def test_fresh_chain_answers_every_verifier_read(gens):
+    # a Cayley chain is a BlossomingSequence whose every verifier read a
+    # fresh chain answers without its tables, as the validated chain does
+    # but for the digest, which names the generating set and is the same
+    # once the tables are built
+    chain, dense = blossoming_cayley(gens), validated_chain(gens)
+    assert isinstance(chain, BlossomingSequence)
+    assert {name for name in dir(dense) if not name.startswith("_")} == (
+        VERIFIER_READS | PROVER_READS)
+    fresh, expected = verifier_answers(chain), verifier_answers(dense)
+    assert "_tables" not in vars(chain)
+    assert set(fresh) == VERIFIER_READS
+    built = blossoming_cayley(gens)
+    built.cuts
+    assert fresh.pop("digest") == built.digest() != expected.pop("digest")
+    assert fresh == expected
+
+
 def _runs(r: int):
     """(word, response rule) of an honest, a lazy-copy and a far-word prover
     on the r instance."""

@@ -38,24 +38,32 @@ def test_gen_deterministic(tmp_path, instance_file):
     assert other.read_bytes() == instance_file.read_bytes()
 
 
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_every_gen_instance_round_trips(tmp_path, r):
-    # every command loads what gen writes, the one-vector r = 1 genset too.
-    # At r = 1 the graph has one class, so rounds = 1 < log2 N = 0 fails,
-    # and k = n = 1 makes every word a codeword, a corrupted witness too:
-    # each report says so, by exit 1
-    n = (1 << r) - 1
+@pytest.mark.parametrize("r, vectors", [(1, None), (2, None), (3, None), (2, [1, 2])],
+                         ids=["1", "2", "3", "basis-r2"])
+def test_every_gen_instance_round_trips(tmp_path, r, vectors):
+    # every command loads what gen writes, the one-vector r = 1 genset and
+    # the basis of F_2^2 too.  A check outside its hypothesis is null, not a
+    # violation: rounds = r < log2 N needs N > 2^r, false at r = 1 (N = 1)
+    # and on the basis (N = 4), and a corrupted witness is rejected only
+    # when k < n, while k = n = 1 at r = 1 makes every word a codeword
+    n = len(vectors) if vectors else (1 << r) - 1
     instance, proof = tmp_path / "instance.json", tmp_path / "proof.bin"
-    assert run("gen", "--r", r, "--p", 2147483647, "--k", max(n - 1, 1), "--out", instance) == 0
+    genset = "full"
+    if vectors:
+        genset = tmp_path / "genset.json"
+        genset.write_text(json.dumps({"r": r, "d": 3, "vectors": vectors}))
+    assert run("gen", "--r", r, "--p", 2147483647, "--k", max(n - 1, 1),
+               "--genset", genset, "--out", instance) == 0
     assert run("prove", "--instance", instance, "--t", 1, "--out", proof) == 0
     assert run("verify", "--instance", instance, "--t", 1, "--proof", proof) == 0
     bounds, complexity = tmp_path / "bounds.json", tmp_path / "complexity.json"
-    assert run("check-bounds", "--instance", instance, "--out", bounds) == (r == 1)
+    assert run("check-bounds", "--instance", instance, "--out", bounds) == 0
     assert run("report-complexity", "--instance", instance, "--t", 1,
-               "--out", complexity) == (r == 1)
-    if r == 1:
-        assert not json.loads(bounds.read_text())["distance"]["corrupted_witness_rejected"]
-        assert not json.loads(complexity.read_text())["asserted"]["rounds_lt_log2N"]
+               "--out", complexity) == 0
+    rejected = json.loads(bounds.read_text())["distance"]["corrupted_witness_rejected"]
+    assert rejected is (None if r == 1 else True)
+    rounds = json.loads(complexity.read_text())["asserted"]["rounds_lt_log2N"]
+    assert rounds is (True if r >= 2 and not vectors else None)
 
 
 def test_prove_verify_ni(tmp_path, instance_file):

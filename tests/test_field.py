@@ -209,6 +209,6 @@ def test_exact_int_reads_only_ascii_decimals():
     # one spelling per int: no leading zero and no "-0"
     assert [exact_int(s, "x") for s in ("0", "12", "-7", "10", 5, -3)] == [0, 12, -7, 10, 5, -3]
     for bad in ("1_000", " 12\n", "12\n", "+7", "١٢", "", "-", "0x10", "1e3", "007", "-0", "00",
-                "-012", 1.0, True, None):
+                "-012", 1.0, True, None, "9" * 5000):
         with pytest.raises(FloweringError, match="x must be a decimal string"):
             exact_int(bad, "x")

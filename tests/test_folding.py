@@ -147,6 +147,10 @@ def test_blossoming_validate(t1):
     assert seq.graphs[1:] == [cut.child for cut in seq.cuts]
     specs = [(cut.v_prime, cut.phi) for cut in seq.cuts]
     assert BlossomingSequence(seq.graphs[0], specs).graphs == seq.graphs
+    # a one-vertex flower's n petals are its classes 0..n-1 in index order
+    dense = BlossomingSequence(seq.graphs[0], specs)
+    assert (list(dense.flower_ids()) == list(range(dense.n))
+            == dense.graphs[-1].classes.class_of[0].tolist())
 
     with pytest.raises(FloweringError, match="NotFlower"):
         BlossomingSequence(seq.graphs[0], specs[:1])
