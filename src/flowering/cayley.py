@@ -13,13 +13,13 @@ check matrix of a binary [n, n-r, d] code).  The full nonzero set realizes
 d = 3.
 
 blossoming_cayley returns a CayleyChain, a BlossomingSequence that answers
-a fresh NI verifier's reads by closed forms in the generating set: class
-ids, fold pairs and commit positions are ranks computed in O(r) big-int
-steps per read, and the chain is named by its generating set.  The graphs
-and cuts the prover folds and commits through are built on first use as
-blocks of graph 0's, with one class index and no cut validated, and the
-base class answers every other read from them; MAX_GRAPH_ENTRIES caps
-those tables (cayley_rim), not the chain.
+a fresh NI verifier's reads by closed forms in the generating set: a fold
+check's commit positions are ranks computed in O(r) big-int steps per
+read, and the chain is named by its generating set.  The graphs and cuts
+the prover folds and commits through are built on first use as blocks of
+graph 0's, with one class index and no cut validated, and the base class
+answers every other read from them; MAX_GRAPH_ENTRIES caps those tables
+(cayley_rim), not the chain.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _ranker(present: int, c: list[int], sets: list[int], none: int):
     return rank
 
 
-# the pair of a child slot (vc, l): its two parent classes, or their positions
+# the commit positions of a child slot (vc, l)'s two parent classes
 PairMap = Callable[[int, int], tuple[int, int]]
 
 
@@ -269,10 +269,9 @@ class CayleyChain(BlossomingSequence):
     to v ^ s_l if s_l < b and a petal otherwise.  An edge slot represents
     its class when bit top(s_l) of v is 0, and a petal slot always does, as
     does any slot whose bit top(s_l) >= r-i lies above every vertex of the
-    level.  So one ranker over the bits top(s_l) gives the class ids of
-    every level, the rank of the representative (v or v ^ s_l) among all
-    representatives.  The walk's descent is v mod b, and its fold pair
-    ((vc, l), (vc | b, l)).
+    level.  A class id is the rank of its representative among all of them
+    (_tables), so a level's class count sums over the bits top(s_l).  The
+    walk's descent is v mod b, and its fold pair ((vc, l), (vc | b, l)).
 
     A commit position is twice the rank of the pair's smaller class among
     the smaller classes (folding.pair_positions), whose representatives lie
@@ -280,8 +279,10 @@ class CayleyChain(BlossomingSequence):
     representative with bit top(s_l) 0 for s_l < b, and the one with bit
     top(s_l ^ b) 0 for b < s_l < 2b, which pairs the edge classes at vc and
     vc ^ s_l ^ b.  The self-pairs (s_l = b) follow in vertex order.  So a
-    level's positions are a ranker of the class ranker's bits, but for the
-    indices with top(s_l) = r-i, and all of them together cost O(n).
+    level's positions are one ranker (_ranker) over the bits top(s_l), but
+    for the indices with top(s_l) = r-i, and all of them together cost O(n).
+    The verifier reads by commit position only, so no class id is computed
+    from the generating set.
 
     The graphs and cuts, which the prover and the word tools read, are
     built on first use as blocks of graph 0 (_tables); the base class reads
@@ -313,37 +314,12 @@ class CayleyChain(BlossomingSequence):
         return c, sets, indices
 
     @cached_property
-    def _rank(self):
-        return _ranker(self.n, *self._by_top[:2], 0)
-
-    @cached_property
     def _flips(self) -> list[int]:
         return [1 << top for top in self._tops]
 
     @cached_property
     def _num_classes(self) -> list[int]:
         return [_slots(self.r - level, self.n, self._by_top[0]) for level in range(self.r + 1)]
-
-    def _fold_pair(self, level: int) -> PairMap:
-        """The fold pairs of the level: the classes of (vc, l) and
-        (vc | half, l).  For an index whose top bit is not the level's top
-        bit, the image's representative is the kept one's, w, with that bit
-        set, so its id adds the slots of the vertices from w to w | half
-        and takes away the indices below l absent at w | half only."""
-        rank, flip, vectors, tops = self._rank, self._flips, self.gens.vectors, self._tops
-        top = self.r - level - 1
-        half = 1 << top
-        c, sets, _ = self._by_top
-        c_top, set_top = c[top], sets[top]
-        step = self.n * half - (half >> 1) * sum(c[:top])
-
-        def fold_pair(vc: int, l: int) -> tuple[int, int]:
-            if tops[l] == top:
-                return rank(vc, l), rank(vc ^ vectors[l] ^ half, l)
-            w = vc ^ vectors[l] if vc & flip[l] else vc
-            kept = rank(w, l)
-            return kept, kept + step - c_top * w - (set_top & ((1 << l) - 1)).bit_count()
-        return fold_pair
 
     @cached_property
     def _pair_positions(self) -> list[PairMap]:
@@ -396,25 +372,16 @@ class CayleyChain(BlossomingSequence):
         return [v & mask for mask in self._masks]
 
     def _fold_read(self, level: int) -> ReadMap:
-        """The fold check at slot (vc, l) of level level+1, addressed by
-        commit positions.  Its class id is the kept class's at level level:
-        the ranks agree on the vertices below 2^(r-level-1).  Its commit
-        position is in the next level's pair order, the flower's in class
-        order."""
-        fold_pair, pair_at = self._fold_pair(level), self._pair_positions[level]
+        """The fold check at slot (vc, l) of level level+1 by commit
+        positions: its fold pair's at level level, then its own in the next
+        level's pair order, or on the flower, in class order, l."""
+        pair_at = self._pair_positions[level]
         if level + 1 == self.r:
-            def read(vc: int, l: int) -> tuple[int, int, int, int, int, int]:
-                a, b = fold_pair(vc, l)
-                return (a, b, a, *pair_at(vc, l), a)
-            return read
+            return lambda vc, l: (*pair_at(vc, l), l)
         child_at = self._pair_positions[level + 1]
         bit = self.r - level - 2
         mask = (1 << bit) - 1
-
-        def read(vc: int, l: int) -> tuple[int, int, int, int, int, int]:
-            a, b = fold_pair(vc, l)
-            return (a, b, a, *pair_at(vc, l), child_at(vc & mask, l)[vc >> bit & 1])
-        return read
+        return lambda vc, l: (*pair_at(vc, l), child_at(vc & mask, l)[vc >> bit & 1])
 
     @cached_property
     def _closed_form_reads(self) -> list[ReadMap]:
@@ -443,12 +410,12 @@ class CayleyChain(BlossomingSequence):
         and class index are the only ones built from scratch.  Level i keeps
         graph 0's first b = 2^(r-i) vertices, and slot (v, l) is a petal
         where s_l >= b.  Its representatives are graph 0's below b, as the
-        ranker above has it, so its class_of is graph 0's top b rows and its
-        reps graph 0's first N_i.  Cut i keeps range(b) with phi(v) = v + b,
-        so down is v mod b, and fold plan column c is c and graph 0's class
-        of (v + b, l) for the child's representative (v, l).  No cut is
-        validated: the tests check every table against the validated chain
-        BlossomingSequence(cayley_rim(r, gens), specs)."""
+        class docstring has it, so its class_of is graph 0's top b rows and
+        its reps graph 0's first N_i.  Cut i keeps range(b) with phi(v) =
+        v + b, so down is v mod b, and fold plan column c is c and graph 0's
+        class of (v + b, l) for the child's representative (v, l).  No cut
+        is validated: the tests check every table against the validated
+        chain BlossomingSequence(cayley_rim(r, gens), specs)."""
         r, n = self.r, self.n
         graph0 = cayley_rim(r, self.gens)
         index = graph0.classes

@@ -85,29 +85,28 @@ def pair_positions(cut: FloweringCut) -> np.ndarray:
     return positions
 
 
-# the fold check at a child slot (vc, l): the two parent class ids of its
-# fold pair and the slot's own class id, then the three addresses the query
-# phase's oracle reads them at
-ReadMap = Callable[[int, int], tuple[int, int, int, int, int, int]]
+# the fold check at a child slot (vc, l): the three addresses the query
+# phase's oracle reads, the two parent classes of its fold pair and the slot's
+# own class
+ReadMap = Callable[[int, int], tuple[int, int, int]]
 
 
-def _read_map(cut: FloweringCut, pair_at: np.ndarray | None = None,
+def _read_map(cut: FloweringCut, parent_at: np.ndarray | None = None,
               child_at: np.ndarray | None = None) -> ReadMap:
-    """The fold check at slot (vc, l) of the cut's child: its class c, the
-    fold plan's column c, and the same column of pair_at and entry c of
-    child_at, the commit positions of the parent and the child, if given."""
+    """The fold check at slot (vc, l) of the cut's child, whose class is c:
+    the fold plan's column c and c, or, with the commit positions of the
+    parent and the child, their entries there."""
     class_of, plan = cut.child.classes.class_of.item, cut.fold_plan.item
-    if pair_at is None:
-        def read(vc: int, l: int) -> tuple[int, int, int, int, int, int]:
+    if parent_at is None:
+        def read(vc: int, l: int) -> tuple[int, int, int]:
             c = class_of(vc, l)
-            a, b = plan(0, c), plan(1, c)
-            return a, b, c, a, b, c
+            return plan(0, c), plan(1, c), c
     else:
-        at, child = pair_at.item, child_at.item
+        at, child = parent_at.item, child_at.item
 
-        def read(vc: int, l: int) -> tuple[int, int, int, int, int, int]:
+        def read(vc: int, l: int) -> tuple[int, int, int]:
             c = class_of(vc, l)
-            return plan(0, c), plan(1, c), c, at(0, c), at(1, c), child(c)
+            return at(plan(0, c)), at(plan(1, c)), child(c)
     return read
 
 
@@ -162,11 +161,11 @@ class BlossomingSequence:
 
     def fold_reads(self, positions: bool = False) -> list[ReadMap]:
         """Per cut j, the fold checks of its child slots, built once per
-        chain: fold_reads(positions)[j](vc, l) are the level-j class ids of
-        the kept and the image slot at index l (the fold plan's column for
-        the child slot), the level-(j+1) class id of the slot (vc, l), then
-        the addresses of the three: the ids again, or with positions their
-        commit positions, those of the parent gathered by the fold plan."""
+        chain: fold_reads(positions)[j](vc, l) are the addresses of the
+        level-j classes of the kept and the image slot at index l (the fold
+        plan's column for the child slot) and of the level-(j+1) class of
+        the slot (vc, l): their class ids, or with positions their commit
+        positions."""
         return self._position_reads if positions else self._id_reads
 
     @cached_property
@@ -176,8 +175,7 @@ class BlossomingSequence:
     @cached_property
     def _position_reads(self) -> list[ReadMap]:
         orders = self.commit_positions()
-        return [_read_map(cut, parent[cut.fold_plan], child)
-                for cut, parent, child in zip(self.cuts, orders, orders[1:])]
+        return list(map(_read_map, self.cuts, orders, orders[1:]))
 
     def flower_ids(self) -> range:
         """The flower's classes, its one vertex's n petals, in index order."""

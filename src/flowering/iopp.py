@@ -10,29 +10,31 @@ chain checking t indices of the fold relation per level, then the single
 flower view is read in full and RS-tested.
 
 Query accounting: the walks record opening triples and, as they go, one
-read log per level, the classes its walks read; the transcript's read log
-is that union plus the flower view, and it is exactly what a
-non-interactive proof opens.  oracle_reads counts the distinct walk
-positions, which reproduces the 2t-then-t shape per level (the second read
-of the projected vertex's class is the previous round's opening), plus the
-flower view in full, n reads.  A walk reads at most (2r+1)t positions, so
-when the m walks touch pairwise-disjoint positions the total is exactly
-(2r+1)mt + n, and it never exceeds that.  The phase stops at the first
-failed fold check, which is then the last recorded opening, and reads the
-flower view only if every walk passed.
+read log per level, the addresses its walks read; the transcript's read log
+is that union plus the flower view, exactly the addresses the oracle was
+asked, and a non-interactive proof opens the buckets holding them.
+oracle_reads counts the distinct walk positions, which reproduces the
+2t-then-t shape per level (the second read of the projected vertex's class
+is the previous round's opening), plus the flower view in full, n reads.
+A walk reads at most (2r+1)t positions, so when the m walks touch
+pairwise-disjoint positions the total is exactly (2r+1)mt + n, and it never
+exceeds that.  The phase stops at the first failed fold check, which is
+then the last recorded opening, and reads the flower view only if every
+walk passed.
 
 The walk follows the cuts through the reads the chain offers a verifier
 (folding.BlossomingSequence): at level i it moves to v_i = down_i(v_{i-1}), the child id
 of the projection of v_{i-1}, and for each index l it opens the child class
 of (v_i, l) in f_i and, in f_{i-1}, the fold pair behind it: the classes of
 (v, l) and (phi_i(v), l) at the parent vertex v of v_i.  Each check is one
-lookup in the chain's fold_reads: the three class ids, and the addresses
-the oracle reads them at, the ids or, for the non-interactive verifier,
+lookup in the chain's fold_reads: the three addresses the oracle reads,
+the class ids in the interactive protocol or, in the non-interactive one,
 the commit positions.  A BlossomingSequence reads them from the child's
 class index, the fold plan and the commit positions; its subclass
-cayley.CayleyChain computes them from the generating set until its tables
-are built.  Either way the check is the fold relation as the prover
-computed it.
+cayley.CayleyChain computes the commit positions from the generating set
+until its tables are built.  Either way the check is the fold relation as
+the prover computed it.  The flower is committed in class order, so its
+view reads the same addresses in both.
 """
 
 from __future__ import annotations
@@ -110,8 +112,9 @@ class Transcript:
     accept: bool
     counters: Counters
     walks_disjoint: bool
-    # per level, the classes the query phase read (walks and flower view);
-    # the positions a non-interactive proof opens
+    # per level, the addresses the query phase asked the oracle (walks and
+    # flower view): class ids, or commit positions in the non-interactive
+    # protocol, where a proof opens the buckets holding them
     reads: list[set[int]]
 
     def to_json(self) -> dict:
@@ -146,13 +149,15 @@ def prover_commit(seq: BlossomingSequence, f0: Word, challenge,
     return challenges, words
 
 
-def word_oracle(words: list[Word]):
-    """The oracle of verifier_query over the prover's words f_0..f_r.  It
-    answers in Python ints, read value by value with item, so the fold
-    checks and the RS check are exact at any modulus and no word is copied
-    (a copy as a list of Python ints holds some 36 bytes a class)."""
-    items = [word.values.item for word in words]
-    return lambda level, cid: items[level](cid)
+def word_oracle(levels: list):
+    """The oracle of verifier_query over the prover's levels 0..r, read
+    through their values arrays: its words by class id, or its Merkle trees
+    (commitment.MerkleTree) by commit position.  It answers in Python ints,
+    read value by value with item, so the fold checks and the RS check are
+    exact at any modulus and no array is copied (a copy as a list of Python
+    ints holds some 36 bytes a class)."""
+    items = [level.values.item for level in levels]
+    return lambda level, at: items[level](at)
 
 
 def sample_query_randomness(rng: random.Random, num_vertices: int, n: int,
@@ -176,12 +181,13 @@ def verifier_query(
     fold_reads: list[ReadMap] | None = None,
 ) -> Transcript:
     """Run the query phase against oracles: oracle(level, address) ->
-    value.  fold_reads gives each read's class id and address
-    (BlossomingSequence.fold_reads); the default, seq.fold_reads(), addresses a class by
-    its id, and the NI verifier passes the commit positions.
+    value.  fold_reads gives each fold check's three addresses
+    (BlossomingSequence.fold_reads); the default, seq.fold_reads(), is the
+    class ids, and the NI prover and verifier pass the commit positions.
 
-    Returns the transcript with its read log; a failed fold check ends the
-    phase as its last recorded opening triple."""
+    Returns the transcript, whose openings and read log hold the addresses
+    asked; a failed fold check ends the phase as its last recorded opening
+    triple."""
     r, n = seq.r, seq.n
     num_vertices = seq.num_vertices(0)
     mul_add = rs.field.mul_add
@@ -212,12 +218,12 @@ def verifier_query(
             vc, check, alpha = walk[i - 1], fold_reads[i - 1], challenges[i - 1]
             parent_reads, child_reads = reads[i - 1], reads[i]
             for l in indices:
-                ca, cb, cr, pa, pb, pr = check(vc, l)
-                va, vb, vr = oracle(i - 1, pa), oracle(i - 1, pb), oracle(i, pr)
-                openings += ((i - 1, ca, va), (i - 1, cb, vb), (i, cr, vr))
-                parent_reads.add(ca)
-                parent_reads.add(cb)
-                child_reads.add(cr)
+                a, b, c = check(vc, l)
+                va, vb, vr = oracle(i - 1, a), oracle(i - 1, b), oracle(i, c)
+                openings += ((i - 1, a, va), (i - 1, b, vb), (i, c, vr))
+                parent_reads.add(a)
+                parent_reads.add(b)
+                child_reads.add(c)
                 if mul_add(va, alpha, vb) != vr:
                     accept = False
                     break

@@ -8,13 +8,13 @@ query randomness is derived after the last root.  Each level is committed in
 its commit order (BlossomingSequence.commit_positions): levels 0..r-1 in
 the pair order of the cut that folds them, so that the two classes a fold
 check reads share a Merkle bucket, and the flower in class order.  The
-prover builds those orders as tables; the verifier takes the commit
-position of each class its walks read with the class's id
-(BlossomingSequence.fold_reads), from closed forms on a Cayley chain whose
-tables are not built, and reads the proof by position.  The proof carries
-the per-level roots and the authenticated openings of exactly the buckets
-holding the commit positions of the classes the verifier re-derives, the
-query phase's read log.
+prover builds those orders as tables and runs the query phase over its
+committed arrays; the verifier reads the proof.  Both take each fold
+check's commit positions from the chain (BlossomingSequence.fold_reads),
+the verifier from closed forms on a Cayley chain whose tables are not
+built, and no class id: the query phase's read log is the positions read.
+The proof carries the per-level roots and the authenticated openings of
+exactly the buckets holding them.
 
 The record rule: a proof opens exactly the records that were read, and each
 level's records are authenticated together, once.  A record is the
@@ -57,10 +57,7 @@ gives a proof's bytes by part.  The depth is written once per level, since
 the parser has no instance to derive it from; the verifier requires it to
 equal the level tree's depth.  The chain digest is ``seq.digest()``: a
 Cayley chain's names its generating set, a dense chain's graph 0 and every
-cut.  Parsing is strict: any other version (1 bound graph 0 alone, 2 had one
-leaf per class, 3 sent a full path per record, 4 committed every level in
-class order, 5 sent every value as a u64, 6 had 8-class leaves, 7 named a
-Cayley chain by graph 0's rows and every cut), an r, m or t outside
+cut.  Parsing is strict: any other version, an r, m or t outside
 1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS or a depth above
 MAX_DEPTH, a record of no position or of positions of two buckets, a record
 in a bucket not after the previous record's, a bucket outside a tree of the
@@ -272,20 +269,20 @@ def _value_code(p: int) -> str:
     return next(code for code in "BHIQ" if p <= 1 << 8 * struct.calcsize(f"<{code}"))
 
 
-def _buckets(positions, cids) -> list[int]:
-    """The sorted buckets holding the commit positions of cids."""
-    return sorted({positions.item(cid) // LEAF_CLASSES for cid in cids})
+def _buckets(reads: set[int]) -> set[int]:
+    """The buckets holding the commit positions read."""
+    return {at // LEAF_CLASSES for at in reads}
 
 
-def _check_records(levels: list[MultiOpening], read: list[set[int]], seq: BlossomingSequence,
+def _check_records(levels: list[MultiOpening], reads: list[set[int]], seq: BlossomingSequence,
                    p: int) -> bool:
     """The record check, at every level before anything is hashed: the
-    level opens exactly the buckets it read, each record whole (its
-    bucket's first position and every position of the bucket) and every
-    value below p."""
-    for level, (opening, buckets) in enumerate(zip(levels, read)):
+    level opens exactly the buckets of the positions it read, each record
+    whole (its bucket's first position and every position of the bucket)
+    and every value below p."""
+    for level, (opening, read) in enumerate(zip(levels, reads)):
         num_classes = seq.num_classes(level)
-        if opening.records.keys() != buckets:
+        if opening.records.keys() != _buckets(read):
             return False
         for bucket, (first, values) in opening.records.items():
             if (first != bucket * LEAF_CLASSES
@@ -345,10 +342,9 @@ def prove_noninteractive(
     """The honest prover_commit against Fiat-Shamir: each word is committed
     in its level's commit order and answered by the challenge its root
     derives; the last root derives the queries, and the buckets holding the
-    position of a class they read are opened together, one multi-opening
-    per level.
-    Also returns the transcript of the self-run query phase (honest proofs
-    accept)."""
+    commit positions they read are opened together, one multi-opening per
+    level.  Also returns the transcript of the query phase, self-run by
+    commit position over the committed arrays (honest proofs accept)."""
     check_params(params, seq.n)
     positions = seq.commit_positions()
     trees = []
@@ -363,9 +359,9 @@ def prove_noninteractive(
 
     challenges, words = prover_commit(seq, f0, commit)
     randomness = commit(words[-1])
-    transcript = verifier_query(seq, rs, params, challenges, word_oracle(words), randomness)
-    levels = [tree.open(_buckets(at, cids))
-              for tree, at, cids in zip(trees, positions, transcript.reads)]
+    transcript = verifier_query(seq, rs, params, challenges, word_oracle(trees), randomness,
+                                seq.fold_reads(positions=True))
+    levels = [tree.open(sorted(_buckets(read))) for tree, read in zip(trees, transcript.reads)]
     proof = NIProof(
         p=rs.field.p,
         chain_digest=seq.digest(),
@@ -399,15 +395,12 @@ def verify_noninteractive(
         return False, None
 
     challenges, randomness = derive_noninteractive_randomness(seq, rs, params, proof.roots)
-    read = [set() for _ in proof.levels]  # per level, the buckets read
     records = [level.records for level in proof.levels]
 
     def oracle(level: int, at: int) -> int:
-        bucket = at // LEAF_CLASSES
-        read[level].add(bucket)
         # a record that is not whole may answer with another position's
         # value, or none; the record check refuses it either way
-        first, values = records[level][bucket]
+        first, values = records[level][at // LEAF_CLASSES]
         return values[at - first]
 
     try:
@@ -415,7 +408,7 @@ def verify_noninteractive(
                                     seq.fold_reads(positions=True))
     except LookupError:  # a read outside the opened records
         return False, None
-    if not _check_records(proof.levels, read, seq, rs.field.p):
+    if not _check_records(proof.levels, transcript.reads, seq, rs.field.p):
         return False, None
     for level, (root, opening) in enumerate(zip(proof.roots, proof.levels)):
         if not verify_open(root, opening, seq.num_classes(level)):

@@ -314,7 +314,8 @@ class FloweringCut:
         representative (v, l)."""
         if self._fold_plan is None:
             vc, l = self.child.classes.reps
-            self._fold_plan = self.parent.classes.class_of[self.ends.take(vc, axis=1), l]
+            self._fold_plan = self.parent.classes.class_of.ravel().take(
+                self.ends.take(vc, axis=1) * self.parent.n + l)
         return self._fold_plan
 
 

@@ -32,6 +32,17 @@ def replay(challenges):
     return lambda word: next(sent)
 
 
+def by_position(transcript, positions) -> tuple[dict, list[set[int]]]:
+    """The JSON and the read log of a transcript addressed by class id, with
+    each address read as the class's commit position in positions, one
+    array per level (BlossomingSequence.commit_positions)."""
+    out = transcript.to_json()
+    for query in out["queries"]:
+        query["openings"] = [[level, positions[level].item(cid), value]
+                             for level, cid, value in query["openings"]]
+    return out, [{at.item(cid) for cid in read} for at, read in zip(positions, transcript.reads)]
+
+
 def random_rim(rng: random.Random, num_vertices: int, n: int, petal_prob: float = 0.3) -> RIM:
     """Random valid RIM: each index is a random involution on the vertices
     (a matching with fixed points, i.e. petals)."""

@@ -1,6 +1,6 @@
 """The implicit Cayley chain against the validated dense chain, its oracle:
-every closed form (class ids, fold pairs, the descent, class counts and
-commit positions), every table it builds as blocks of graph 0, and every
+every closed form (the commit positions of each fold check, the descent and
+the class counts), every table it builds as blocks of graph 0, and every
 protocol run on it must equal the oracle's.  Only the digest differs: a
 Cayley chain is named by its generating set, a dense chain by graph 0 and
 every cut."""
@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import by_position
 from flowering import cayley, folding, rim_graph
 from flowering.adversaries import build_adversary
 from flowering.cayley import (
@@ -109,23 +110,22 @@ def test_closed_forms_equal_dense_chain(gens):
         assert chain.num_vertices(level) == graph.num_vertices
         assert chain.num_classes(level) == graph.classes.num_classes
     # a level's fold checks name the classes of its every slot: the kept
-    # vertices vc and their images vc | half, and the child's slot (vc, l)
-    for level, (cut, by_position, by_id) in enumerate(zip(dense.cuts,
-                                                          chain.fold_reads(positions=True),
-                                                          dense.fold_reads())):
+    # vertices vc and their images vc | half, and the child's slot (vc, l);
+    # the closed forms read them at their commit positions
+    for level, (cut, closed, by_id) in enumerate(zip(dense.cuts,
+                                                     chain.fold_reads(positions=True),
+                                                     dense.fold_reads())):
         half = cut.child.num_vertices
-        reads = np.array([[by_position(vc, l) for l in range(n)] for vc in range(half)])
-        ids = reads[:, :, :3]
-        assert np.array_equal([[by_id(vc, l) for l in range(n)] for vc in range(half)],
-                              np.concatenate([ids, ids], axis=2))
+        ids = np.array([[by_id(vc, l) for l in range(n)] for vc in range(half)])
         class_of = cut.parent.classes.class_of
         assert np.array_equal(ids[:, :, 0], class_of[:half])
         assert np.array_equal(ids[:, :, 1], class_of[half:])
         assert np.array_equal(ids[:, :, :2].transpose(2, 0, 1),
                               cut.fold_plan[:, cut.child.classes.class_of])
         assert np.array_equal(ids[:, :, 2], cut.child.classes.class_of)
-        assert np.array_equal(reads[:, :, 3:5], positions[level][ids[:, :, :2]])
-        assert np.array_equal(reads[:, :, 5], positions[level + 1][ids[:, :, 2]])
+        reads = np.array([[closed(vc, l) for l in range(n)] for vc in range(half)])
+        assert np.array_equal(reads[:, :, :2], positions[level][ids[:, :, :2]])
+        assert np.array_equal(reads[:, :, 2], positions[level + 1][ids[:, :, 2]])
     assert list(chain.flower_ids()) == dense.graphs[r].classes.class_of[0].tolist()
     for v0 in range(1 << r):
         assert chain.descent(v0) == dense.descent(v0)
@@ -198,9 +198,9 @@ def _runs(r: int):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 6])
 def test_protocol_runs_equal_on_dense_chain(r):
-    # the query phase walks by closed forms and closed-form commit
-    # positions on a chain whose tables are not built, as the NI verifier
-    # does, and gives the transcripts of the dense chain's tables.
+    # the query phase walks by closed-form commit positions on a chain
+    # whose tables are not built, as the NI verifier does, and gives the
+    # transcripts of the dense chain's tables, read by commit position.
     # run_protocol builds the tables in its commit phase, so its walk reads
     # them.
     instance, runs = _runs(r)
@@ -224,8 +224,8 @@ def test_protocol_runs_equal_on_dense_chain(r):
                                       lambda level, at: committed[level].item(at), randomness,
                                       fresh.fold_reads(positions=True))
             assert "_tables" not in vars(fresh)
-            assert implicit.to_json() == tables.to_json()
-            assert implicit.reads == tables.reads
+            assert (implicit.to_json(), implicit.reads) == by_position(
+                tables, dense.commit_positions())
         # a fresh chain's NI verdict and transcript are those of the chain
         # whose block tables the prover built, which assert_tables_equal
         # checks against the oracle; the oracle, a chain of another name,
@@ -370,10 +370,10 @@ def test_chain_above_the_table_cap():
     for _ in range(50):
         level = rng.randrange(r)
         vc, l = rng.randrange(chain.num_vertices(level + 1)), rng.randrange(r)
-        kept, image, child, kept_at, image_at, child_at = reads[level](vc, l)
-        # the child slot keeps the kept class's id, and the pair takes two
-        # adjacent commit positions, or one for a self-pair
-        assert child == kept and max(kept, image) < chain.num_classes(level)
+        kept_at, image_at, child_at = reads[level](vc, l)
+        # the pair takes two adjacent commit positions, or one for a
+        # self-pair
+        assert max(kept_at, image_at) < chain.num_classes(level)
         assert {kept_at, image_at} in ({kept_at & ~1, kept_at | 1}, {kept_at})
         assert child_at < chain.num_classes(level + 1)
     # a foreign proof is rejected at its chain digest, and one naming this

@@ -3,16 +3,17 @@ import random
 import struct
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 
 import flowering.commitment as commitment
+import flowering.iopp as iopp
 import flowering.niproof as niproof
 import loop_oracle as oracle
-from conftest import replay
-from flowering.adversaries import far_word
+from conftest import by_position, replay
+from flowering.adversaries import build_adversary, far_word
+from flowering.cayley import blossoming_cayley
 from flowering.commitment import (
     DIGEST_SIZE,
     LEAF_CLASSES,
@@ -31,7 +32,7 @@ from flowering.experiments import derive_seed, gen_instance, random_codeword_wor
 from flowering.field import PrimeField
 from flowering.folding import BlossomingSequence
 from flowering.graph_code import Word
-from flowering.iopp import ProtocolParams, prover_commit, verifier_query
+from flowering.iopp import ProtocolParams, prover_commit, run_protocol, verifier_query
 from flowering.niproof import (
     MalformedProofError,
     NIProof,
@@ -374,6 +375,55 @@ def test_ni_round_trip_at_value_width(p, width):
     assert verify_noninteractive(instance.seq, instance.rs, parsed, params)[0]
 
 
+def test_read_log_is_the_oracle_addresses(monkeypatch):
+    # each level's read log is exactly the set of addresses its oracle was
+    # asked, which the record check compares the opened buckets with: class
+    # ids in run_protocol, commit positions in the NI prover's self-run and
+    # in the NI verifier on a fresh and on a built chain, whether the query
+    # phase accepts, fails a fold check or fails the flower check
+    asked = []
+
+    def recording(module):
+        query = module.verifier_query
+
+        def wrapped(seq, rs, params, challenges, oracle, *args):
+            levels = [set() for _ in range(seq.r + 1)]
+
+            def asking(level, at):
+                levels[level].add(at)
+                return oracle(level, at)
+            transcript = query(seq, rs, params, challenges, asking, *args)
+            asked.append((transcript, levels))
+            return transcript
+        monkeypatch.setattr(module, "verifier_query", wrapped)
+
+    recording(iopp)
+    recording(niproof)
+    instance = gen_instance(4, 2**31 - 1, 13)
+    seq, rs, params = instance.seq, instance.rs, ProtocolParams(4, 2)
+    codeword = random_codeword_word(instance, random.Random(2))
+    far, _ = far_word(instance.code, Fraction(1, 2), random.Random(3))
+    lazy, copy, _ = build_adversary("lazy-copy", instance.code, Fraction(1, 2),
+                                    random.Random(4))
+    for word, respond in ((codeword, None), (far, None), (lazy, copy)):
+        run_protocol(seq, rs, word, params, 1, respond)
+    for word in (codeword, far):
+        proof, _ = prove_noninteractive(seq, rs, word, params)
+        flipped = NIProof.parse(proof.serialize())
+        _, values = next(iter(flipped.levels[1].records.values()))
+        values[0] ^= 1
+        for candidate in (NIProof.parse(proof.serialize()), flipped):
+            for chain in (blossoming_cayley(instance.gens), seq):
+                verify_noninteractive(chain, rs, candidate, params)
+    assert len(asked) == 3 + 2 * (1 + 2 * 2)
+    # an accepting run, a flower rejection and a failed fold check, after
+    # which the flower view is not read
+    outcomes = {(t.accept, t.counters.final_check_field_ops > 0) for t, _ in asked}
+    assert outcomes == {(True, True), (False, True), (False, False)}
+    for transcript, levels in asked:
+        assert transcript.reads == levels
+
+
 def test_ni_matches_interactive_given_same_challenges(ni_setup):
     # the NI prover is prover_commit and verifier_query on the Fiat-Shamir
     # challenges and randomness; a far word's proof opens only valid paths,
@@ -393,8 +443,9 @@ def test_ni_matches_interactive_given_same_challenges(ni_setup):
             instance.seq, instance.rs, params, challenges,
             lambda level, cid: words[level].values[cid], randomness,
         )
-        assert interactive.to_json() == transcript.to_json()
-        assert interactive.reads == transcript.reads
+        # the NI query phase reads the same classes by commit position
+        assert by_position(interactive, instance.seq.commit_positions()) == (
+            transcript.to_json(), transcript.reads)
         accept, verified = verify_noninteractive(instance.seq, instance.rs,
                                                  NIProof.parse(proof.serialize()), params)
         assert accept is transcript.accept is (delta is None)
@@ -704,9 +755,7 @@ def _drop_last_class(instance, params, word, proof):
     # the last position of a full read bucket, whose class was not read:
     # the bucket misses a position, so the verifier refuses it before
     # anything is hashed
-    reads = verify_noninteractive(instance.seq, instance.rs, proof, params)[1].reads
-    read = [{at.item(cid) for cid in cids}
-            for at, cids in zip(instance.seq.commit_positions(), reads)]
+    read = verify_noninteractive(instance.seq, instance.rs, proof, params)[1].reads
     level, bucket = next((level, bucket) for level, opening in enumerate(proof.levels)
                          for bucket, (first, values) in opening.records.items()
                          if len(values) == LEAF_CLASSES
@@ -730,7 +779,7 @@ def _swap_pair(instance, params, word, proof):
         instance.seq, instance.rs, Word(word.graph, field, codeword), params)
     assert transcript.accept
     positions = instance.seq.commit_positions()[0]
-    read = {positions.item(cid) for cid in transcript.reads[0]}
+    read = transcript.reads[0]
     records = swapped.levels[0].records
 
     def value(at):
@@ -748,21 +797,32 @@ def _swap_pair(instance, params, word, proof):
 
 def _class_order_level(instance, params, word, proof):
     # level 1 committed in class order, as format v4 committed every level,
-    # under a version-7 header, and opened whole, so that every position
-    # the verifier reads in pair order is there: the query phase ends, and
-    # the record check refuses the buckets it did not read
-    positions = instance.seq.commit_positions()
-    layout = [*positions[:1], np.arange(positions[1].size), *positions[2:]]
-    with mock.patch.object(instance.seq, "commit_positions", lambda: layout):
-        forged, transcript = prove_noninteractive(instance.seq, instance.rs, word, params)
+    # under a version-8 header, and opened whole; every other level in its
+    # commit order, opening the buckets that the query phase on these roots
+    # reads of the honest commitment.  Every position the verifier reads is
+    # there, so the query phase ends, and the record check refuses the
+    # level-1 buckets it did not read
+    seq, rs = instance.seq, instance.rs
+    schedule = niproof.fiat_shamir_schedule(seq, rs, params)
+    next(schedule)
+    trees, honest = [], []
+
+    def commit(level_word):
+        honest.append(_committed(seq, len(trees), level_word.values))
+        trees.append(MerkleTree(level_word.values if len(trees) == 1 else honest[-1]))
+        return schedule.send(trees[-1].root)
+
+    challenges, words = prover_commit(seq, word, commit)
+    randomness = commit(words[-1])
+    transcript = verifier_query(seq, rs, params, challenges,
+                                lambda level, at: honest[level].item(at), randomness,
+                                seq.fold_reads(positions=True))
     assert transcript.accept
-    challenges, _ = derive_noninteractive_randomness(
-        instance.seq, instance.rs, params, forged.roots)
-    _, words = prover_commit(instance.seq, word, replay(challenges))
-    tree = MerkleTree(words[1].values)
-    assert tree.root == forged.roots[1]
-    forged.levels[1] = tree.open(list(range(-(-len(tree.values) // LEAF_CLASSES))))
-    return forged.serialize()
+    levels = [tree.open(sorted({at // LEAF_CLASSES for at in read}))
+              for tree, read in zip(trees, transcript.reads)]
+    levels[1] = trees[1].open(list(range(-(-len(trees[1].values) // LEAF_CLASSES))))
+    return NIProof(rs.field.p, seq.digest(), seq.r, params.m, params.t,
+                   [tree.root for tree in trees], levels).serialize()
 
 
 def _extra_flower_class(instance, params, word, proof):
@@ -1089,16 +1149,23 @@ def test_ni_proof_size(r, max_bytes):
                                              ProtocolParams(10, 2))
     blob = proof.serialize()
     assert transcript.accept and len(blob) <= max_bytes
+    # the reads are the commit positions of the classes that the query
+    # phase on the same challenges reads by class id
+    challenges, randomness = derive_noninteractive_randomness(
+        instance.seq, instance.rs, ProtocolParams(10, 2), proof.roots)
+    _, words = prover_commit(instance.seq, word, replay(challenges))
+    interactive = verifier_query(instance.seq, instance.rs, ProtocolParams(10, 2), challenges,
+                                 lambda level, cid: words[level].values.item(cid), randomness)
+    assert by_position(interactive, instance.seq.commit_positions())[1] == transcript.reads
     split = byte_split(blob)
     parts = ("header", "roots", "values", "framing", "digests")
     assert sum(split[part] for part in parts) == len(blob)
     if r == 8:
         assert {key: split[key] for key in SPLIT_R8} == SPLIT_R8
     pos = split["header"] + split["roots"]
-    for graph, at, cids, opening, (start, digests, end) in zip(
-            instance.seq.graphs, instance.seq.commit_positions(), transcript.reads,
-            NIProof.parse(blob).levels, split["levels"]):
-        buckets = {at.item(cid) // LEAF_CLASSES for cid in cids}
+    for graph, read, opening, (start, digests, end) in zip(
+            instance.seq.graphs, transcript.reads, NIProof.parse(blob).levels, split["levels"]):
+        buckets = {at // LEAF_CLASSES for at in read}
         depth = (-(-graph.classes.num_classes // LEAF_CLASSES) - 1).bit_length()
         above = [{b >> d for b in buckets} for d in range(depth)]
         sent = sum(len({a ^ 1 for a in layer} - layer) for layer in above)
