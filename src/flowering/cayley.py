@@ -155,7 +155,7 @@ def validate_gen_set(r: int, vectors: list[int], d: int) -> GenSet:
     vs = tuple(vectors)
     if type(d) is not int or d < 1:
         raise FloweringError(f"d must be an integer >= 1, got d={d!r}")
-    if any(not 0 < v < (1 << r) for v in vs):
+    if vs and (min(vs) <= 0 or max(vs) >= 1 << r):
         raise ZeroGeneratorError("generators must be nonzero r-bit vectors")
     if _f2_rank(vs) != r:
         raise SpanDeficientError(f"generators span a proper subspace of F_2^{r}")
@@ -163,12 +163,13 @@ def validate_gen_set(r: int, vectors: list[int], d: int) -> GenSet:
     if size > len(vs):
         raise ParameterConstraintViolatedError(f"d-1={size} exceeds n={len(vs)}")
     verified = True
+    distinct = len(set(vs)) == len(vs)
     if size <= 2:
         # nonzero vectors are pairwise dependent only when equal, so at d = 3
         # the first repeated vector is the first dependent pair
-        counts = Counter(vs)
-        repeated = next((v for v in vs if counts[v] > 1), None)
-        if size == 2 and repeated is not None:
+        if size == 2 and not distinct:
+            counts = Counter(vs)
+            repeated = next(v for v in vs if counts[v] > 1)
             raise DependentSubsetError((repeated, repeated))
     elif math.comb(len(vs), size) <= INDEPENDENCE_CHECK_CAP:
         # repeated vectors show up here as dependent subsets
@@ -182,7 +183,7 @@ def validate_gen_set(r: int, vectors: list[int], d: int) -> GenSet:
             if not _independent(subset):
                 raise DependentSubsetError(subset)
         verified = False
-    if len(set(vs)) != len(vs):
+    if not distinct:
         raise DuplicateGeneratorError("generators must be distinct")
     return GenSet(r, vs, d, verified)
 

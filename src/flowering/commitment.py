@@ -22,9 +22,9 @@ Buckets are opened together, as a multi-opening: at each layer the
 sibling of an opened bucket's ancestor is sent once, and not at all where
 it is itself such an ancestor, since the verifier computes it (the batched
 decommitment of StarkWare's "ethSTARK Documentation", ePrint 2021/582).
-A MultiOpening keeps the opened buckets' values and those sibling digests
-in the order the proof sends them, and verify_open consumes them in that
-order.
+A MultiOpening keeps the opened buckets' values, the tree's class count
+and those sibling digests in the order the proof sends them, and
+verify_open consumes them in that order.
 
 FSState keeps a running 32-byte state.  Every absorb and every challenge is
 framed with a length-prefixed label, and deriving a challenge ratchets the
@@ -155,26 +155,29 @@ class MerkleTree:
         for bucket in buckets:
             if not 0 <= bucket < leaves:
                 raise IndexOutOfRangeError(f"bucket {bucket} out of range")
-        depth = len(self.layers) - 1
-        records = {}
-        for bucket in buckets:
-            first = bucket * LEAF_CLASSES
-            records[bucket] = (first, self.values[first:first + LEAF_CLASSES].tolist())
+        records = {bucket: self.values[bucket * LEAF_CLASSES:(bucket + 1) * LEAF_CLASSES].tolist()
+                   for bucket in buckets}
         siblings = b"".join(self.layers[d][node * DIGEST_SIZE:(node + 1) * DIGEST_SIZE]
-                            for d, node in sent_siblings(buckets, depth))
-        return MultiOpening(records, depth, siblings)
+                            for d, node in sent_siblings(buckets, len(self.layers) - 1))
+        return MultiOpening(records, len(self.values), siblings)
 
 
 @dataclass
 class MultiOpening:
     """Buckets of one tree opened together, as the proof's wire format
     carries them: records maps each opened bucket, in increasing order, to
-    its record (first position, values); depth is the tree's; siblings is
-    the sibling digests, concatenated in wire order (sent_siblings)."""
+    its values, every position of the bucket; num_classes is the number of
+    values the tree commits, which fixes its depth and each bucket's size;
+    siblings is the sibling digests, concatenated in wire order
+    (sent_siblings)."""
 
-    records: dict[int, tuple[int, list[int]]]
-    depth: int
+    records: dict[int, list[int]]
+    num_classes: int
     siblings: bytes
+
+    @property
+    def depth(self) -> int:
+        return (_num_leaves(self.num_classes) - 1).bit_length()
 
     def paths(self) -> dict[int, list[bytes]]:
         """Each opened bucket's path: per layer its sibling digest, b"" where
@@ -213,26 +216,24 @@ def sibling_count(buckets, depth: int) -> int:
 
 def verify_open(root: bytes, opening: MultiOpening, num_classes: int) -> bool:
     """True iff the multi-opening opens a tree over num_classes values with
-    this root.  Its records must be in increasing bucket order, each holding
-    exactly its bucket's positions, min(LEAF_CLASSES, N - first) values,
-    and its depth must be that tree's: a shallower or deeper tree could pass
-    an inner node off as a leaf.  The sibling stream is consumed in wire
-    order, layer by layer, in increasing position, one digest wherever a
-    node's sibling is not itself computed, and a stream left over or too
-    short is refused.  Each leaf and each distinct ancestor is hashed once.
-    No records open nothing and are accepted with no siblings."""
-    leaves = _num_leaves(num_classes)
-    depth = (leaves - 1).bit_length()
+    this root.  It must name that count, which fixes the depth (another
+    could pass an inner node off as a leaf), and hold, in increasing bucket
+    order, all of each bucket's values, as parse gives and code need not.
+    The sibling stream is consumed in wire order, layer by layer, in
+    increasing position, one digest wherever a node's sibling is not itself
+    computed, and a stream left over or too short is refused.  Each leaf and
+    each distinct ancestor is hashed once.  No records open nothing and are
+    accepted with no siblings."""
+    if opening.num_classes != num_classes:
+        return False
     siblings = opening.siblings
     if not opening.records:
         return not siblings
-    if opening.depth != depth:
-        return False
+    leaves, depth = _num_leaves(num_classes), opening.depth
     indices, preimages = [], []  # a layer's computed nodes, in increasing position
-    for bucket, (first, values) in opening.records.items():
-        if (first != bucket * LEAF_CLASSES or indices and bucket <= indices[-1]
-                or not 0 <= bucket < leaves
-                or len(values) != min(LEAF_CLASSES, num_classes - first)):
+    for bucket, values in opening.records.items():
+        if (indices and bucket <= indices[-1] or not 0 <= bucket < leaves
+                or len(values) != min(LEAF_CLASSES, num_classes - bucket * LEAF_CLASSES)):
             return False
         indices.append(bucket)
         preimages.append(_leaf_preimage(bucket, values))

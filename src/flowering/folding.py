@@ -119,8 +119,8 @@ class BlossomingSequence:
     not end in a flower raises a FloweringError naming NotFlower.
 
     The verifier reads r, n, num_vertices, num_classes, proof_length,
-    digest, descent, fold_reads and flower_ids, and the prover graphs, cuts
-    and commit_positions too; cayley.CayleyChain overrides each verifier
+    digest, descent and fold_reads, and the prover graphs, cuts and
+    commit_positions too; cayley.CayleyChain overrides each verifier
     read that this class answers from graphs or cuts.
     """
 
@@ -176,10 +176,6 @@ class BlossomingSequence:
     def _position_reads(self) -> list[ReadMap]:
         orders = self.commit_positions()
         return list(map(_read_map, self.cuts, orders, orders[1:]))
-
-    def flower_ids(self) -> range:
-        """The flower's classes, its one vertex's n petals, in index order."""
-        return range(self.n)
 
     def commit_positions(self) -> list[np.ndarray]:
         """Per level, the Merkle position of each class: levels 0..r-1 in

@@ -199,7 +199,7 @@ def verifier_query(
     counters = Counters(rounds=r, proof_length=seq.proof_length(),
                         rand_field_elements=r, rand_vertices=params.m,
                         rand_subsets=params.m, prover_field_ops=2 * seq.proof_length())
-    descent, flower_ids = seq.descent, seq.flower_ids()
+    descent = seq.descent
     if fold_reads is None:
         fold_reads = seq.fold_reads()
     records: list[QueryRecord] = []
@@ -244,13 +244,14 @@ def verifier_query(
     disjoint = counters.oracle_reads == len(records) * (2 * r + 1) * params.t
 
     if accept:
-        view = [oracle(r, cid) for cid in flower_ids]
-        reads[r].update(flower_ids)
+        # the flower's classes are its one vertex's n petals, in index order
+        view = [oracle(r, cid) for cid in range(n)]
+        reads[r].update(range(n))
         counters.oracle_reads += n
         counters.final_check_field_ops += n * (n - rs.k)
         accept = rs.is_codeword(view)
         if records:
-            records[-1].openings += [(r, cid, value) for cid, value in zip(flower_ids, view)]
+            records[-1].openings += [(r, cid, value) for cid, value in enumerate(view)]
 
     return Transcript(
         challenges=list(challenges),

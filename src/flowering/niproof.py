@@ -17,16 +17,17 @@ The proof carries the per-level roots and the authenticated openings of
 exactly the buckets holding them.
 
 The record rule: a proof opens exactly the records that were read, and each
-level's records are authenticated together, once.  A record is the
-positions of one bucket; each level is kept as the wire carries it, a
-commitment.MultiOpening of its records keyed by bucket and its sibling
-digests in wire order, from MerkleTree.open through serialize and parse to
-the verifier, which reads a value through its bucket's record.  Each level
-must open exactly the buckets holding the commit positions of its reads,
-each record whole and every value below p, at every level before anything
-is hashed; then each level takes one verify_open, which refuses a wrong
-depth and a sibling stream left over or too short, and hashes each opened
-leaf and each distinct ancestor once.  So a proof causes at most one
+level's records are authenticated together, once.  A record is one whole
+bucket, its values; each level is kept as the wire carries it, a
+commitment.MultiOpening of its records keyed by bucket, its class count and
+its sibling digests in wire order, from MerkleTree.open through serialize
+and parse to the verifier, which reads position at as value
+at % LEAF_CLASSES of bucket at // LEAF_CLASSES.  Each level must name the
+chain's class count of the level, open exactly the buckets holding the
+commit positions of its reads, and carry every value below p, at every
+level before anything is hashed; then each level takes one verify_open,
+which refuses a sibling stream left over or too short, and hashes each
+opened leaf and each distinct ancestor once.  So a proof causes at most one
 authentication per level.  NIProof.openings is a per-position view of the
 records, (value, path) with each path derived from the sibling digests, for
 readers that still take that form.
@@ -34,37 +35,35 @@ readers that still take that form.
 The multi-round security of this transform is not analyzed here; treat the
 non-interactive mode as experimental.
 
-Binary layout, version 8 (little-endian):
-    magic "FLWR" | version u16 = 8 | p u64 | chain digest 32B | r u32 |
-    m u32 | t u32 | (r+1) roots 32B | per level: count u32 | depth u8 |
-    count records (first position u32 | n u8 | n values of w bytes) |
-    the level's sibling digests 32B.
+Binary layout, version 9 (little-endian):
+    magic "FLWR" | version u16 = 9 | p u64 | chain digest 32B | r u32 |
+    m u32 | t u32 | (r+1) roots 32B | per level: count u32 | class count
+    N u32 | count records (bucket b u32 | min(LEAF_CLASSES, N - LEAF_CLASSES*b)
+    values of w bytes) | the level's sibling digests 32B.
 A value takes the smallest width w of 1, 2, 4 or 8 bytes with p <= 2^(8w):
 4 bytes at p = 2^31 - 1, 8 at p = 2^61 - 1.  Only the wire narrows: the
 Merkle leaves hash every value as a u64 (commitment.MerkleTree), so the
-roots do not depend on w.  A record opens the n consecutive commit positions
-first..first+n-1 of one Merkle bucket (commitment.LEAF_CLASSES positions
-per leaf); an honest proof writes one record per opened bucket, and a
-prover's position fits a u32 since the tables it commits through have at
-most cayley.MAX_GRAPH_ENTRIES slots.  A verifier's position past every u32
-is a read outside the records, so the proof is rejected.  The sibling
-digests are the pruned multi-opening of the level's buckets
-(commitment.sent_siblings): for each layer d < depth, in increasing
-position, the node at (b >> d) ^ 1 for each record bucket b, once, skipped
-where it is itself an ancestor b' >> d of a record bucket.  Parse keeps them
-as the bytes it read and serialize writes them back as they are; byte_split
-gives a proof's bytes by part.  The depth is written once per level, since
-the parser has no instance to derive it from; the verifier requires it to
-equal the level tree's depth.  The chain digest is ``seq.digest()``: a
-Cayley chain's names its generating set, a dense chain's graph 0 and every
-cut.  Parsing is strict: any other version, an r, m or t outside
-1..MAX_R, 1..MAX_M or 1..MAX_T, a count above MAX_OPENINGS or a depth above
-MAX_DEPTH, a record of no position or of positions of two buckets, a record
-in a bucket not after the previous record's, a bucket outside a tree of the
-level's depth, a depth on a level of no records, a truncation or a trailing
-byte is malformed, so a missing or extra digest is too; and the prover
-refuses to write a header the parser would refuse, and the writer a value
-outside w bytes or a position outside a u32.
+roots do not depend on w.  A record opens every commit position of its
+Merkle bucket b, LEAF_CLASSES*b on (commitment.LEAF_CLASSES positions per
+leaf), so its value count follows from b and N.  The class count is written
+once per level, since the parser has no instance to derive it from; it
+fixes the level tree's depth and the verifier requires it to equal the
+chain's.  A prover's N fits a u32 since the tables it commits through have
+at most cayley.MAX_GRAPH_ENTRIES slots.  The sibling digests are the pruned
+multi-opening of the level's buckets (commitment.sent_siblings): for each
+layer d below the depth of the tree over N values, in increasing position,
+the node at (b >> d) ^ 1 for each record bucket b, once, skipped where it
+is itself an ancestor b' >> d of a record bucket.  Parse keeps them as the
+bytes it read and serialize writes them back as they are; byte_split gives
+a proof's bytes by part.  The chain digest is ``seq.digest()``: a Cayley
+chain's names its generating set, a dense chain's graph 0 and every cut.
+Parsing is strict: any other version, an r, m or t outside 1..MAX_R,
+1..MAX_M or 1..MAX_T, a class count of 0, more records than the level's
+ceil(N / LEAF_CLASSES) buckets, a bucket not after the previous record's or
+past the level's last, a truncation or a trailing byte is malformed, so a
+missing or extra digest is too; and the prover refuses to write a header
+the parser would refuse, and the writer a value outside w bytes or a
+bucket or class count outside a u32.
 """
 
 from __future__ import annotations
@@ -90,14 +89,11 @@ from .iopp import ProtocolParams, Transcript, prover_commit, verifier_query, wor
 from .reed_solomon import RSCode
 
 MAGIC = b"FLWR"
-VERSION = 8
+VERSION = 9
 # header bounds the parser enforces and the prover respects
 MAX_R = 64
 MAX_M = 1 << 14
 MAX_T = 1 << 12
-MAX_OPENINGS = 1 << 24
-# the depth of a tree whose buckets hold every u32 position
-MAX_DEPTH = (2**32 // LEAF_CLASSES - 1).bit_length()
 
 
 class MalformedProofError(FloweringError):
@@ -117,28 +113,28 @@ class Positions:
         self.opening = opening
 
     def __len__(self) -> int:
-        return sum(len(values) for _, values in self.opening.records.values())
+        return sum(map(len, self.opening.records.values()))
 
     def __iter__(self):
-        for first, values in self.opening.records.values():
-            yield from range(first, first + len(values))
+        for bucket, values in self.opening.records.items():
+            yield from range(bucket * LEAF_CLASSES, bucket * LEAF_CLASSES + len(values))
 
     def __getitem__(self, at: int) -> tuple[int, list[bytes]]:
-        first, values = self.opening.records[at // LEAF_CLASSES]
-        if not 0 <= at - first < len(values):
+        bucket, offset = divmod(at, LEAF_CLASSES)
+        values = self.opening.records[bucket]
+        if offset >= len(values):
             raise KeyError(at)
-        return values[at - first], self.opening.paths()[at // LEAF_CLASSES]
+        return values[offset], self.opening.paths()[bucket]
 
     def __setitem__(self, at: int, opened: tuple[int, list[bytes]]) -> None:
         value, path = opened
         if path != self[at][1]:
             raise FloweringError(f"position {at} opens under its bucket's path only")
-        first, values = self.opening.records[at // LEAF_CLASSES]
-        values[at - first] = value
+        self.opening.records[at // LEAF_CLASSES][at % LEAF_CLASSES] = value
 
     def values(self):
         paths = self.opening.paths()
-        for bucket, (_, values) in self.opening.records.items():
+        for bucket, values in self.opening.records.items():
             for value in values:
                 yield value, paths[bucket]
 
@@ -163,17 +159,15 @@ class NIProof:
         out = [MAGIC, struct.pack("<HQ", VERSION, self.p), self.chain_digest,
                struct.pack("<III", self.r, self.m, self.t)]
         out.extend(self.roots)
-        for level in self.levels:
-            out.append(struct.pack("<IB", len(level.records), level.depth))
-            for first, values in level.records.values():
-                try:
-                    out.append(struct.pack(f"<IB{len(values)}{code}", first, len(values),
-                                           *values))
-                except struct.error as exc:
-                    raise FloweringError(
-                        f"the record of {len(values)} values from position {first} does not "
-                        f"fit format v{VERSION} at p = {self.p}: {exc}") from None
-            out.append(level.siblings)
+        for level, opening in enumerate(self.levels):
+            try:
+                out.append(_LEVEL.pack(len(opening.records), opening.num_classes))
+                out.extend(struct.pack(f"<I{len(values)}{code}", bucket, *values)
+                           for bucket, values in opening.records.items())
+            except struct.error as exc:
+                raise FloweringError(f"level {level} does not fit format v{VERSION} at "
+                                     f"p = {self.p}: {exc}") from None
+            out.append(opening.siblings)
         return b"".join(out)
 
     @classmethod
@@ -182,7 +176,10 @@ class NIProof:
 
 
 _HEADER_BYTES = 4 + 10 + DIGEST_SIZE + 12  # magic, version and p, chain digest, r, m, t
-_LEVEL = struct.Struct("<IB")  # a level's record count and depth, and a record's first and n
+_LEVEL = struct.Struct("<II")  # a level's record count and class count
+_BUCKET = struct.Struct("<I")  # a record's bucket
+# a full bucket's values, per value code
+_FULL_BUCKET = {code: struct.Struct(f"<{LEAF_CLASSES}{code}") for code in "BHIQ"}
 
 
 def _read(data: bytes) -> tuple[NIProof, list[tuple[int, int, int]]]:
@@ -197,7 +194,7 @@ def _read(data: bytes) -> tuple[NIProof, list[tuple[int, int, int]]]:
         if version != VERSION:
             raise MalformedProofError(f"unsupported version {version}")
         code = _value_code(p)
-        width = struct.calcsize(f"<{code}")
+        full = _FULL_BUCKET[code]
         chain_digest = data[14:14 + DIGEST_SIZE]
         r, m, t = struct.unpack_from("<III", data, 14 + DIGEST_SIZE)
         if not (1 <= r <= MAX_R and 1 <= m <= MAX_M and 1 <= t <= MAX_T):
@@ -209,34 +206,32 @@ def _read(data: bytes) -> tuple[NIProof, list[tuple[int, int, int]]]:
         levels, spans = [], []
         for _ in range(r + 1):
             start = pos
-            count, depth = _LEVEL.unpack_from(data, pos)
+            count, num_classes = _LEVEL.unpack_from(data, pos)
             pos += _LEVEL.size
-            if count > MAX_OPENINGS or depth > MAX_DEPTH:
-                raise MalformedProofError("implausible opening count or depth")
+            leaves = -(-num_classes // LEAF_CLASSES)
+            if not 0 < num_classes or count > leaves:
+                raise MalformedProofError(
+                    f"implausible level of {count} records over {num_classes} classes")
+            short = struct.Struct(f"<{num_classes % LEAF_CLASSES}{code}")  # a last, short bucket
             records = {}
             last = -1
             for _ in range(count):
-                first, n = _LEVEL.unpack_from(data, pos)
-                bucket = first // LEAF_CLASSES
-                if n == 0 or bucket != (first + n - 1) // LEAF_CLASSES:
+                (bucket,) = _BUCKET.unpack_from(data, pos)
+                pos += _BUCKET.size
+                if not last < bucket < leaves:
                     raise MalformedProofError(
-                        f"a record of {n} classes from class {first} is not inside one bucket")
-                if bucket <= last:
-                    raise MalformedProofError(
-                        f"a record in bucket {bucket} follows one in bucket {last}")
-                records[bucket] = (first, list(struct.unpack_from(f"<{n}{code}", data,
-                                                                  pos + _LEVEL.size)))
-                pos += _LEVEL.size + width * n
+                        f"a record in bucket {bucket} follows one in bucket {last}"
+                        if bucket <= last else
+                        f"bucket {bucket} is outside a tree of {num_classes} classes")
+                values = full if bucket < num_classes // LEAF_CLASSES else short
+                records[bucket] = list(values.unpack_from(data, pos))
+                pos += values.size
                 last = bucket
-            if last >> depth > 0:
-                raise MalformedProofError(f"bucket {last} is outside a tree of depth {depth}")
-            if not records and depth:
-                raise MalformedProofError(f"a level of no records has depth {depth}, not 0")
             digests = pos
-            pos += DIGEST_SIZE * sibling_count(records, depth)
+            pos += DIGEST_SIZE * sibling_count(records, (leaves - 1).bit_length())
             if pos > len(data):
                 raise MalformedProofError("truncated proof")
-            levels.append(MultiOpening(records, depth, data[digests:pos]))
+            levels.append(MultiOpening(records, num_classes, data[digests:pos]))
             spans.append((start, digests, pos))
     except struct.error:
         raise MalformedProofError("truncated proof") from None
@@ -247,13 +242,13 @@ def _read(data: bytes) -> tuple[NIProof, list[tuple[int, int, int]]]:
 
 def byte_split(blob: bytes) -> dict:
     """The proof's bytes by part, as parse reads them: header, roots, values,
-    framing (each level's count and depth, each record's first position
-    and n) and sibling digests, which sum to len(blob); the digest and
+    framing (each level's record count and class count, each record's
+    bucket) and sibling digests, which sum to len(blob); the digest and
     record counts; and per level the offsets (start, digests, end) of its
     records and its sibling digests."""
     proof, spans = _read(blob)
     records = sum(len(level.records) for level in proof.levels)
-    framing = _LEVEL.size * (len(proof.levels) + records)
+    framing = _LEVEL.size * len(proof.levels) + _BUCKET.size * records
     digests = sum(end - at for _, at, end in spans)
     roots = DIGEST_SIZE * len(proof.roots)
     return {"header": _HEADER_BYTES, "roots": roots,
@@ -277,28 +272,20 @@ def _buckets(reads: set[int]) -> set[int]:
 def _check_records(levels: list[MultiOpening], reads: list[set[int]], seq: BlossomingSequence,
                    p: int) -> bool:
     """The record check, at every level before anything is hashed: the
-    level opens exactly the buckets of the positions it read, each record
-    whole (its bucket's first position and every position of the bucket)
-    and every value below p."""
-    for level, (opening, read) in enumerate(zip(levels, reads)):
-        num_classes = seq.num_classes(level)
-        if opening.records.keys() != _buckets(read):
-            return False
-        for bucket, (first, values) in opening.records.items():
-            if (first != bucket * LEAF_CLASSES
-                    or len(values) != min(LEAF_CLASSES, num_classes - first)
-                    or max(values) >= p):
-                return False
-    return True
+    level names the chain's class count of the level, opens exactly the
+    buckets of the positions it read, and carries every value below p.
+    Each opened bucket holds a position read, so no record is empty."""
+    return all(opening.num_classes == seq.num_classes(level)
+               and opening.records.keys() == _buckets(read)
+               and max(map(max, opening.records.values()), default=0) < p
+               for level, (opening, read) in enumerate(zip(levels, reads)))
 
 
 def _bind_instance(fs: FSState, seq: BlossomingSequence, rs: RSCode,
                    params: ProtocolParams) -> None:
     header = struct.pack(
         "<QIIII", rs.field.p, seq.r, params.m, params.t, rs.k
-    ) + seq.digest() + b"".join(
-        struct.pack("<Q", x) for x in rs.points
-    )
+    ) + seq.digest() + struct.pack(f"<{len(rs.points)}Q", *rs.points)
     fs.absorb(b"instance", header)
 
 
@@ -398,10 +385,7 @@ def verify_noninteractive(
     records = [level.records for level in proof.levels]
 
     def oracle(level: int, at: int) -> int:
-        # a record that is not whole may answer with another position's
-        # value, or none; the record check refuses it either way
-        first, values = records[level][at // LEAF_CLASSES]
-        return values[at - first]
+        return records[level][at // LEAF_CLASSES][at % LEAF_CLASSES]
 
     try:
         transcript = verifier_query(seq, rs, params, challenges, oracle, randomness,

@@ -221,9 +221,11 @@ def test_validate_gen_set_exhaustive_check_and_refusals():
     assert exc.value.subset == (1, 2, 3)
     gens = validate_gen_set(3, [1, 2, 4, 7], 4)
     assert gens.independence_verified and gens.vectors == (1, 2, 4, 7)
-    for vectors in ([0, 1, 2], [1, 2, 4]):  # zero, and r + 1 bits at r = 2
+    for vectors in ([0, 1, 2], [1, 2, 4], [-1, 1, 2]):  # zero, r + 1 bits at r = 2, negative
         with pytest.raises(ZeroGeneratorError):
             validate_gen_set(2, vectors, 3)
+    with pytest.raises(SpanDeficientError):  # no vectors span nothing
+        validate_gen_set(2, [], 3)
     with pytest.raises(ParameterConstraintViolatedError):  # d - 1 = 4 > n = 3
         validate_gen_set(2, [1, 2, 3], 5)
     with pytest.raises(DuplicateGeneratorError):  # d = 2 checks no subset

@@ -126,7 +126,8 @@ def test_closed_forms_equal_dense_chain(gens):
         reads = np.array([[closed(vc, l) for l in range(n)] for vc in range(half)])
         assert np.array_equal(reads[:, :, :2], positions[level][ids[:, :, :2]])
         assert np.array_equal(reads[:, :, 2], positions[level + 1][ids[:, :, 2]])
-    assert list(chain.flower_ids()) == dense.graphs[r].classes.class_of[0].tolist()
+    # the flower's classes, its one vertex's n petals, in index order
+    assert dense.graphs[r].classes.class_of[0].tolist() == list(range(n))
     for v0 in range(1 << r):
         assert chain.descent(v0) == dense.descent(v0)
     assert chain.proof_length() == dense.proof_length()
@@ -142,7 +143,7 @@ def test_closed_forms_equal_dense_chain(gens):
 # the prover reads: a public member added to BlossomingSequence fails
 # test_fresh_chain_answers_every_verifier_read until it is put on one side
 VERIFIER_READS = {"r", "n", "num_vertices", "num_classes", "proof_length", "digest",
-                  "descent", "fold_reads", "flower_ids"}
+                  "descent", "fold_reads"}
 PROVER_READS = {"graphs", "cuts", "commit_positions"}
 
 
@@ -160,7 +161,6 @@ def verifier_answers(seq) -> dict:
         "fold_reads": [[read(vc, l) for vc in range(seq.num_vertices(level + 1))
                         for l in range(seq.n)]
                        for level, read in enumerate(seq.fold_reads(positions=True))],
-        "flower_ids": list(seq.flower_ids()),
     }
 
 
@@ -268,7 +268,7 @@ def test_closed_forms_sampled_at_r10():
                                     ProtocolParams(10, 2))
     flipped = NIProof.parse(proof.serialize())
     opened = next(level for level in flipped.levels if level.records)
-    _, values = next(iter(opened.records.values()))
+    values = next(iter(opened.records.values()))
     values[0] = values[0] ^ 1 if values[0] ^ 1 < P else values[0] ^ 2
     for candidate, verdict in ((proof, True), (flipped, False)):
         fresh = blossoming_cayley(instance.gens)
@@ -290,7 +290,7 @@ def test_verify_builds_no_dense_table(tmp_path, monkeypatch):
     blob = proof.read_bytes()
     flipped = NIProof.parse(blob)
     opened = next(level for level in flipped.levels if level.records)
-    _, values = next(iter(opened.records.values()))
+    values = next(iter(opened.records.values()))
     values[0] = values[0] ^ 1 if values[0] ^ 1 < P else values[0] ^ 2
     (tmp_path / "flipped.bin").write_bytes(flipped.serialize())
     (tmp_path / "truncated.bin").write_bytes(blob[:-1])
@@ -382,7 +382,7 @@ def test_chain_above_the_table_cap():
     foreign, _ = prove_noninteractive(instance.seq, instance.rs,
                                       random_codeword_word(instance, random.Random(4)),
                                       ProtocolParams(10, 2))
-    empty = [MultiOpening({}, 0, b"") for _ in range(r + 1)]
+    empty = [MultiOpening({}, chain.num_classes(level), b"") for level in range(r + 1)]
     named = NIProof(P, chain.digest(), r, 10, 2, [bytes(32)] * (r + 1), empty)
     rs = RSCode.with_default_points(PrimeField(P), r, r - 2)
     for proof in (foreign, NIProof.parse(named.serialize())):

@@ -97,7 +97,7 @@ def test_prove_verify_ni_json(tmp_path, instance_file):
     proof = tmp_path / "proof.json"
     assert run("prove", "--instance", instance_file, "--m", 2, "--t", 1,
                "--seed", 6, "--json", "--out", proof) == 0
-    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v8"
+    assert json.loads(proof.read_text())["format"] == "flowering-ni-proof-v9"
     assert run("verify", "--instance", instance_file, "--proof", proof,
                "--m", 2, "--t", 1) == 0
 
@@ -193,6 +193,9 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
                              "genset": {"r": 40, "d": 3, "vectors": [1 << i for i in range(40)]}})
     v1 = write("v1.json", {**data, "format": "flowering-instance-v1"})
     no_p_word = write("no_p_word.json", {"values": [0] * 120})
+    other_p_word = write("other_p_word.json", {"p": "101", "values": ["0"] * 120})
+    # one point fewer than the genset's n vectors
+    short_points = write("short_points.json", {**data, "points": data["points"][:-1]})
     # word values outside [0, p): a negative one, one past u64 and p itself
     p = int(data["p"])
     out_of_field = [write(f"word_{i}.json", {"p": str(p), "values": [str(bad)] + ["0"] * 119})
@@ -233,6 +236,10 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
     # a version-7 header, whose chain digest named graph 0's rows and every cut
     v7_proof = tmp_path / "v7_proof.bin"
     v7_proof.write_bytes(proof.read_bytes()[:4] + b"\x07\x00" + proof.read_bytes()[6:])
+    # a version-8 header, the format that wrote each record's first
+    # position and count, and each level's depth
+    v8_proof = tmp_path / "v8_proof.bin"
+    v8_proof.write_bytes(proof.read_bytes()[:4] + b"\x08\x00" + proof.read_bytes()[6:])
     v1_word = write("v1_word.json", {
         "p": str(p), "values": ["0"] * 120,
         "graph_hash": "fff32483e303ad9426ac740d8ebca6a1e280d17f31fa2cd30e6c5eeb1b3a7d48"})
@@ -281,6 +288,9 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         *((prove + ("--word", word), "must lie in [0, ") for word in out_of_field),
         *((prove + ("--word", word), message) for word, message in mistyped_words),
         (prove + ("--word", v1_word), "malformed word file"),
+        (prove + ("--word", other_p_word), "word field does not match the file header field"),
+        (("prove", "--instance", short_points, "--out", tmp_path / "p.bin"),
+         "RS length 14 != graph regularity 15"),
         (prove + ("--m", 16385), "a proof header holds m <= 16384"),
         (verify + (proof, "--m", 16385), "a proof header holds m <= 16384"),
         # an m below 1 or a t outside 1..n is refused before any work: by
@@ -310,6 +320,8 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
          "deltas must be strings or integers"),
         (mc + (write("workers.json", {"workers": 2}),), "unknown config keys ['workers']"),
         (gen + (missing,), "malformed genset file"),
+        (("gen", "--r", 0, "--p", p, "--k", 1, "--out", tmp_path / "g.json"),
+         "r must be >= 1"),
         *((gen2 + (path,), message) for path, message in bad_matrices),
         (gen + (write("genset_d.json", {**data["genset"], "d": -5}),),
          "d must be an integer >= 1"),
@@ -325,7 +337,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (verify + (not_json,), "malformed proof file"),
         (verify + (write("list_proof.json", [proof.read_bytes().hex()]),),
          "malformed proof file"),
-        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v8"}),),
+        (verify + (write("no_hex.json", {"format": "flowering-ni-proof-v9"}),),
          "malformed proof file"),
         (verify + (write("bad_hex.json", {"hex": "zz"}),), "malformed proof file"),
         (verify + (truncated,), "truncated proof"),
@@ -336,6 +348,7 @@ def test_malformed_instance_exits_2(tmp_path, instance_file, capsys):
         (verify + (v5_proof,), "unsupported version 5"),
         (verify + (v6_proof,), "unsupported version 6"),
         (verify + (v7_proof,), "unsupported version 7"),
+        (verify + (v8_proof,), "unsupported version 8"),
     ):
         assert run(*argv) == 2
         err = capsys.readouterr().err

@@ -63,14 +63,15 @@ def verify_path(root, bucket, values, path, num_classes):
     return oracle.verify_open(root, bucket, values, path, num_classes, LEAF_CLASSES)
 
 
-def one_bucket(bucket, values, path):
-    # the multi-opening of one bucket, whose full path is its sibling stream
-    return MultiOpening({bucket: (bucket * LEAF_CLASSES, values)}, len(path), b"".join(path))
+def one_bucket(bucket, values, path, num_classes):
+    # the multi-opening of one bucket of a tree over num_classes values,
+    # whose full path is its sibling stream
+    return MultiOpening({bucket: values}, num_classes, b"".join(path))
 
 
 def verify_record(root, bucket, values, path, num_classes):
-    # the level check on a one-bucket opening
-    return verify_open(root, one_bucket(bucket, values, path), num_classes)
+    # the level check on a one-bucket opening that names the class count
+    return verify_open(root, one_bucket(bucket, values, path, num_classes), num_classes)
 
 
 def _refused_openings(tree, bucket, values, path):
@@ -121,7 +122,7 @@ def test_bucket_tree_matches_loop_oracle(p):
                 path = [layer[(bucket >> d) ^ 1] for d, layer in enumerate(layers[:-1])]
                 first = bucket * LEAF_CLASSES
                 opened = values[first:first + LEAF_CLASSES]
-                assert tree.open([bucket]) == one_bucket(bucket, opened, path)
+                assert tree.open([bucket]) == one_bucket(bucket, opened, path, n)
                 assert tree.open([bucket]).paths() == {bucket: path}
                 assert verify_path(tree.root, bucket, opened, path, n)
                 assert verify_record(tree.root, bucket, opened, path, n)
@@ -176,9 +177,8 @@ def test_level_check_matches_per_path_oracle():
             assert len(sent) == sibling_count(buckets, depth) == len(
                 {(d, (b >> d) ^ 1) for b in buckets for d in range(depth)}
                 - {(d, b >> d) for b in buckets for d in range(depth)})
-            assert opening.depth == depth
-            assert opening.records == {b: (b * LEAF_CLASSES, values[b * LEAF_CLASSES:
-                                                                   (b + 1) * LEAF_CLASSES])
+            assert (opening.num_classes, opening.depth) == (n, depth)
+            assert opening.records == {b: values[b * LEAF_CLASSES:(b + 1) * LEAF_CLASSES]
                                        for b in buckets}
             assert opening.siblings == b"".join(layers[d][node] for d, node in sent)
             assert opening.paths() == {
@@ -187,7 +187,7 @@ def test_level_check_matches_per_path_oracle():
 
             def agree(root, opening, full):
                 expected = all(verify_path(root, b, opened, full[b], n)
-                               for b, (_, opened) in opening.records.items())
+                               for b, opened in opening.records.items())
                 assert verify_open(root, opening, n) == expected
                 return expected
 
@@ -198,17 +198,16 @@ def test_level_check_matches_per_path_oracle():
             assert len(hashed) == len(set(hashed)) == sum(
                 len({b >> d for b in buckets}) for d in range(depth + 1))
             b = rng.choice(buckets)
-            first, opened = opening.records[b]
-            changed = list(opened)
-            changed[rng.randrange(len(opened))] ^= 1
-            assert not agree(tree.root, MultiOpening({**opening.records, b: (first, changed)},
-                                                     depth, opening.siblings), full)
+            changed = list(opening.records[b])
+            changed[rng.randrange(len(changed))] ^= 1
+            assert not agree(tree.root, MultiOpening({**opening.records, b: changed},
+                                                     n, opening.siblings), full)
             if sent:
                 k = rng.randrange(len(sent))
                 d, node = sent[k]
                 at = k * DIGEST_SIZE
                 # every path below the sent digest's sibling carries it
-                flipped = MultiOpening(opening.records, depth, opening.siblings[:at]
+                flipped = MultiOpening(opening.records, n, opening.siblings[:at]
                                        + _flip(opening.siblings[at:at + DIGEST_SIZE])
                                        + opening.siblings[at + DIGEST_SIZE:])
                 flipped_full = {c: [_flip(x) if j == d and (c >> d) ^ 1 == node else x
@@ -217,7 +216,7 @@ def test_level_check_matches_per_path_oracle():
                 # a stream one digest short or one too long
                 for siblings in (opening.siblings[:-DIGEST_SIZE],
                                  opening.siblings + opening.siblings[:DIGEST_SIZE]):
-                    assert not verify_open(tree.root, MultiOpening(opening.records, depth,
+                    assert not verify_open(tree.root, MultiOpening(opening.records, n,
                                                                    siblings), n)
 
 
@@ -227,33 +226,39 @@ def test_merkle_open_verify():
     n = full + 5
     values = list(range(100, 100 + n))
     tree = MerkleTree(values)
-    first, last = (0, values[:full]), (full, values[full:])
-    assert tree.open([0]) == MultiOpening({0: first}, 1, tree.layers[0][32:])
-    assert tree.open([1]) == MultiOpening({1: last}, 1, tree.layers[0][:32])
+    first, last = values[:full], values[full:]
+    assert tree.open([0]) == MultiOpening({0: first}, n, tree.layers[0][32:])
+    assert tree.open([1]) == MultiOpening({1: last}, n, tree.layers[0][:32])
     # both buckets: each is the other's sibling, so the stream sends neither
     both = tree.open([0, 1])
-    assert both == MultiOpening({0: first, 1: last}, 1, b"")
+    assert both == MultiOpening({0: first, 1: last}, n, b"")
     assert verify_open(tree.root, both, n)
-    assert not verify_open(tree.root, MultiOpening({1: last, 0: first}, 1, b""), n)  # out of order
-    # one record twice
-    assert not verify_open(tree.root, MultiOpening({0: first, 1: first}, 1, b""), n)
+    assert not verify_open(tree.root, MultiOpening({1: last, 0: first}, n, b""), n)  # out of order
+    # bucket 1 holding bucket 0's values
+    assert not verify_open(tree.root, MultiOpening({0: first, 1: first}, n, b""), n)
     # a stream is consumed whole: a digest too few or too many
-    assert not verify_open(tree.root, MultiOpening({0: first}, 1, b""), n)
-    assert not verify_open(tree.root, MultiOpening({0: first, 1: last}, 1, tree.layers[0][:32]), n)
-    # an opening authenticates only against the tree shape it came from
-    assert verify_open(tree.root, tree.open([0]), 2 * full)  # same depth, full buckets
+    assert not verify_open(tree.root, MultiOpening({0: first}, n, b""), n)
+    assert not verify_open(tree.root, MultiOpening({0: first, 1: last}, n, tree.layers[0][:32]), n)
+    # an opening authenticates only against the tree shape it came from: it
+    # must name the class count asked for, and under another one its records
+    # and stream do not fit that tree, whose depth or buckets differ
     opened = tree.open([1])
     assert verify_open(tree.root, opened, n)
-    assert not verify_open(tree.root, opened, n - 1)  # last bucket of 4
-    assert not verify_open(tree.root, opened, 2 * full)  # last bucket full
-    assert not verify_open(tree.root, opened, full)  # bucket out of range
-    assert not verify_open(tree.root, opened, 2 * full + 1)  # deeper tree
-    # not a bucket's first class
-    assert not verify_open(tree.root, MultiOpening({1: (full + 1, values[full:])}, 1,
-                                                   opened.siblings), n)
+    for other in (n - 1,  # last bucket of 4
+                  2 * full,  # last bucket full
+                  full,  # bucket out of range
+                  2 * full + 1):  # deeper tree
+        assert not verify_open(tree.root, opened, other)
+        assert not verify_open(tree.root, MultiOpening(opened.records, other, opened.siblings),
+                               other)
+    # bucket 0 is full in a tree of 2 * full classes as well, of the same
+    # depth, so the opening renamed to that count authenticates
+    assert not verify_open(tree.root, tree.open([0]), 2 * full)
+    assert verify_open(tree.root, MultiOpening({0: first}, 2 * full, tree.layers[0][32:]),
+                       2 * full)
     # no records open nothing, with no siblings
-    assert verify_open(tree.root, MultiOpening({}, 0, b""), n)
-    assert not verify_open(tree.root, MultiOpening({}, 0, opened.siblings), n)
+    assert verify_open(tree.root, MultiOpening({}, n, b""), n)
+    assert not verify_open(tree.root, MultiOpening({}, n, opened.siblings), n)
     with pytest.raises(IndexOutOfRangeError):
         tree.open([2])
     with pytest.raises(IndexOutOfRangeError):
@@ -262,28 +267,35 @@ def test_merkle_open_verify():
 
 def test_single_leaf_tree():
     tree = MerkleTree([42])
-    assert tree.open([0]) == MultiOpening({0: (0, [42])}, 0, b"")
+    assert tree.open([0]) == MultiOpening({0: [42]}, 1, b"")
     assert verify_open(tree.root, tree.open([0]), 1)
-    assert not verify_open(tree.root, MultiOpening({1: (LEAF_CLASSES, [42])}, 0, b""), 1)
-    assert not verify_open(tree.root, tree.open([0]), 2)  # a bucket of 2
+    assert not verify_open(tree.root, MultiOpening({1: [42]}, 1, b""), 1)
+    assert not verify_open(tree.root, tree.open([0]), 2)
+    assert not verify_open(tree.root, MultiOpening({0: [42]}, 2, b""), 2)  # a bucket of 2
 
 
 def test_opening_bound_to_tree_depth():
     # One root, two openings of bucket 1: to c through a depth-1 path and to
     # b through a depth-2 path that passes the inner node0 off as a leaf.
+    # Each names the class count it is checked against, whose tree's depth
+    # decides which of the two can pass.
     a, b, c = ([base + i for i in range(LEAF_CLASSES)] for base in (0, 100, 200))
     node0 = _node_hash(oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, b))
     root = _node_hash(node0, oracle.merkle_leaf(1, c))
-    shallow = one_bucket(1, c, [node0])
-    deep = one_bucket(1, b, [oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, c)])
+
+    def shallow(num_classes):
+        return verify_record(root, 1, c, [node0], num_classes)
+
+    def deep(num_classes):
+        return verify_record(root, 1, b, [oracle.merkle_leaf(0, a), oracle.merkle_leaf(1, c)],
+                             num_classes)
+
     two_leaves, four_leaves = 2 * LEAF_CLASSES, 4 * LEAF_CLASSES
-    assert verify_open(root, shallow, two_leaves) and not verify_open(root, deep, two_leaves)
+    assert shallow(two_leaves) and not deep(two_leaves)
     for num_classes in (two_leaves + 1, 3 * LEAF_CLASSES, four_leaves):
-        assert verify_open(root, deep, num_classes)
-        assert not verify_open(root, shallow, num_classes)
+        assert deep(num_classes) and not shallow(num_classes)
     for num_classes in (LEAF_CLASSES, two_leaves - 1, four_leaves + 1, 8 * LEAF_CLASSES):
-        assert not verify_open(root, shallow, num_classes)
-        assert not verify_open(root, deep, num_classes)
+        assert not shallow(num_classes) and not deep(num_classes)
 
 
 def test_fs_golden_vector():
@@ -371,7 +383,7 @@ def test_ni_round_trip_at_value_width(p, width):
     split = byte_split(blob)
     assert split["levels"][-1][2] == len(blob)
     assert split["values"] == width * sum(len(values) for level in proof.levels
-                                          for _, values in level.records.values())
+                                          for values in level.records.values())
     assert verify_noninteractive(instance.seq, instance.rs, parsed, params)[0]
 
 
@@ -410,7 +422,7 @@ def test_read_log_is_the_oracle_addresses(monkeypatch):
     for word in (codeword, far):
         proof, _ = prove_noninteractive(seq, rs, word, params)
         flipped = NIProof.parse(proof.serialize())
-        _, values = next(iter(flipped.levels[1].records.values()))
+        values = next(iter(flipped.levels[1].records.values()))
         values[0] ^= 1
         for candidate in (NIProof.parse(proof.serialize()), flipped):
             for chain in (blossoming_cayley(instance.gens), seq):
@@ -521,8 +533,8 @@ def test_positions_view_reads_and_writes_values(ni_setup):
     parsed = NIProof.parse(proof.serialize())
     for opening, view in zip(parsed.levels, parsed.openings):
         paths = opening.paths()
-        expected = {at: (value, paths[bucket]) for bucket, (first, values)
-                    in opening.records.items() for at, value in enumerate(values, first)}
+        expected = {at: (value, paths[bucket]) for bucket, values in opening.records.items()
+                    for at, value in enumerate(values, bucket * LEAF_CLASSES)}
         assert bool(view) is bool(expected) and len(view) == len(expected)
         assert list(view) == sorted(expected)
         assert list(view.values()) == [expected[at] for at in sorted(expected)]
@@ -557,7 +569,7 @@ def test_ni_wrong_instance_rejected(ni_setup):
 def test_ni_out_of_range_value_rejected(ni_setup):
     instance, params, word, proof, _ = ni_setup
     hacked = NIProof.parse(proof.serialize())
-    _, values = next(iter(next(lv for lv in hacked.levels if lv.records).records.values()))
+    values = next(iter(next(lv for lv in hacked.levels if lv.records).records.values()))
     values[0] += 101  # same residue, out of range
     accept, _ = verify_noninteractive(instance.seq, instance.rs, hacked, params)
     assert not accept
@@ -574,27 +586,32 @@ def test_ni_out_of_range_value_rejected(ni_setup):
 
 
 def test_ni_writer_refuses_what_the_parser_would(ni_setup):
-    # at p = 101 a value takes one byte, and a first position is a u32: a
-    # value past a byte or a position past a u32 is one error line from
-    # serialize, never a proof of other values or a bare struct.error
+    # at p = 101 a value takes one byte, and a bucket and a class count are
+    # each a u32: a value past a byte, or a bucket or class count past a
+    # u32, is one error line from serialize, never a proof of other values
+    # or a bare struct.error
     _, _, _, proof, _ = ni_setup
     level = next(i for i, lv in enumerate(proof.levels) if lv.records)
-    bucket, (first, values) = next(iter(proof.levels[level].records.items()))
-    for key, record in ((bucket, (first, [256, *values[1:]])), (bucket, (first, [-1])),
-                        ((1 << 32) // LEAF_CLASSES, (1 << 32, [0]))):
+    bucket, values = next(iter(proof.levels[level].records.items()))
+    for key, record in ((bucket, [256, *values[1:]]), (bucket, [-1, *values[1:]]),
+                        (1 << 32, [0])):
         hacked = NIProof.parse(proof.serialize())
         hacked.levels[level].records[key] = record
         with pytest.raises(FloweringError,
                            match=f"does not fit format v{niproof.VERSION} at p = 101") as info:
             hacked.serialize()
         assert "\n" not in str(info.value)
-    # the widest value and the last position are written; the parser reads
-    # the value back, and refuses the position only for the level's depth
     hacked = NIProof.parse(proof.serialize())
-    hacked.levels[level].records[bucket] = (first, [255, *values[1:]])
+    hacked.levels[level].num_classes = 1 << 32
+    with pytest.raises(FloweringError, match=f"level {level} does not fit format v"):
+        hacked.serialize()
+    # the widest value and the last bucket are written; the parser reads
+    # the value back, and refuses the bucket only for the level's class count
+    hacked = NIProof.parse(proof.serialize())
+    hacked.levels[level].records[bucket] = [255, *values[1:]]
     assert NIProof.parse(hacked.serialize()) == hacked
-    hacked.levels[level].records[(1 << 32) // LEAF_CLASSES - 1] = ((1 << 32) - 1, [0])
-    with pytest.raises(MalformedProofError, match="outside a tree of depth"):
+    hacked.levels[level].records = {(1 << 32) - 1: [0]}
+    with pytest.raises(MalformedProofError, match=f"bucket {(1 << 32) - 1} is outside a tree of"):
         NIProof.parse(hacked.serialize())
 
 
@@ -646,11 +663,11 @@ def _tree_siblings(tree, buckets) -> bytes:
 
 def _unread_opening(instance, params, word, proof):
     # the first position of a bucket no walk reads, opened with the read
-    # buckets against the honest tree
+    # buckets against the honest tree.  Format v9 cannot write a record of
+    # part of a bucket, so this proof is checked as built (BUILT_IN_CODE)
     tree, bucket = _unread_bucket(instance, params, word, proof)
     opening = tree.open(sorted({*proof.levels[1].records, bucket}))
-    first, values = opening.records[bucket]
-    opening.records[bucket] = (first, values[:1])
+    opening.records[bucket] = opening.records[bucket][:1]
     proof.levels[1] = opening
 
 
@@ -667,101 +684,90 @@ def _first_record(proof, level=1):
 
 
 def _drop_opening(instance, params, word, proof):
-    # the first position of level 1's first record
+    # level 1's first record, a read bucket, left out, and the others opened
+    # against the honest tree: the query phase reads outside the records
+    tree = _level_tree(instance, params, word, proof)
     records, bucket = _first_record(proof)
-    first, values = records[bucket]
-    records[bucket] = (first + 1, values[1:])
-
-
-def _split_record(proof, runs) -> bytes:
-    """The proof's bytes with the first record of level 1 written as the
-    given runs (start, stop) of its values, each as a record."""
-    records, bucket = _first_record(proof)
-    first, values = records[bucket]
-    head = struct.pack(f"<IB{len(values)}I", first, len(values), *values)
-    blob = proof.serialize()
-    start = byte_split(blob)["levels"][1][0]
-    count, depth = struct.unpack_from("<IB", blob, start)
-    at = start + 5
-    assert blob[at:at + len(head)] == head
-    split = b"".join(struct.pack(f"<IB{stop - begin}I", first + begin, stop - begin,
-                                 *values[begin:stop]) for begin, stop in runs)
-    return (blob[:start] + struct.pack("<IB", count + len(runs) - 1, depth)
-            + blob[start + 5:at] + split + blob[at + len(head):])
-
-
-def _drop_middle_class(instance, params, word, proof):
-    # the first record of level 1 without its middle class, written as the
-    # two records around the gap
-    half = LEAF_CLASSES // 2
-    return _split_record(proof, [(0, half), (half + 1, LEAF_CLASSES)])
+    proof.levels[1] = tree.open(sorted(set(records) - {bucket}))
 
 
 def _two_paths(instance, params, word, proof):
-    # the first bucket of level 1 written as three records, its second
-    # class alone, as the per-position form wrote a bucket whose second
-    # class carried another path
-    return _split_record(proof, [(0, 1), (1, 2), (2, LEAF_CLASSES)])
+    # the first bucket of level 1 written as two records, as the
+    # per-position form wrote a bucket whose positions carried two paths
+    records, bucket = _first_record(proof)
+    values = records[bucket]
+    head = struct.pack(f"<I{len(values)}I", bucket, *values)
+    blob = proof.serialize()
+    start = byte_split(blob)["levels"][1][0]
+    count, num_classes = struct.unpack_from("<II", blob, start)
+    at = start + 8
+    assert blob[at:at + len(head)] == head
+    return blob[:start] + struct.pack("<II", count + 1, num_classes) + head + blob[at:]
 
 
 def _move_opening(instance, params, word, proof):
-    # the first position of level 1's first record, moved to the first
-    # bucket level 2 does not open, under level 2's honest sibling stream
-    # for its new buckets, so that the level still writes one digest per
-    # sent sibling
+    # level 1's first record moved to the first bucket level 2 does not
+    # open, each level under the honest sibling stream of its new buckets,
+    # so that it still writes one digest per sent sibling
     records, bucket = _first_record(proof)
-    first, values = records[bucket]
-    records[bucket] = (first + 1, values[1:])
+    moved = records.pop(bucket)
+    proof.levels[1].siblings = _tree_siblings(_level_tree(instance, params, word, proof),
+                                              list(records))
     tree = _level_tree(instance, params, word, proof, level=2)
     target = proof.levels[2]
     new = min(set(range(-(-len(tree.values) // LEAF_CLASSES))) - set(target.records))
+    assert len(moved) == len(tree.open([new]).records[new])
     buckets = sorted({*target.records, new})
-    proof.levels[2] = MultiOpening({b: target.records.get(b, (new * LEAF_CLASSES, values[:1]))
-                                    for b in buckets}, target.depth, _tree_siblings(tree, buckets))
+    proof.levels[2] = MultiOpening({b: target.records.get(b, moved) for b in buckets},
+                                   target.num_classes, _tree_siblings(tree, buckets))
 
 
-def _resize_path(delta):
+def _resize_tree(delta):
     def mutate(instance, params, word, proof):
-        # a level's depth one less or one more, with the sibling stream of
-        # that depth (the deeper one's extra digest zero); the first level
-        # whose last opened bucket lies in the upper half of its tree, which
-        # one layer less cannot hold
+        # a level's class count set to that of a tree one layer shallower
+        # (every leaf full) or one deeper (one leaf past a full tree), with
+        # the sibling stream of that depth (the deeper one's extra digest
+        # zero): the first level whose last opened bucket lies in the upper
+        # half of its tree, which one layer less cannot hold, and whose
+        # records are whole buckets in the deeper tree too
         opening = next(level for level in proof.levels
-                       if max(level.records) >> (level.depth - 1))
+                       if max(level.records) >> (level.depth - 1)
+                       and all(len(values) == LEAF_CLASSES for values in level.records.values()))
         depth = opening.depth + delta
         opening.siblings = (opening.siblings[:DIGEST_SIZE * sibling_count(opening.records, depth)]
                             + bytes(DIGEST_SIZE) * (delta > 0))
-        opening.depth = depth
+        opening.num_classes = LEAF_CLASSES * (1 << depth if delta < 0 else (1 << depth - 1) + 1)
+        assert opening.depth == depth
     return mutate
 
 
+def _other_class_count(instance, params, word, proof):
+    # a level's class count one off, with the same buckets and tree depth:
+    # the first level whose last bucket is not opened, so that its records
+    # are whole buckets under either count
+    opening = next(level for level in proof.levels
+                   if max(level.records) < -(-level.num_classes // LEAF_CLASSES) - 1)
+    count = opening.num_classes
+    opening.num_classes = count + 1 if count % LEAF_CLASSES == 1 else count - 1
+
+
 def _cid_out_of_range(instance, params, word, proof):
-    # the first position of level 1's first record moved to the first
-    # position at or past N that starts a bucket, so in no bucket of the
-    # tree, under the honest tree's sibling stream (its padding included),
-    # so that the level still writes one digest per sent sibling
+    # level 1's first record moved to the bucket past the last one of its
+    # tree
     records, bucket = _first_record(proof)
-    first, values = records[bucket]
-    records[bucket] = (first + 1, values[1:])
-    tree = _level_tree(instance, params, word, proof)
-    past = -(-instance.seq.graphs[1].classes.num_classes // LEAF_CLASSES)
-    opening = proof.levels[1]
-    buckets = sorted({*records, past})
-    proof.levels[1] = MultiOpening({b: records.get(b, (past * LEAF_CLASSES, values[:1]))
-                                    for b in buckets}, opening.depth, _tree_siblings(tree, buckets))
+    records[-(-proof.levels[1].num_classes // LEAF_CLASSES)] = records.pop(bucket)
 
 
 def _drop_last_class(instance, params, word, proof):
     # the last position of a full read bucket, whose class was not read:
-    # the bucket misses a position, so the verifier refuses it before
-    # anything is hashed
+    # the record misses a position, which format v9 cannot write, so this
+    # proof is checked as built (BUILT_IN_CODE) and verify_open refuses it
     read = verify_noninteractive(instance.seq, instance.rs, proof, params)[1].reads
     level, bucket = next((level, bucket) for level, opening in enumerate(proof.levels)
-                         for bucket, (first, values) in opening.records.items()
+                         for bucket, values in opening.records.items()
                          if len(values) == LEAF_CLASSES
-                         and first + LEAF_CLASSES - 1 not in read[level])
-    first, values = proof.levels[level].records[bucket]
-    proof.levels[level].records[bucket] = (first, values[:-1])
+                         and (bucket + 1) * LEAF_CLASSES - 1 not in read[level])
+    proof.levels[level].records[bucket].pop()
 
 
 def _swap_pair(instance, params, word, proof):
@@ -783,21 +789,21 @@ def _swap_pair(instance, params, word, proof):
     records = swapped.levels[0].records
 
     def value(at):
-        first, values = records[at // LEAF_CLASSES]
-        return values[at - first]
+        return records[at // LEAF_CLASSES][at % LEAF_CLASSES]
 
     a, b = next(pair for pair in positions[instance.seq.cuts[0].fold_plan].T.tolist()
                 if pair[0] // LEAF_CLASSES in records and not read & set(pair)
                 and value(pair[0]) != value(pair[1]))
     assert abs(a - b) == 1 and min(a, b) % 2 == 0
-    first, values = records[a // LEAF_CLASSES]
-    values[a - first], values[b - first] = values[b - first], values[a - first]
+    values = records[a // LEAF_CLASSES]
+    i, j = a % LEAF_CLASSES, b % LEAF_CLASSES
+    values[i], values[j] = values[j], values[i]
     return swapped.serialize()
 
 
 def _class_order_level(instance, params, word, proof):
     # level 1 committed in class order, as format v4 committed every level,
-    # under a version-8 header, and opened whole; every other level in its
+    # under a version-9 header, and opened whole; every other level in its
     # commit order, opening the buckets that the query phase on these roots
     # reads of the honest commitment.  Every position the verifier reads is
     # there, so the query phase ends, and the record check refuses the
@@ -829,12 +835,13 @@ def _extra_flower_class(instance, params, word, proof):
     # position N of the flower level, committed in class order, appended to
     # its last record: the flower view reads every class, and the last
     # bucket holds fewer than LEAF_CLASSES, so the record grows one past
-    # the tree's last position
+    # the tree's last position.  Format v9 cannot write it, so this proof
+    # is checked as built (BUILT_IN_CODE) and verify_open refuses it
     records = proof.levels[instance.r].records
     num_classes = instance.seq.graphs[instance.r].classes.num_classes
     assert num_classes % LEAF_CLASSES
     assert list(records) == list(range(-(-num_classes // LEAF_CLASSES)))
-    records[max(records)][1].append(0)
+    records[max(records)].append(0)
 
 
 def _digest_span(proof, level):
@@ -916,107 +923,123 @@ def _read_buckets(proof) -> int:
     return sum(len(level.records) for level in proof.levels)
 
 
-# cases the parser refuses: a bucket written as several records, a depth
-# too small for the level's last bucket, and a sibling digest too few or
-# too many, which misaligns the rest of the proof
-REFUSED_BY_PARSE = {"path-shorter", "dropped-middle", "two-paths", "dropped-sibling",
+# cases format v9 cannot write, a record of part of a bucket or more than
+# one, which the verifier gets as built
+BUILT_IN_CODE = {"unread-class", "dropped-last", "extra-flower-class"}
+# cases the parser refuses: a bucket written as two records, a bucket past
+# the level's last, also under a class count of a tree one layer shallower,
+# and a sibling digest too few or too many, which misaligns the rest of the
+# proof
+REFUSED_BY_PARSE = {"path-shorter", "cid-num-classes", "two-paths", "dropped-sibling",
                     "duplicated-sibling"}
-# cases whose query phase ends, each with the one check that refuses it
-REFUSED_BY = {"swapped-pair": "verify_open refused", "class-order-level": "records refused"}
+# cases whose query phase ends, each with the one check that refuses it; a
+# refused record check comes before any verify_open call
+REFUSED_BY = {"swapped-pair": "verify_open refused", "class-order-level": "records refused",
+              "unread-class": "records refused", "unread-bucket": "records refused",
+              "path-longer": "records refused", "class-count": "records refused",
+              "dropped-last": "verify_open refused", "extra-flower-class": "verify_open refused"}
 
 
 @pytest.mark.parametrize("mutate", [
-    _drop_opening, _unread_opening, _move_opening, _resize_path(-1), _resize_path(+1),
-    _cid_out_of_range, _drop_middle_class, _two_paths, _unread_bucket_opening,
+    _drop_opening, _unread_opening, _move_opening, _resize_tree(-1), _resize_tree(+1),
+    _other_class_count, _cid_out_of_range, _two_paths, _unread_bucket_opening,
     _drop_last_class, _extra_flower_class, _drop_sibling, _duplicate_sibling, _swap_sibling,
     _swap_pair, _class_order_level,
 ], ids=["dropped", "unread-class", "moved-level", "path-shorter", "path-longer",
-        "cid-num-classes", "dropped-middle", "two-paths", "unread-bucket",
+        "class-count", "cid-num-classes", "two-paths", "unread-bucket",
         "dropped-last", "extra-flower-class", "dropped-sibling", "duplicated-sibling",
         "swapped-sibling", "swapped-pair", "class-order-level"])
 def test_ni_structural_mutations_rejected(ni_setup_r5, mutate, verify_open_calls,
                                           verifier_checks, request):
     # the verifier accepts exactly the buckets its query phase reads, each
-    # with all its positions under the level's one pruned multi-opening of
-    # its tree's depth, and authenticates at most once per level.  A case
-    # returns the proof's bytes where it changes them directly, and changes
-    # the parsed proof otherwise.
+    # whole under the level's one pruned multi-opening of the tree of the
+    # chain's class count, and authenticates at most once per level.  A
+    # case returns the proof's bytes where it changes them directly, and
+    # changes the parsed proof otherwise.
     instance, params, word, proof = ni_setup_r5
     assert instance.r == 5
+    case = request.node.callspec.id
     mutated = NIProof.parse(proof.serialize())
-    blob = mutate(instance, params, word, mutated) or mutated.serialize()
-    assert blob != proof.serialize()
-    if request.node.callspec.id in REFUSED_BY_PARSE:
-        with pytest.raises(MalformedProofError):
-            NIProof.parse(blob)
-        return
-    reparsed = NIProof.parse(blob)
+    blob = mutate(instance, params, word, mutated)
+    if case in BUILT_IN_CODE:
+        assert mutated != proof
+    else:
+        blob = blob or mutated.serialize()
+        assert blob != proof.serialize()
+        if case in REFUSED_BY_PARSE:
+            with pytest.raises(MalformedProofError):
+                NIProof.parse(blob)
+            return
+        mutated = NIProof.parse(blob)
     verify_open_calls.clear()
     verifier_checks.clear()
-    accept, transcript = verify_noninteractive(instance.seq, instance.rs, reparsed, params)
+    accept, transcript = verify_noninteractive(instance.seq, instance.rs, mutated, params)
     assert not accept and transcript is None
     assert len(verify_open_calls) <= instance.r + 1
-    if request.node.callspec.id in REFUSED_BY:
+    if case in REFUSED_BY:
         assert verifier_checks["query phase"] == 1
-        assert set(+verifier_checks) == {"query phase", REFUSED_BY[request.node.callspec.id]}
+        assert set(+verifier_checks) == {"query phase", REFUSED_BY[case]}
+        if REFUSED_BY[case] == "records refused":
+            assert verify_open_calls == []
 
 
 def test_ni_malformed_records_refused(ni_setup):
-    # records parse only whole, inside one bucket, one per bucket in
-    # increasing order and inside the tree of the level's depth, with
-    # exactly the sibling digests their buckets and depth call for
+    # a level parses only with a class count of at least 1 and at most one
+    # record per bucket of its tree, one per bucket in increasing order,
+    # each bucket inside the tree, with exactly the values and sibling
+    # digests the class count and buckets call for
     _, _, _, proof, _ = ni_setup
     head = proof.serialize()[:4 + 10 + 32 + 12 + 32 * (proof.r + 1)]
-    empty_levels = struct.pack("<IB", 0, 0) * proof.r
+    empty_levels = struct.pack("<II", 0, 1) * proof.r
     digest = bytes(range(DIGEST_SIZE))
 
-    def level0(*records, depth=1, digests=b"", tail=empty_levels):
-        return (head + struct.pack("<IB", len(records), depth) + b"".join(records)
+    def level0(*records, num_classes=LEAF_CLASSES + 2, count=None, digests=b"",
+               tail=empty_levels):
+        count = len(records) if count is None else count
+        return (head + struct.pack("<II", count, num_classes) + b"".join(records)
                 + digests + tail)
 
-    def record(first, values):
+    def record(bucket, values):
         # at p = 101 each value takes one byte
-        return struct.pack(f"<IB{len(values)}B", first, len(values), *values)
+        return struct.pack(f"<I{len(values)}B", bucket, *values)
 
-    # buckets 0 and 1: siblings, so at depth 1 nothing is sent and at
-    # depth 2 the one sibling of their parent is
-    pair = (record(0, [1] * LEAF_CLASSES), record(LEAF_CLASSES + 1, [2, 3]))
+    # buckets 0 and 1: siblings, so in a tree of two leaves nothing is sent
+    # and in one of three the one sibling of their parent is
+    pair = (record(0, [1] * LEAF_CLASSES), record(1, [2, 3]))
     shallow = NIProof.parse(level0(*pair)).levels[0]
-    assert shallow == MultiOpening({0: (0, [1] * LEAF_CLASSES), 1: (LEAF_CLASSES + 1, [2, 3])},
-                                   1, b"")
+    assert shallow == MultiOpening({0: [1] * LEAF_CLASSES, 1: [2, 3]}, LEAF_CLASSES + 2, b"")
     assert shallow.paths() == {0: [b""], 1: [b""]}
-    deep = NIProof.parse(level0(*pair, depth=2, digests=digest)).levels[0]
+    full_pair = (record(0, [1] * LEAF_CLASSES), record(1, [2] * LEAF_CLASSES))
+    deep = NIProof.parse(level0(*full_pair, num_classes=2 * LEAF_CLASSES + 1,
+                                digests=digest)).levels[0]
     assert (deep.depth, deep.siblings) == (2, digest)
     assert deep.paths() == {0: [b"", digest], 1: [b"", digest]}
     for blob, message in (
-        (level0(record(LEAF_CLASSES - 1, [1, 2])), "not inside one bucket"),
-        (level0(record(1, [1] * LEAF_CLASSES)), "not inside one bucket"),
-        (level0(record(0, [])), "a record of 0 classes"),
-        (level0(record(3, [])), "a record of 0 classes"),
-        (level0(record(0, [1] * (LEAF_CLASSES + 1))), f"a record of {LEAF_CLASSES + 1}"),
-        (level0(record(0, [1, 2]), record(2, [3])), "bucket 0 follows one in bucket 0"),
+        (level0(num_classes=0), "level of 0 records over 0 classes"),
+        (level0(*pair, num_classes=0), "level of 2 records over 0 classes"),
+        (level0(*pair, record(2, [4])), "level of 3 records over 18 classes"),
+        (level0(record(0, [1] * LEAF_CLASSES), record(0, [1] * LEAF_CLASSES),
+                num_classes=2 * LEAF_CLASSES), "bucket 0 follows one in bucket 0"),
         (level0(*pair[::-1]), "bucket 0 follows one in bucket 1"),
-        # the depth byte one too large or too small
-        (level0(*pair, depth=3, digests=digest), "truncated proof"),
-        (level0(*pair, depth=0), "bucket 1 is outside a tree of depth 0"),
-        (level0(depth=1), "a level of no records has depth 1"),
-        (level0(*pair, depth=niproof.MAX_DEPTH + 1), "implausible opening count or depth"),
+        (level0(record(2, [4])), "bucket 2 is outside a tree of 18 classes"),
+        # a class count that makes bucket 1 full
+        (level0(*pair, num_classes=2 * LEAF_CLASSES, tail=b""), "truncated proof"),
         # a level cut short inside its digest list
-        (level0(*pair, depth=2, digests=digest[:DIGEST_SIZE // 2], tail=b""), "truncated proof"),
+        (level0(*full_pair, num_classes=2 * LEAF_CLASSES + 1,
+                digests=digest[:DIGEST_SIZE // 2], tail=b""), "truncated proof"),
     ):
         with pytest.raises(MalformedProofError, match=message):
             NIProof.parse(blob)
-    # MAX_DEPTH is the depth of a tree whose buckets hold every u32
-    # position: the last such bucket parses at it and not one layer less
-    max_depth = niproof.MAX_DEPTH
-    assert max_depth == (2**32 // LEAF_CLASSES - 1).bit_length()
-    last = record(2**32 - LEAF_CLASSES, [1] * LEAF_CLASSES)
-    parsed = NIProof.parse(level0(last, depth=max_depth, digests=digest * max_depth)).levels[0]
-    bucket = 2**32 // LEAF_CLASSES - 1
-    assert parsed.records == {bucket: (2**32 - LEAF_CLASSES, [1] * LEAF_CLASSES)}
-    assert parsed.paths() == {bucket: [digest] * max_depth}
-    with pytest.raises(MalformedProofError, match="outside a tree of depth"):
-        NIProof.parse(level0(last, depth=max_depth - 1, digests=digest * (max_depth - 1)))
+    # the class count is a u32: the last bucket of the largest tree holds
+    # the positions up to 2^32 - 2 and parses at its full depth
+    largest = 2**32 - 1
+    bucket, depth = largest // LEAF_CLASSES, (largest // LEAF_CLASSES).bit_length()
+    last = record(bucket, [1] * (LEAF_CLASSES - 1))
+    parsed = NIProof.parse(level0(last, num_classes=largest, digests=digest * depth)).levels[0]
+    assert parsed.records == {bucket: [1] * (LEAF_CLASSES - 1)}
+    assert parsed.paths() == {bucket: [digest] * depth}
+    with pytest.raises(MalformedProofError, match=f"bucket {bucket + 1} is outside a tree of"):
+        NIProof.parse(level0(record(bucket + 1, [1]), num_classes=largest))
 
 
 def test_ni_padded_proof_rejected_before_hashing(verify_open_calls):
@@ -1044,7 +1067,7 @@ def test_ni_padded_proof_rejected_before_hashing(verify_open_calls):
     assert len(unread) == 1000 // LEAF_CLASSES
 
     def positions(proof):
-        return sum(len(values) for level in proof.levels for _, values in level.records.values())
+        return sum(len(values) for level in proof.levels for values in level.records.values())
 
     assert positions(padded) == positions(proof) + LEAF_CLASSES * len(unread)
     calls.clear()
@@ -1129,9 +1152,9 @@ def test_prove_hashes_each_tree_node_once(monkeypatch):
                              for d in range((n - 1).bit_length() + 1)) == 10_862
 
 
-# the seed-1 r = 8 split of format v8 (BENCH_chain_identity.json): header,
-# roots, values, framing and digest bytes, and the digest and record counts
-SPLIT_R8 = {"header": 58, "roots": 288, "values": 10_236, "framing": 845, "digests": 14_688,
+# the seed-1 r = 8 split of format v9: header, roots, values, framing and
+# digest bytes, and the digest and record counts
+SPLIT_R8 = {"header": 58, "roots": 288, "values": 10_236, "framing": 712, "digests": 14_688,
             "digest_count": 459, "record_count": 160}
 
 
@@ -1169,11 +1192,12 @@ def test_ni_proof_size(r, max_bytes):
         depth = (-(-graph.classes.num_classes // LEAF_CLASSES) - 1).bit_length()
         above = [{b >> d for b in buckets} for d in range(depth)]
         sent = sum(len({a ^ 1 for a in layer} - layer) for layer in above)
-        assert (set(opening.records), opening.depth) == (buckets, depth)
-        # a u32 count and a u8 depth, then per record a u32 first position,
-        # n as a u8, and n values of 4 bytes
-        assert start == pos and digests == start + 5 + sum(
-            5 + 4 * len(values) for _, values in opening.records.values())
+        assert (set(opening.records), opening.num_classes, opening.depth) == (
+            buckets, graph.classes.num_classes, depth)
+        # a u32 count and a u32 class count, then per record a u32 bucket
+        # and its values of 4 bytes
+        assert start == pos and digests == start + 8 + sum(
+            4 + 4 * len(values) for values in opening.records.values())
         assert end - digests == DIGEST_SIZE * sent
         pos = end
     assert pos == len(blob)

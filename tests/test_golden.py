@@ -43,12 +43,12 @@ def instance(r: int):
 
 
 NI_PROOFS = {
-    (3, 1): "6a58f4a4916e43ab4fdf844977da83420ee8c5c8a2c588a9aa1f8dd95fce0f36",
-    (3, 2): "0876e8546302b6a80b6a8705358f282320565c5099d4b31864ca5828992ae0d5",
-    (4, 1): "1d5cbd12f4c769f285d785cb1494c423295a20efdf86e56522fe6616943ccd55",
-    (4, 2): "96d59843a9de39bd7837febe4355b26922999c9a13bb1868ba42a2d670f1d8f5",
-    (6, 1): "65a4128765f63bddb2dbd36d8f205c025cb83672307870f85a7c6f78d354c481",
-    (8, 1): "c254d0ac3b94675400e76b873f51d9c2bdb8cde9a5e108bdbe859e80382576e7",
+    (3, 1): "71cd2933e798cc0e18bdea004bc39f25f81bb885152e12a9153e87ddc660b212",
+    (3, 2): "d3926c154da33ff9161b35d2e2e58f2754959c73feeb5519ed0812780c31dd6c",
+    (4, 1): "f2efb3d867f659930bb2e962204a1518661e31fe41d7253f48c40a3e7daced04",
+    (4, 2): "c1cad892e88d21b41a86fd225eed3139261f92d29257d74edb9f127402cce38b",
+    (6, 1): "676978adcbea6dbbbe16727f7483a9225c6e9c3f775934940b2daaf1cf0e380c",
+    (8, 1): "87bb23b264e9bd68b076655dd92a55a75217f7cf3bc7d845c02e2f7e7c12e06c",
 }
 # the SHA-256 of each proof's concatenated Merkle roots, which a change of
 # wire format alone does not move.  Every root past level 0 follows the
